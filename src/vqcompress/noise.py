@@ -11,16 +11,9 @@ import numpy as np
 from .circuit import Circuit, MeasurementSpec
 from .data import EncodeScheme, EncoderSpec, amplitude_state, stack
 from .errors import ConfigError
-from .simulator import measure_outputs_batch, zero_state
+from .simulator import apply_matrix, measure_outputs_batch, zero_state
 from .training import softmax
 from .transpile import BasisGateSet, DEFAULT_BASIS, TranspiledCircuit, transpile_circuit
-
-
-def _apply_fixed_gate(states: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...]):
-    from .simulator import _batched_1q, _batched_2q
-    if len(qubits) == 1:
-        return _batched_1q(states, matrix, qubits[0])
-    return _batched_2q(states, matrix, qubits[0], qubits[1])
 
 
 def _apply_pauli_rows(states: np.ndarray, rows: np.ndarray, q: int, which: int):
@@ -48,7 +41,7 @@ def noisy_outputs(tc: TranspiledCircuit, input_state: np.ndarray, spec: Measurem
     rng = np.random.default_rng(seed)
     states = np.broadcast_to(input_state, (shots, input_state.shape[0])).astype(complex).copy()
     for pg in tc.gates:
-        states = _apply_fixed_gate(states, pg.matrix(), pg.qubits)
+        states = apply_matrix(states, pg.matrix(), pg.qubits)
         for q in pg.qubits:
             hit = rng.random(shots) < p
             paulis = rng.integers(0, 4, size=shots)

@@ -2,8 +2,9 @@
 
 States are complex128 arrays of 2^n amplitudes; qubit 0 is the least
 significant bit of the basis-state index.  Everything is batched: a state
-batch has shape (rows, 2^n) and each row may carry its own gate angles, which
-is what makes parameter-shift training cheap.
+batch has shape (rows, 2^n).  A gate acts on every row either through one
+shared matrix or through one matrix per row, so a batch can mix samples
+(per-row data angles) and parameter vectors.
 """
 
 from functools import lru_cache
@@ -99,26 +100,27 @@ def _u3_mats(angles: np.ndarray) -> np.ndarray:
     return m
 
 
-def _controlled_mats(blocks: np.ndarray) -> np.ndarray:
+def controlled_mats(blocks: np.ndarray, control0: float = 1.0) -> np.ndarray:
+    """(R, 4, 4) matrices diag(control0 * I, block) from (R, 2, 2) target blocks."""
     r = blocks.shape[0]
     m = np.zeros((r, 4, 4), dtype=complex)
-    m[:, 0, 0] = 1.0
-    m[:, 1, 1] = 1.0
+    m[:, 0, 0] = control0
+    m[:, 1, 1] = control0
     m[:, 2:, 2:] = blocks
     return m
 
 
-_BASE_KIND = {GateKind.CRX: GateKind.RX, GateKind.CRY: GateKind.RY, GateKind.CRZ: GateKind.RZ}
+# Target-qubit kind of each controlled kind with angles.
+CONTROLLED_TARGET = {GateKind.CRX: GateKind.RX, GateKind.CRY: GateKind.RY,
+                     GateKind.CRZ: GateKind.RZ, GateKind.CU3: GateKind.U3}
 
 
 def gate_mats_batch(kind: GateKind, angles: np.ndarray | None) -> np.ndarray:
     """Per-row gate matrices; `angles` is (R,) for rotations, (R,3) for U3/CU3."""
     if ARITY[kind] == 0:
         return gate_matrix(kind, [])
-    if kind in _BASE_KIND:
-        return _controlled_mats(_rotation_mats(_BASE_KIND[kind], angles))
-    if kind is GateKind.CU3:
-        return _controlled_mats(_u3_mats(angles))
+    if kind in CONTROLLED_TARGET:
+        return controlled_mats(gate_mats_batch(CONTROLLED_TARGET[kind], angles))
     if kind is GateKind.U3:
         return _u3_mats(angles)
     return _rotation_mats(kind, angles)
@@ -128,7 +130,8 @@ def resolve_angles(gate: Gate, thetas: np.ndarray, feats: np.ndarray | None) -> 
     """Per-row angle array for a gate: (R,) or (R, 3), or None for fixed kinds.
 
     Trainable slots read from `thetas` (R, P); data slots read pi * feature
-    from `feats` (R, F); constants broadcast.
+    from `feats` (R, F); constants broadcast, and so does a one-row `thetas`
+    against per-row data angles.
     """
     if ARITY[gate.kind] == 0:
         return None
@@ -145,15 +148,21 @@ def resolve_angles(gate: Gate, thetas: np.ndarray, feats: np.ndarray | None) -> 
             cols.append(np.pi * feats[:, b.slot])
     if len(cols) == 1:
         return cols[0]
-    return np.stack(cols, axis=1)
+    return np.stack(np.broadcast_arrays(*cols), axis=1)
+
+
+def apply_matrix(states: np.ndarray, mats: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """Apply 2x2/4x4 matrices to `qubits`: shared (d, d) or (1, d, d), or one
+    per row (R, d, d)."""
+    if len(qubits) == 1:
+        return _batched_1q(states, mats, qubits[0])
+    return _batched_2q(states, mats, qubits[0], qubits[1])
 
 
 def apply_gate_batch(states: np.ndarray, gate: Gate, thetas: np.ndarray,
                      feats: np.ndarray | None = None) -> np.ndarray:
     mats = gate_mats_batch(gate.kind, resolve_angles(gate, thetas, feats))
-    if len(gate.qubits) == 1:
-        return _batched_1q(states, mats, gate.qubits[0])
-    return _batched_2q(states, mats, gate.qubits[0], gate.qubits[1])
+    return apply_matrix(states, mats, gate.qubits)
 
 
 def run_batch(circuit: Circuit, thetas: np.ndarray, feats: np.ndarray | None = None,
@@ -206,25 +215,27 @@ def run_circuit(circuit: Circuit, params, input_state: np.ndarray | None = None,
 
 
 @lru_cache(maxsize=None)
-def _z_signs(n_qubits: int) -> np.ndarray:
-    """(n, 2^n) table of Pauli-Z eigenvalues per qubit per basis state."""
-    i = np.arange(2 ** n_qubits)
-    signs = np.stack([1.0 - 2.0 * ((i >> q) & 1) for q in range(n_qubits)])
-    signs.setflags(write=False)
-    return signs
+def readout_weights(spec: MeasurementSpec, n_qubits: int) -> np.ndarray:
+    """(C, 2^n) table W with outputs = |psi|^2 @ W.T.
+
+    Rows are Pauli-Z signs for per-qubit-Z readout and 0/1 group indicators
+    for basis-state grouping.
+    """
+    spec = spec.validated(n_qubits)
+    if spec.scheme is MeasureScheme.PER_QUBIT_Z:
+        i = np.arange(2 ** n_qubits)
+        w = np.stack([1.0 - 2.0 * ((i >> q) & 1) for q in range(spec.n_classes)])
+    else:
+        w = np.zeros((spec.n_classes, 2 ** n_qubits))
+        for k, group in enumerate(spec.groups):
+            w[k, list(group)] = 1.0
+    w.setflags(write=False)
+    return w
 
 
 def measure_outputs_batch(states: np.ndarray, spec: MeasurementSpec) -> np.ndarray:
     n_qubits = states.shape[1].bit_length() - 1
-    spec = spec.validated(n_qubits)
-    probs = np.abs(states) ** 2
-    if spec.scheme is MeasureScheme.PER_QUBIT_Z:
-        signs = _z_signs(n_qubits)[: spec.n_classes]
-        return probs @ signs.T
-    out = np.empty((states.shape[0], spec.n_classes))
-    for k, group in enumerate(spec.groups):
-        out[:, k] = probs[:, list(group)].sum(axis=1)
-    return out
+    return (np.abs(states) ** 2) @ readout_weights(spec, n_qubits).T
 
 
 def measure_outputs(state: np.ndarray, spec: MeasurementSpec) -> np.ndarray:

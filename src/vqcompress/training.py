@@ -1,13 +1,10 @@
-"""Forward pass, cross-entropy loss, parameter-shift gradients, and SGD.
+"""Forward pass, cross-entropy loss, adjoint-method gradients, and SGD.
 
-Gradients are exact for rotation gates.  Plain RX/RY/RZ use the two-point
-rule at shifts of +-pi/2.  Controlled rotations generate three frequencies
-(0, 1/2, 1), so the two-point rule is not exact for them; they use the
-four-point rule at +-pi/2 and +-3pi/2.  Three-angle gates (U3/CU3) fall back
-to central finite differences.
-
-All shifted evaluations for one gradient are packed into a single batched
-circuit run, which is what keeps training fast.
+Gradients are exact for every gate kind.  `batch_loss_and_gradient` runs the
+batch forward once, keeping each layer gate's matrix, then walks the layer
+gates backward with the adjoint method (Jones & Gacon, arXiv 2009.02823):
+one state and one co-state per sample, so the cost is O(gates) on the batch
+rows whatever the number of parameters.
 """
 
 import math
@@ -15,21 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import BindKind, Circuit
 from .data import EncodeScheme, EncoderSpec, amplitude_state, stack
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .gates import GateKind, circ_residual, wrap_params
-from .simulator import measure_outputs_batch, run_batch
-
-HALF_PI = math.pi / 2
-
-# Four-point shift coefficients for controlled rotations.
-_C1 = (math.sqrt(2) + 1) / (4 * math.sqrt(2))
-_C2 = (math.sqrt(2) - 1) / (4 * math.sqrt(2))
-_FD_STEP = 1e-5
-
-_TWO_POINT = (GateKind.RX, GateKind.RY, GateKind.RZ)
-_FOUR_POINT = (GateKind.CRX, GateKind.CRY, GateKind.CRZ)
+from .simulator import (CONTROLLED_TARGET, apply_matrix, controlled_mats,
+                        gate_mats_batch, measure_outputs_batch, readout_weights,
+                        resolve_angles, run_batch, zero_state)
 
 
 @dataclass
@@ -42,8 +31,12 @@ class TrainConfig:
     init_scheme: str = "uniform2pi"
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.epochs <= 0:
-            raise ValueError("learning_rate and epochs must be positive")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.epochs <= 0:
+            raise ConfigError(f"epochs must be positive, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
 def init_params(circuit: Circuit, config: TrainConfig) -> np.ndarray:
@@ -93,77 +86,74 @@ def loss_and_accuracy(circuit: Circuit, params, samples,
     return loss, acc
 
 
-def accuracy(circuit: Circuit, params, samples, encoding=None) -> float:
-    return loss_and_accuracy(circuit, params, samples, encoding)[1]
+_P1 = np.diag([0.0, 1.0j])  # i * |1><1|
 
 
-def _slot_shift_rules(circuit: Circuit):
-    """Per trainable slot: list of (shift, coefficient) pairs for d/dtheta."""
-    kinds: dict[int, GateKind] = {}
-    for g in circuit.layers:
-        for s in g.theta_slots:
-            if s in kinds and kinds[s] is not g.kind:
-                raise ValueError(f"slot {s} shared across gate kinds; shift rule undefined")
-            kinds[s] = g.kind
-    rules = {}
-    for s in range(circuit.n_thetas):
-        kind = kinds.get(s)
-        if kind in _TWO_POINT:
-            rules[s] = [(HALF_PI, 0.5), (-HALF_PI, -0.5)]
-        elif kind in _FOUR_POINT:
-            rules[s] = [(HALF_PI, _C1), (-HALF_PI, -_C1),
-                        (3 * HALF_PI, -_C2), (-3 * HALF_PI, _C2)]
-        else:  # U3/CU3 slots (or unused slots): central finite differences
-            rules[s] = [(_FD_STEP, 0.5 / _FD_STEP), (-_FD_STEP, -0.5 / _FD_STEP)]
-    return rules
+def _angle_derivatives(kind: GateKind, angles: np.ndarray) -> list[np.ndarray]:
+    """dU/d(angle) for each of a gate's angles, as (R, d, d) arrays.
 
-
-def _loss_grad_wrt_outputs(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    g = probs.copy()
-    g[np.arange(len(labels)), labels] -= 1.0
-    return g
+    For a rotation exp(-i t P / 2), dU/dt = U(t + pi) / 2; U3's theta obeys
+    the same rule and its phi/lambda partials are i|1><1| U and U i|1><1|.
+    Controlled kinds take the target block's derivative with the control-0
+    block zeroed.
+    """
+    base = CONTROLLED_TARGET.get(kind, kind)
+    if base is GateKind.U3:
+        u = gate_mats_batch(base, angles)
+        shifted = angles + np.array([math.pi, 0.0, 0.0])
+        blocks = [0.5 * gate_mats_batch(base, shifted), _P1 @ u, u @ _P1]
+    else:
+        blocks = [0.5 * gate_mats_batch(base, angles + math.pi)]
+    if base is kind:
+        return blocks
+    return [controlled_mats(b, control0=0.0) for b in blocks]
 
 
 def batch_loss_and_gradient(circuit: Circuit, params: np.ndarray, feats: np.ndarray,
                             labels: np.ndarray, encoding: EncoderSpec | None = None
                             ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its gradient w.r.t. all slots."""
+    """Mean cross-entropy over the batch and its gradient w.r.t. all slots.
+
+    Forward: every gate once, data-bound gates with per-sample matrices and
+    the rest with one (1, d, d) matrix shared by all rows.  Seed:
+    lambda = (dL/d(outputs) @ W) * psi for the readout table W.  Backward, per
+    layer gate U in reverse: phi <- U^dagger phi, add 2 Re <lambda| dU phi> to
+    each of its trainable slots, lambda <- U^dagger lambda.
+    """
     params = np.asarray(params, dtype=float)
-    n_batch, n_params = feats.shape[0], params.size
-    rules = _slot_shift_rules(circuit)
+    n_batch = feats.shape[0]
+    states, gate_feats = _initial_states(circuit, feats, encoding)
+    if states is None:
+        states = zero_state(circuit.n_qubits, rows=n_batch)
+    tape = []
+    for gate in circuit.all_gates:
+        angles = resolve_angles(gate, params[None, :], gate_feats)
+        u = gate_mats_batch(gate.kind, angles)
+        states = apply_matrix(states, u, gate.qubits)
+        tape.append((gate, angles, u))
 
-    base_out = outputs_batch(circuit, params[None, :], feats, encoding)
-    probs = softmax(base_out)
-    loss = float(-np.log(np.maximum(probs[np.arange(n_batch), labels], 1e-300)).mean())
-    dl_dout = _loss_grad_wrt_outputs(probs, labels)
+    weights = readout_weights(circuit.measurement, circuit.n_qubits)
+    probs = softmax(measure_outputs_batch(states, circuit.measurement))
+    rows = np.arange(n_batch)
+    loss = float(-np.log(np.maximum(probs[rows, labels], 1e-300)).mean())
+    dl_dout = probs - np.eye(probs.shape[1])[labels]
+    costate = ((dl_dout / n_batch) @ weights) * states
 
-    shift_rows = []
-    for s in range(n_params):
-        for shift, _ in rules[s]:
-            row = params.copy()
-            row[s] += shift
-            shift_rows.append(row)
-    if not shift_rows:
-        return loss, np.zeros(0)
-
-    thetas = np.repeat(np.stack(shift_rows), n_batch, axis=0)
-    feats_big = np.tile(feats, (len(shift_rows), 1))
-    outs = outputs_batch(circuit, thetas, feats_big, encoding)
-    outs = outs.reshape(len(shift_rows), n_batch, -1)
-
-    grad = np.zeros(n_params)
-    row = 0
-    for s in range(n_params):
-        d_out = np.zeros_like(base_out)
-        for _, coeff in rules[s]:
-            d_out += coeff * outs[row]
-            row += 1
-        grad[s] = float((dl_dout * d_out).sum() / n_batch)
+    grad = np.zeros(params.size)
+    for gate, angles, u in reversed(tape[len(circuit.encoder):]):
+        u_dag = np.conj(np.swapaxes(u, -1, -2))
+        states = apply_matrix(states, u_dag, gate.qubits)
+        if gate.trainable:
+            for b, d in zip(gate.bindings, _angle_derivatives(gate.kind, angles)):
+                if b.kind is BindKind.THETA:
+                    d_states = apply_matrix(states, d, gate.qubits)
+                    grad[b.slot] += 2.0 * np.vdot(costate, d_states).real
+        costate = apply_matrix(costate, u_dag, gate.qubits)
     return loss, grad
 
 
-def param_shift_gradient(circuit: Circuit, params, samples,
-                         encoding: EncoderSpec | None = None) -> np.ndarray:
+def loss_gradient(circuit: Circuit, params, samples,
+                  encoding: EncoderSpec | None = None) -> np.ndarray:
     """Gradient of the mean cross-entropy over `samples` w.r.t. the parameters."""
     feats, labels = stack(samples)
     return batch_loss_and_gradient(circuit, np.asarray(params, dtype=float),

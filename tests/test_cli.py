@@ -88,6 +88,14 @@ def test_exit_code_2_on_config_error():
     assert main(["report", "--dataset", "bogus", "--methods", "Vanilla"]) == 2
 
 
+@pytest.mark.parametrize("flag, field", [("--lr", "learning_rate"), ("--epochs", "epochs"),
+                                         ("--batch-size", "batch_size")])
+def test_train_config_field_rejected_with_exit_2(flag, field, capsys):
+    rc = main(["compress", "--dataset", "syn4", "--circuit", "syn4", flag, "0"])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+
+
 def test_exit_code_3_on_runtime_error(tmp_path):
     missing = tmp_path / "missing.circ"
     assert main(["lut", "--circuit", str(missing)]) == 3

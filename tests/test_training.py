@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import random_circuit
-from vqcompress.circuit import Circuit, Gate, MeasurementSpec, theta
-from vqcompress.data import Sample, generate_synthetic, stack
+from oracle import SHIFT_RULES, param_shift_gradient
+from vqcompress.circuit import Circuit, Gate, MeasureScheme, MeasurementSpec, data, theta
+from vqcompress.data import (EncodeScheme, EncoderSpec, Sample, amplitude_state,
+                             generate_synthetic, stack)
 from vqcompress.errors import DataError
 from vqcompress.gates import GateKind
 from vqcompress.circfile import load_reference
 from vqcompress.training import (TrainConfig, batch_loss_and_gradient, forward,
-                                 init_params, loss_and_accuracy,
-                                 param_shift_gradient, sgd_train, softmax)
+                                 init_params, loss_and_accuracy, loss_gradient,
+                                 outputs_batch, sgd_train, softmax)
 
 PI = math.pi
 
@@ -54,67 +56,128 @@ def test_gradient_zero_for_unmeasured_ancilla():
     gates = [Gate(GateKind.RX, (2,), (theta(0),))]
     circ = Circuit(3, [], gates, MeasurementSpec(2))
     samples = _samples(np.zeros((4, 1)), [0, 1, 1, 0])
-    g = param_shift_gradient(circ, np.array([1.3]), samples)
+    g = loss_gradient(circ, np.array([1.3]), samples)
     assert abs(g[0]) < 1e-9
 
 
 def test_single_rx_z_expectation_gradient():
-    # <Z>(theta) = cos(theta); check d<Z>/dtheta through the loss chain rule
-    circ = Circuit(1, [], [Gate(GateKind.RX, (0,), (theta(0),))], MeasurementSpec(1))
-    feats, labels = np.zeros((1, 1)), np.array([0])
+    # <Z>(theta) = cos(theta).  The oracle's two-point rule on the raw output
+    # gives -sin(theta); the loss gradient carries it through the chain rule
+    # dL/dtheta = (p0 - [label == 0]) * d<Z0>/dtheta, since <Z1> = 1 throughout.
+    circ1 = Circuit(1, [], [Gate(GateKind.RX, (0,), (theta(0),))], MeasurementSpec(1))
+    feats = np.zeros((1, 1))
 
     def dz_dtheta(t):
-        # with one class, loss = -log softmax = 0 identically; probe the raw
-        # output derivative instead via the shift rule on measure outputs
-        from vqcompress.training import _slot_shift_rules, outputs_batch
-        rules = _slot_shift_rules(circ)[0]
-        total = 0.0
-        for shift, coeff in rules:
-            total += coeff * outputs_batch(circ, np.array([[t + shift]]), feats)[0, 0]
-        return total
+        return sum(coeff * outputs_batch(circ1, np.array([[t + shift]]), feats)[0, 0]
+                   for shift, coeff in SHIFT_RULES["RX"])
 
     assert dz_dtheta(0.0) == pytest.approx(0.0, abs=1e-9)
     assert dz_dtheta(PI / 2) == pytest.approx(-1.0, abs=1e-9)
 
+    circ2 = Circuit(2, [], [Gate(GateKind.RX, (0,), (theta(0),))], MeasurementSpec(2))
+    for t in (0.0, PI / 2, 1.3):
+        p0 = softmax(np.array([math.cos(t), 1.0]))[0]
+        for label in (0, 1):
+            _, grad = batch_loss_and_gradient(circ2, np.array([t]), feats, np.array([label]))
+            assert grad[0] == pytest.approx((p0 - (label == 0)) * -math.sin(t), abs=1e-12)
 
-@pytest.mark.parametrize("trial", range(4))
-def test_gradient_matches_finite_differences(trial):
-    rng = np.random.default_rng(100 + trial)
-    n = int(rng.integers(2, 4))
-    circ, params = random_circuit(rng, n, int(rng.integers(3, 9)),
-                                  include_u3=False, trainable=True)
-    feats = rng.uniform(0, 1, (3, 2))
-    labels = rng.integers(0, 2, 3)
-    fs, ls = np.asarray(feats), np.asarray(labels)
-    _, grad = batch_loss_and_gradient(circ, params, fs, ls)
+
+def _grouping_amplitude_case():
+    gates = [Gate(GateKind.RY, (0,), (theta(0),)),
+             Gate(GateKind.RX, (1,), (theta(1),)),
+             Gate(GateKind.CRX, (0, 1), (theta(2),)),
+             Gate(GateKind.CRZ, (1, 2), (theta(3),)),
+             Gate(GateKind.RZ, (2,), (theta(4),)),
+             Gate(GateKind.CRY, (2, 0), (theta(5),)),
+             Gate(GateKind.RY, (1,), (theta(6),))]
+    circ = Circuit(3, [], gates, MeasurementSpec(3, MeasureScheme.STATE_GROUPING))
+    rng = np.random.default_rng(21)
+    feats = rng.uniform(0.05, 1.0, (6, 8))
+    labels = np.array([0, 1, 2, 2, 1, 0])
+    return circ, rng.uniform(0, 4 * PI, 7), feats, labels, EncoderSpec(EncodeScheme.AMPLITUDE)
+
+
+def _reference_case(name, n_features):
+    circ = load_reference(name)
+    feats, labels = stack(generate_synthetic(n_features, 40, seed=12).train[:10])
+    return circ, init_params(circ, TrainConfig(seed=12)), feats, labels, None
+
+
+@pytest.mark.parametrize("case", ["syn4", "syn16", "grouping-amplitude"])
+def test_gradient_matches_param_shift_oracle(case):
+    if case == "grouping-amplitude":
+        circ, params, feats, labels, enc = _grouping_amplitude_case()
+        states = np.stack([amplitude_state(f, circ.n_qubits) for f in feats])
+    else:
+        circ, params, feats, labels, enc = _reference_case(case, 4 if case == "syn4" else 16)
+        states = None
+    _, grad = batch_loss_and_gradient(circ, params, feats, labels, enc)
+    expected = param_shift_gradient(circ, params, feats, labels, initial_states=states)
+    assert np.max(np.abs(expected)) > 1e-3  # the comparison is not between zeros
+    assert np.max(np.abs(grad - expected)) <= 1e-12
+
+
+def _assert_matches_central_differences(circ, params, feats, labels):
+    _, grad = batch_loss_and_gradient(circ, params, feats, labels)
     h = 1e-5
     for i in range(params.size):
         up, dn = params.copy(), params.copy()
         up[i] += h
         dn[i] -= h
-        lu, _ = batch_loss_and_gradient(circ, up, fs, ls)
-        ld, _ = batch_loss_and_gradient(circ, dn, fs, ls)
-        fd = (lu - ld) / (2 * h)
+        fd = (batch_loss_and_gradient(circ, up, feats, labels)[0]
+              - batch_loss_and_gradient(circ, dn, feats, labels)[0]) / (2 * h)
         assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
-def test_u3_slots_fall_back_to_finite_differences():
+@pytest.mark.parametrize("trial, include_u3",
+                         [pytest.param(t, False, id=str(t)) for t in range(4)]
+                         + [pytest.param(t, True, id=f"u3-{t}") for t in range(4)])
+def test_gradient_matches_finite_differences(trial, include_u3):
+    rng = np.random.default_rng((200 if include_u3 else 100) + trial)
+    n = int(rng.integers(2, 4))
+    circ, params = random_circuit(rng, n, int(rng.integers(3, 9)),
+                                  include_u3=include_u3, trainable=True)
+    feats = rng.uniform(0, 1, (3, 2))
+    labels = rng.integers(0, 2, 3)
+    _assert_matches_central_differences(circ, params, feats, labels)
+
+
+def test_u3_slot_gradients_are_exact():
     gates = [Gate(GateKind.U3, (0,), (theta(0), theta(1), theta(2))),
-             Gate(GateKind.CRY, (0, 1), (theta(3),))]
+             Gate(GateKind.CRY, (0, 1), (theta(3),)),
+             Gate(GateKind.CU3, (1, 0), (theta(4), theta(5), theta(6)))]
     circ = Circuit(2, [], gates, MeasurementSpec(2))
     rng = np.random.default_rng(33)
-    params = rng.uniform(0, 4 * PI, 4)
+    params = rng.uniform(0, 4 * PI, 7)
     samples = _samples(rng.uniform(0, 1, (3, 1)), [0, 1, 0])
     fs, ls = stack(samples)
-    _, grad = batch_loss_and_gradient(circ, params, fs, ls)
-    h = 1e-5
-    for i in range(4):
-        up, dn = params.copy(), params.copy()
-        up[i] += h
-        dn[i] -= h
-        fd = (batch_loss_and_gradient(circ, up, fs, ls)[0]
-              - batch_loss_and_gradient(circ, dn, fs, ls)[0]) / (2 * h)
-        assert grad[i] == pytest.approx(fd, rel=1e-3, abs=1e-6)
+    _assert_matches_central_differences(circ, params, fs, ls)
+
+
+def test_slot_shared_across_gate_kinds_sums_gradients():
+    # one slot drives an RX, a CRY and U3's lambda; its gradient is the sum
+    gates = [Gate(GateKind.RY, (1,), (theta(1),)),
+             Gate(GateKind.RX, (0,), (theta(0),)),
+             Gate(GateKind.CRY, (0, 1), (theta(0),)),
+             Gate(GateKind.U3, (1,), (theta(1), theta(2), theta(0))),
+             Gate(GateKind.CRZ, (1, 0), (theta(2),))]
+    circ = Circuit(2, [], gates, MeasurementSpec(2))
+    rng = np.random.default_rng(44)
+    params = rng.uniform(0, 4 * PI, 3)
+    _assert_matches_central_differences(circ, params, np.zeros((4, 1)), np.array([0, 1, 1, 0]))
+
+
+def test_data_bound_layer_gates_get_per_sample_gradients():
+    # layer gates may read features too; their matrices are then per sample
+    gates = [Gate(GateKind.RY, (0,), (theta(0),)),
+             Gate(GateKind.U3, (1,), (theta(1), data(0), theta(2))),
+             Gate(GateKind.CRX, (1, 0), (data(1),)),
+             Gate(GateKind.RX, (1,), (theta(3),))]
+    circ = Circuit(2, [], gates, MeasurementSpec(2))
+    rng = np.random.default_rng(55)
+    params = rng.uniform(0, 4 * PI, 4)
+    _assert_matches_central_differences(circ, params, rng.uniform(0, 1, (4, 2)),
+                                        np.array([0, 1, 1, 0]))
 
 
 def test_sgd_is_deterministic():
