@@ -127,13 +127,7 @@ def build_mask(theta_next: np.ndarray, lam: np.ndarray, recon: ReconstructedLUT,
 def project_z(state: ADMMState, mask: CompressionMask, recon: ReconstructedLUT,
               circuit: Circuit) -> np.ndarray:
     """Masked entries jump to their reconstructed level; others keep prior Z."""
-    z = np.array(state.z, copy=True)
-    for pos, gi in enumerate(circuit.trainable_indices()):
-        if not mask.bits[pos]:
-            continue
-        for slot, val in zip(circuit.layers[gi].theta_slots, recon.levels[gi].value):
-            z[slot] = val
-    return z
+    return compose_params(state.z, mask, recon, circuit)
 
 
 def update_lambda(state: ADMMState, rho: float) -> np.ndarray:
@@ -275,18 +269,9 @@ def baseline_compress(mode: BaselineMode, circuit: Circuit, dataset: Dataset,
     for p in order[:n_mask]:
         bits[p] = True
     mask = CompressionMask(bits, np.array(dists))
-    recon = ReconstructedLUT()
-    final = warm.copy()
-    for pos, gi in enumerate(trainable):
-        if bits[pos]:
-            for slot in circuit.layers[gi].theta_slots:
-                final[slot] = 0.0
+    frozen = frozen_slots(mask, circuit)
     retrain = replace(train_cfg, epochs=admm_cfg.retrain_epochs,
                       seed=train_cfg.seed + 999_983)
-    frozen = np.zeros(circuit.n_thetas, dtype=bool)
-    for pos, gi in enumerate(trainable):
-        if bits[pos]:
-            for slot in circuit.layers[gi].theta_slots:
-                frozen[slot] = True
-    params = sgd_train(circuit, final, dataset.train, retrain, encoding, frozen=frozen)
-    return CompressionResult(params, mask, recon, [])
+    params = sgd_train(circuit, np.where(frozen, 0.0, warm), dataset.train, retrain,
+                       encoding, frozen=frozen)
+    return CompressionResult(params, mask, ReconstructedLUT(), [])

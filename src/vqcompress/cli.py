@@ -105,12 +105,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out")
 
 
-def _load_params(path, circuit, cfg):
-    if path:
-        return np.loadtxt(path, ndmin=1)
-    return None
-
-
 def cmd_train(args) -> int:
     cfg = build_config(args)
     dataset, circuit = resolve_dataset(cfg), resolve_circuit(cfg)
@@ -136,9 +130,8 @@ def cmd_depth(args) -> int:
         print(name + " " + " ".join(str(d) for d in row))
     if args.circuit or args.config:
         circuit = resolve_circuit(cfg)
-        params = _load_params(args.params, circuit, cfg)
-        if params is None:
-            params = init_params(circuit, cfg.train)
+        params = (np.loadtxt(args.params, ndmin=1) if args.params
+                  else init_params(circuit, cfg.train))
         print(f"circuit {cfg.circuit}: tcd {tcd(circuit, params)}")
     return 0
 
@@ -160,9 +153,8 @@ def cmd_recl(args) -> int:
     cfg = build_config(args)
     dataset, circuit = resolve_dataset(cfg), resolve_circuit(cfg)
     encoding = encoding_spec(cfg)
-    params = _load_params(args.params, circuit, cfg)
-    if params is None:
-        params = vanilla_train(circuit, dataset, cfg.train, encoding)
+    params = (np.loadtxt(args.params, ndmin=1) if args.params
+              else vanilla_train(circuit, dataset, cfg.train, encoding))
     lut = build_lut(circuit, DEFAULT_BASIS)
     recon = reconstruct_lut(circuit, params, lut, dataset.train, encoding,
                             DEFAULT_BASIS, cfg.orientation)

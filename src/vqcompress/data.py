@@ -6,9 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Gate, data as data_binding
 from .errors import ConfigError, DataError, EncodeError, ParseError
-from .gates import GateKind
 
 
 @dataclass(frozen=True)
@@ -114,34 +112,10 @@ class EncodeScheme(enum.Enum):
 
 @dataclass(frozen=True)
 class EncoderSpec:
+    """Angle features feed the circuit's `#encoder` gates; amplitude features
+    become the initial state."""
+
     scheme: EncodeScheme
-    gate_plan: tuple = ()  # (GateKind, qubit) pairs for angle encoding
-
-    def __post_init__(self):
-        object.__setattr__(self, "gate_plan", tuple(self.gate_plan))
-
-
-def angle_plan(n_features: int) -> EncoderSpec:
-    """The reference angle-encoding plans: 2RY+2RZ for 4 features on 2 qubits,
-    4RY+4RZ+4RX+4RY for 16 features on 4 qubits, round-robin over qubits."""
-    if n_features == 4:
-        kinds = [GateKind.RY] * 2 + [GateKind.RZ] * 2
-        n_qubits = 2
-    elif n_features == 16:
-        kinds = [GateKind.RY] * 4 + [GateKind.RZ] * 4 + [GateKind.RX] * 4 + [GateKind.RY] * 4
-        n_qubits = 4
-    else:
-        raise ConfigError(f"no reference angle plan for {n_features} features")
-    plan = [(k, i % n_qubits) for i, k in enumerate(kinds)]
-    return EncoderSpec(EncodeScheme.ANGLE, plan)
-
-
-def encoder_gates(spec: EncoderSpec) -> list[Gate]:
-    """Data-bound encoder gates realizing an angle plan (slot k reads feature k)."""
-    if spec.scheme is not EncodeScheme.ANGLE:
-        return []
-    return [Gate(kind, (q,), (data_binding(slot),))
-            for slot, (kind, q) in enumerate(spec.gate_plan)]
 
 
 def amplitude_state(features: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -154,16 +128,3 @@ def amplitude_state(features: np.ndarray, n_qubits: int) -> np.ndarray:
     if norm < 1e-300 or not math.isfinite(norm):
         raise EncodeError("cannot amplitude-encode a zero-norm feature vector")
     return features.astype(complex) / norm
-
-
-def encode(sample: Sample, spec: EncoderSpec, n_qubits: int):
-    """Angle scheme: encoder gates with fixed angles pi*feature.
-    Amplitude scheme: the initial state vector."""
-    if spec.scheme is EncodeScheme.AMPLITUDE:
-        return amplitude_state(sample.features, n_qubits)
-    if len(spec.gate_plan) != sample.features.size:
-        raise EncodeError(f"plan encodes {len(spec.gate_plan)} features, "
-                          f"sample has {sample.features.size}")
-    from .circuit import const
-    return [Gate(kind, (q,), (const(math.pi * f),))
-            for (kind, q), f in zip(spec.gate_plan, sample.features)]

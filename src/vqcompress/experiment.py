@@ -57,6 +57,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHOD_ORDER}")
         if self.encoding not in ("angle", "amplitude"):
             raise ConfigError(f"unknown encoding {self.encoding!r}")
+        if self.shots < 1:
+            raise ConfigError(f"shots must be at least 1, got {self.shots}")
 
 
 @dataclass

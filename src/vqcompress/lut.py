@@ -7,7 +7,6 @@ pi/2 multiples in [0, 4pi), which is where all of them live for the supported
 gate kinds; a finer grid can be passed in for oracle scans.
 """
 
-import csv
 import enum
 import itertools
 import math
@@ -99,15 +98,6 @@ class CompressionLUT:
         """Restrict every entry to one tag; entries may become empty."""
         return CompressionLUT({k: [lv for lv in v if lv.tag is tag]
                                for k, v in self.entries.items()})
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["gate", "values", "tag", "depth"])
-            for kind in sorted(self.entries, key=lambda k: k.value):
-                for lv in self.entries[kind]:
-                    w.writerow([kind.value, ";".join(f"{v:.10g}" for v in lv.value),
-                                lv.tag.value, lv.depth])
 
     def write_csv_text(self) -> str:
         lines = ["gate,values,tag,depth"]

@@ -38,6 +38,8 @@ def noisy_outputs(tc: TranspiledCircuit, input_state: np.ndarray, spec: Measurem
     """Shot-averaged measurement outputs of a physical circuit under noise."""
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"depolarizing probability {p} outside [0, 1]")
+    if shots < 1:
+        raise ConfigError(f"shots must be at least 1, got {shots}")
     rng = np.random.default_rng(seed)
     states = np.broadcast_to(input_state, (shots, input_state.shape[0])).astype(complex).copy()
     for pg in tc.gates:

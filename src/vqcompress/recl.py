@@ -15,8 +15,10 @@ import numpy as np
 from .circuit import Circuit
 from .data import EncoderSpec, stack
 from .lut import CompressionLUT, CompressionLevel
-from .training import outputs_batch, softmax
-from .transpile import BasisGateSet, DEFAULT_BASIS, tcd
+from .simulator import apply_gate_batch, measure_outputs_batch, zero_state
+from .training import initial_states, softmax
+from .transpile import (BasisGateSet, DEFAULT_BASIS, lower_circuit, lower_gate,
+                        lowered_depth, probe_features)
 
 SPEEDUP = "speedup"
 RATIO = "ratio"
@@ -50,19 +52,61 @@ def _depth_factor(base_tcd: int, new_tcd: int, orientation: str) -> float:
     return b / new_tcd if orientation == SPEEDUP else new_tcd / b
 
 
+def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples,
+           encoding: EncoderSpec | None, basis: BasisGateSet, orientation: str,
+           base_tcd: int | None = None) -> dict:
+    """Metric of every level in `candidates` (layer index -> levels).
+
+    theta is lowered once; a candidate re-lowers only the gates that read its
+    gate's slots, then reruns peephole and depth on the spliced list.  Gates
+    are visited in order of their first reader; one running batch state holds
+    the circuit up to it, and each candidate applies only the rest with
+    `run_batch`'s gate calls and theta rows, so metrics are bit-identical.
+    """
+    theta = np.asarray(theta, dtype=float)
+    gates = circuit.all_gates
+    lowered = lower_circuit(circuit, theta, basis)
+    if base_tcd is None:
+        base_tcd = lowered_depth(circuit.n_qubits, lowered)
+    probe = probe_features(circuit.n_data)  # the data angles `lower_circuit` uses
+    feats, labels = stack(eval_samples)
+    init, gate_feats = initial_states(circuit, feats, encoding)
+    rows = len(labels)
+    state = zero_state(circuit.n_qubits, rows) if init is None else init.astype(complex)
+    base_rows = np.broadcast_to(theta, (rows, theta.size))
+    readers = {gi: [k for k, g in enumerate(gates)
+                    if set(g.theta_slots) & set(circuit.layers[gi].theta_slots)]
+               for gi in candidates}
+    done, metrics = 0, {}
+    for gi in sorted(candidates, key=lambda gi: readers[gi][0]):
+        first = readers[gi][0]
+        for gate in gates[done:first]:
+            state = apply_gate_batch(state, gate, base_rows, gate_feats)
+        done = first
+        metrics[gi] = []
+        for level in candidates[gi]:
+            new_theta = _substituted(theta, circuit, gi, level.value)
+            new_rows = np.broadcast_to(new_theta, (rows, new_theta.size))
+            final = state
+            for gate in gates[first:]:
+                final = apply_gate_batch(final, gate, new_rows, gate_feats)
+            probs = softmax(measure_outputs_batch(final, circuit.measurement))
+            acc = float((probs.argmax(axis=1) == labels).mean())
+            spliced = list(lowered)
+            for k in readers[gi]:
+                spliced[k] = lower_gate(gates[k], new_theta[None, :], probe, basis)
+            new_tcd = lowered_depth(circuit.n_qubits, spliced)
+            metrics[gi].append(acc * _depth_factor(base_tcd, new_tcd, orientation))
+    return metrics
+
+
 def level_metric(circuit: Circuit, theta, gate_index: int, level: CompressionLevel,
                  eval_samples, encoding: EncoderSpec | None = None,
                  basis: BasisGateSet = DEFAULT_BASIS, orientation: str = SPEEDUP,
                  base_tcd: int | None = None) -> float:
     """Accuracy x depth-factor of moving one gate's parameter to a level."""
-    theta = np.asarray(theta, dtype=float)
-    if base_tcd is None:
-        base_tcd = tcd(circuit, theta, basis)
-    new_theta = _substituted(theta, circuit, gate_index, level.value)
-    feats, labels = stack(eval_samples)
-    probs = softmax(outputs_batch(circuit, new_theta[None, :], feats, encoding))
-    acc = float((probs.argmax(axis=1) == labels).mean())
-    return acc * _depth_factor(base_tcd, tcd(circuit, new_theta, basis), orientation)
+    return _sweep(circuit, theta, {gate_index: [level]}, eval_samples, encoding,
+                  basis, orientation, base_tcd)[gate_index][0]
 
 
 def reconstruct_lut(circuit: Circuit, theta, lut: CompressionLUT, eval_samples,
@@ -75,19 +119,13 @@ def reconstruct_lut(circuit: Circuit, theta, lut: CompressionLUT, eval_samples,
     level with smaller depth, then smaller value.  Gates whose kind has no
     levels in (a possibly filtered) LUT get no entry.
     """
-    theta = np.asarray(theta, dtype=float)
-    base_tcd = tcd(circuit, theta, basis)
+    candidates = {gi: lut.entries.get(circuit.layers[gi].kind, [])
+                  for gi in circuit.trainable_indices()}
+    metrics = _sweep(circuit, theta, candidates, eval_samples, encoding, basis, orientation)
     recon = ReconstructedLUT()
-    for gi in circuit.trainable_indices():
-        candidates = lut.entries.get(circuit.layers[gi].kind, [])
-        best = None
-        for level in candidates:
-            m = level_metric(circuit, theta, gi, level, eval_samples, encoding,
-                             basis, orientation, base_tcd=base_tcd)
-            key = (-m, level.depth, level.value)
-            if best is None or key < best[0]:
-                best = (key, level, m)
-        if best is not None:
-            recon.levels[gi] = best[1]
-            recon.metrics[gi] = best[2]
+    for gi, levels in candidates.items():
+        if levels:
+            m, level = min(zip(metrics[gi], levels),
+                           key=lambda ml: (-ml[0], ml[1].depth, ml[1].value))
+            recon.levels[gi], recon.metrics[gi] = level, m
     return recon

@@ -47,7 +47,9 @@ def init_params(circuit: Circuit, config: TrainConfig) -> np.ndarray:
     return rng.uniform(0.0, 2 * math.pi, size=circuit.n_thetas)
 
 
-def _initial_states(circuit: Circuit, feats: np.ndarray | None, encoding: EncoderSpec | None):
+def initial_states(circuit: Circuit, feats: np.ndarray | None, encoding: EncoderSpec | None):
+    """(states, gate features): amplitude-encoded input states and no features,
+    or no states (|0...0>) and the features the encoder gates read."""
     if encoding is not None and encoding.scheme is EncodeScheme.AMPLITUDE:
         states = np.stack([amplitude_state(f, circuit.n_qubits) for f in feats])
         return states, None
@@ -57,7 +59,7 @@ def _initial_states(circuit: Circuit, feats: np.ndarray | None, encoding: Encode
 def outputs_batch(circuit: Circuit, thetas: np.ndarray, feats: np.ndarray | None,
                   encoding: EncoderSpec | None = None) -> np.ndarray:
     """Measurement outputs (R, C), one row per parameter-vector/sample pair."""
-    states, gate_feats = _initial_states(circuit, feats, encoding)
+    states, gate_feats = initial_states(circuit, feats, encoding)
     final = run_batch(circuit, thetas, gate_feats, states=states)
     return measure_outputs_batch(final, circuit.measurement)
 
@@ -122,7 +124,7 @@ def batch_loss_and_gradient(circuit: Circuit, params: np.ndarray, feats: np.ndar
     """
     params = np.asarray(params, dtype=float)
     n_batch = feats.shape[0]
-    states, gate_feats = _initial_states(circuit, feats, encoding)
+    states, gate_feats = initial_states(circuit, feats, encoding)
     if states is None:
         states = zero_state(circuit.n_qubits, rows=n_batch)
     tape = []

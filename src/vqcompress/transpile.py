@@ -6,9 +6,11 @@ single-qubit pieces.  Angles within SNAP_TOL of a multiple of pi/2 select
 shorter special-case templates; the snap exists to absorb float noise from
 projections that produce exact table values, not to approximate.
 
-Depth is the longest path through the dependency DAG where two physical gates
-conflict iff they share a qubit; appending gates in list order and keeping a
-per-qubit watermark computes it exactly.
+Lowering is per gate and tracks no phase.  `transpile_circuit` adds the
+global phase; `tcd` is depth-only.  Depth is the longest path through the
+dependency DAG where two physical gates conflict iff they share a qubit;
+appending gates in list order and keeping a per-qubit watermark computes it
+exactly.
 """
 
 import csv
@@ -212,21 +214,6 @@ def decompose_kind(kind: GateKind, qubits: tuple[int, ...], angles: tuple[float,
     raise UnsupportedGateError(f"no decomposition for {kind.value} into {sorted(k.value for k in basis.kinds)}")
 
 
-def decompose_gate(gate: Gate, params, basis: BasisGateSet = DEFAULT_BASIS,
-                   feats=None) -> list[PhysicalGate]:
-    """Decompose a logical gate after resolving its parameter bindings."""
-    thetas = np.atleast_2d(np.asarray(params, dtype=float))
-    f = None if feats is None else np.atleast_2d(np.asarray(feats, dtype=float))
-    angles = resolve_angles(gate, thetas, f)
-    if angles is None:
-        tup = ()
-    elif ARITY[gate.kind] == 1:
-        tup = (float(np.asarray(angles)[0]),)
-    else:
-        tup = tuple(float(v) for v in np.asarray(angles)[0])
-    return decompose_kind(gate.kind, gate.qubits, tup, basis)
-
-
 def _local_matrix(pg: PhysicalGate, qubits: tuple[int, ...]) -> np.ndarray:
     """Embed a physical gate into the local space of the logical gate's qubits."""
     m = pg.matrix()
@@ -252,31 +239,52 @@ def _template_phase(kind: GateKind, angles: tuple[float, ...],
     return float(np.angle(c))
 
 
-def transpile_circuit(circuit: Circuit, params, basis: BasisGateSet = DEFAULT_BASIS,
-                      feats=None) -> TranspiledCircuit:
-    """Decompose every gate (encoder first, then layers) and peephole-optimize.
+def lower_gate(gate: Gate, thetas: np.ndarray, feats: np.ndarray | None,
+               basis: BasisGateSet = DEFAULT_BASIS) -> tuple[tuple[float, ...], list[PhysicalGate]]:
+    """One logical gate's wrapped angles and its basis gates, with no phase.
 
-    Data-bound encoder angles default to generic probe values so the depth of
-    an angle-encoded circuit does not depend on one particular sample.
+    `thetas` (1, P) and `feats` (1, F) are the rows `resolve_angles` reads.
+    """
+    angles = resolve_angles(gate, thetas, feats)
+    tup = () if angles is None else tuple(wrap_param(float(v)) for v in np.atleast_1d(angles[0]))
+    return tup, decompose_kind(gate.kind, gate.qubits, tup, basis)
+
+
+def lower_circuit(circuit: Circuit, params, basis: BasisGateSet = DEFAULT_BASIS,
+                  feats=None) -> list[tuple[tuple[float, ...], list[PhysicalGate]]]:
+    """`lower_gate` of every gate, encoder first, then layers.
+
+    Data-bound angles default to generic probe values so the depth of an
+    angle-encoded circuit does not depend on one particular sample.
     """
     thetas = np.atleast_2d(np.asarray(params, dtype=float))
-    if feats is None and circuit.n_data:
+    if feats is None:
         feats = probe_features(circuit.n_data)
-    f = None if feats is None else np.atleast_2d(np.asarray(feats, dtype=float))
-    tc = TranspiledCircuit(circuit.n_qubits)
-    for idx, gate in enumerate(circuit.all_gates):
-        angles = resolve_angles(gate, thetas, f)
-        if angles is None:
-            tup = ()
-        elif angles.ndim == 1:
-            tup = (wrap_param(float(angles[0])),)
-        else:
-            tup = tuple(wrap_param(float(v)) for v in angles[0])
-        physical = decompose_kind(gate.kind, gate.qubits, tup, basis)
+    f = np.atleast_2d(np.asarray(feats, dtype=float))
+    return [lower_gate(gate, thetas, f, basis) for gate in circuit.all_gates]
+
+
+def _concatenated(n_qubits: int, lowered) -> TranspiledCircuit:
+    tc = TranspiledCircuit(n_qubits)
+    for idx, (_, physical) in enumerate(lowered):
         tc.gates.extend(physical)
         tc.source_map.extend([idx] * len(physical))
-        tc.global_phase += _template_phase(gate.kind, tup, physical, gate.qubits)
+    return tc
+
+
+def transpile_circuit(circuit: Circuit, params, basis: BasisGateSet = DEFAULT_BASIS,
+                      feats=None) -> TranspiledCircuit:
+    """Lower every gate, track the global phase, and peephole-optimize."""
+    lowered = lower_circuit(circuit, params, basis, feats)
+    tc = _concatenated(circuit.n_qubits, lowered)
+    for gate, (angles, physical) in zip(circuit.all_gates, lowered):
+        tc.global_phase += _template_phase(gate.kind, angles, physical, gate.qubits)
     return peephole_optimize(tc)
+
+
+def lowered_depth(n_qubits: int, lowered) -> int:
+    """Depth of a per-gate lowering after the peephole pass; no phase is tracked."""
+    return circuit_depth(peephole_optimize(_concatenated(n_qubits, lowered)))
 
 
 def probe_features(n: int) -> np.ndarray:
@@ -331,7 +339,7 @@ def circuit_depth(tc: TranspiledCircuit) -> int:
 
 def tcd(circuit: Circuit, params, basis: BasisGateSet = DEFAULT_BASIS, feats=None) -> int:
     """Transpiled circuit depth of a logical circuit at given parameters."""
-    return circuit_depth(transpile_circuit(circuit, params, basis, feats))
+    return lowered_depth(circuit.n_qubits, lower_circuit(circuit, params, basis, feats))
 
 
 def standalone_gate_depth(kind: GateKind, params, basis: BasisGateSet = DEFAULT_BASIS) -> int:
@@ -345,9 +353,7 @@ def standalone_gate_depth(kind: GateKind, params, basis: BasisGateSet = DEFAULT_
 def _standalone_depth_cached(kind: GateKind, angles: tuple, basis: BasisGateSet) -> int:
     qubits = (0,) if kind in (GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.SX,
                               GateKind.X, GateKind.ID, GateKind.U3) else (0, 1)
-    gates = decompose_kind(kind, qubits, angles, basis)
-    tc = peephole_optimize(TranspiledCircuit(len(qubits), gates, [0] * len(gates)))
-    return circuit_depth(tc)
+    return lowered_depth(len(qubits), [(angles, decompose_kind(kind, qubits, angles, basis))])
 
 
 # Parameter-class columns of the standalone depth table, printing order.

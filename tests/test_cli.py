@@ -96,6 +96,14 @@ def test_train_config_field_rejected_with_exit_2(flag, field, capsys):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shots", ["0", "-5"])
+def test_shots_below_one_rejected_with_exit_2(shots, capsys):
+    rc = main(["report", "--dataset", "syn4", "--circuit", "syn4", "--methods", "Vanilla",
+               "--epochs", "1", "--noise-p", "0.02", "--shots", shots])
+    assert rc == 2
+    assert "shots" in capsys.readouterr().err
+
+
 def test_exit_code_3_on_runtime_error(tmp_path):
     missing = tmp_path / "missing.circ"
     assert main(["lut", "--circuit", str(missing)]) == 3

@@ -1,14 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
-from vqcompress.circuit import BindKind
-from vqcompress.data import (Sample, amplitude_state, angle_plan, encode,
-                             encoder_gates, generate_synthetic, load_csv,
-                             pool_image, stack)
+from vqcompress.data import amplitude_state, generate_synthetic, load_csv, pool_image, stack
 from vqcompress.errors import ConfigError, DataError, EncodeError, ParseError
-from vqcompress.gates import GateKind
 
 
 def test_split_sizes_and_balance():
@@ -104,35 +98,6 @@ def test_amplitude_encoding_unit_cases():
         amplitude_state(np.zeros(4), 2)
     with pytest.raises(EncodeError):
         amplitude_state(np.ones(3), 2)
-
-
-def test_angle_plan_matches_reference_layouts():
-    plan4 = angle_plan(4)
-    assert [k for k, _ in plan4.gate_plan] == [GateKind.RY] * 2 + [GateKind.RZ] * 2
-    assert [q for _, q in plan4.gate_plan] == [0, 1, 0, 1]
-    plan16 = angle_plan(16)
-    kinds = [k for k, _ in plan16.gate_plan]
-    assert kinds == ([GateKind.RY] * 4 + [GateKind.RZ] * 4
-                     + [GateKind.RX] * 4 + [GateKind.RY] * 4)
-
-
-def test_encode_angle_zero_features_is_identity():
-    sample = Sample(np.zeros(4), 0)
-    gates = encode(sample, angle_plan(4), 2)
-    assert all(g.bindings[0].value == 0.0 for g in gates)
-
-
-def test_encode_angle_scaling():
-    sample = Sample(np.array([0.5, 1.0, 0.0, 0.25]), 0)
-    gates = encode(sample, angle_plan(4), 2)
-    assert gates[0].bindings[0].value == pytest.approx(math.pi / 2)
-    assert gates[1].bindings[0].value == pytest.approx(math.pi)
-
-
-def test_encoder_gates_bind_sequential_data_slots():
-    gates = encoder_gates(angle_plan(4))
-    assert [g.bindings[0].slot for g in gates] == [0, 1, 2, 3]
-    assert all(g.bindings[0].kind is BindKind.DATA for g in gates)
 
 
 def test_stack_raises_on_empty():

@@ -70,6 +70,14 @@ def test_p_out_of_range_raises():
         noisy_outputs(tc, zero_state(1), circ.measurement, p=1.5, shots=16, seed=0)
 
 
+@pytest.mark.parametrize("shots", [0, -5])
+def test_shots_below_one_raises(shots):
+    circ = chain_circuit(1)
+    tc = transpile_circuit(circ, [])
+    with pytest.raises(ConfigError, match="shots"):
+        noisy_outputs(tc, zero_state(1), circ.measurement, p=0.02, shots=shots, seed=0)
+
+
 def test_noisy_accuracy_on_reference_circuit():
     from vqcompress.circfile import load_reference
     from vqcompress.data import generate_synthetic

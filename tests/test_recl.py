@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from vqcompress.circuit import Circuit, Gate, MeasurementSpec, theta
-from vqcompress.data import Sample
+from vqcompress.circfile import load_reference
+from vqcompress.circuit import Circuit, Gate, MeasureScheme, MeasurementSpec, theta
+from vqcompress.data import EncodeScheme, EncoderSpec, Sample, generate_synthetic, stack
 from vqcompress.gates import GateKind
-from vqcompress.lut import build_lut
-from vqcompress.recl import RATIO, SPEEDUP, level_metric, reconstruct_lut
+from vqcompress.lut import CompressionLevel, LevelTag, build_lut
+from vqcompress.recl import RATIO, SPEEDUP, _sweep, level_metric, reconstruct_lut
 from vqcompress.training import outputs_batch, softmax
-from vqcompress.transpile import tcd
+from vqcompress.transpile import DEFAULT_BASIS, tcd
 
 PI = math.pi
 
@@ -150,3 +151,100 @@ def test_zero_depth_guard_warns():
     with pytest.warns(UserWarning):
         m = level_metric(circ, np.array([1.0]), 0, prune, samples)
     assert m == pytest.approx(tcd(circ, np.array([1.0])) / 1.0)
+
+
+def from_scratch_metric(circ, th, gi, level, samples, encoding=None):
+    """Full-batch accuracy and tcd of the substituted vector, no shared state."""
+    new = np.array(th, copy=True)
+    for slot, val in zip(circ.layers[gi].theta_slots, level.value):
+        new[slot] = val
+    feats, labels = stack(samples)
+    probs = softmax(outputs_batch(circ, new[None, :], feats, encoding))
+    acc = float((probs.argmax(axis=1) == labels).mean())
+    return acc * (tcd(circ, th) / max(tcd(circ, new), 1))
+
+
+def assert_sweep_matches_from_scratch(circ, th, lut, samples, encoding=None):
+    candidates = {gi: lut.entries.get(circ.layers[gi].kind, [])
+                  for gi in circ.trainable_indices()}
+    swept = _sweep(circ, th, candidates, samples, encoding, DEFAULT_BASIS, SPEEDUP)
+    assert set(swept) == set(candidates)
+    for gi, levels in candidates.items():
+        assert swept[gi] == [from_scratch_metric(circ, th, gi, lv, samples, encoding)
+                             for lv in levels]
+
+
+def test_sweep_equals_from_scratch_on_syn16_with_grid_angles():
+    circ = load_reference("syn16")
+    samples = generate_synthetic(16, 100, seed=21).train
+    rng = np.random.default_rng(21)
+    th = rng.uniform(0, 4 * PI, circ.n_thetas)
+    for gi in circ.trainable_indices()[::2]:
+        for slot in circ.layers[gi].theta_slots:
+            th[slot] = int(rng.integers(8)) * PI / 2
+    lut = build_lut(circ)
+    assert_sweep_matches_from_scratch(circ, th, lut, samples)
+    recon = reconstruct_lut(circ, th, lut, samples)
+    for gi, lv in recon.levels.items():
+        assert recon.metrics[gi] == from_scratch_metric(circ, th, gi, lv, samples)
+
+
+def test_slot_read_before_and_after_another_gate():
+    # theta(0) is read by the first and the last gate, with CRX between them:
+    # moving RX's slot must re-lower and re-simulate from the RY gate on.
+    gates = [Gate(GateKind.RY, (0,), (theta(0),)),
+             Gate(GateKind.CRX, (0, 1), (theta(1),)),
+             Gate(GateKind.RX, (1,), (theta(0),))]
+    circ = Circuit(2, [], gates, MeasurementSpec(2))
+    lut = build_lut(circ)
+    for seed in range(8):
+        rng = np.random.default_rng(100 + seed)
+        samples = toy_samples(rng, n=40)
+        th = rng.uniform(0, 4 * PI, 2)
+        assert_sweep_matches_from_scratch(circ, th, lut, samples)
+        for lv in lut.entries[GateKind.RX]:
+            assert level_metric(circ, th, 2, lv, samples) == \
+                from_scratch_metric(circ, th, 2, lv, samples)
+    # pruning theta(0) empties both readers, so the depth sees both re-lowered
+    prune = lut.entries[GateKind.RX][0]
+    assert prune.value == (0.0,)
+    th = np.array([1.3, 2.2])
+    new = np.array([0.0, 2.2])
+    assert tcd(circ, new) < tcd(circ, th) - 4
+    samples = toy_samples(np.random.default_rng(9), n=40)
+    assert level_metric(circ, th, 2, prune, samples) == \
+        from_scratch_metric(circ, th, 2, prune, samples)
+
+
+def test_sweep_equals_from_scratch_with_amplitude_encoding():
+    # amplitude-encoded input states seed the running state instead of |0...0>
+    gates = [Gate(GateKind.RY, (0,), (theta(0),)),
+             Gate(GateKind.CRX, (0, 1), (theta(1),)),
+             Gate(GateKind.RZ, (2,), (theta(2),)),
+             Gate(GateKind.CRY, (1, 2), (theta(3),)),
+             Gate(GateKind.RX, (2,), (theta(0),))]
+    circ = Circuit(3, [], gates, MeasurementSpec(3, MeasureScheme.STATE_GROUPING))
+    rng = np.random.default_rng(31)
+    samples = [Sample(rng.uniform(0.1, 1.0, 8), int(rng.integers(3))) for _ in range(30)]
+    th = rng.uniform(0, 4 * PI, 4)
+    th[1] = PI
+    assert_sweep_matches_from_scratch(circ, th, build_lut(circ), samples,
+                                      EncoderSpec(EncodeScheme.AMPLITUDE))
+
+
+def test_rz_merge_across_gate_boundary_changes_candidate_depth():
+    # RZ(pi/2) RZ(theta) merge into one RZ; at theta = 3pi/2 the merged angle
+    # is 2pi and the peephole pass drops it, which only a global pass sees.
+    gates = [Gate(GateKind.SX, (0,)),
+             Gate(GateKind.RZ, (0,), (theta(0),)),
+             Gate(GateKind.RZ, (0,), (theta(1),)),
+             Gate(GateKind.SX, (0,))]
+    circ = Circuit(1, [], gates, MeasurementSpec(1))
+    th = np.array([PI / 2, 1.3])
+    level = CompressionLevel(1, (3 * PI / 2,), LevelTag.QUANTIZE)
+    samples = [Sample(np.array([0.5]), 0)] * 4
+    assert tcd(circ, th) == 3
+    assert tcd(circ, np.array([PI / 2, 3 * PI / 2])) == 2
+    assert level_metric(circ, th, 2, level, samples) == 1.5
+    swept = _sweep(circ, th, {1: [level], 2: [level]}, samples, None, DEFAULT_BASIS, SPEEDUP)
+    assert swept == {1: [1.0], 2: [1.5]}

@@ -14,7 +14,7 @@ from vqcompress.transpile import (BasisGateSet, DEFAULT_BASIS, GENERIC_ANGLE,
                                   PhysicalGate, TranspiledCircuit,
                                   build_depth_table, circuit_depth,
                                   decompose_kind, peephole_optimize,
-                                  standalone_gate_depth, transpile_circuit)
+                                  standalone_gate_depth, tcd, transpile_circuit)
 
 PI = math.pi
 
@@ -197,10 +197,20 @@ def test_snapped_angles_depth_equals_lut_class():
 
 def test_reference_circuit_tcd_golden():
     # architecture-level depths of the bundled circuits at generic angles
-    from vqcompress.transpile import tcd
     syn4 = load_reference("syn4")
     syn16 = load_reference("syn16")
     p4 = init_params(syn4, TrainConfig(seed=0))
     p16 = init_params(syn16, TrainConfig(seed=0))
     assert tcd(syn4, p4) == 51
     assert tcd(syn16, p16) == 77
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["generic", "pi-2-grid"])
+def test_depth_only_tcd_equals_transpiled_depth(grid):
+    rng = np.random.default_rng(16)
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        circ, params = random_circuit(rng, n, int(rng.integers(1, 25)), trainable=True)
+        if grid:
+            params = rng.integers(0, 8, params.size) * (PI / 2)
+        assert tcd(circ, params) == circuit_depth(transpile_circuit(circ, params))
