@@ -5,7 +5,9 @@ gates to compress, projects the masked entries of the auxiliary vector Z onto
 their reconstructed levels, and updates the multipliers with the signed
 circular residual.  After the loop stops (squared step norms of both theta
 and Z under zeta, or the iteration cap), masked parameters are frozen at
-their levels and the free ones are retrained.
+their levels and the free ones are retrained.  The baselines share the warm
+start, the lowest-k mask selection and this freeze-and-retrain tail;
+Zero-Only-Pruning is a zero-level LUT with no loop.
 """
 
 import enum
@@ -17,7 +19,7 @@ from .circuit import Circuit
 from .data import Dataset, EncoderSpec
 from .errors import ConfigError
 from .gates import circ_residual, wrap_params
-from .lut import CompressionLUT, LevelTag, level_distance
+from .lut import CompressionLUT, CompressionLevel, LevelTag, level_distance
 from .recl import SPEEDUP, ReconstructedLUT, reconstruct_lut
 from .training import TrainConfig, init_params, loss_and_accuracy, sgd_train
 from .transpile import BasisGateSet, DEFAULT_BASIS, build_depth_table, tcd
@@ -57,7 +59,6 @@ class ADMMState:
     theta: np.ndarray
     z: np.ndarray
     lam: np.ndarray
-    iteration: int = 0
 
 
 @dataclass
@@ -100,13 +101,20 @@ def _gate_distance(theta: np.ndarray, lam: np.ndarray, slots, level_value,
     return level_distance(level_value, moved) / (TWO_PI * np.sqrt(len(slots)))
 
 
+def _lowest(scores: np.ndarray, k: int) -> CompressionMask:
+    """Mask the k lowest finite scores; ties go to the earlier gate."""
+    order = sorted(range(len(scores)), key=lambda p: (scores[p], p))
+    bits = np.zeros(len(scores), dtype=bool)
+    bits[order[: min(k, int(np.isfinite(scores).sum()))]] = True
+    return CompressionMask(bits, scores)
+
+
 def build_mask(theta_next: np.ndarray, lam: np.ndarray, recon: ReconstructedLUT,
                circuit: Circuit, config: ADMMConfig, max_table_depth: int) -> CompressionMask:
     """Score = alpha * distance-to-level + (1 - alpha) * compiled-level depth,
     both normalized to [0, 1]; the lowest-scoring ratio * |G| gates are masked."""
     trainable = circuit.trainable_indices()
-    n = len(trainable)
-    scores = np.full(n, np.inf)
+    scores = np.full(len(trainable), np.inf)
     for pos, gi in enumerate(trainable):
         level = recon.levels.get(gi)
         if level is None:
@@ -115,19 +123,7 @@ def build_mask(theta_next: np.ndarray, lam: np.ndarray, recon: ReconstructedLUT,
                            level.value, config)
         depth_term = level.depth / max_table_depth if max_table_depth else 0.0
         scores[pos] = config.alpha * d + (1.0 - config.alpha) * depth_term
-    want = mask_size(config.target_ratio, n)
-    eligible = int(np.isfinite(scores).sum())
-    bits = np.zeros(n, dtype=bool)
-    order = sorted(range(n), key=lambda p: (scores[p], p))
-    for p in order[: min(want, eligible)]:
-        bits[p] = True
-    return CompressionMask(bits, scores)
-
-
-def project_z(state: ADMMState, mask: CompressionMask, recon: ReconstructedLUT,
-              circuit: Circuit) -> np.ndarray:
-    """Masked entries jump to their reconstructed level; others keep prior Z."""
-    return compose_params(state.z, mask, recon, circuit)
+    return _lowest(scores, mask_size(config.target_ratio, len(trainable)))
 
 
 def update_lambda(state: ADMMState, rho: float) -> np.ndarray:
@@ -162,7 +158,8 @@ def frozen_slots(mask: CompressionMask, circuit: Circuit) -> np.ndarray:
     return frozen
 
 
-def _empty_result(circuit: Circuit, params: np.ndarray) -> CompressionResult:
+def empty_result(circuit: Circuit, params: np.ndarray) -> CompressionResult:
+    """An uncompressed result: a copy of params, nothing masked."""
     n = len(circuit.trainable_indices())
     mask = CompressionMask(np.zeros(n, dtype=bool), np.full(n, np.inf))
     return CompressionResult(np.array(params, copy=True), mask, ReconstructedLUT())
@@ -172,6 +169,23 @@ def vanilla_train(circuit: Circuit, dataset: Dataset, train_cfg: TrainConfig,
                   encoding: EncoderSpec | None = None) -> np.ndarray:
     return sgd_train(circuit, init_params(circuit, train_cfg), dataset.train,
                      train_cfg, encoding)
+
+
+def _warm_start(circuit: Circuit, dataset: Dataset, train_cfg: TrainConfig,
+                encoding: EncoderSpec | None, warm_theta: np.ndarray | None) -> np.ndarray:
+    if warm_theta is None:
+        return vanilla_train(circuit, dataset, train_cfg, encoding)
+    return np.array(warm_theta, dtype=float, copy=True)
+
+
+def _retrain(circuit: Circuit, dataset: Dataset, theta: np.ndarray, mask: CompressionMask,
+             recon: ReconstructedLUT, admm_cfg: ADMMConfig, train_cfg: TrainConfig,
+             encoding: EncoderSpec | None) -> np.ndarray:
+    """Set the masked gates to their levels, freeze them, retrain the rest."""
+    retrain = replace(train_cfg, epochs=admm_cfg.retrain_epochs,
+                      seed=train_cfg.seed + 999_983)
+    return sgd_train(circuit, compose_params(theta, mask, recon, circuit), dataset.train,
+                     retrain, encoding, frozen=frozen_slots(mask, circuit))
 
 
 def run_cqcp_admm(circuit: Circuit, dataset: Dataset, lut: CompressionLUT,
@@ -185,15 +199,13 @@ def run_cqcp_admm(circuit: Circuit, dataset: Dataset, lut: CompressionLUT,
     A target ratio of zero degenerates to the plain training result, returned
     unchanged so the pipeline is bit-for-bit identical to vanilla training.
     """
-    warm = (vanilla_train(circuit, dataset, train_cfg, encoding)
-            if warm_theta is None else np.array(warm_theta, dtype=float, copy=True))
+    warm = _warm_start(circuit, dataset, train_cfg, encoding, warm_theta)
     if admm_cfg.target_ratio == 0.0:
-        return _empty_result(circuit, warm)
+        return empty_result(circuit, warm)
 
     recon = reconstruct_lut(circuit, warm, lut, dataset.train, encoding, basis, orientation)
     max_td = build_depth_table(basis).max_depth()
-    state = ADMMState(theta=warm.copy(), z=warm.copy(),
-                      lam=np.zeros_like(warm), iteration=0)
+    state = ADMMState(theta=warm.copy(), z=warm.copy(), lam=np.zeros_like(warm))
     mask = build_mask(state.theta, state.lam, recon, circuit, admm_cfg, max_td)
     records: list[IterationRecord] = []
     converged = False
@@ -204,26 +216,22 @@ def run_cqcp_admm(circuit: Circuit, dataset: Dataset, lut: CompressionLUT,
         state.theta = sgd_train(circuit, state.theta, dataset.train, inner, encoding,
                                 proximal=(state.z, state.lam, admm_cfg.rho))
         mask = build_mask(state.theta, state.lam, recon, circuit, admm_cfg, max_td)
-        state.z = project_z(state, mask, recon, circuit)
+        state.z = compose_params(state.z, mask, recon, circuit)
         state.lam = update_lambda(state, admm_cfg.rho)
-        state.iteration = r + 1
 
         loss, acc = loss_and_accuracy(circuit, state.theta, dataset.train, encoding)
         composed = compose_params(state.theta, mask, recon, circuit)
         gap = float(np.sqrt(np.sum(circ_residual(state.theta, state.z) ** 2)))
         records.append(IterationRecord(r, loss, acc, tcd(circuit, composed, basis), gap))
 
-        current = ADMMState(state.theta.copy(), state.z.copy(), state.lam.copy(), r + 1)
+        current = ADMMState(state.theta.copy(), state.z.copy(), state.lam.copy())
         if prev is not None and check_stop(prev, current, admm_cfg.zeta):
             converged = True
             break
         prev = current
 
-    final = compose_params(state.theta, mask, recon, circuit)
-    retrain = replace(train_cfg, epochs=admm_cfg.retrain_epochs,
-                      seed=train_cfg.seed + 999_983)
-    params = sgd_train(circuit, final, dataset.train, retrain, encoding,
-                       frozen=frozen_slots(mask, circuit))
+    params = _retrain(circuit, dataset, state.theta, mask, recon, admm_cfg, train_cfg,
+                      encoding)
     return CompressionResult(params, mask, recon, records, converged)
 
 
@@ -231,6 +239,10 @@ class BaselineMode(enum.Enum):
     ZERO_ONLY_PRUNING = "ZeroOnlyPruning"
     PRUNE_ONLY = "PruneOnly"
     QUANT_ONLY = "QuantOnly"
+
+
+_LEVEL_FAMILY = {BaselineMode.PRUNE_ONLY: LevelTag.PRUNE,
+                 BaselineMode.QUANT_ONLY: LevelTag.QUANTIZE}
 
 
 def baseline_compress(mode: BaselineMode, circuit: Circuit, dataset: Dataset,
@@ -241,37 +253,23 @@ def baseline_compress(mode: BaselineMode, circuit: Circuit, dataset: Dataset,
                       orientation: str = SPEEDUP) -> CompressionResult:
     """Competitor pipelines sharing the warm start and retraining protocol.
 
-    ZeroOnlyPruning is compilation-agnostic: it zeroes the gates whose angles
-    sit closest to 0 on the circle.  PruneOnly / QuantOnly rerun the full
-    pipeline with the LUT filtered to one level family; gates of a kind with
-    no surviving levels are never masked.
+    ZeroOnlyPruning is compilation-agnostic: each gate's only level is all
+    zeros, and the gates closest to it on the circle are frozen there.
+    PruneOnly / QuantOnly rerun the full pipeline with the LUT filtered to
+    one level family; gates of a kind with no surviving levels are never masked.
     """
-    if mode is BaselineMode.PRUNE_ONLY:
-        return run_cqcp_admm(circuit, dataset, lut.filtered(LevelTag.PRUNE), admm_cfg,
-                             train_cfg, encoding, basis, warm_theta, orientation)
-    if mode is BaselineMode.QUANT_ONLY:
-        return run_cqcp_admm(circuit, dataset, lut.filtered(LevelTag.QUANTIZE), admm_cfg,
+    if mode in _LEVEL_FAMILY:
+        return run_cqcp_admm(circuit, dataset, lut.filtered(_LEVEL_FAMILY[mode]), admm_cfg,
                              train_cfg, encoding, basis, warm_theta, orientation)
 
-    warm = (vanilla_train(circuit, dataset, train_cfg, encoding)
-            if warm_theta is None else np.array(warm_theta, dtype=float, copy=True))
+    warm = _warm_start(circuit, dataset, train_cfg, encoding, warm_theta)
     if admm_cfg.target_ratio == 0.0:
-        return _empty_result(circuit, warm)
-    trainable = circuit.trainable_indices()
-    dists = []
-    for gi in trainable:
-        slots = list(circuit.layers[gi].theta_slots)
-        zero = tuple(0.0 for _ in slots)
-        dists.append(level_distance(zero, wrap_params(warm[slots])))
-    n_mask = mask_size(admm_cfg.target_ratio, len(trainable))
-    order = sorted(range(len(trainable)), key=lambda p: (dists[p], p))
-    bits = np.zeros(len(trainable), dtype=bool)
-    for p in order[:n_mask]:
-        bits[p] = True
-    mask = CompressionMask(bits, np.array(dists))
-    frozen = frozen_slots(mask, circuit)
-    retrain = replace(train_cfg, epochs=admm_cfg.retrain_epochs,
-                      seed=train_cfg.seed + 999_983)
-    params = sgd_train(circuit, np.where(frozen, 0.0, warm), dataset.train, retrain,
-                       encoding, frozen=frozen)
-    return CompressionResult(params, mask, ReconstructedLUT(), [])
+        return empty_result(circuit, warm)
+    slots = {gi: list(circuit.layers[gi].theta_slots) for gi in circuit.trainable_indices()}
+    zero = ReconstructedLUT({gi: CompressionLevel(0, (0.0,) * len(s), LevelTag.PRUNE)
+                             for gi, s in slots.items()})
+    dists = np.array([level_distance(zero.levels[gi].value, wrap_params(warm[s]))
+                      for gi, s in slots.items()])
+    mask = _lowest(dists, mask_size(admm_cfg.target_ratio, len(dists)))
+    params = _retrain(circuit, dataset, warm, mask, zero, admm_cfg, train_cfg, encoding)
+    return CompressionResult(params, mask, zero)

@@ -11,15 +11,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from .admm import ADMMConfig, BaselineMode, baseline_compress, run_cqcp_admm, vanilla_train
+from .admm import ADMMConfig, vanilla_train
 from .errors import ConfigError, ParseError
-from .experiment import (ExperimentConfig, emit_report, encoding_spec,
-                         format_report, resolve_circuit, resolve_dataset,
-                         run_experiment)
+from .experiment import (METHOD_ORDER, ExperimentConfig, format_report, resolve_circuit,
+                         resolve_inputs, run_experiment)
 from .lut import build_lut
 from .recl import reconstruct_lut
 from .training import TrainConfig, init_params, loss_and_accuracy
-from .transpile import DEFAULT_BASIS, build_depth_table, tcd
+from .transpile import DEFAULT_BASIS, PARAM_CLASSES, build_depth_table, tcd
 
 def _parse_bool(s) -> bool:
     return str(s).lower() in ("1", "true", "yes")
@@ -105,10 +104,17 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out")
 
 
+def _emit(text: str, path: str | None) -> None:
+    if not path:
+        print(text, end="")
+        return
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def cmd_train(args) -> int:
     cfg = build_config(args)
-    dataset, circuit = resolve_dataset(cfg), resolve_circuit(cfg)
-    encoding = encoding_spec(cfg)
+    dataset, circuit, encoding = resolve_inputs(cfg)
     params = vanilla_train(circuit, dataset, cfg.train, encoding)
     train_loss, train_acc = loss_and_accuracy(circuit, params, dataset.train, encoding)
     test_loss, test_acc = loss_and_accuracy(circuit, params, dataset.test, encoding)
@@ -124,7 +130,6 @@ def cmd_train(args) -> int:
 def cmd_depth(args) -> int:
     cfg = build_config(args)
     table = build_depth_table(DEFAULT_BASIS)
-    from .transpile import PARAM_CLASSES
     print("gate " + " ".join(PARAM_CLASSES))
     for name, row in table.rows():
         print(name + " " + " ".join(str(d) for d in row))
@@ -138,21 +143,13 @@ def cmd_depth(args) -> int:
 
 def cmd_lut(args) -> int:
     cfg = build_config(args)
-    circuit = resolve_circuit(cfg)
-    lut = build_lut(circuit, DEFAULT_BASIS)
-    text = lut.write_csv_text()
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _emit(build_lut(resolve_circuit(cfg), DEFAULT_BASIS).write_csv_text(), cfg.out)
     return 0
 
 
 def cmd_recl(args) -> int:
     cfg = build_config(args)
-    dataset, circuit = resolve_dataset(cfg), resolve_circuit(cfg)
-    encoding = encoding_spec(cfg)
+    dataset, circuit, encoding = resolve_inputs(cfg)
     params = (np.loadtxt(args.params, ndmin=1) if args.params
               else vanilla_train(circuit, dataset, cfg.train, encoding))
     lut = build_lut(circuit, DEFAULT_BASIS)
@@ -164,36 +161,23 @@ def cmd_recl(args) -> int:
         vals = ";".join(f"{v:.10g}" for v in lv.value)
         lines.append(f"{gi},{circuit.layers[gi].kind.value},{vals},{lv.depth},"
                      f"{recon.metrics[gi]!r}")
-    text = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _emit("\n".join(lines) + "\n", cfg.out)
     return 0
+
+
+def _noisy(row) -> str:
+    return "" if row.noisy_accuracy is None else f" noisy acc {row.noisy_accuracy:.3f}"
 
 
 def cmd_compress(args) -> int:
     cfg = build_config(args)
-    dataset, circuit = resolve_dataset(cfg), resolve_circuit(cfg)
-    encoding = encoding_spec(cfg)
-    lut = build_lut(circuit, DEFAULT_BASIS)
-    warm = vanilla_train(circuit, dataset, cfg.train, encoding)
-    vanilla_tcd = tcd(circuit, warm)
-    _, vanilla_acc = loss_and_accuracy(circuit, warm, dataset.test, encoding)
-    if args.method == "CompVQC":
-        result = run_cqcp_admm(circuit, dataset, lut, cfg.admm, cfg.train, encoding,
-                               DEFAULT_BASIS, warm_theta=warm, orientation=cfg.orientation)
-    else:
-        result = baseline_compress(BaselineMode(args.method), circuit, dataset, lut,
-                                   cfg.admm, cfg.train, encoding, DEFAULT_BASIS,
-                                   warm_theta=warm, orientation=cfg.orientation)
-    _, acc = loss_and_accuracy(circuit, result.params, dataset.test, encoding)
-    depth = tcd(circuit, result.params)
-    print(f"vanilla: acc {vanilla_acc:.3f} tcd {vanilla_tcd}")
-    print(f"{args.method}: acc {acc:.3f} ({acc - vanilla_acc:+.3f}) tcd {depth} "
-          f"({vanilla_tcd / max(depth, 1):.2f}x) masked {result.mask.count} "
-          f"converged {result.converged}")
+    report = run_experiment(replace(cfg, methods=("Vanilla", args.method)))
+    vanilla, row = report.row("Vanilla"), report.row(args.method)
+    result = report.results[args.method]
+    print(f"vanilla: acc {vanilla.accuracy:.3f} tcd {vanilla.tcd}{_noisy(vanilla)}")
+    print(f"{args.method}: acc {row.accuracy:.3f} ({row.acc_vs_baseline:+.3f}) tcd {row.tcd} "
+          f"({row.speedup:.2f}x) masked {result.mask.count} "
+          f"converged {result.converged}{_noisy(row)}")
     for rec in result.records:
         print(f"  iter {rec.r}: loss {rec.loss:.4f} acc {rec.acc:.3f} tcd {rec.tcd} "
               f"gap {rec.theta_z_gap:.2e}")
@@ -206,14 +190,12 @@ def cmd_report(args) -> int:
     cfg = build_config(args)
     report = run_experiment(cfg)
     fmts = ("table", "csv", "json") if args.format == "all" else (args.format,)
-    if cfg.out:
-        for fmt in fmts:
-            ext = {"table": "txt", "csv": "csv", "json": "json"}[fmt]
-            emit_report(report, fmt, f"{cfg.out}.{ext}")
-            print(f"wrote {cfg.out}.{ext}")
-    else:
-        for fmt in fmts:
-            print(format_report(report, fmt), end="")
+    ext = {"table": "txt", "csv": "csv", "json": "json"}
+    for fmt in fmts:
+        path = f"{cfg.out}.{ext[fmt]}" if cfg.out else None
+        _emit(format_report(report, fmt), path)
+        if path:
+            print(f"wrote {path}")
     return 0
 
 
@@ -244,15 +226,13 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compress", help="run one compression method end to end")
     _add_common(p)
-    p.add_argument("--method", default="CompVQC",
-                   choices=("CompVQC", "ZeroOnlyPruning", "PruneOnly", "QuantOnly"))
+    p.add_argument("--method", default="CompVQC", choices=METHOD_ORDER[1:])
     p.add_argument("--save", help="write compressed parameters to a file")
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("report", help="run the requested methods and emit a report")
     _add_common(p)
-    p.add_argument("--methods", help="comma-separated subset of "
-                                     "Vanilla,ZeroOnlyPruning,PruneOnly,QuantOnly,CompVQC")
+    p.add_argument("--methods", help="comma-separated subset of " + ",".join(METHOD_ORDER))
     p.add_argument("--format", default="table", choices=("table", "csv", "json", "all"))
     p.set_defaults(func=cmd_report)
     return parser

@@ -90,6 +90,8 @@ def load_csv(path, n_classes: int, seed: int = 0, pool: bool = False) -> Dataset
                 feats = np.array([float(p) for p in parts[1:]])
             except ValueError as exc:
                 raise ParseError(f"bad row ({exc})", lineno) from None
+            if not np.isfinite(feats).all():
+                raise ParseError("non-finite feature", lineno)
             if not 0 <= label < n_classes:
                 raise ParseError(f"label {label} out of range for {n_classes} classes", lineno)
             if pool:

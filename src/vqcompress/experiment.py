@@ -1,10 +1,10 @@
 """Experiment orchestration: run methods against a shared warm start, report.
 
-Reports are pure data keyed by method: test accuracy, delta versus the
-vanilla baseline, transpiled depth, and speedup (vanilla TCD / method TCD),
-plus per-iteration traces for the ADMM methods.  The same values are emitted
-in table, CSV, and JSON form; nothing time-dependent goes in, so identical
-configs produce byte-identical reports.
+`run_experiment` is the only place that maps a method name to its pipeline.
+Reports are pure data keyed by method: test accuracy, delta versus vanilla,
+transpiled depth, speedup (vanilla TCD / method TCD), optional noisy accuracy,
+and the method's `CompressionResult`.  The same values are emitted in table,
+CSV, and JSON form; identical configs produce byte-identical reports.
 """
 
 import hashlib
@@ -12,24 +12,19 @@ import io
 import json
 from dataclasses import asdict, dataclass, field, replace
 
-from .admm import (ADMMConfig, BaselineMode, baseline_compress, run_cqcp_admm,
-                   vanilla_train)
+from .admm import (ADMMConfig, BaselineMode, baseline_compress, empty_result,
+                   run_cqcp_admm, vanilla_train)
 from .circfile import REFERENCE_NAMES, load_circuit_file, load_reference
 from .circuit import Circuit
 from .data import (Dataset, EncodeScheme, EncoderSpec, generate_synthetic, load_csv)
 from .errors import ConfigError
 from .lut import build_lut
 from .noise import noisy_accuracy
-from .recl import SPEEDUP
+from .recl import RATIO, SPEEDUP
 from .training import TrainConfig, loss_and_accuracy
 from .transpile import DEFAULT_BASIS, tcd
 
 METHOD_ORDER = ("Vanilla", "ZeroOnlyPruning", "PruneOnly", "QuantOnly", "CompVQC")
-_BASELINE_MODES = {
-    "ZeroOnlyPruning": BaselineMode.ZERO_ONLY_PRUNING,
-    "PruneOnly": BaselineMode.PRUNE_ONLY,
-    "QuantOnly": BaselineMode.QUANT_ONLY,
-}
 
 
 @dataclass
@@ -57,8 +52,15 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHOD_ORDER}")
         if self.encoding not in ("angle", "amplitude"):
             raise ConfigError(f"unknown encoding {self.encoding!r}")
+        if self.orientation not in (SPEEDUP, RATIO):
+            raise ConfigError(f"orientation must be {SPEEDUP} or {RATIO}, not {self.orientation!r}")
         if self.shots < 1:
             raise ConfigError(f"shots must be at least 1, got {self.shots}")
+        if self.noise_p is not None and not 0.0 <= self.noise_p <= 1.0:
+            raise ConfigError(f"noise_p {self.noise_p} outside [0, 1]")
+        if self.train.learning_rate * self.admm.rho >= 2:  # proximal SGD step diverges
+            raise ConfigError(f"learning_rate * rho must be below 2, got "
+                              f"{self.train.learning_rate} * {self.admm.rho}")
 
 
 @dataclass
@@ -74,7 +76,7 @@ class MethodRow:
 @dataclass
 class Report:
     rows: list
-    traces: dict
+    results: dict  # method -> CompressionResult
     seed: int
     config_hash: str
 
@@ -92,10 +94,8 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def resolve_dataset(config: ExperimentConfig) -> Dataset:
     spec = config.dataset
-    if spec == "syn4":
-        return generate_synthetic(4, 100, seed=config.seed)
-    if spec == "syn16":
-        return generate_synthetic(16, 100, seed=config.seed)
+    if spec in ("syn4", "syn16"):
+        return generate_synthetic(int(spec[3:]), 100, seed=config.seed)
     if spec.startswith("csv:"):
         return load_csv(spec[4:], config.n_classes, seed=config.seed, pool=config.csv_pool)
     raise ConfigError(f"unknown dataset spec {spec!r} (syn4 | syn16 | csv:<path>)")
@@ -107,17 +107,26 @@ def resolve_circuit(config: ExperimentConfig) -> Circuit:
     return load_circuit_file(config.circuit)
 
 
-def encoding_spec(config: ExperimentConfig) -> EncoderSpec | None:
-    if config.encoding == "amplitude":
-        return EncoderSpec(EncodeScheme.AMPLITUDE)
-    return None  # angle features are consumed by the circuit's data-bound encoder
+def resolve_inputs(config: ExperimentConfig) -> tuple[Dataset, Circuit, EncoderSpec | None]:
+    """Dataset, circuit and encoding, checked to fit each other."""
+    dataset, circuit = resolve_dataset(config), resolve_circuit(config)
+    amplitude = config.encoding == "amplitude"
+    if amplitude and circuit.n_data:
+        raise ConfigError(f"encoding: amplitude input needs a circuit with no data-bound "
+                          f"gates, this one reads {circuit.n_data} features")
+    want = 2 ** circuit.n_qubits if amplitude else circuit.n_data
+    if dataset.n_features != want:
+        raise ConfigError(f"n_features: the dataset has {dataset.n_features}, the circuit "
+                          f"reads {want} ({config.encoding} encoding)")
+    if dataset.n_classes > circuit.measurement.n_classes:
+        raise ConfigError(f"n_classes: the dataset has {dataset.n_classes}, the circuit "
+                          f"measures {circuit.measurement.n_classes}")
+    return dataset, circuit, EncoderSpec(EncodeScheme.AMPLITUDE) if amplitude else None
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
     """Run the requested methods in fixed order from one shared warm start."""
-    dataset = resolve_dataset(config)
-    circuit = resolve_circuit(config)
-    encoding = encoding_spec(config)
+    dataset, circuit, encoding = resolve_inputs(config)
     basis = DEFAULT_BASIS
     train_cfg = replace(config.train, seed=config.seed)
     lut = build_lut(circuit, basis)
@@ -126,32 +135,30 @@ def run_experiment(config: ExperimentConfig) -> Report:
     vanilla_tcd = tcd(circuit, warm, basis)
     _, vanilla_acc = loss_and_accuracy(circuit, warm, dataset.test, encoding)
 
-    rows, traces = [], {}
+    rows, results = [], {}
     for method in METHOD_ORDER:
         if method not in config.methods:
             continue
         if method == "Vanilla":
-            params, records = warm, []
+            result = empty_result(circuit, warm)
         elif method == "CompVQC":
             result = run_cqcp_admm(circuit, dataset, lut, config.admm, train_cfg,
                                    encoding, basis, warm_theta=warm,
                                    orientation=config.orientation)
-            params, records = result.params, result.records
         else:
-            result = baseline_compress(_BASELINE_MODES[method], circuit, dataset, lut,
+            result = baseline_compress(BaselineMode(method), circuit, dataset, lut,
                                        config.admm, train_cfg, encoding, basis,
                                        warm_theta=warm, orientation=config.orientation)
-            params, records = result.params, result.records
-        _, acc = loss_and_accuracy(circuit, params, dataset.test, encoding)
-        depth = tcd(circuit, params, basis)
+        _, acc = loss_and_accuracy(circuit, result.params, dataset.test, encoding)
+        depth = tcd(circuit, result.params, basis)
         noisy = None
         if config.noise_p is not None:
-            noisy = noisy_accuracy(circuit, params, dataset.test, config.noise_p,
+            noisy = noisy_accuracy(circuit, result.params, dataset.test, config.noise_p,
                                    config.shots, config.seed, encoding, basis)
         rows.append(MethodRow(method, acc, acc - vanilla_acc, depth,
                               vanilla_tcd / max(depth, 1), noisy))
-        traces[method] = records
-    return Report(rows, traces, config.seed, config_hash(config))
+        results[method] = result
+    return Report(rows, results, config.seed, config_hash(config))
 
 
 def _fmt_table(report: Report) -> str:
@@ -169,12 +176,12 @@ def _fmt_table(report: Report) -> str:
         if noisy:
             line += f" {100 * r.noisy_accuracy:.2f}%" if r.noisy_accuracy is not None else " -"
         out.write(line + "\n")
-    for method, records in report.traces.items():
-        if not records:
+    for method, result in report.results.items():
+        if not result.records:
             continue
         out.write(f"\n[{method} iterations]\n")
         out.write("r loss acc tcd theta_z_gap\n")
-        for rec in records:
+        for rec in result.records:
             out.write(f"{rec.r} {rec.loss!r} {rec.acc!r} {rec.tcd} {rec.theta_z_gap!r}\n")
     out.write(f"\nseed={report.seed} config={report.config_hash}\n")
     return out.getvalue()
@@ -194,7 +201,8 @@ def _fmt_json(report: Report) -> str:
         "seed": report.seed,
         "config_hash": report.config_hash,
         "rows": [asdict(r) for r in report.rows],
-        "traces": {m: [asdict(rec) for rec in recs] for m, recs in report.traces.items()},
+        "traces": {m: [asdict(rec) for rec in res.records]
+                   for m, res in report.results.items()},
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -209,12 +217,6 @@ def format_report(report: Report, fmt: str) -> str:
         return _FORMATTERS[fmt](report)
     except KeyError:
         raise ConfigError(f"unknown report format {fmt!r}") from None
-
-
-def emit_report(report: Report, fmt: str, path) -> None:
-    text = format_report(report, fmt)
-    with open(path, "w") as fh:
-        fh.write(text)
 
 
 def parse_csv_report(text: str) -> list[MethodRow]:

@@ -9,10 +9,10 @@ readouts over a fixed shot count, so results are deterministic given the seed.
 import numpy as np
 
 from .circuit import Circuit, MeasurementSpec
-from .data import EncodeScheme, EncoderSpec, amplitude_state, stack
+from .data import EncoderSpec, stack
 from .errors import ConfigError
 from .simulator import apply_matrix, measure_outputs_batch, zero_state
-from .training import softmax
+from .training import initial_states, softmax
 from .transpile import BasisGateSet, DEFAULT_BASIS, TranspiledCircuit, transpile_circuit
 
 
@@ -63,14 +63,12 @@ def noisy_accuracy(circuit: Circuit, params, samples, p: float, shots: int, seed
     physical circuit) and its own derived noise seed.
     """
     feats, labels = stack(samples)
+    states, gate_feats = initial_states(circuit, feats, encoding)
     correct = 0
-    for i, (f, label) in enumerate(zip(feats, labels)):
-        if encoding is not None and encoding.scheme is EncodeScheme.AMPLITUDE:
-            init = amplitude_state(f, circuit.n_qubits)
-            tc = transpile_circuit(circuit, np.atleast_2d(params), basis)
-        else:
-            init = zero_state(circuit.n_qubits)
-            tc = transpile_circuit(circuit, np.atleast_2d(params), basis, feats=f[None, :])
+    for i, label in enumerate(labels):
+        init = zero_state(circuit.n_qubits) if states is None else states[i]
+        row = None if gate_feats is None else gate_feats[i:i + 1]
+        tc = transpile_circuit(circuit, np.atleast_2d(params), basis, feats=row)
         outs = noisy_outputs(tc, init, circuit.measurement, p, shots, seed + i)
         if int(np.argmax(softmax(outs[None, :])[0])) == label:
             correct += 1

@@ -6,16 +6,16 @@ import pytest
 
 from vqcompress.admm import (ADMMConfig, ADMMState, BaselineMode, CompressionMask,
                              baseline_compress, build_mask, check_stop,
-                             compose_params, frozen_slots, mask_size, project_z,
+                             compose_params, frozen_slots, mask_size,
                              run_cqcp_admm, update_lambda, vanilla_train)
 from vqcompress.circfile import load_reference
 from vqcompress.circuit import Circuit, Gate, MeasurementSpec, theta
-from vqcompress.data import generate_synthetic
+from vqcompress.data import Dataset, generate_synthetic
 from vqcompress.errors import ConfigError
-from vqcompress.gates import FOUR_PI, GateKind
-from vqcompress.lut import CompressionLevel, LevelTag, build_lut
+from vqcompress.gates import FOUR_PI, GateKind, wrap_params
+from vqcompress.lut import CompressionLevel, LevelTag, build_lut, level_distance
 from vqcompress.recl import ReconstructedLUT
-from vqcompress.training import TrainConfig
+from vqcompress.training import TrainConfig, sgd_train
 from vqcompress.transpile import standalone_gate_depth, tcd
 
 PI = math.pi
@@ -98,11 +98,11 @@ def test_project_z_cases():
     state = ADMMState(theta=np.array([0.1, 3.0, 6.0]), z=np.array([9.0, 9.0, 9.0]),
                       lam=np.zeros(3))
     all_mask = CompressionMask(np.array([True, True, True]), np.zeros(3))
-    assert np.allclose(project_z(state, all_mask, recon, circ), [0.0, PI, 2 * PI])
+    assert np.allclose(compose_params(state.z, all_mask, recon, circ), [0.0, PI, 2 * PI])
     no_mask = CompressionMask(np.array([False, False, False]), np.zeros(3))
-    assert np.allclose(project_z(state, no_mask, recon, circ), [9.0, 9.0, 9.0])
+    assert np.allclose(compose_params(state.z, no_mask, recon, circ), [9.0, 9.0, 9.0])
     one = CompressionMask(np.array([True, False, False]), np.zeros(3))
-    assert np.allclose(project_z(state, one, recon, circ), [0.0, 9.0, 9.0])
+    assert np.allclose(compose_params(state.z, one, recon, circ), [0.0, 9.0, 9.0])
 
 
 def test_update_lambda_formula():
@@ -241,6 +241,48 @@ def test_zero_only_pruning_masks_nearest_to_zero():
     for pos, gi in enumerate(trainable):
         if res.mask.bits[pos]:
             assert res.params[circ.layers[gi].theta_slots[0]] == 0.0
+
+
+def _u3_circuit():
+    gates = [Gate(GateKind.U3, (0,), (theta(0), theta(1), theta(2))),
+             Gate(GateKind.CRY, (0, 1), (theta(3),)),
+             Gate(GateKind.RY, (1,), (theta(4),)),
+             Gate(GateKind.RX, (0,), (theta(5),))]
+    return Circuit(2, [], gates, MeasurementSpec(2))
+
+
+@pytest.mark.parametrize("name", ["syn4", "u3"])
+def test_zero_only_pruning_matches_hand_written_oracle(name):
+    # the arithmetic Zero-Only-Pruning had before it became a zero-level LUT:
+    # unnormalized distance to all-zero angles, lowest k with ties to the earlier
+    # gate, frozen slots zeroed with np.where, then the seeded frozen retrain
+    circ = load_reference("syn4") if name == "syn4" else _u3_circuit()
+    ds = generate_synthetic(4, 100, seed=13)
+    if name == "u3":
+        ds = Dataset(ds.train[:30], ds.test, 2, 13)
+    tcfg = TrainConfig(seed=13, epochs=8)
+    cfg = ADMMConfig(target_ratio=0.5, retrain_epochs=6)
+    warm = vanilla_train(circ, ds, tcfg)
+    trainable = circ.trainable_indices()
+    slots = [list(circ.layers[gi].theta_slots) for gi in trainable]
+    dists = [level_distance(tuple(0.0 for _ in s), wrap_params(warm[s])) for s in slots]
+    order = sorted(range(len(trainable)), key=lambda p: (dists[p], p))
+    bits = np.zeros(len(trainable), dtype=bool)
+    for p in order[:mask_size(cfg.target_ratio, len(trainable))]:
+        bits[p] = True
+    frozen = np.zeros(circ.n_thetas, dtype=bool)
+    for p in np.flatnonzero(bits):
+        frozen[slots[p]] = True
+    retrain = replace(tcfg, epochs=cfg.retrain_epochs, seed=tcfg.seed + 999_983)
+    expected = sgd_train(circ, np.where(frozen, 0.0, warm), ds.train, retrain, None,
+                         frozen=frozen)
+
+    res = baseline_compress(BaselineMode.ZERO_ONLY_PRUNING, circ, ds, build_lut(circ), cfg,
+                            tcfg, warm_theta=warm)
+    assert np.array_equal(res.mask.bits, bits)
+    assert np.array_equal(res.mask.scores, dists)
+    assert np.array_equal(res.params, expected)
+    assert res.records == [] and res.converged
 
 
 def test_prune_only_lut_restriction():

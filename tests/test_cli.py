@@ -1,6 +1,7 @@
 import pytest
 
 from vqcompress.cli import main, read_config_file
+from vqcompress.experiment import parse_csv_report
 
 
 def test_depth_subcommand(capsys):
@@ -107,3 +108,93 @@ def test_shots_below_one_rejected_with_exit_2(shots, capsys):
 def test_exit_code_3_on_runtime_error(tmp_path):
     missing = tmp_path / "missing.circ"
     assert main(["lut", "--circuit", str(missing)]) == 3
+
+
+AMPLITUDE_CIRC = "qubits 2\n#layers\nRY 0 free\nCRX 0,1 free\nRY 1 free\n#measure perqubitz 2\n"
+
+
+def _csv(path, n_features, labels=(0, 1)):
+    rows = [f"{label}," + ",".join(["0.5"] * n_features) for label in labels for _ in range(5)]
+    path.write_text("\n".join(rows) + "\n")
+    return f"csv:{path}"
+
+
+@pytest.mark.parametrize("case, command, words", [
+    ("labels-exceed-classes", "report", ("n_classes", "3", "2")),
+    ("fewer-features", "train", ("n_features", "3", "4")),
+    ("more-features", "recl", ("n_features", "5", "4")),
+    ("amplitude-feature-count", "compress", ("n_features", "3", "4")),
+    ("amplitude-on-data-bound-encoder", "train", ("encoding", "4")),
+])
+def test_dataset_circuit_mismatch_exits_2(case, command, words, tmp_path, capsys):
+    args = [command, "--circuit", "syn4", "--epochs", "1"]
+    if case == "labels-exceed-classes":
+        args += ["--dataset", _csv(tmp_path / "d.csv", 4, (0, 1, 2)), "--n-classes", "3"]
+    elif case == "fewer-features":
+        args += ["--dataset", _csv(tmp_path / "d.csv", 3)]
+    elif case == "more-features":
+        args += ["--dataset", _csv(tmp_path / "d.csv", 5)]
+    elif case == "amplitude-feature-count":
+        circ = tmp_path / "amp.circ"
+        circ.write_text(AMPLITUDE_CIRC)
+        args += ["--dataset", _csv(tmp_path / "d.csv", 3), "--circuit", str(circ),
+                 "--encoding", "amplitude"]
+    else:
+        args += ["--dataset", "syn4", "--encoding", "amplitude"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert all(w in err for w in words), err
+
+
+def test_amplitude_csv_on_encoder_free_circuit_runs(tmp_path, capsys):
+    circ = tmp_path / "amp.circ"
+    circ.write_text(AMPLITUDE_CIRC)
+    assert main(["train", "--dataset", _csv(tmp_path / "d.csv", 4), "--circuit", str(circ),
+                 "--encoding", "amplitude", "--epochs", "1"]) == 0
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--noise-p", "1.5"], "noise_p"),
+    (["--noise-p", "-0.1"], "noise_p"),
+    (["--lr", "0.5", "--rho", "4"], "learning_rate * rho"),
+    (["--lr", "1.0"], "learning_rate * rho"),
+])
+def test_experiment_config_rejected_before_training(args, field, capsys):
+    rc = main(["report", "--dataset", "syn4", "--circuit", "syn4", "--methods",
+               "Vanilla,CompVQC", "--epochs", "1", "--max-iters", "1"] + args)
+    assert rc == 2
+    assert field in capsys.readouterr().err
+
+
+def test_config_file_orientation_outside_choices_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("dataset = syn4\ncircuit = syn4\norientation = Speedup\n")
+    assert main(["report", "--config", str(cfgfile)]) == 2
+    assert "orientation" in capsys.readouterr().err
+
+
+SHARED_RUN = ["--dataset", "syn4", "--circuit", "syn4", "--seed", "5", "--epochs", "6",
+              "--ratio", "0.5", "--max-iters", "2", "--epochs-per-iter", "2",
+              "--retrain-epochs", "3", "--noise-p", "0.02", "--shots", "64"]
+
+
+@pytest.fixture(scope="module")
+def shared_report(tmp_path_factory):
+    base = tmp_path_factory.mktemp("shared") / "rep"
+    assert main(["report", "--methods", "Vanilla,ZeroOnlyPruning,PruneOnly,QuantOnly,CompVQC",
+                 "--format", "csv", "--out", str(base)] + SHARED_RUN) == 0
+    text = base.with_suffix(".csv").read_text()
+    return {r.method: r for r in parse_csv_report(text)}
+
+
+@pytest.mark.parametrize("method", ["ZeroOnlyPruning", "PruneOnly", "QuantOnly", "CompVQC"])
+def test_compress_prints_the_report_row(method, shared_report, capsys):
+    assert main(["compress", "--method", method] + SHARED_RUN) == 0
+    lines = capsys.readouterr().out.splitlines()
+    van, row = shared_report["Vanilla"], shared_report[method]
+    assert lines[0] == (f"vanilla: acc {van.accuracy:.3f} tcd {van.tcd} "
+                        f"noisy acc {van.noisy_accuracy:.3f}")
+    assert lines[1].startswith(f"{method}: acc {row.accuracy:.3f} "
+                               f"({row.acc_vs_baseline:+.3f}) tcd {row.tcd} "
+                               f"({row.speedup:.2f}x) masked ")
+    assert lines[1].endswith(f" noisy acc {row.noisy_accuracy:.3f}")

@@ -63,6 +63,15 @@ def test_load_csv_reports_line_numbers(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_csv_rejects_non_finite_features(value, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"0,0.1,0.2\n1,0.9,0.8\n0,{value},0.2\n")
+    with pytest.raises(ParseError) as err:
+        load_csv(path, n_classes=2, seed=0)
+    assert err.value.line == 3
+
+
 def test_load_csv_rejects_bad_label(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("5,0.1,0.2\n")

@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from vqcompress.admm import ADMMConfig
 from vqcompress.errors import ConfigError
-from vqcompress.experiment import (ExperimentConfig, Report, MethodRow,
+from vqcompress.experiment import (METHOD_ORDER, ExperimentConfig, Report, MethodRow,
                                    format_report, parse_csv_report,
                                    run_experiment)
 from vqcompress.training import TrainConfig
@@ -90,3 +91,35 @@ def test_ratio_zero_compvqc_equals_vanilla_row():
 def test_unknown_dataset_and_circuit():
     with pytest.raises(ConfigError):
         run_experiment(ExperimentConfig(dataset="bogus", methods=("Vanilla",)))
+
+
+def test_run_experiment_calls_the_module_level_entry_points(monkeypatch):
+    # benchmark tracing wraps these names on the experiment module; a method
+    # that bypassed them would vanish from its per-method timings and captures
+    calls, returned = [], {}
+
+    def spy(name, fn, label=None):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            key = label(args) if label else name
+            calls.append(key)
+            returned[key] = result
+            return result
+        return wrapped
+
+    import vqcompress.experiment as experiment
+    monkeypatch.setattr(experiment, "vanilla_train",
+                        spy("Vanilla", experiment.vanilla_train))
+    monkeypatch.setattr(experiment, "run_cqcp_admm",
+                        spy("CompVQC", experiment.run_cqcp_admm))
+    monkeypatch.setattr(experiment, "baseline_compress",
+                        spy(None, experiment.baseline_compress, lambda a: a[0].value))
+    cfg = ExperimentConfig(methods=METHOD_ORDER, seed=7,
+                           train=TrainConfig(epochs=4),
+                           admm=ADMMConfig(target_ratio=0.5, max_iters=2, epochs_per_iter=2,
+                                           retrain_epochs=2))
+    report = run_experiment(cfg)
+    assert calls == list(METHOD_ORDER)
+    assert np.array_equal(report.results["Vanilla"].params, returned["Vanilla"])
+    for method in METHOD_ORDER[1:]:
+        assert report.results[method] is returned[method]
