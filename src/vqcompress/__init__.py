@@ -10,8 +10,7 @@ from .lut import CompressionLUT, CompressionLevel, build_lut, nearest_level
 from .recl import ReconstructedLUT, level_metric, reconstruct_lut
 from .simulator import apply_gate, measure_outputs, run_circuit
 from .training import TrainConfig, forward, loss_and_accuracy, loss_gradient, sgd_train
-from .transpile import (BasisGateSet, DEFAULT_BASIS, DepthTable, TranspiledCircuit,
-                        build_depth_table, circuit_depth,
+from .transpile import (DepthTable, TranspiledCircuit, build_depth_table, circuit_depth,
                         peephole_optimize, standalone_gate_depth, tcd, transpile_circuit)
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .gates import circ_residual, wrap_params
 from .lut import CompressionLUT, CompressionLevel, LevelTag, level_distance
 from .recl import SPEEDUP, ReconstructedLUT, reconstruct_lut
 from .training import TrainConfig, init_params, loss_and_accuracy, sgd_train
-from .transpile import BasisGateSet, DEFAULT_BASIS, build_depth_table, tcd
+from .transpile import build_depth_table, tcd
 
 TWO_PI = 2 * np.pi
 
@@ -52,6 +52,9 @@ class ADMMConfig:
             raise ConfigError(f"alpha {self.alpha} outside (0, 1)")
         if self.rho <= 0 or self.zeta <= 0:
             raise ConfigError("rho and zeta must be positive")
+        for name in ("max_iters", "epochs_per_iter", "retrain_epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -191,7 +194,6 @@ def _retrain(circuit: Circuit, dataset: Dataset, theta: np.ndarray, mask: Compre
 def run_cqcp_admm(circuit: Circuit, dataset: Dataset, lut: CompressionLUT,
                   admm_cfg: ADMMConfig, train_cfg: TrainConfig,
                   encoding: EncoderSpec | None = None,
-                  basis: BasisGateSet = DEFAULT_BASIS,
                   warm_theta: np.ndarray | None = None,
                   orientation: str = SPEEDUP) -> CompressionResult:
     """Full compression run: warm start, ReCL, ADMM loop, mask-frozen retrain.
@@ -203,8 +205,8 @@ def run_cqcp_admm(circuit: Circuit, dataset: Dataset, lut: CompressionLUT,
     if admm_cfg.target_ratio == 0.0:
         return empty_result(circuit, warm)
 
-    recon = reconstruct_lut(circuit, warm, lut, dataset.train, encoding, basis, orientation)
-    max_td = build_depth_table(basis).max_depth()
+    recon = reconstruct_lut(circuit, warm, lut, dataset.train, encoding, orientation)
+    max_td = build_depth_table().max_depth()
     state = ADMMState(theta=warm.copy(), z=warm.copy(), lam=np.zeros_like(warm))
     mask = build_mask(state.theta, state.lam, recon, circuit, admm_cfg, max_td)
     records: list[IterationRecord] = []
@@ -222,7 +224,7 @@ def run_cqcp_admm(circuit: Circuit, dataset: Dataset, lut: CompressionLUT,
         loss, acc = loss_and_accuracy(circuit, state.theta, dataset.train, encoding)
         composed = compose_params(state.theta, mask, recon, circuit)
         gap = float(np.sqrt(np.sum(circ_residual(state.theta, state.z) ** 2)))
-        records.append(IterationRecord(r, loss, acc, tcd(circuit, composed, basis), gap))
+        records.append(IterationRecord(r, loss, acc, tcd(circuit, composed), gap))
 
         current = ADMMState(state.theta.copy(), state.z.copy(), state.lam.copy())
         if prev is not None and check_stop(prev, current, admm_cfg.zeta):
@@ -248,7 +250,6 @@ _LEVEL_FAMILY = {BaselineMode.PRUNE_ONLY: LevelTag.PRUNE,
 def baseline_compress(mode: BaselineMode, circuit: Circuit, dataset: Dataset,
                       lut: CompressionLUT, admm_cfg: ADMMConfig, train_cfg: TrainConfig,
                       encoding: EncoderSpec | None = None,
-                      basis: BasisGateSet = DEFAULT_BASIS,
                       warm_theta: np.ndarray | None = None,
                       orientation: str = SPEEDUP) -> CompressionResult:
     """Competitor pipelines sharing the warm start and retraining protocol.
@@ -260,7 +261,7 @@ def baseline_compress(mode: BaselineMode, circuit: Circuit, dataset: Dataset,
     """
     if mode in _LEVEL_FAMILY:
         return run_cqcp_admm(circuit, dataset, lut.filtered(_LEVEL_FAMILY[mode]), admm_cfg,
-                             train_cfg, encoding, basis, warm_theta, orientation)
+                             train_cfg, encoding, warm_theta, orientation)
 
     warm = _warm_start(circuit, dataset, train_cfg, encoding, warm_theta)
     if admm_cfg.target_ratio == 0.0:

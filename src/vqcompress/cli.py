@@ -18,7 +18,7 @@ from .experiment import (METHOD_ORDER, ExperimentConfig, format_report, resolve_
 from .lut import build_lut
 from .recl import reconstruct_lut
 from .training import TrainConfig, init_params, loss_and_accuracy
-from .transpile import DEFAULT_BASIS, PARAM_CLASSES, build_depth_table, tcd
+from .transpile import PARAM_CLASSES, build_depth_table, tcd
 
 def _parse_bool(s) -> bool:
     return str(s).lower() in ("1", "true", "yes")
@@ -129,7 +129,7 @@ def cmd_train(args) -> int:
 
 def cmd_depth(args) -> int:
     cfg = build_config(args)
-    table = build_depth_table(DEFAULT_BASIS)
+    table = build_depth_table()
     print("gate " + " ".join(PARAM_CLASSES))
     for name, row in table.rows():
         print(name + " " + " ".join(str(d) for d in row))
@@ -143,7 +143,7 @@ def cmd_depth(args) -> int:
 
 def cmd_lut(args) -> int:
     cfg = build_config(args)
-    _emit(build_lut(resolve_circuit(cfg), DEFAULT_BASIS).write_csv_text(), cfg.out)
+    _emit(build_lut(resolve_circuit(cfg)).write_csv_text(), cfg.out)
     return 0
 
 
@@ -152,9 +152,8 @@ def cmd_recl(args) -> int:
     dataset, circuit, encoding = resolve_inputs(cfg)
     params = (np.loadtxt(args.params, ndmin=1) if args.params
               else vanilla_train(circuit, dataset, cfg.train, encoding))
-    lut = build_lut(circuit, DEFAULT_BASIS)
-    recon = reconstruct_lut(circuit, params, lut, dataset.train, encoding,
-                            DEFAULT_BASIS, cfg.orientation)
+    recon = reconstruct_lut(circuit, params, build_lut(circuit), dataset.train, encoding,
+                            cfg.orientation)
     lines = ["gate_index,kind,level,depth,metric"]
     for gi in sorted(recon.levels):
         lv = recon.levels[gi]

@@ -22,7 +22,7 @@ from .lut import build_lut
 from .noise import noisy_accuracy
 from .recl import RATIO, SPEEDUP
 from .training import TrainConfig, loss_and_accuracy
-from .transpile import DEFAULT_BASIS, tcd
+from .transpile import tcd
 
 METHOD_ORDER = ("Vanilla", "ZeroOnlyPruning", "PruneOnly", "QuantOnly", "CompVQC")
 
@@ -127,13 +127,14 @@ def resolve_inputs(config: ExperimentConfig) -> tuple[Dataset, Circuit, EncoderS
 def run_experiment(config: ExperimentConfig) -> Report:
     """Run the requested methods in fixed order from one shared warm start."""
     dataset, circuit, encoding = resolve_inputs(config)
-    basis = DEFAULT_BASIS
     train_cfg = replace(config.train, seed=config.seed)
-    lut = build_lut(circuit, basis)
+    lut = build_lut(circuit)
+
+    def evaluate(params) -> tuple[float, int]:
+        return loss_and_accuracy(circuit, params, dataset.test, encoding)[1], tcd(circuit, params)
 
     warm = vanilla_train(circuit, dataset, train_cfg, encoding)
-    vanilla_tcd = tcd(circuit, warm, basis)
-    _, vanilla_acc = loss_and_accuracy(circuit, warm, dataset.test, encoding)
+    vanilla_acc, vanilla_tcd = evaluate(warm)
 
     rows, results = [], {}
     for method in METHOD_ORDER:
@@ -142,19 +143,17 @@ def run_experiment(config: ExperimentConfig) -> Report:
         if method == "Vanilla":
             result = empty_result(circuit, warm)
         elif method == "CompVQC":
-            result = run_cqcp_admm(circuit, dataset, lut, config.admm, train_cfg,
-                                   encoding, basis, warm_theta=warm,
-                                   orientation=config.orientation)
+            result = run_cqcp_admm(circuit, dataset, lut, config.admm, train_cfg, encoding,
+                                   warm_theta=warm, orientation=config.orientation)
         else:
             result = baseline_compress(BaselineMode(method), circuit, dataset, lut,
-                                       config.admm, train_cfg, encoding, basis,
+                                       config.admm, train_cfg, encoding,
                                        warm_theta=warm, orientation=config.orientation)
-        _, acc = loss_and_accuracy(circuit, result.params, dataset.test, encoding)
-        depth = tcd(circuit, result.params, basis)
+        acc, depth = (vanilla_acc, vanilla_tcd) if method == "Vanilla" else evaluate(result.params)
         noisy = None
         if config.noise_p is not None:
             noisy = noisy_accuracy(circuit, result.params, dataset.test, config.noise_p,
-                                   config.shots, config.seed, encoding, basis)
+                                   config.shots, config.seed, encoding)
         rows.append(MethodRow(method, acc, acc - vanilla_acc, depth,
                               vanilla_tcd / max(depth, 1), noisy))
         results[method] = result

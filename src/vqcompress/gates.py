@@ -15,9 +15,8 @@ from .errors import ArityError
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
-# Tolerance for detecting c*I matrices and for unitarity checks.
+# Tolerance for detecting c*I matrices.
 PHASE_IDENTITY_TOL = 1e-10
-UNITARY_TOL = 1e-12
 
 
 class GateKind(enum.Enum):
@@ -48,11 +47,6 @@ N_QUBITS_OF_KIND = {
     GateKind.CX: 2, GateKind.SX: 1, GateKind.X: 1, GateKind.ID: 1,
     GateKind.U3: 1, GateKind.CU3: 2,
 }
-
-SINGLE_ANGLE_KINDS = (GateKind.RX, GateKind.RY, GateKind.RZ,
-                      GateKind.CRX, GateKind.CRY, GateKind.CRZ)
-CONTROLLED_KINDS = (GateKind.CRX, GateKind.CRY, GateKind.CRZ,
-                    GateKind.CX, GateKind.CU3)
 
 _ID2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -18,7 +18,7 @@ from .circuit import Circuit
 from .errors import LUTError
 from .gates import (ARITY, GateKind, circ_dist, gate_matrix,
                     phase_identity_factor, wrap_param)
-from .transpile import BasisGateSet, DEFAULT_BASIS, GENERIC_ANGLE, standalone_gate_depth
+from .transpile import GENERIC_ANGLE, standalone_gate_depth
 
 HALF_PI = math.pi / 2
 
@@ -45,8 +45,7 @@ def default_candidates(kind: GateKind) -> list[tuple[float, ...]]:
     return [tuple(t) for t in itertools.product(grid, repeat=ARITY[kind])]
 
 
-def find_pruning_levels(kind: GateKind, candidates=None,
-                        basis: BasisGateSet = DEFAULT_BASIS) -> list[CompressionLevel]:
+def find_pruning_levels(kind: GateKind, candidates=None) -> list[CompressionLevel]:
     """Candidates whose gate matrix is c*I with |c| = 1 (identity up to phase)."""
     if candidates is None:
         candidates = default_candidates(kind)
@@ -54,29 +53,28 @@ def find_pruning_levels(kind: GateKind, candidates=None,
     for cand in candidates:
         cand = tuple(wrap_param(a) for a in cand)
         if phase_identity_factor(gate_matrix(kind, cand)) is not None:
-            found.append(CompressionLevel(standalone_gate_depth(kind, cand, basis),
-                                          cand, LevelTag.PRUNE))
+            found.append(CompressionLevel(standalone_gate_depth(kind, cand), cand,
+                                          LevelTag.PRUNE))
     return sorted(set(found))
 
 
-def generic_depth(kind: GateKind, basis: BasisGateSet = DEFAULT_BASIS) -> int:
+def generic_depth(kind: GateKind) -> int:
     """Depth at a fully generic angle tuple; the maximum over all parameters."""
     probe = tuple(GENERIC_ANGLE + 0.1 * i for i in range(ARITY[kind]))
-    return standalone_gate_depth(kind, probe, basis)
+    return standalone_gate_depth(kind, probe)
 
 
-def find_quantization_levels(kind: GateKind, basis: BasisGateSet = DEFAULT_BASIS,
-                             candidates=None) -> list[CompressionLevel]:
+def find_quantization_levels(kind: GateKind, candidates=None) -> list[CompressionLevel]:
     """Non-pruning candidates compiling strictly below the generic depth."""
     if candidates is None:
         candidates = default_candidates(kind)
-    ceiling = generic_depth(kind, basis)
+    ceiling = generic_depth(kind)
     found = set()
     for cand in candidates:
         cand = tuple(wrap_param(a) for a in cand)
         if phase_identity_factor(gate_matrix(kind, cand)) is not None:
             continue
-        d = standalone_gate_depth(kind, cand, basis)
+        d = standalone_gate_depth(kind, cand)
         if d < ceiling:
             found.add(CompressionLevel(d, cand, LevelTag.QUANTIZE))
     return sorted(found)
@@ -87,12 +85,6 @@ class CompressionLUT:
     """Per gate kind: all compression levels, sorted by depth then value."""
 
     entries: dict  # GateKind -> list[CompressionLevel]
-
-    def levels(self, kind: GateKind) -> list[CompressionLevel]:
-        try:
-            return self.entries[kind]
-        except KeyError:
-            raise LUTError(f"no compression levels recorded for {kind.value}") from None
 
     def filtered(self, tag: LevelTag) -> "CompressionLUT":
         """Restrict every entry to one tag; entries may become empty."""
@@ -108,17 +100,11 @@ class CompressionLUT:
         return "\n".join(lines) + "\n"
 
 
-def build_lut(circuit: Circuit, basis: BasisGateSet = DEFAULT_BASIS,
-              candidates_by_kind=None) -> CompressionLUT:
+def build_lut(circuit: Circuit) -> CompressionLUT:
     """Union of pruning and quantization levels for every trainable kind used."""
     kinds = sorted({g.kind for g in circuit.layers if g.trainable}, key=lambda k: k.value)
-    entries = {}
-    for kind in kinds:
-        cands = None if candidates_by_kind is None else candidates_by_kind.get(kind)
-        levels = (find_pruning_levels(kind, cands, basis)
-                  + find_quantization_levels(kind, basis, cands))
-        entries[kind] = sorted(levels)
-    return CompressionLUT(entries)
+    return CompressionLUT({kind: sorted(find_pruning_levels(kind) + find_quantization_levels(kind))
+                           for kind in kinds})
 
 
 def level_distance(value: tuple[float, ...], angles) -> float:

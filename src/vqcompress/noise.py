@@ -13,7 +13,7 @@ from .data import EncoderSpec, stack
 from .errors import ConfigError
 from .simulator import apply_matrix, measure_outputs_batch, zero_state
 from .training import initial_states, softmax
-from .transpile import BasisGateSet, DEFAULT_BASIS, TranspiledCircuit, transpile_circuit
+from .transpile import TranspiledCircuit, transpile_circuit
 
 
 def _apply_pauli_rows(states: np.ndarray, rows: np.ndarray, q: int, which: int):
@@ -55,20 +55,22 @@ def noisy_outputs(tc: TranspiledCircuit, input_state: np.ndarray, spec: Measurem
 
 
 def noisy_accuracy(circuit: Circuit, params, samples, p: float, shots: int, seed: int,
-                   encoding: EncoderSpec | None = None,
-                   basis: BasisGateSet = DEFAULT_BASIS) -> float:
+                   encoding: EncoderSpec | None = None) -> float:
     """Classification accuracy when every physical gate is followed by noise.
 
-    Each sample gets its own transpilation (angle-encoded inputs change the
-    physical circuit) and its own derived noise seed.
+    Angle-encoded inputs change the physical circuit, so each sample gets its
+    own transpilation; amplitude-encoded ones share one.  Each sample gets its
+    own derived noise seed.
     """
     feats, labels = stack(samples)
     states, gate_feats = initial_states(circuit, feats, encoding)
+    thetas = np.atleast_2d(params)
+    shared = transpile_circuit(circuit, thetas) if gate_feats is None else None
     correct = 0
     for i, label in enumerate(labels):
         init = zero_state(circuit.n_qubits) if states is None else states[i]
-        row = None if gate_feats is None else gate_feats[i:i + 1]
-        tc = transpile_circuit(circuit, np.atleast_2d(params), basis, feats=row)
+        tc = (transpile_circuit(circuit, thetas, feats=gate_feats[i:i + 1])
+              if shared is None else shared)
         outs = noisy_outputs(tc, init, circuit.measurement, p, shots, seed + i)
         if int(np.argmax(softmax(outs[None, :])[0])) == label:
             correct += 1

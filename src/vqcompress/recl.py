@@ -17,8 +17,7 @@ from .data import EncoderSpec, stack
 from .lut import CompressionLUT, CompressionLevel
 from .simulator import apply_gate_batch, measure_outputs_batch, zero_state
 from .training import initial_states, softmax
-from .transpile import (BasisGateSet, DEFAULT_BASIS, lower_circuit, lower_gate,
-                        lowered_depth, probe_features)
+from .transpile import lower_circuit, lower_gate, lowered_depth, probe_features
 
 SPEEDUP = "speedup"
 RATIO = "ratio"
@@ -53,8 +52,7 @@ def _depth_factor(base_tcd: int, new_tcd: int, orientation: str) -> float:
 
 
 def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples,
-           encoding: EncoderSpec | None, basis: BasisGateSet, orientation: str,
-           base_tcd: int | None = None) -> dict:
+           encoding: EncoderSpec | None, orientation: str, base_tcd: int | None = None) -> dict:
     """Metric of every level in `candidates` (layer index -> levels).
 
     theta is lowered once; a candidate re-lowers only the gates that read its
@@ -65,7 +63,7 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples,
     """
     theta = np.asarray(theta, dtype=float)
     gates = circuit.all_gates
-    lowered = lower_circuit(circuit, theta, basis)
+    lowered = lower_circuit(circuit, theta)
     if base_tcd is None:
         base_tcd = lowered_depth(circuit.n_qubits, lowered)
     probe = probe_features(circuit.n_data)  # the data angles `lower_circuit` uses
@@ -94,7 +92,7 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples,
             acc = float((probs.argmax(axis=1) == labels).mean())
             spliced = list(lowered)
             for k in readers[gi]:
-                spliced[k] = lower_gate(gates[k], new_theta[None, :], probe, basis)
+                spliced[k] = lower_gate(gates[k], new_theta[None, :], probe)
             new_tcd = lowered_depth(circuit.n_qubits, spliced)
             metrics[gi].append(acc * _depth_factor(base_tcd, new_tcd, orientation))
     return metrics
@@ -102,16 +100,14 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples,
 
 def level_metric(circuit: Circuit, theta, gate_index: int, level: CompressionLevel,
                  eval_samples, encoding: EncoderSpec | None = None,
-                 basis: BasisGateSet = DEFAULT_BASIS, orientation: str = SPEEDUP,
-                 base_tcd: int | None = None) -> float:
+                 orientation: str = SPEEDUP, base_tcd: int | None = None) -> float:
     """Accuracy x depth-factor of moving one gate's parameter to a level."""
     return _sweep(circuit, theta, {gate_index: [level]}, eval_samples, encoding,
-                  basis, orientation, base_tcd)[gate_index][0]
+                  orientation, base_tcd)[gate_index][0]
 
 
 def reconstruct_lut(circuit: Circuit, theta, lut: CompressionLUT, eval_samples,
                     encoding: EncoderSpec | None = None,
-                    basis: BasisGateSet = DEFAULT_BASIS,
                     orientation: str = SPEEDUP) -> ReconstructedLUT:
     """Per-gate argmax of the level metric, one gate perturbed at a time.
 
@@ -121,7 +117,7 @@ def reconstruct_lut(circuit: Circuit, theta, lut: CompressionLUT, eval_samples,
     """
     candidates = {gi: lut.entries.get(circuit.layers[gi].kind, [])
                   for gi in circuit.trainable_indices()}
-    metrics = _sweep(circuit, theta, candidates, eval_samples, encoding, basis, orientation)
+    metrics = _sweep(circuit, theta, candidates, eval_samples, encoding, orientation)
     recon = ReconstructedLUT()
     for gi, levels in candidates.items():
         if levels:

@@ -15,9 +15,6 @@ from .circuit import BindKind, Circuit, Gate, MeasureScheme, MeasurementSpec
 from .errors import SpecError
 from .gates import ARITY, GateKind, gate_matrix
 
-NORM_TOL = 1e-9
-AMP_TOL = 1e-10
-
 
 def zero_state(n_qubits: int, rows: int | None = None) -> np.ndarray:
     """|0...0> as a single state or a batch of identical rows."""

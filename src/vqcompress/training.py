@@ -37,6 +37,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be positive, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum {self.momentum} outside [0, 1)")
 
 
 def init_params(circuit: Circuit, config: TrainConfig) -> np.ndarray:

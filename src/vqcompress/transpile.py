@@ -1,10 +1,11 @@
 """Decomposition to basis gates, peephole optimization, and circuit depth.
 
-The target (default) basis is {CX, ID, RZ, SX, X}.  Single-qubit rotations are
-lowered to RZ/SX/X sandwiches; controlled rotations to CX-conjugated
-single-qubit pieces.  Angles within SNAP_TOL of a multiple of pi/2 select
-shorter special-case templates; the snap exists to absorb float noise from
-projections that produce exact table values, not to approximate.
+The one target basis is {CX, ID, RZ, SX, X} (`BASIS_KINDS`); every LUT level
+and TCD is defined against it.  Single-qubit rotations are lowered to RZ/SX/X
+sandwiches; controlled rotations to CX-conjugated single-qubit pieces.  Angles
+within SNAP_TOL of a multiple of pi/2 select shorter special-case templates;
+the snap exists to absorb float noise from projections that produce exact
+table values, not to approximate.
 
 Lowering is per gate and tracks no phase.  `transpile_circuit` adds the
 global phase; `tcd` is depth-only.  Depth is the longest path through the
@@ -21,39 +22,19 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .errors import ConfigError, UnsupportedGateError
-from .gates import (ARITY, GateKind, gate_matrix, phase_identity_factor,
-                    wrap_param)
+from .errors import UnsupportedGateError
+from .gates import (ARITY, N_QUBITS_OF_KIND, GateKind, gate_matrix,
+                    phase_identity_factor, wrap_param)
 from .simulator import resolve_angles
 
 HALF_PI = math.pi / 2
 PI = math.pi
 SNAP_TOL = 1e-9
-EQUIV_TOL = 1e-10
 
 # Angle guaranteed to hit the generic ("others") template of every gate kind.
 GENERIC_ANGLE = 1.2345
 
-DEFAULT_BASIS_KINDS = frozenset({GateKind.CX, GateKind.ID, GateKind.RZ,
-                                 GateKind.SX, GateKind.X})
-
-
-@dataclass(frozen=True)
-class BasisGateSet:
-    kinds: frozenset = DEFAULT_BASIS_KINDS
-
-    def __post_init__(self):
-        object.__setattr__(self, "kinds", frozenset(self.kinds))
-        if GateKind.CX not in self.kinds:
-            raise ConfigError("basis needs an entangling gate (CX)")
-        if not {GateKind.RZ, GateKind.SX, GateKind.X} <= self.kinds:
-            raise ConfigError("basis needs the universal single-qubit family RZ/SX/X")
-
-    def __contains__(self, kind: GateKind) -> bool:
-        return kind in self.kinds
-
-
-DEFAULT_BASIS = BasisGateSet()
+BASIS_KINDS = frozenset({GateKind.CX, GateKind.ID, GateKind.RZ, GateKind.SX, GateKind.X})
 
 
 @dataclass(frozen=True)
@@ -183,8 +164,14 @@ def _snapped(angles: tuple[float, ...]) -> list[float]:
     return out
 
 
-def decompose_kind(kind: GateKind, qubits: tuple[int, ...], angles: tuple[float, ...],
-                   basis: BasisGateSet) -> list[PhysicalGate]:
+# Lowering templates of the non-basis kinds; each takes the angles, then the qubits.
+_TEMPLATES = {GateKind.RX: _rx_gates, GateKind.RY: _ry_gates, GateKind.U3: _u3_gates,
+              GateKind.CRX: _crx_gates, GateKind.CRY: _cry_gates, GateKind.CRZ: _crz_gates,
+              GateKind.CU3: _cu3_gates}
+
+
+def decompose_kind(kind: GateKind, qubits: tuple[int, ...],
+                   angles: tuple[float, ...]) -> list[PhysicalGate]:
     """Lower one logical gate (resolved angles) to physical basis gates."""
     if kind not in ARITY:
         raise UnsupportedGateError(f"unsupported gate kind {kind!r}")
@@ -193,25 +180,9 @@ def decompose_kind(kind: GateKind, qubits: tuple[int, ...], angles: tuple[float,
         return []
     if kind is GateKind.ID:
         return []
-    if kind in basis:
+    if kind in BASIS_KINDS:
         return [PhysicalGate(kind, qubits, angles)]
-    if kind is GateKind.RX:
-        return _rx_gates(angles[0], qubits[0])
-    if kind is GateKind.RY:
-        return _ry_gates(angles[0], qubits[0])
-    if kind is GateKind.RZ:
-        return _emit(qubits[0], angles[0])
-    if kind is GateKind.U3:
-        return _u3_gates(angles[0], angles[1], angles[2], qubits[0])
-    if kind is GateKind.CRX:
-        return _crx_gates(angles[0], qubits[0], qubits[1])
-    if kind is GateKind.CRY:
-        return _cry_gates(angles[0], qubits[0], qubits[1])
-    if kind is GateKind.CRZ:
-        return _crz_gates(angles[0], qubits[0], qubits[1])
-    if kind is GateKind.CU3:
-        return _cu3_gates(angles[0], angles[1], angles[2], qubits[0], qubits[1])
-    raise UnsupportedGateError(f"no decomposition for {kind.value} into {sorted(k.value for k in basis.kinds)}")
+    return _TEMPLATES[kind](*angles, *qubits)
 
 
 def _local_matrix(pg: PhysicalGate, qubits: tuple[int, ...]) -> np.ndarray:
@@ -239,18 +210,18 @@ def _template_phase(kind: GateKind, angles: tuple[float, ...],
     return float(np.angle(c))
 
 
-def lower_gate(gate: Gate, thetas: np.ndarray, feats: np.ndarray | None,
-               basis: BasisGateSet = DEFAULT_BASIS) -> tuple[tuple[float, ...], list[PhysicalGate]]:
+def lower_gate(gate: Gate, thetas: np.ndarray,
+               feats: np.ndarray | None) -> tuple[tuple[float, ...], list[PhysicalGate]]:
     """One logical gate's wrapped angles and its basis gates, with no phase.
 
     `thetas` (1, P) and `feats` (1, F) are the rows `resolve_angles` reads.
     """
     angles = resolve_angles(gate, thetas, feats)
     tup = () if angles is None else tuple(wrap_param(float(v)) for v in np.atleast_1d(angles[0]))
-    return tup, decompose_kind(gate.kind, gate.qubits, tup, basis)
+    return tup, decompose_kind(gate.kind, gate.qubits, tup)
 
 
-def lower_circuit(circuit: Circuit, params, basis: BasisGateSet = DEFAULT_BASIS,
+def lower_circuit(circuit: Circuit, params,
                   feats=None) -> list[tuple[tuple[float, ...], list[PhysicalGate]]]:
     """`lower_gate` of every gate, encoder first, then layers.
 
@@ -261,7 +232,7 @@ def lower_circuit(circuit: Circuit, params, basis: BasisGateSet = DEFAULT_BASIS,
     if feats is None:
         feats = probe_features(circuit.n_data)
     f = np.atleast_2d(np.asarray(feats, dtype=float))
-    return [lower_gate(gate, thetas, f, basis) for gate in circuit.all_gates]
+    return [lower_gate(gate, thetas, f) for gate in circuit.all_gates]
 
 
 def _concatenated(n_qubits: int, lowered) -> TranspiledCircuit:
@@ -272,10 +243,9 @@ def _concatenated(n_qubits: int, lowered) -> TranspiledCircuit:
     return tc
 
 
-def transpile_circuit(circuit: Circuit, params, basis: BasisGateSet = DEFAULT_BASIS,
-                      feats=None) -> TranspiledCircuit:
+def transpile_circuit(circuit: Circuit, params, feats=None) -> TranspiledCircuit:
     """Lower every gate, track the global phase, and peephole-optimize."""
-    lowered = lower_circuit(circuit, params, basis, feats)
+    lowered = lower_circuit(circuit, params, feats)
     tc = _concatenated(circuit.n_qubits, lowered)
     for gate, (angles, physical) in zip(circuit.all_gates, lowered):
         tc.global_phase += _template_phase(gate.kind, angles, physical, gate.qubits)
@@ -337,23 +307,22 @@ def circuit_depth(tc: TranspiledCircuit) -> int:
     return max(level, default=0) if tc.n_qubits else 0
 
 
-def tcd(circuit: Circuit, params, basis: BasisGateSet = DEFAULT_BASIS, feats=None) -> int:
+def tcd(circuit: Circuit, params, feats=None) -> int:
     """Transpiled circuit depth of a logical circuit at given parameters."""
-    return lowered_depth(circuit.n_qubits, lower_circuit(circuit, params, basis, feats))
+    return lowered_depth(circuit.n_qubits, lower_circuit(circuit, params, feats))
 
 
-def standalone_gate_depth(kind: GateKind, params, basis: BasisGateSet = DEFAULT_BASIS) -> int:
+def standalone_gate_depth(kind: GateKind, params) -> int:
     """Depth of a single-gate circuit after transpile + peephole."""
     angles = tuple(float(p) for p in np.atleast_1d(np.asarray(params, dtype=float))) \
         if ARITY[kind] else ()
-    return _standalone_depth_cached(kind, tuple(_snapped(angles)) if angles else (), basis)
+    return _standalone_depth_cached(kind, tuple(_snapped(angles)) if angles else ())
 
 
 @lru_cache(maxsize=4096)
-def _standalone_depth_cached(kind: GateKind, angles: tuple, basis: BasisGateSet) -> int:
-    qubits = (0,) if kind in (GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.SX,
-                              GateKind.X, GateKind.ID, GateKind.U3) else (0, 1)
-    return lowered_depth(len(qubits), [(angles, decompose_kind(kind, qubits, angles, basis))])
+def _standalone_depth_cached(kind: GateKind, angles: tuple) -> int:
+    qubits = tuple(range(N_QUBITS_OF_KIND[kind]))
+    return lowered_depth(len(qubits), [(angles, decompose_kind(kind, qubits, angles))])
 
 
 # Parameter-class columns of the standalone depth table, printing order.
@@ -404,11 +373,11 @@ class DepthTable:
         return DepthTable(entries)
 
 
-def build_depth_table(basis: BasisGateSet = DEFAULT_BASIS) -> DepthTable:
+def build_depth_table() -> DepthTable:
     entries = {}
     for kind in TABLE_KINDS:
         for cls in PARAM_CLASSES:
-            entries[(kind, cls)] = standalone_gate_depth(kind, [_CLASS_ANGLE[cls]], basis)
+            entries[(kind, cls)] = standalone_gate_depth(kind, [_CLASS_ANGLE[cls]])
     for kind in FIXED_KINDS:
-        entries[(kind, "-")] = standalone_gate_depth(kind, [], basis)
+        entries[(kind, "-")] = standalone_gate_depth(kind, [])
     return DepthTable(entries)

@@ -158,6 +158,13 @@ def test_amplitude_csv_on_encoder_free_circuit_runs(tmp_path, capsys):
     (["--noise-p", "-0.1"], "noise_p"),
     (["--lr", "0.5", "--rho", "4"], "learning_rate * rho"),
     (["--lr", "1.0"], "learning_rate * rho"),
+    (["--momentum", "5"], "momentum"),
+    (["--momentum", "-3"], "momentum"),
+    (["--momentum", "1"], "momentum"),
+    (["--max-iters", "-1"], "max_iters"),
+    (["--max-iters", "0"], "max_iters"),
+    (["--epochs-per-iter", "0"], "epochs_per_iter"),
+    (["--retrain-epochs", "0"], "retrain_epochs"),
 ])
 def test_experiment_config_rejected_before_training(args, field, capsys):
     rc = main(["report", "--dataset", "syn4", "--circuit", "syn4", "--methods",

@@ -123,3 +123,24 @@ def test_run_experiment_calls_the_module_level_entry_points(monkeypatch):
     assert np.array_equal(report.results["Vanilla"].params, returned["Vanilla"])
     for method in METHOD_ORDER[1:]:
         assert report.results[method] is returned[method]
+
+
+def test_vanilla_parameters_are_evaluated_once(monkeypatch):
+    import vqcompress.experiment as experiment
+    calls = {"tcd": 0, "loss_and_accuracy": 0}
+
+    def counted(name):
+        fn = getattr(experiment, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(experiment, name, counted(name))
+    report = run_experiment(ExperimentConfig(methods=("Vanilla",), seed=1,
+                                             train=TrainConfig(epochs=2)))
+    assert calls == {"tcd": 1, "loss_and_accuracy": 1}
+    assert report.row("Vanilla").acc_vs_baseline == 0.0
+    assert report.row("Vanilla").speedup == 1.0

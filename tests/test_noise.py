@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vqcompress.circuit import Circuit, Gate, MeasurementSpec, const
+from vqcompress.circuit import Circuit, Gate, MeasurementSpec, const, theta
 from vqcompress.errors import ConfigError
 from vqcompress.gates import GateKind
 from vqcompress.noise import noisy_accuracy, noisy_outputs
@@ -87,3 +87,48 @@ def test_noisy_accuracy_on_reference_circuit():
     params = init_params(circ, TrainConfig(seed=0))
     acc = noisy_accuracy(circ, params, ds.test[:4], p=0.02, shots=128, seed=0)
     assert 0.0 <= acc <= 1.0
+
+
+AMPLITUDE_GATES = [Gate(GateKind.RY, (0,), (theta(0),)),
+                   Gate(GateKind.CRX, (0, 1), (theta(1),)),
+                   Gate(GateKind.RY, (1,), (theta(2),))]
+
+
+@pytest.mark.parametrize("encoding", ["amplitude", "angle"])
+def test_noisy_accuracy_transpiles_once_per_distinct_circuit(encoding, monkeypatch):
+    import vqcompress.noise as noise
+    from vqcompress.circfile import load_reference
+    from vqcompress.data import (EncodeScheme, EncoderSpec, Sample, amplitude_state,
+                                 generate_synthetic)
+    from vqcompress.training import TrainConfig, init_params
+    rng = np.random.default_rng(11)
+    if encoding == "amplitude":
+        circ = Circuit(2, [], AMPLITUDE_GATES, MeasurementSpec(2))
+        samples = [Sample(rng.uniform(0.1, 1.0, 4), int(rng.integers(2))) for _ in range(6)]
+        spec = EncoderSpec(EncodeScheme.AMPLITUDE)
+    else:
+        circ = load_reference("syn4")
+        samples = generate_synthetic(4, 100, seed=11).test[:6]
+        spec = None
+    params = init_params(circ, TrainConfig(seed=11))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return transpile_circuit(*args, **kwargs)
+
+    monkeypatch.setattr(noise, "transpile_circuit", counted)
+    acc = noisy_accuracy(circ, params, samples, p=0.05, shots=64, seed=4, encoding=spec)
+    assert len(calls) == (1 if encoding == "amplitude" else len(samples))
+
+    correct = 0
+    for i, s in enumerate(samples):
+        if spec is None:
+            tc = transpile_circuit(circ, np.atleast_2d(params), feats=s.features[None, :])
+            init = zero_state(circ.n_qubits)
+        else:
+            tc = transpile_circuit(circ, np.atleast_2d(params))
+            init = amplitude_state(s.features, circ.n_qubits)
+        outs = noisy_outputs(tc, init, circ.measurement, 0.05, 64, 4 + i)
+        correct += int(np.argmax(outs)) == s.label
+    assert acc == correct / len(samples)

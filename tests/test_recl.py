@@ -11,7 +11,7 @@ from vqcompress.gates import GateKind
 from vqcompress.lut import CompressionLevel, LevelTag, build_lut
 from vqcompress.recl import RATIO, SPEEDUP, _sweep, level_metric, reconstruct_lut
 from vqcompress.training import outputs_batch, softmax
-from vqcompress.transpile import DEFAULT_BASIS, tcd
+from vqcompress.transpile import tcd
 
 PI = math.pi
 
@@ -167,7 +167,7 @@ def from_scratch_metric(circ, th, gi, level, samples, encoding=None):
 def assert_sweep_matches_from_scratch(circ, th, lut, samples, encoding=None):
     candidates = {gi: lut.entries.get(circ.layers[gi].kind, [])
                   for gi in circ.trainable_indices()}
-    swept = _sweep(circ, th, candidates, samples, encoding, DEFAULT_BASIS, SPEEDUP)
+    swept = _sweep(circ, th, candidates, samples, encoding, SPEEDUP)
     assert set(swept) == set(candidates)
     for gi, levels in candidates.items():
         assert swept[gi] == [from_scratch_metric(circ, th, gi, lv, samples, encoding)
@@ -246,5 +246,5 @@ def test_rz_merge_across_gate_boundary_changes_candidate_depth():
     assert tcd(circ, th) == 3
     assert tcd(circ, np.array([PI / 2, 3 * PI / 2])) == 2
     assert level_metric(circ, th, 2, level, samples) == 1.5
-    swept = _sweep(circ, th, {1: [level], 2: [level]}, samples, None, DEFAULT_BASIS, SPEEDUP)
+    swept = _sweep(circ, th, {1: [level], 2: [level]}, samples, None, SPEEDUP)
     assert swept == {1: [1.0], 2: [1.5]}

@@ -7,12 +7,10 @@ import oracle
 from conftest import random_circuit
 from vqcompress.circfile import load_reference
 from vqcompress.circuit import Circuit, Gate, MeasurementSpec, const
-from vqcompress.errors import ConfigError
-from vqcompress.gates import GateKind
+from vqcompress.gates import ARITY, N_QUBITS_OF_KIND, GateKind
 from vqcompress.training import TrainConfig, init_params
-from vqcompress.transpile import (BasisGateSet, DEFAULT_BASIS, GENERIC_ANGLE,
-                                  PhysicalGate, TranspiledCircuit,
-                                  build_depth_table, circuit_depth,
+from vqcompress.transpile import (BASIS_KINDS, GENERIC_ANGLE, PhysicalGate,
+                                  TranspiledCircuit, build_depth_table, circuit_depth,
                                   decompose_kind, peephole_optimize,
                                   standalone_gate_depth, tcd, transpile_circuit)
 
@@ -31,7 +29,7 @@ COLUMN_ANGLES = (0.0, PI, 2 * PI, 3 * PI, 4 * PI, PI / 2, 3 * PI / 2,
 
 
 def test_generic_rx_template():
-    gates = decompose_kind(GateKind.RX, (0,), (1.0,), DEFAULT_BASIS)
+    gates = decompose_kind(GateKind.RX, (0,), (1.0,))
     kinds = [g.kind for g in gates]
     assert kinds == [GateKind.RZ, GateKind.SX, GateKind.RZ, GateKind.SX, GateKind.RZ]
     assert gates[0].params[0] == pytest.approx(PI / 2)
@@ -40,22 +38,22 @@ def test_generic_rx_template():
 
 
 def test_special_rx_templates():
-    assert [g.kind for g in decompose_kind(GateKind.RX, (0,), (PI / 2,), DEFAULT_BASIS)] \
+    assert [g.kind for g in decompose_kind(GateKind.RX, (0,), (PI / 2,))] \
         == [GateKind.SX]
-    three_half = decompose_kind(GateKind.RX, (0,), (3 * PI / 2,), DEFAULT_BASIS)
+    three_half = decompose_kind(GateKind.RX, (0,), (3 * PI / 2,))
     assert [g.kind for g in three_half] == [GateKind.RZ, GateKind.SX, GateKind.RZ]
-    assert decompose_kind(GateKind.RX, (0,), (0.0,), DEFAULT_BASIS) == []
-    assert decompose_kind(GateKind.RX, (0,), (2 * PI,), DEFAULT_BASIS) == []
+    assert decompose_kind(GateKind.RX, (0,), (0.0,)) == []
+    assert decompose_kind(GateKind.RX, (0,), (2 * PI,)) == []
 
 
 def test_basis_gate_passes_through():
-    gates = decompose_kind(GateKind.RZ, (0,), (0.77,), DEFAULT_BASIS)
+    gates = decompose_kind(GateKind.RZ, (0,), (0.77,))
     assert len(gates) == 1 and gates[0].kind is GateKind.RZ
-    assert decompose_kind(GateKind.CX, (0, 1), (), DEFAULT_BASIS)[0].kind is GateKind.CX
+    assert decompose_kind(GateKind.CX, (0, 1), ())[0].kind is GateKind.CX
 
 
 def test_snap_tolerance_uses_special_template():
-    gates = decompose_kind(GateKind.RX, (0,), (PI / 2 + 1e-10,), DEFAULT_BASIS)
+    gates = decompose_kind(GateKind.RX, (0,), (PI / 2 + 1e-10,))
     assert [g.kind for g in gates] == [GateKind.SX]
 
 
@@ -91,11 +89,14 @@ def test_depth_table_matches_repo_golden():
     assert build_depth_table().entries == golden.entries
 
 
-def test_basis_validation():
-    with pytest.raises(ConfigError):
-        BasisGateSet(frozenset({GateKind.RZ, GateKind.SX, GateKind.X}))  # no entangler
-    with pytest.raises(ConfigError):
-        BasisGateSet(frozenset({GateKind.CX, GateKind.RZ}))  # no universal family
+@pytest.mark.parametrize("kind", list(ARITY), ids=lambda k: k.value)
+@pytest.mark.parametrize("angle", [GENERIC_ANGLE] + [k * PI / 2 for k in range(8)],
+                         ids=["generic"] + [f"{k}pi/2" for k in range(8)])
+def test_every_kind_lowers_into_the_basis(kind, angle):
+    qubits = tuple(range(N_QUBITS_OF_KIND[kind]))
+    gates = decompose_kind(kind, qubits, (angle,) * ARITY[kind])
+    assert {g.kind for g in gates} <= BASIS_KINDS
+    assert all(set(g.qubits) <= set(qubits) for g in gates)
 
 
 def test_peephole_merges_adjacent_rz():
