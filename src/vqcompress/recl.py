@@ -15,7 +15,7 @@ import numpy as np
 from .circuit import Circuit
 from .data import EncoderSpec, stack
 from .lut import CompressionLUT, CompressionLevel
-from .simulator import apply_gate_batch, measure_outputs_batch, zero_state
+from .simulator import apply_matrix, gate_plan, measure_outputs_batch, zero_state
 from .training import initial_states, softmax
 from .transpile import lower_circuit, lower_gate, lowered_depth, probe_features
 
@@ -56,10 +56,13 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples,
     """Metric of every level in `candidates` (layer index -> levels).
 
     theta is lowered once; a candidate re-lowers only the gates that read its
-    gate's slots, then reruns peephole and depth on the spliced list.  Gates
-    are visited in order of their first reader; one running batch state holds
-    the circuit up to it, and each candidate applies only the rest with
-    `run_batch`'s gate calls and theta rows, so metrics are bit-identical.
+    gate's slots, then reruns peephole and depth on the spliced list.  The
+    circuit's `GatePlan` builds theta's gate matrices once; a candidate
+    rebuilds only its reader gates' matrices, through the plan of those
+    gates.  Gates are visited in order of their first reader; one running
+    batch state holds the circuit up to it, and each candidate applies only
+    the rest with `apply_matrix`.  The matrices and states equal those of
+    `run_batch`, so metrics are bit-identical to a from-scratch evaluation.
     """
     theta = np.asarray(theta, dtype=float)
     gates = circuit.all_gates
@@ -71,23 +74,24 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples,
     init, gate_feats = initial_states(circuit, feats, encoding)
     rows = len(labels)
     state = zero_state(circuit.n_qubits, rows) if init is None else init.astype(complex)
-    base_rows = np.broadcast_to(theta, (rows, theta.size))
+    base = gate_plan(tuple(gates)).matrices(theta[None, :], gate_feats)
     readers = {gi: [k for k, g in enumerate(gates)
                     if set(g.theta_slots) & set(circuit.layers[gi].theta_slots)]
                for gi in candidates}
     done, metrics = 0, {}
     for gi in sorted(candidates, key=lambda gi: readers[gi][0]):
         first = readers[gi][0]
-        for gate in gates[done:first]:
-            state = apply_gate_batch(state, gate, base_rows, gate_feats)
+        for k in range(done, first):
+            state = apply_matrix(state, base[k], gates[k].qubits)
         done = first
+        reader_plan = gate_plan(tuple(gates[k] for k in readers[gi]))
         metrics[gi] = []
         for level in candidates[gi]:
             new_theta = _substituted(theta, circuit, gi, level.value)
-            new_rows = np.broadcast_to(new_theta, (rows, new_theta.size))
+            mats = dict(zip(readers[gi], reader_plan.matrices(new_theta[None, :], gate_feats)))
             final = state
-            for gate in gates[first:]:
-                final = apply_gate_batch(final, gate, new_rows, gate_feats)
+            for k in range(first, len(gates)):
+                final = apply_matrix(final, mats.get(k, base[k]), gates[k].qubits)
             probs = softmax(measure_outputs_batch(final, circuit.measurement))
             acc = float((probs.argmax(axis=1) == labels).mean())
             spliced = list(lowered)

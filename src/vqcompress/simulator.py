@@ -5,6 +5,11 @@ significant bit of the basis-state index.  Everything is batched: a state
 batch has shape (rows, 2^n).  A gate acts on every row either through one
 shared matrix or through one matrix per row, so a batch can mix samples
 (per-row data angles) and parameter vectors.
+
+Gate matrices are built per circuit through a cached `GatePlan`: gates of one
+kind and row shape are one group, and each group's matrices come from one
+stacked `gate_mats_batch` call.  `run_batch`, training's forward and adjoint
+passes and ReCL all take their matrices from it.
 """
 
 from functools import lru_cache
@@ -66,22 +71,20 @@ def _batched_2q(states: np.ndarray, mats: np.ndarray, qa: int, qb: int) -> np.nd
 
 def _rotation_mats(kind: GateKind, angles: np.ndarray) -> np.ndarray:
     """Per-row 2x2 blocks for RX/RY/RZ given an (R,) angle array."""
-    c, s = np.cos(angles / 2), np.sin(angles / 2)
-    r = angles.shape[0]
-    m = np.zeros((r, 2, 2), dtype=complex)
-    if kind is GateKind.RX:
-        m[:, 0, 0] = c
-        m[:, 1, 1] = c
-        m[:, 0, 1] = -1j * s
-        m[:, 1, 0] = -1j * s
-    elif kind is GateKind.RY:
-        m[:, 0, 0] = c
-        m[:, 1, 1] = c
-        m[:, 0, 1] = -s
-        m[:, 1, 0] = s
-    else:
+    m = np.zeros((angles.shape[0], 2, 2), dtype=complex)
+    if kind is GateKind.RZ:
         m[:, 0, 0] = np.exp(-0.5j * angles)
         m[:, 1, 1] = np.exp(0.5j * angles)
+        return m
+    half = angles / 2
+    c, s = np.cos(half), np.sin(half)
+    m[:, 0, 0] = c
+    m[:, 1, 1] = c
+    if kind is GateKind.RX:
+        m[:, 0, 1] = m[:, 1, 0] = -1j * s
+    else:
+        m[:, 0, 1] = -s
+        m[:, 1, 0] = s
     return m
 
 
@@ -148,6 +151,109 @@ def resolve_angles(gate: Gate, thetas: np.ndarray, feats: np.ndarray | None) -> 
     return np.stack(np.broadcast_arrays(*cols), axis=1)
 
 
+class GateGroup:
+    """The gates of a `GatePlan` that share a kind and a row shape.
+
+    `positions` index the plan's gates.  Angle j of the group's g-th gate is
+    column `data_cols[g, j]` of pi * feats where `is_data[g, j]`, and column
+    `theta_cols[g, j]` of [constants | thetas] elsewhere; one-angle kinds
+    drop the j axis.  A group is per-sample when some angle reads data.
+    """
+
+    def __init__(self, kind: GateKind, members: list, trainable: bool):
+        positions, cols, is_data = zip(*members)
+        self.kind, self.positions, self.trainable = kind, positions, trainable
+        cols, is_data = np.array(cols, dtype=int), np.array(is_data, dtype=bool)
+        if ARITY[kind] == 1:
+            cols, is_data = cols[:, 0], is_data[:, 0]
+        self.is_data = is_data
+        self.data_cols, self.theta_cols = np.where(is_data, cols, 0), np.where(is_data, 0, cols)
+        self.per_sample, self.all_data = bool(is_data.any()), bool(is_data.all())
+
+    def gather(self, tsrc: np.ndarray, dsrc: np.ndarray | None) -> np.ndarray:
+        """(rows, G) or (rows, G, 3) angles from the two column sources."""
+        if not self.per_sample:
+            return tsrc[:, self.theta_cols]
+        if dsrc is None:
+            raise SpecError("circuit has data-bound gates but no features were given")
+        if self.all_data:
+            return dsrc[:, self.data_cols]
+        return np.where(self.is_data, dsrc[:, self.data_cols], tsrc[:, self.theta_cols])
+
+
+class GatePlan:
+    """Stacked gate-matrix building for one gate sequence.
+
+    Gates are grouped by kind and row shape: one-row gates read only theta
+    slots and constants, per-sample gates read a data slot.  Per call, a
+    group gathers all of its angles at once and makes one `gate_mats_batch`
+    call, and each gate's matrices are its slice of the stacked result.  They
+    equal the per-gate `gate_mats_batch(kind, resolve_angles(...))` matrices
+    bit for bit, with one row per theta row for one-row gates.
+    """
+
+    def __init__(self, gates: tuple[Gate, ...]):
+        self.gates = gates
+        consts = [b.value for g in gates for b in g.bindings if b.kind is BindKind.CONST]
+        self.consts = np.array(consts, dtype=float)[None, :]
+        members, next_const = {}, 0
+        for k, gate in enumerate(gates):
+            cols = []
+            for b in gate.bindings:
+                if b.kind is BindKind.CONST:
+                    cols.append(next_const)
+                    next_const += 1
+                else:
+                    cols.append(b.slot + (len(consts) if b.kind is BindKind.THETA else 0))
+            is_data = [b.kind is BindKind.DATA for b in gate.bindings]
+            members.setdefault((gate.kind, any(is_data)), []).append((k, cols, is_data))
+        self.groups = tuple(GateGroup(kind, m, any(gates[k].trainable for k, _, _ in m))
+                            for (kind, _), m in members.items())
+
+    def stacked(self, thetas: np.ndarray, feats: np.ndarray | None):
+        """Yield (group, angles, mats) for every group.
+
+        `thetas` is (1, P) or (R, P) and `feats` (R, F), (1, F) or None.
+        `angles` is the group's (G * rows,) or (G * rows, 3) angle array, None
+        for fixed kinds.  `mats` is (G, rows, d, d), or (G, d, d) for fixed
+        kinds, so `mats[g]` is gate g's matrix argument to `apply_matrix`.
+        """
+        tsrc = thetas
+        if self.consts.size:
+            consts = np.broadcast_to(self.consts, (thetas.shape[0], self.consts.shape[1]))
+            tsrc = np.concatenate([consts, thetas], axis=1)
+        dsrc = None if feats is None else np.pi * feats
+        for group in self.groups:
+            n = len(group.positions)
+            if ARITY[group.kind] == 0:
+                m = gate_mats_batch(group.kind, None)
+                yield group, None, np.broadcast_to(m, (n,) + m.shape)
+                continue
+            src = group.gather(tsrc, dsrc)
+            rows = src.shape[0]
+            angles = src.swapaxes(0, 1).reshape((n * rows,) + src.shape[2:])
+            mats = gate_mats_batch(group.kind, angles)
+            yield group, angles, mats.reshape((n, rows) + mats.shape[1:])
+
+    def matrices(self, thetas: np.ndarray, feats: np.ndarray | None) -> list[np.ndarray]:
+        """Each gate's matrix argument to `apply_matrix`, in gate order."""
+        out = [None] * len(self.gates)
+        for group, _, mats in self.stacked(thetas, feats):
+            for g, k in enumerate(group.positions):
+                out[k] = mats[g]
+        return out
+
+
+@lru_cache(maxsize=1024)
+def gate_plan(gates: tuple[Gate, ...]) -> GatePlan:
+    """The cached plan of a gate sequence, such as tuple(circuit.all_gates).
+
+    Gates are frozen and hashable, so the tuple is a safe cache key; a
+    `Circuit` is mutable and is never one.
+    """
+    return GatePlan(gates)
+
+
 def apply_matrix(states: np.ndarray, mats: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
     """Apply 2x2/4x4 matrices to `qubits`: shared (d, d) or (1, d, d), or one
     per row (R, d, d)."""
@@ -167,7 +273,9 @@ def run_batch(circuit: Circuit, thetas: np.ndarray, feats: np.ndarray | None = N
     """Apply encoder then layers to a batch; returns final states (R, 2^n).
 
     Single-row `thetas` or `feats` broadcast against the other inputs, so one
-    parameter vector can be evaluated on many samples and vice versa.
+    parameter vector can be evaluated on many samples and vice versa.  The
+    matrices come from the circuit's `GatePlan`: a single theta row gives
+    every one-row gate one (1, d, d) matrix shared by all rows.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     rows = thetas.shape[0]
@@ -178,16 +286,13 @@ def run_batch(circuit: Circuit, thetas: np.ndarray, feats: np.ndarray | None = N
         states = np.array(states, dtype=complex, copy=True)
         if states.ndim == 2:
             rows = max(rows, states.shape[0])
-    if thetas.shape[0] == 1 and rows > 1:
-        thetas = np.broadcast_to(thetas, (rows, thetas.shape[1]))
-    if feats is not None and feats.shape[0] == 1 and rows > 1:
-        feats = np.broadcast_to(feats, (rows, feats.shape[1]))
     if states is None:
         states = zero_state(circuit.n_qubits, rows=rows)
     elif states.ndim == 1:
         states = np.broadcast_to(states, (rows, states.shape[0])).copy()
-    for gate in circuit.all_gates:
-        states = apply_gate_batch(states, gate, thetas, feats)
+    plan = gate_plan(tuple(circuit.all_gates))
+    for gate, mats in zip(plan.gates, plan.matrices(thetas, feats)):
+        states = apply_matrix(states, mats, gate.qubits)
     return states
 
 

@@ -17,8 +17,8 @@ from .data import EncodeScheme, EncoderSpec, amplitude_state, stack
 from .errors import ConfigError, DataError
 from .gates import GateKind, circ_residual, wrap_params
 from .simulator import (CONTROLLED_TARGET, apply_matrix, controlled_mats,
-                        gate_mats_batch, measure_outputs_batch, readout_weights,
-                        resolve_angles, run_batch, zero_state)
+                        gate_mats_batch, gate_plan, measure_outputs_batch,
+                        readout_weights, run_batch, zero_state)
 
 
 @dataclass
@@ -123,18 +123,29 @@ def batch_loss_and_gradient(circuit: Circuit, params: np.ndarray, feats: np.ndar
     lambda = (dL/d(outputs) @ W) * psi for the readout table W.  Backward, per
     layer gate U in reverse: phi <- U^dagger phi, add 2 Re <lambda| dU phi> to
     each of its trainable slots, lambda <- U^dagger lambda.
+
+    Every matrix comes from the circuit's `GatePlan`, per gate group: one
+    stacked `gate_mats_batch` call, one conj-transpose for the U^dagger and
+    one `_angle_derivatives` call on the group's stacked angles if it is
+    trainable.
     """
     params = np.asarray(params, dtype=float)
     n_batch = feats.shape[0]
     states, gate_feats = initial_states(circuit, feats, encoding)
     if states is None:
         states = zero_state(circuit.n_qubits, rows=n_batch)
-    tape = []
-    for gate in circuit.all_gates:
-        angles = resolve_angles(gate, params[None, :], gate_feats)
-        u = gate_mats_batch(gate.kind, angles)
+    plan = gate_plan(tuple(circuit.all_gates))
+    n_gates = len(plan.gates)
+    mats, daggers, derivs = [None] * n_gates, [None] * n_gates, [None] * n_gates
+    for group, angles, stacked in plan.stacked(params[None, :], gate_feats):
+        dagger = np.conj(np.swapaxes(stacked, -1, -2))
+        blocks = _angle_derivatives(group.kind, angles) if group.trainable else []
+        blocks = [b.reshape(stacked.shape) for b in blocks]
+        for g, k in enumerate(group.positions):
+            mats[k], daggers[k] = stacked[g], dagger[g]
+            derivs[k] = [b[g] for b in blocks]
+    for gate, u in zip(plan.gates, mats):
         states = apply_matrix(states, u, gate.qubits)
-        tape.append((gate, angles, u))
 
     weights = readout_weights(circuit.measurement, circuit.n_qubits)
     probs = softmax(measure_outputs_batch(states, circuit.measurement))
@@ -144,14 +155,13 @@ def batch_loss_and_gradient(circuit: Circuit, params: np.ndarray, feats: np.ndar
     costate = ((dl_dout / n_batch) @ weights) * states
 
     grad = np.zeros(params.size)
-    for gate, angles, u in reversed(tape[len(circuit.encoder):]):
-        u_dag = np.conj(np.swapaxes(u, -1, -2))
+    for k in reversed(range(len(circuit.encoder), n_gates)):
+        gate, u_dag = plan.gates[k], daggers[k]
         states = apply_matrix(states, u_dag, gate.qubits)
-        if gate.trainable:
-            for b, d in zip(gate.bindings, _angle_derivatives(gate.kind, angles)):
-                if b.kind is BindKind.THETA:
-                    d_states = apply_matrix(states, d, gate.qubits)
-                    grad[b.slot] += 2.0 * np.vdot(costate, d_states).real
+        for b, d in zip(gate.bindings, derivs[k]):
+            if b.kind is BindKind.THETA:
+                d_states = apply_matrix(states, d, gate.qubits)
+                grad[b.slot] += 2.0 * np.vdot(costate, d_states).real
         costate = apply_matrix(costate, u_dag, gate.qubits)
     return loss, grad
 

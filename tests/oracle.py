@@ -3,7 +3,9 @@
 Deliberately reimplements gate matrices and full-register embedding from
 scratch (cmath trig, explicit Kronecker products over per-qubit factors) so
 agreement with the package is evidence, not tautology.  Qubit 0 is the least
-significant bit of the basis index, matching the package convention.
+significant bit of the basis index, matching the package convention.  The
+per-gate references at the end are the one exception: they reuse the
+package's kernels to pin its stacked matrix building bit for bit.
 """
 
 import cmath
@@ -167,3 +169,73 @@ def param_shift_gradient(circuit, params, feats, labels, initial_states=None):
             p[s] += shift
             grad[s] += coeff * float((dl_dout * outputs(p)).sum())
     return grad / len(labels)
+
+
+# Per-gate references for the stacked gate-matrix plan.  Unlike the dense
+# oracle above, these use the package's own kernels on purpose: every gate
+# resolves its angles and builds its matrices on its own, as the simulator
+# and training did before the plan.  They pin bit-identity, not correctness.
+
+def per_gate_run_batch(circuit, thetas, feats=None, states=None):
+    """`run_batch` with one `apply_gate_batch` call per gate and the theta
+    and feature rows broadcast to the batch."""
+    from vqcompress.simulator import apply_gate_batch, zero_state
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    rows = thetas.shape[0]
+    if feats is not None:
+        feats = np.atleast_2d(np.asarray(feats, dtype=float))
+        rows = max(rows, feats.shape[0])
+    if states is not None:
+        states = np.array(states, dtype=complex, copy=True)
+        if states.ndim == 2:
+            rows = max(rows, states.shape[0])
+    if thetas.shape[0] == 1 and rows > 1:
+        thetas = np.broadcast_to(thetas, (rows, thetas.shape[1]))
+    if feats is not None and feats.shape[0] == 1 and rows > 1:
+        feats = np.broadcast_to(feats, (rows, feats.shape[1]))
+    if states is None:
+        states = zero_state(circuit.n_qubits, rows=rows)
+    elif states.ndim == 1:
+        states = np.broadcast_to(states, (rows, states.shape[0])).copy()
+    for gate in circuit.all_gates:
+        states = apply_gate_batch(states, gate, thetas, feats)
+    return states
+
+
+def per_gate_loss_and_gradient(circuit, params, feats, labels, encoding=None):
+    """`batch_loss_and_gradient` with each gate's matrices, adjoint and
+    derivative blocks built from that gate's own angles."""
+    from vqcompress.circuit import BindKind
+    from vqcompress.simulator import (apply_matrix, gate_mats_batch, measure_outputs_batch,
+                                      readout_weights, resolve_angles, zero_state)
+    from vqcompress.training import _angle_derivatives, initial_states, softmax
+    params = np.asarray(params, dtype=float)
+    n_batch = feats.shape[0]
+    states, gate_feats = initial_states(circuit, feats, encoding)
+    if states is None:
+        states = zero_state(circuit.n_qubits, rows=n_batch)
+    tape = []
+    for gate in circuit.all_gates:
+        angles = resolve_angles(gate, params[None, :], gate_feats)
+        u = gate_mats_batch(gate.kind, angles)
+        states = apply_matrix(states, u, gate.qubits)
+        tape.append((gate, angles, u))
+
+    weights = readout_weights(circuit.measurement, circuit.n_qubits)
+    probs = softmax(measure_outputs_batch(states, circuit.measurement))
+    rows = np.arange(n_batch)
+    loss = float(-np.log(np.maximum(probs[rows, labels], 1e-300)).mean())
+    dl_dout = probs - np.eye(probs.shape[1])[labels]
+    costate = ((dl_dout / n_batch) @ weights) * states
+
+    grad = np.zeros(params.size)
+    for gate, angles, u in reversed(tape[len(circuit.encoder):]):
+        u_dag = np.conj(np.swapaxes(u, -1, -2))
+        states = apply_matrix(states, u_dag, gate.qubits)
+        if gate.trainable:
+            for b, d in zip(gate.bindings, _angle_derivatives(gate.kind, angles)):
+                if b.kind is BindKind.THETA:
+                    d_states = apply_matrix(states, d, gate.qubits)
+                    grad[b.slot] += 2.0 * np.vdot(costate, d_states).real
+        costate = apply_matrix(costate, u_dag, gate.qubits)
+    return loss, grad

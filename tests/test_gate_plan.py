@@ -1,0 +1,198 @@
+"""The stacked gate-matrix plan: bit-identical to building every gate's
+matrices on its own, with one `gate_mats_batch` call per gate group."""
+
+import math
+
+import numpy as np
+import pytest
+
+import oracle
+from conftest import random_circuit, random_state
+from vqcompress import recl, simulator, training
+from vqcompress.circfile import load_reference
+from vqcompress.circuit import (BindKind, Circuit, Gate, MeasureScheme, MeasurementSpec,
+                                const, data, theta)
+from vqcompress.data import EncodeScheme, EncoderSpec, Sample, generate_synthetic, stack
+from vqcompress.gates import GateKind
+from vqcompress.lut import build_lut
+from vqcompress.simulator import run_batch
+from vqcompress.training import TrainConfig, batch_loss_and_gradient, init_params
+
+PI = math.pi
+FIXED_KINDS = {GateKind.X, GateKind.SX, GateKind.ID, GateKind.CX}
+
+
+def _reference_case(name):
+    circ = load_reference(name)
+    n_features = 4 if name == "syn4" else 16
+    feats, labels = stack(generate_synthetic(n_features, 40, seed=12).train[:10])
+    return circ, init_params(circ, TrainConfig(seed=12)), feats, labels, None
+
+
+def _amplitude_case():
+    gates = [Gate(GateKind.RY, (0,), (theta(0),)),
+             Gate(GateKind.CRX, (0, 1), (theta(1),)),
+             Gate(GateKind.CRZ, (1, 2), (theta(2),)),
+             Gate(GateKind.U3, (2,), (theta(3), theta(4), theta(5))),
+             Gate(GateKind.CX, (0, 2)),
+             Gate(GateKind.CRY, (2, 0), (theta(6),)),
+             Gate(GateKind.RY, (1,), (theta(7),))]
+    circ = Circuit(3, [], gates, MeasurementSpec(3, MeasureScheme.STATE_GROUPING))
+    rng = np.random.default_rng(21)
+    feats = rng.uniform(0.05, 1.0, (6, 8))
+    labels = np.array([0, 1, 2, 2, 1, 0])
+    return circ, rng.uniform(0, 4 * PI, 8), feats, labels, EncoderSpec(EncodeScheme.AMPLITUDE)
+
+
+def _random_case(seed):
+    rng = np.random.default_rng(seed)
+    circ, params = random_circuit(rng, 3, 40, trainable=True)
+    kinds = {g.kind for g in circ.layers}
+    assert {GateKind.U3, GateKind.CU3} <= kinds and kinds & FIXED_KINDS
+    return circ, params, rng.uniform(0, 1, (5, 1)), rng.integers(0, 2, 5), None
+
+
+def _mixed_circuit():
+    """Slot 0 drives an RX and a CRY, U3s hold CONST angles, and layer gates
+    read data, one of them next to theta slots."""
+    encoder = [Gate(GateKind.RY, (0,), (data(0),)),
+               Gate(GateKind.RY, (1,), (data(1),)),
+               Gate(GateKind.RZ, (2,), (data(2),))]
+    layers = [Gate(GateKind.RX, (0,), (theta(0),)),
+              Gate(GateKind.U3, (1,), (theta(1), const(0.7), theta(2))),
+              Gate(GateKind.CRY, (0, 2), (theta(0),)),
+              Gate(GateKind.CRX, (2, 1), (data(1),)),
+              Gate(GateKind.U3, (2,), (theta(3), data(2), const(1.9))),
+              Gate(GateKind.CX, (1, 0)),
+              Gate(GateKind.RZ, (1,), (const(2.3),)),
+              Gate(GateKind.RZ, (0,), (theta(4),)),
+              Gate(GateKind.CU3, (1, 2), (theta(5), theta(6), theta(2)))]
+    return Circuit(3, encoder, layers, MeasurementSpec(2))
+
+
+def _mixed_case():
+    rng = np.random.default_rng(23)
+    return (_mixed_circuit(), rng.uniform(0, 4 * PI, 7), rng.uniform(0, 1, (6, 3)),
+            rng.integers(0, 2, 6), None)
+
+
+CASES = {"syn4": lambda: _reference_case("syn4"), "syn16": lambda: _reference_case("syn16"),
+         "amplitude": _amplitude_case, "mixed": _mixed_case,
+         **{f"random-{s}": (lambda s=s: _random_case(s)) for s in (5, 6, 7)}}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_gradient_is_bit_identical_to_per_gate_building(case):
+    circ, params, feats, labels, enc = CASES[case]()
+    loss, grad = batch_loss_and_gradient(circ, params, feats, labels, enc)
+    want_loss, want_grad = oracle.per_gate_loss_and_gradient(circ, params, feats, labels, enc)
+    assert np.max(np.abs(grad)) > 1e-3  # the comparison is not between zeros
+    assert loss == want_loss
+    assert np.array_equal(grad, want_grad)
+
+
+def test_run_batch_with_distinct_theta_rows_matches_per_gate_loop():
+    rng = np.random.default_rng(61)
+    for _ in range(4):
+        circ, params = random_circuit(rng, 3, 30, trainable=True)
+        thetas = params + rng.normal(size=(7, params.size))
+        assert np.array_equal(run_batch(circ, thetas), oracle.per_gate_run_batch(circ, thetas))
+    circ, params, feats, _, _ = _mixed_case()
+    thetas = params + rng.normal(size=(feats.shape[0], params.size))
+    assert np.array_equal(run_batch(circ, thetas, feats),
+                          oracle.per_gate_run_batch(circ, thetas, feats))
+
+
+@pytest.mark.parametrize("case", ["syn16", "mixed"])
+def test_run_batch_with_one_theta_row_against_feature_rows_matches_per_gate_loop(case):
+    circ, params, feats, _, _ = CASES[case]()
+    assert np.array_equal(run_batch(circ, params[None, :], feats),
+                          oracle.per_gate_run_batch(circ, params[None, :], feats))
+    # and the other way round: many theta rows against one feature row
+    thetas = params + np.random.default_rng(62).normal(size=(5, params.size))
+    assert np.array_equal(run_batch(circ, thetas, feats[:1]),
+                          oracle.per_gate_run_batch(circ, thetas, feats[:1]))
+
+
+def test_run_batch_with_one_dimensional_input_state_matches_per_gate_loop():
+    rng = np.random.default_rng(63)
+    circ, params = random_circuit(rng, 3, 30, trainable=True)
+    state = random_state(rng, 3)
+    for thetas in (params[None, :], params + rng.normal(size=(4, params.size))):
+        got = run_batch(circ, thetas, states=state)
+        assert got.shape == (thetas.shape[0], 8)
+        assert np.array_equal(got, oracle.per_gate_run_batch(circ, thetas, states=state))
+
+
+@pytest.fixture
+def gate_mats_calls(monkeypatch):
+    """(kind, matrices built, nested) per `gate_mats_batch` call made through
+    the simulator, training or recl module; a controlled kind's call for its
+    target block is nested."""
+    original, calls, depth = simulator.gate_mats_batch, [], [0]
+
+    def counted(kind, angles):
+        calls.append((kind, 1 if angles is None else len(angles), depth[0] > 0))
+        depth[0] += 1
+        try:
+            return original(kind, angles)
+        finally:
+            depth[0] -= 1
+
+    for module in (simulator, training, recl):
+        if getattr(module, "gate_mats_batch", None) is original:
+            monkeypatch.setattr(module, "gate_mats_batch", counted)
+    return calls
+
+
+def _group_keys(gates):
+    """The gate groups: kind, and whether some angle reads a data slot."""
+    return {(g.kind, any(b.kind is BindKind.DATA for b in g.bindings)) for g in gates}
+
+
+def test_gradient_builds_matrices_once_per_gate_group(gate_mats_calls):
+    circ, params, feats, labels, _ = _reference_case("syn16")
+    batch_loss_and_gradient(circ, params, feats, labels)
+    groups = _group_keys(circ.all_gates)
+    assert len(groups) == 9
+    # One forward call per group, one derivative call per trainable group, and
+    # a nested target-block call per controlled group: 18.  Per-gate building
+    # makes 68 (38 gates, 8 controlled, 22 derivatives).
+    assert len(gate_mats_calls) <= 2 * len(groups)
+
+
+def _shared_slot_circuit():
+    gates = [Gate(GateKind.RY, (0,), (theta(0),)),
+             Gate(GateKind.CRX, (0, 1), (theta(1),)),
+             Gate(GateKind.RX, (1,), (theta(0),))]
+    return Circuit(2, [], gates, MeasurementSpec(2))
+
+
+@pytest.mark.parametrize("name", ["syn16", "shared-slot"])
+def test_recl_candidates_rebuild_only_their_reader_gates(name, gate_mats_calls):
+    rng = np.random.default_rng(64)
+    if name == "syn16":
+        circ = load_reference("syn16")
+        samples = generate_synthetic(16, 100, seed=64).train[:20]
+    else:
+        circ = _shared_slot_circuit()
+        samples = [Sample(f, int(l)) for f, l in zip(rng.uniform(0, 1, (20, 1)),
+                                                      rng.integers(0, 2, 20))]
+    th = rng.uniform(0, 4 * PI, circ.n_thetas)
+    lut = build_lut(circ)
+    candidates = {gi: lut.entries.get(circ.layers[gi].kind, [])
+                  for gi in circ.trainable_indices()}
+    recl._sweep(circ, th, candidates, samples, None, recl.SPEEDUP)
+
+    gates = circ.all_gates
+    readers = {gi: [g for g in gates if set(g.theta_slots) & set(circ.layers[gi].theta_slots)]
+               for gi in candidates}
+    rows = len(samples)
+    base = sum(rows if any(b.kind is BindKind.DATA for b in g.bindings) else 1 for g in gates)
+    per_level = sum(len(levels) * len(readers[gi]) for gi, levels in candidates.items())
+    top = [n for _, n, nested in gate_mats_calls if not nested]
+    # theta's matrices once (one row per theta-bound gate), then one matrix
+    # per reader gate and candidate level, one call per reader group
+    assert sum(top) == base + per_level
+    assert len(top) == len(_group_keys(gates)) + sum(
+        len(levels) * len(_group_keys(readers[gi])) for gi, levels in candidates.items())
