@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration/parse error, 3 runtime error.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -41,6 +42,8 @@ _TOP_KEYS = {"dataset": str, "circuit": str, "seed": int, "encoding": str,
 
 
 def read_config_file(path) -> dict:
+    if not os.path.isfile(path):
+        raise ConfigError(f"config: no file named {path!r}")
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -75,7 +78,26 @@ def build_config(args) -> ExperimentConfig:
             top_kwargs[key] = _TOP_KEYS[key](val)
     cfg = ExperimentConfig(train=TrainConfig(**train_kwargs), admm=ADMMConfig(**admm_kwargs),
                            **top_kwargs)
+    for name, path in (("out", cfg.out), ("save", getattr(args, "save", None))):
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError(f"{name}: the directory of {path!r} does not exist")
     return replace(cfg, train=replace(cfg.train, seed=cfg.seed))
+
+
+def _load_params(path, circuit) -> np.ndarray:
+    """A `--params` file: one finite value per theta slot of the circuit."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"params: no file named {path!r}")
+    try:
+        values = np.loadtxt(path, ndmin=1)
+    except ValueError as exc:
+        raise ConfigError(f"params: {path!r} is not a list of numbers ({exc})") from None
+    if values.shape != (circuit.n_thetas,):
+        raise ConfigError(f"params: {path!r} holds {values.size} values, the circuit has "
+                          f"{circuit.n_thetas} parameters")
+    if not np.isfinite(values).all():
+        raise ConfigError(f"params: {path!r} holds non-finite values")
+    return values
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -129,13 +151,15 @@ def cmd_train(args) -> int:
 
 def cmd_depth(args) -> int:
     cfg = build_config(args)
+    if args.params and not (args.circuit or args.config):
+        raise ConfigError("params: --params needs --circuit or --config")
     table = build_depth_table()
     print("gate " + " ".join(PARAM_CLASSES))
     for name, row in table.rows():
         print(name + " " + " ".join(str(d) for d in row))
     if args.circuit or args.config:
         circuit = resolve_circuit(cfg)
-        params = (np.loadtxt(args.params, ndmin=1) if args.params
+        params = (_load_params(args.params, circuit) if args.params
                   else init_params(circuit, cfg.train))
         print(f"circuit {cfg.circuit}: tcd {tcd(circuit, params)}")
     return 0
@@ -150,7 +174,7 @@ def cmd_lut(args) -> int:
 def cmd_recl(args) -> int:
     cfg = build_config(args)
     dataset, circuit, encoding = resolve_inputs(cfg)
-    params = (np.loadtxt(args.params, ndmin=1) if args.params
+    params = (_load_params(args.params, circuit) if args.params
               else vanilla_train(circuit, dataset, cfg.train, encoding))
     recon = reconstruct_lut(circuit, params, build_lut(circuit), dataset.train, encoding,
                             cfg.orientation)

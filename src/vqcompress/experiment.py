@@ -10,6 +10,7 @@ CSV, and JSON form; identical configs produce byte-identical reports.
 import hashlib
 import io
 import json
+import os
 from dataclasses import asdict, dataclass, field, replace
 
 from .admm import (ADMMConfig, BaselineMode, baseline_compress, empty_result,
@@ -97,6 +98,8 @@ def resolve_dataset(config: ExperimentConfig) -> Dataset:
     if spec in ("syn4", "syn16"):
         return generate_synthetic(int(spec[3:]), 100, seed=config.seed)
     if spec.startswith("csv:"):
+        if not os.path.isfile(spec[4:]):
+            raise ConfigError(f"dataset: no file named {spec[4:]!r}")
         return load_csv(spec[4:], config.n_classes, seed=config.seed, pool=config.csv_pool)
     raise ConfigError(f"unknown dataset spec {spec!r} (syn4 | syn16 | csv:<path>)")
 
@@ -104,6 +107,9 @@ def resolve_dataset(config: ExperimentConfig) -> Dataset:
 def resolve_circuit(config: ExperimentConfig) -> Circuit:
     if config.circuit in REFERENCE_NAMES:
         return load_reference(config.circuit)
+    if not os.path.isfile(config.circuit):
+        raise ConfigError(f"circuit: no file named {config.circuit!r} "
+                          f"(syn4 | syn16 | path to a .circ file)")
     return load_circuit_file(config.circuit)
 
 

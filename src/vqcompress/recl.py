@@ -17,7 +17,7 @@ from .data import EncoderSpec, stack
 from .lut import CompressionLUT, CompressionLevel
 from .simulator import apply_matrix, gate_plan, measure_outputs_batch, zero_state
 from .training import initial_states, softmax
-from .transpile import lower_circuit, lower_gate, lowered_depth, probe_features
+from .transpile import DepthScan, lower_circuit, lower_gate, probe_features
 
 SPEEDUP = "speedup"
 RATIO = "ratio"
@@ -55,8 +55,12 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples,
            encoding: EncoderSpec | None, orientation: str, base_tcd: int | None = None) -> dict:
     """Metric of every level in `candidates` (layer index -> levels).
 
-    theta is lowered once; a candidate re-lowers only the gates that read its
-    gate's slots, then reruns peephole and depth on the spliced list.  The
+    theta is lowered once and its lowering scanned once by a `DepthScan`,
+    with a snapshot of the scan before each candidate's first reader gate.
+    A candidate re-lowers only the gates that read its gate's slots, resumes
+    a copy of that snapshot and feeds its re-lowered reader gates and theta's
+    lowering of the other gates from there on; the snapshot carries open RZ
+    runs across the boundary, so the depth equals a full rescan.  The
     circuit's `GatePlan` builds theta's gate matrices once; a candidate
     rebuilds only its reader gates' matrices, through the plan of those
     gates.  Gates are visited in order of their first reader; one running
@@ -66,9 +70,7 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples,
     """
     theta = np.asarray(theta, dtype=float)
     gates = circuit.all_gates
-    lowered = lower_circuit(circuit, theta)
-    if base_tcd is None:
-        base_tcd = lowered_depth(circuit.n_qubits, lowered)
+    lowered = [physical for _, physical in lower_circuit(circuit, theta)]
     probe = probe_features(circuit.n_data)  # the data angles `lower_circuit` uses
     feats, labels = stack(eval_samples)
     init, gate_feats = initial_states(circuit, feats, encoding)
@@ -78,6 +80,14 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples,
     readers = {gi: [k for k, g in enumerate(gates)
                     if set(g.theta_slots) & set(circuit.layers[gi].theta_slots)]
                for gi in candidates}
+    firsts = {r[0] for r in readers.values()}
+    scan, snapshots = DepthScan(circuit.n_qubits), {}
+    for k, physical in enumerate(lowered):
+        if k in firsts:
+            snapshots[k] = scan.copy()
+        scan.feed(physical)
+    if base_tcd is None:
+        base_tcd = scan.close()
     done, metrics = 0, {}
     for gi in sorted(candidates, key=lambda gi: readers[gi][0]):
         first = readers[gi][0]
@@ -89,16 +99,15 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples,
         for level in candidates[gi]:
             new_theta = _substituted(theta, circuit, gi, level.value)
             mats = dict(zip(readers[gi], reader_plan.matrices(new_theta[None, :], gate_feats)))
-            final = state
+            relowered = {k: lower_gate(gates[k], new_theta[None, :], probe)[1]
+                         for k in readers[gi]}
+            final, scan = state, snapshots[first].copy()
             for k in range(first, len(gates)):
                 final = apply_matrix(final, mats.get(k, base[k]), gates[k].qubits)
+                scan.feed(relowered.get(k, lowered[k]))
             probs = softmax(measure_outputs_batch(final, circuit.measurement))
             acc = float((probs.argmax(axis=1) == labels).mean())
-            spliced = list(lowered)
-            for k in readers[gi]:
-                spliced[k] = lower_gate(gates[k], new_theta[None, :], probe)
-            new_tcd = lowered_depth(circuit.n_qubits, spliced)
-            metrics[gi].append(acc * _depth_factor(base_tcd, new_tcd, orientation))
+            metrics[gi].append(acc * _depth_factor(base_tcd, scan.close(), orientation))
     return metrics
 
 

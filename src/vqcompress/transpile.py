@@ -12,6 +12,13 @@ global phase; `tcd` is depth-only.  Depth is the longest path through the
 dependency DAG where two physical gates conflict iff they share a qubit;
 appending gates in list order and keeping a per-qubit watermark computes it
 exactly.
+
+The peephole rule (merge same-qubit RZ runs; drop ID and RZ(0 mod 2pi)) is
+one left-to-right pass, `DepthScan`, that closes an RZ run only when a
+non-RZ gate touches its qubit or the scan ends; its output is bit-identical
+to looping the rule to a fixpoint.  Every depth and transpile path runs it,
+and ReCL resumes copies of it to price a candidate from its first changed
+gate on.
 """
 
 import csv
@@ -253,8 +260,12 @@ def transpile_circuit(circuit: Circuit, params, feats=None) -> TranspiledCircuit
 
 
 def lowered_depth(n_qubits: int, lowered) -> int:
-    """Depth of a per-gate lowering after the peephole pass; no phase is tracked."""
-    return circuit_depth(peephole_optimize(_concatenated(n_qubits, lowered)))
+    """Depth of a per-gate lowering after the peephole rule: one `DepthScan`
+    pass, with no gate list or phase built."""
+    scan = DepthScan(n_qubits)
+    for _, physical in lowered:
+        scan.feed(physical)
+    return scan.close()
 
 
 def probe_features(n: int) -> np.ndarray:
@@ -262,39 +273,96 @@ def probe_features(n: int) -> np.ndarray:
     return np.array([(0.17 + 0.61803398875 * k) % 1.0 for k in range(n)])[None, :]
 
 
-def peephole_optimize(tc: TranspiledCircuit) -> TranspiledCircuit:
-    """Merge adjacent same-qubit RZs; drop ID and RZ(0 mod 2pi) gates."""
-    gates, src, phase = list(tc.gates), list(tc.source_map), tc.global_phase
-    changed = True
-    while changed:
-        changed = False
-        kept, ksrc = [], []
-        for g, s in zip(gates, src):
-            if g.kind is GateKind.ID:
-                changed = True
-                continue
-            if g.kind is GateKind.RZ and _is_zero_mod_2pi(g.params[0]):
-                phase -= g.params[0] / 2  # removed gate equals exp(-i*angle/2) * I
-                changed = True
-                continue
-            kept.append(g)
-            ksrc.append(s)
-        gates, src = kept, ksrc
-        merged, msrc = [], []
-        last_on: dict[int, int] = {}
-        for g, s in zip(gates, src):
+class DepthScan:
+    """The peephole rule as one left-to-right pass, with per-qubit depth.
+
+    Each qubit has a depth watermark and at most one open RZ run: the sum of
+    its nonzero RZ angles so far, the watermark before the run, and the run's
+    slot in the kept gate list.  ID gates and single RZs that are 0 mod 2pi
+    are skipped.  A run closes only when a non-RZ gate touches its qubit, or
+    at `close`; a run whose sum is 0 mod 2pi is then dropped, its phase is
+    taken and the watermark goes back to its value before the run.  Closing
+    lazily sums a run in the fixpoint's order and never drops a partial sum,
+    so the kept gates equal those of looping the rule until nothing changes.
+
+    With `keep`, the scan also records the kept gates and their source
+    indices.  `copy` is cheap, so a caller can snapshot a depth-only scan and
+    resume it.
+    """
+
+    __slots__ = ("level", "runs", "gates", "source_map", "phase")
+
+    def __init__(self, n_qubits: int, keep: bool = False, phase: float = 0.0):
+        self.level = [0] * n_qubits
+        self.runs = {}  # qubit -> (angle sum, watermark before the run, slot in gates)
+        self.gates = [] if keep else None
+        self.source_map = []
+        self.phase = phase
+
+    def copy(self) -> "DepthScan":
+        """A depth-only scan resuming from this one's watermarks, runs and phase."""
+        new = DepthScan(0)
+        new.level, new.runs, new.phase = list(self.level), dict(self.runs), self.phase
+        return new
+
+    def feed(self, gates, source: int = -1) -> None:
+        """Scan physical gates, all lowered from logical gate `source`."""
+        level, runs, kept = self.level, self.runs, self.gates
+        for g in gates:
             if g.kind is GateKind.RZ:
-                j = last_on.get(g.qubits[0])
-                if j is not None and merged[j].kind is GateKind.RZ:
-                    merged[j] = _rz(g.qubits[0], merged[j].params[0] + g.params[0])
-                    changed = True
+                angle, q = g.params[0], g.qubits[0]
+                if _is_zero_mod_2pi(angle):
+                    self.phase -= angle / 2  # removed gate equals exp(-i*angle/2) * I
                     continue
-            merged.append(g)
-            msrc.append(s)
-            for q in g.qubits:
-                last_on[q] = len(merged) - 1
-        gates, src = merged, msrc
-    return TranspiledCircuit(tc.n_qubits, gates, src, phase)
+                run = runs.get(q)
+                if run is not None:
+                    runs[q] = (run[0] + angle, run[1], run[2])
+                    continue
+                runs[q] = (angle, level[q], -1 if kept is None else len(kept))
+                level[q] += 1
+            elif g.kind is GateKind.ID:
+                continue
+            else:
+                for q in g.qubits:
+                    if q in runs:
+                        self._close(q)
+                d = 1 + max(level[q] for q in g.qubits)
+                for q in g.qubits:
+                    level[q] = d
+            if kept is not None:
+                kept.append(g)
+                self.source_map.append(source)
+
+    def _close(self, q: int) -> None:
+        total, before, slot = self.runs.pop(q)
+        zero = _is_zero_mod_2pi(total)
+        if zero:
+            self.level[q] = before
+            self.phase -= total / 2
+        if self.gates is not None:
+            self.gates[slot] = None if zero else _rz(q, total)
+
+    def close(self) -> int:
+        """Close every open run; return the depth of everything scanned."""
+        for q in list(self.runs):
+            self._close(q)
+        return max(self.level, default=0)
+
+
+def peephole_optimize(tc: TranspiledCircuit) -> TranspiledCircuit:
+    """Merge same-qubit RZ runs; drop ID and RZ(0 mod 2pi) gates.
+
+    One `DepthScan` pass.  Gates, angles and source map are bit-identical to
+    applying the rule until nothing changes; the global phase agrees to
+    roundoff, since the dropped angles are subtracted in another order.
+    """
+    scan = DepthScan(tc.n_qubits, keep=True, phase=tc.global_phase)
+    for g, s in zip(tc.gates, tc.source_map):
+        scan.feed((g,), s)
+    scan.close()
+    kept = [(g, s) for g, s in zip(scan.gates, scan.source_map) if g is not None]
+    return TranspiledCircuit(tc.n_qubits, [g for g, _ in kept], [s for _, s in kept],
+                             scan.phase)
 
 
 def circuit_depth(tc: TranspiledCircuit) -> int:

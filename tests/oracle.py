@@ -4,8 +4,10 @@ Deliberately reimplements gate matrices and full-register embedding from
 scratch (cmath trig, explicit Kronecker products over per-qubit factors) so
 agreement with the package is evidence, not tautology.  Qubit 0 is the least
 significant bit of the basis index, matching the package convention.  The
-per-gate references at the end are the one exception: they reuse the
-package's kernels to pin its stacked matrix building bit for bit.
+references at the end are the exceptions: the per-gate ones reuse the
+package's kernels to pin its stacked matrix building bit for bit, and the
+fixpoint peephole reuses its gate records and snap test to pin the one-pass
+peephole's output.
 """
 
 import cmath
@@ -239,3 +241,60 @@ def per_gate_loss_and_gradient(circuit, params, feats, labels, encoding=None):
                     grad[b.slot] += 2.0 * np.vdot(costate, d_states).real
         costate = apply_matrix(costate, u_dag, gate.qubits)
     return loss, grad
+
+
+# Fixpoint peephole reference: the rule looped until nothing changes, each
+# pass rebuilding the gate list.  It shares the package's gate record and
+# 0-mod-2pi snap test, so it pins the one-pass scan's output, not the snap.
+
+def fixpoint_peephole(tc):
+    """Merge adjacent same-qubit RZs; drop ID and RZ(0 mod 2pi) gates; repeat."""
+    from vqcompress.gates import GateKind
+    from vqcompress.transpile import PhysicalGate, TranspiledCircuit, snap_class
+
+    def zero(angle):
+        k = snap_class(angle)
+        return k is not None and k % 4 == 0
+
+    gates, src, phase = list(tc.gates), list(tc.source_map), tc.global_phase
+    changed = True
+    while changed:
+        changed = False
+        kept, ksrc = [], []
+        for g, s in zip(gates, src):
+            if g.kind is GateKind.ID:
+                changed = True
+                continue
+            if g.kind is GateKind.RZ and zero(g.params[0]):
+                phase -= g.params[0] / 2
+                changed = True
+                continue
+            kept.append(g)
+            ksrc.append(s)
+        gates, src = kept, ksrc
+        merged, msrc = [], []
+        last_on = {}
+        for g, s in zip(gates, src):
+            if g.kind is GateKind.RZ:
+                j = last_on.get(g.qubits[0])
+                if j is not None and merged[j].kind is GateKind.RZ:
+                    merged[j] = PhysicalGate(GateKind.RZ, g.qubits,
+                                             (merged[j].params[0] + g.params[0],))
+                    changed = True
+                    continue
+            merged.append(g)
+            msrc.append(s)
+            for q in g.qubits:
+                last_on[q] = len(merged) - 1
+        gates, src = merged, msrc
+    return TranspiledCircuit(tc.n_qubits, gates, src, phase)
+
+
+def dag_depth(gates):
+    """Longest path through the explicit dependency DAG: gate j precedes gate
+    i (j < i) iff they share a qubit."""
+    depth = []
+    for i, g in enumerate(gates):
+        preds = [depth[j] for j in range(i) if set(gates[j].qubits) & set(g.qubits)]
+        depth.append(1 + max(preds, default=0))
+    return max(depth, default=0)

@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
 
+from vqcompress import cli
+from vqcompress.circfile import load_reference
 from vqcompress.cli import main, read_config_file
 from vqcompress.experiment import parse_csv_report
+from vqcompress.transpile import tcd
 
 
 def test_depth_subcommand(capsys):
@@ -105,9 +109,59 @@ def test_shots_below_one_rejected_with_exit_2(shots, capsys):
     assert "shots" in capsys.readouterr().err
 
 
-def test_exit_code_3_on_runtime_error(tmp_path):
-    missing = tmp_path / "missing.circ"
-    assert main(["lut", "--circuit", str(missing)]) == 3
+def test_exit_code_3_on_runtime_error(monkeypatch):
+    def broken(circuit):
+        raise RuntimeError("LUT construction failed")
+
+    monkeypatch.setattr(cli, "build_lut", broken)
+    assert main(["lut", "--circuit", "syn4"]) == 3
+
+
+def _params_file(path, values):
+    path.write_text("\n".join(str(v) for v in values) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["missing", "too-few", "non-finite", "no-circuit"])
+def test_bad_params_file_exits_2(case, tmp_path, capsys):
+    n = load_reference("syn4").n_thetas
+    if case == "missing":
+        args = ["depth", "--circuit", "syn4", "--params", str(tmp_path / "none.txt")]
+    elif case == "too-few":
+        args = ["depth", "--circuit", "syn4", "--params", _params_file(tmp_path / "p", [0.1] * 3)]
+    elif case == "non-finite":
+        args = ["recl", "--dataset", "syn4", "--circuit", "syn4",
+                "--params", _params_file(tmp_path / "p", [0.1] * (n - 1) + ["nan"])]
+    else:
+        args = ["depth", "--params", _params_file(tmp_path / "p", [0.1] * n)]
+    assert main(args) == 2
+    assert "params" in capsys.readouterr().err
+
+
+def test_params_file_of_the_circuit_sets_its_tcd(tmp_path, capsys):
+    circ = load_reference("syn4")
+    values = np.full(circ.n_thetas, 1.2345)
+    assert main(["depth", "--circuit", "syn4", "--params",
+                 _params_file(tmp_path / "p", values)]) == 0
+    assert capsys.readouterr().out.endswith(f"circuit syn4: tcd {tcd(circ, values)}\n")
+
+
+@pytest.mark.parametrize("field", ["circuit", "config", "dataset", "out", "save"])
+def test_missing_input_or_output_path_exits_2_before_training(field, tmp_path, monkeypatch,
+                                                             capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking the paths")
+
+    monkeypatch.setattr(cli, "vanilla_train", no_training)
+    monkeypatch.setattr(cli, "run_experiment", no_training)
+    missing = str(tmp_path / "no-dir" / "file")
+    args = {"circuit": ["lut", "--circuit", missing],
+            "config": ["report", "--config", missing],
+            "dataset": ["train", "--circuit", "syn4", "--dataset", f"csv:{missing}"],
+            "out": ["report", "--dataset", "syn4", "--circuit", "syn4", "--out", missing],
+            "save": ["compress", "--dataset", "syn4", "--circuit", "syn4", "--save", missing]}
+    assert main(args[field]) == 2
+    assert f"{field}:" in capsys.readouterr().err
 
 
 AMPLITUDE_CIRC = "qubits 2\n#layers\nRY 0 free\nCRX 0,1 free\nRY 1 free\n#measure perqubitz 2\n"

@@ -10,8 +10,9 @@ from vqcompress.data import EncodeScheme, EncoderSpec, Sample, generate_syntheti
 from vqcompress.gates import GateKind
 from vqcompress.lut import CompressionLevel, LevelTag, build_lut
 from vqcompress.recl import RATIO, SPEEDUP, _sweep, level_metric, reconstruct_lut
-from vqcompress.training import outputs_batch, softmax
-from vqcompress.transpile import tcd
+from vqcompress import transpile
+from vqcompress.training import TrainConfig, init_params, outputs_batch, softmax
+from vqcompress.transpile import DepthScan, lower_circuit, tcd
 
 PI = math.pi
 
@@ -248,3 +249,38 @@ def test_rz_merge_across_gate_boundary_changes_candidate_depth():
     assert level_metric(circ, th, 2, level, samples) == 1.5
     swept = _sweep(circ, th, {1: [level], 2: [level]}, samples, None, SPEEDUP)
     assert swept == {1: [1.0], 2: [1.5]}
+
+
+def test_candidates_scan_only_the_gates_from_their_first_reader(monkeypatch):
+    circ = load_reference("syn16")
+    samples = generate_synthetic(16, 100, seed=601).train
+    th = init_params(circ, TrainConfig(seed=601))
+    lut = build_lut(circ)
+    fed, peephole_calls = [], []
+    feed, peephole = DepthScan.feed, transpile.peephole_optimize
+
+    def counted_feed(self, gates, source=-1):
+        fed.append(len(gates))
+        return feed(self, gates, source)
+
+    def counted_peephole(tc):
+        peephole_calls.append(len(tc.gates))
+        return peephole(tc)
+
+    monkeypatch.setattr(DepthScan, "feed", counted_feed)
+    monkeypatch.setattr(transpile, "peephole_optimize", counted_peephole)
+    reconstruct_lut(circ, th, lut, samples)
+    assert peephole_calls == []
+
+    full = sum(len(physical) for _, physical in lower_circuit(circ, th))
+    expected, n_candidates = full, 0  # theta's lowering is scanned once
+    for gi in circ.trainable_indices():
+        slots = set(circ.layers[gi].theta_slots)
+        first = next(k for k, g in enumerate(circ.all_gates) if slots & set(g.theta_slots))
+        for level in lut.entries.get(circ.layers[gi].kind, []):
+            new = np.array(th, copy=True)
+            new[list(circ.layers[gi].theta_slots)] = level.value
+            expected += sum(len(physical) for _, physical in lower_circuit(circ, new)[first:])
+            n_candidates += 1
+    assert sum(fed) == expected
+    assert sum(fed) - full < n_candidates * full

@@ -11,7 +11,7 @@ from vqcompress.gates import ARITY, N_QUBITS_OF_KIND, GateKind
 from vqcompress.training import TrainConfig, init_params
 from vqcompress.transpile import (BASIS_KINDS, GENERIC_ANGLE, PhysicalGate,
                                   TranspiledCircuit, build_depth_table, circuit_depth,
-                                  decompose_kind, peephole_optimize,
+                                  decompose_kind, lowered_depth, peephole_optimize,
                                   standalone_gate_depth, tcd, transpile_circuit)
 
 PI = math.pi
@@ -144,6 +144,60 @@ def test_peephole_preserves_unitary_on_random_chains():
         assert oracle.equal_up_to_phase(oracle.transpiled_unitary(tc),
                                         oracle.transpiled_unitary(out))
         assert circuit_depth(out) <= circuit_depth(tc)
+
+
+# RZ angles whose runs reach 0 mod 2pi both mid-run and at a run's end.
+ORACLE_ANGLES = (0.0, PI / 2, -PI / 2, PI, 2 * PI, 4 * PI, 1.2345, -1.2345)
+
+
+def random_physical_list(rng, n_qubits, length):
+    gates = []
+    for _ in range(length):
+        r, q = rng.random(), int(rng.integers(n_qubits))
+        if r < 0.55:
+            gates.append(PhysicalGate(GateKind.RZ, (q,), (float(rng.choice(ORACLE_ANGLES)),)))
+        elif r < 0.65:
+            gates.append(PhysicalGate(GateKind.ID, (q,)))
+        elif r < 0.78:
+            gates.append(PhysicalGate(GateKind.SX, (q,)))
+        elif r < 0.88 or n_qubits == 1:
+            gates.append(PhysicalGate(GateKind.X, (q,)))
+        else:
+            c, t = rng.choice(n_qubits, size=2, replace=False)
+            gates.append(PhysicalGate(GateKind.CX, (int(c), int(t))))
+    return gates
+
+
+def test_one_pass_peephole_equals_fixpoint_oracle():
+    rng = np.random.default_rng(18)
+    for _ in range(3000):
+        n = int(rng.integers(1, 4))
+        gates = random_physical_list(rng, n, int(rng.integers(0, 30)))
+        # consecutive physical gates share a logical source index
+        source = [int(s) for s in np.cumsum(rng.random(len(gates)) < 0.3)]
+        tc = TranspiledCircuit(n, gates, source, float(rng.uniform(-PI, PI)))
+        got, want = peephole_optimize(tc), oracle.fixpoint_peephole(tc)
+        assert got.gates == want.gates
+        assert got.source_map == want.source_map
+        assert abs(got.global_phase - want.global_phase) < 1e-12
+        lowered = [((), [g for g, s in zip(gates, source) if s == k])
+                   for k in range(source[-1] + 1)] if gates else []
+        assert lowered_depth(n, lowered) == oracle.dag_depth(want.gates)
+
+
+@pytest.mark.parametrize("b", [-1.2345, 2 * PI - 1.2345], ids=["exact-zero", "2pi"])
+def test_partial_run_sum_at_zero_is_kept(b):
+    # RZ(a) RZ(b) sums to 0 mod 2pi before RZ(c) joins the run: the whole run
+    # merges into one RZ at the first gate's slot, as the fixpoint gives.
+    a, c = 1.2345, 0.7
+    gates = [PhysicalGate(GateKind.RZ, (0,), (a,)), PhysicalGate(GateKind.RZ, (0,), (b,)),
+             PhysicalGate(GateKind.RZ, (0,), (c,)), PhysicalGate(GateKind.SX, (0,))]
+    out = peephole_optimize(TranspiledCircuit(1, gates, [0, 1, 2, 3]))
+    assert out.gates == [PhysicalGate(GateKind.RZ, (0,), (a + b + c,)),
+                         PhysicalGate(GateKind.SX, (0,))]
+    assert out.source_map == [0, 3]
+    assert out.global_phase == 0.0
+    assert lowered_depth(1, [((), gates[:2]), ((), gates[2:])]) == 2
 
 
 def test_circuit_depth_dag_cases():
