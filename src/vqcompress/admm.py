@@ -20,7 +20,7 @@ from .data import Dataset, EncoderSpec
 from .errors import ConfigError
 from .gates import circ_residual, wrap_params
 from .lut import CompressionLUT, CompressionLevel, LevelTag, level_distance
-from .recl import SPEEDUP, ReconstructedLUT, reconstruct_lut
+from .recl import ReconstructedLUT, reconstruct_lut
 from .training import TrainConfig, init_params, loss_and_accuracy, sgd_train
 from .transpile import build_depth_table, tcd
 
@@ -43,7 +43,6 @@ class ADMMConfig:
     max_iters: int = 15
     epochs_per_iter: int = 30
     retrain_epochs: int = 200
-    scaled_lambda_distance: bool = False  # mask distances use theta + lam/rho
 
     def __post_init__(self):
         if not 0.0 <= self.target_ratio <= 1.0:
@@ -96,10 +95,9 @@ def mask_size(target_ratio: float, n_trainable: int) -> int:
     return int(round(target_ratio * n_trainable))
 
 
-def _gate_distance(theta: np.ndarray, lam: np.ndarray, slots, level_value,
-                   config: ADMMConfig) -> float:
-    shift = lam[list(slots)] / config.rho if config.scaled_lambda_distance else lam[list(slots)]
-    moved = wrap_params(theta[list(slots)] + shift)
+def _gate_distance(theta: np.ndarray, lam: np.ndarray, slots, level_value) -> float:
+    # theta + lam, not the scaled-dual theta + lam/rho: that moves short runs' masks
+    moved = wrap_params(theta[list(slots)] + lam[list(slots)])
     # normalized so a single angle at the far side of the circle scores 1
     return level_distance(level_value, moved) / (TWO_PI * np.sqrt(len(slots)))
 
@@ -122,8 +120,7 @@ def build_mask(theta_next: np.ndarray, lam: np.ndarray, recon: ReconstructedLUT,
         level = recon.levels.get(gi)
         if level is None:
             continue  # kind had no usable levels (filtered LUT); never masked
-        d = _gate_distance(theta_next, lam, circuit.layers[gi].theta_slots,
-                           level.value, config)
+        d = _gate_distance(theta_next, lam, circuit.layers[gi].theta_slots, level.value)
         depth_term = level.depth / max_table_depth if max_table_depth else 0.0
         scores[pos] = config.alpha * d + (1.0 - config.alpha) * depth_term
     return _lowest(scores, mask_size(config.target_ratio, len(trainable)))
@@ -194,8 +191,7 @@ def _retrain(circuit: Circuit, dataset: Dataset, theta: np.ndarray, mask: Compre
 def run_cqcp_admm(circuit: Circuit, dataset: Dataset, lut: CompressionLUT,
                   admm_cfg: ADMMConfig, train_cfg: TrainConfig,
                   encoding: EncoderSpec | None = None,
-                  warm_theta: np.ndarray | None = None,
-                  orientation: str = SPEEDUP) -> CompressionResult:
+                  warm_theta: np.ndarray | None = None) -> CompressionResult:
     """Full compression run: warm start, ReCL, ADMM loop, mask-frozen retrain.
 
     A target ratio of zero degenerates to the plain training result, returned
@@ -205,7 +201,7 @@ def run_cqcp_admm(circuit: Circuit, dataset: Dataset, lut: CompressionLUT,
     if admm_cfg.target_ratio == 0.0:
         return empty_result(circuit, warm)
 
-    recon = reconstruct_lut(circuit, warm, lut, dataset.train, encoding, orientation)
+    recon = reconstruct_lut(circuit, warm, lut, dataset.train, encoding)
     max_td = build_depth_table().max_depth()
     state = ADMMState(theta=warm.copy(), z=warm.copy(), lam=np.zeros_like(warm))
     mask = build_mask(state.theta, state.lam, recon, circuit, admm_cfg, max_td)
@@ -250,8 +246,7 @@ _LEVEL_FAMILY = {BaselineMode.PRUNE_ONLY: LevelTag.PRUNE,
 def baseline_compress(mode: BaselineMode, circuit: Circuit, dataset: Dataset,
                       lut: CompressionLUT, admm_cfg: ADMMConfig, train_cfg: TrainConfig,
                       encoding: EncoderSpec | None = None,
-                      warm_theta: np.ndarray | None = None,
-                      orientation: str = SPEEDUP) -> CompressionResult:
+                      warm_theta: np.ndarray | None = None) -> CompressionResult:
     """Competitor pipelines sharing the warm start and retraining protocol.
 
     ZeroOnlyPruning is compilation-agnostic: each gate's only level is all
@@ -261,7 +256,7 @@ def baseline_compress(mode: BaselineMode, circuit: Circuit, dataset: Dataset,
     """
     if mode in _LEVEL_FAMILY:
         return run_cqcp_admm(circuit, dataset, lut.filtered(_LEVEL_FAMILY[mode]), admm_cfg,
-                             train_cfg, encoding, warm_theta, orientation)
+                             train_cfg, encoding, warm_theta)
 
     warm = _warm_start(circuit, dataset, train_cfg, encoding, warm_theta)
     if admm_cfg.target_ratio == 0.0:

@@ -21,8 +21,13 @@ from .recl import reconstruct_lut
 from .training import TrainConfig, init_params, loss_and_accuracy
 from .transpile import PARAM_CLASSES, build_depth_table, tcd
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _parse_bool(s) -> bool:
-    return str(s).lower() in ("1", "true", "yes")
+    if str(s).lower() not in _BOOLS:
+        raise ValueError(f"expected one of {'/'.join(_BOOLS)}, got {s!r}")
+    return _BOOLS[str(s).lower()]
 
 
 def _parse_methods(s) -> tuple:
@@ -34,10 +39,9 @@ _TRAIN_KEYS = {"lr": ("learning_rate", float), "epochs": ("epochs", int),
 _ADMM_KEYS = {"ratio": ("target_ratio", float), "rho": ("rho", float),
               "alpha": ("alpha", float), "zeta": ("zeta", float),
               "max_iters": ("max_iters", int), "epochs_per_iter": ("epochs_per_iter", int),
-              "retrain_epochs": ("retrain_epochs", int),
-              "scaled_lambda": ("scaled_lambda_distance", _parse_bool)}
+              "retrain_epochs": ("retrain_epochs", int)}
 _TOP_KEYS = {"dataset": str, "circuit": str, "seed": int, "encoding": str,
-             "orientation": str, "n_classes": int, "noise_p": float, "shots": int,
+             "n_classes": int, "noise_p": float, "shots": int,
              "out": str, "csv_pool": _parse_bool, "methods": _parse_methods}
 
 
@@ -69,13 +73,15 @@ def build_config(args) -> ExperimentConfig:
     train_kwargs, admm_kwargs, top_kwargs = {}, {}, {}
     for key, val in values.items():
         if key in _TRAIN_KEYS:
-            name, conv = _TRAIN_KEYS[key]
-            train_kwargs[name] = conv(val)
+            kwargs, (name, conv) = train_kwargs, _TRAIN_KEYS[key]
         elif key in _ADMM_KEYS:
-            name, conv = _ADMM_KEYS[key]
-            admm_kwargs[name] = conv(val)
+            kwargs, (name, conv) = admm_kwargs, _ADMM_KEYS[key]
         else:
-            top_kwargs[key] = _TOP_KEYS[key](val)
+            kwargs, name, conv = top_kwargs, key, _TOP_KEYS[key]
+        try:
+            kwargs[name] = conv(val)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
     cfg = ExperimentConfig(train=TrainConfig(**train_kwargs), admm=ADMMConfig(**admm_kwargs),
                            **top_kwargs)
     for name, path in (("out", cfg.out), ("save", getattr(args, "save", None))):
@@ -106,7 +112,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--circuit", help="syn4 | syn16 | path to a .circ file")
     p.add_argument("--seed", type=int)
     p.add_argument("--encoding", choices=("angle", "amplitude"))
-    p.add_argument("--orientation", choices=("speedup", "ratio"))
     p.add_argument("--n-classes", dest="n_classes", type=int)
     p.add_argument("--csv-pool", dest="csv_pool", action="store_const", const="true")
     p.add_argument("--lr", type=float)
@@ -120,7 +125,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--epochs-per-iter", dest="epochs_per_iter", type=int)
     p.add_argument("--retrain-epochs", dest="retrain_epochs", type=int)
-    p.add_argument("--scaled-lambda", dest="scaled_lambda", action="store_const", const="true")
     p.add_argument("--noise-p", dest="noise_p", type=float)
     p.add_argument("--shots", type=int)
     p.add_argument("--out")
@@ -140,12 +144,12 @@ def cmd_train(args) -> int:
     params = vanilla_train(circuit, dataset, cfg.train, encoding)
     train_loss, train_acc = loss_and_accuracy(circuit, params, dataset.train, encoding)
     test_loss, test_acc = loss_and_accuracy(circuit, params, dataset.test, encoding)
-    depth = tcd(circuit, params)
-    print(f"train loss {train_loss:.4f} acc {train_acc:.3f} | "
-          f"test loss {test_loss:.4f} acc {test_acc:.3f} | tcd {depth}")
+    text = (f"train loss {train_loss:.4f} acc {train_acc:.3f} | "
+            f"test loss {test_loss:.4f} acc {test_acc:.3f} | tcd {tcd(circuit, params)}\n")
     if args.save:
         np.savetxt(args.save, params)
-        print(f"saved parameters to {args.save}")
+        text += f"saved parameters to {args.save}\n"
+    _emit(text, cfg.out)
     return 0
 
 
@@ -153,15 +157,15 @@ def cmd_depth(args) -> int:
     cfg = build_config(args)
     if args.params and not (args.circuit or args.config):
         raise ConfigError("params: --params needs --circuit or --config")
-    table = build_depth_table()
-    print("gate " + " ".join(PARAM_CLASSES))
-    for name, row in table.rows():
-        print(name + " " + " ".join(str(d) for d in row))
+    lines = ["gate " + " ".join(PARAM_CLASSES)]
+    lines += [name + " " + " ".join(str(d) for d in row)
+              for name, row in build_depth_table().rows()]
     if args.circuit or args.config:
         circuit = resolve_circuit(cfg)
         params = (_load_params(args.params, circuit) if args.params
                   else init_params(circuit, cfg.train))
-        print(f"circuit {cfg.circuit}: tcd {tcd(circuit, params)}")
+        lines.append(f"circuit {cfg.circuit}: tcd {tcd(circuit, params)}")
+    _emit("\n".join(lines) + "\n", cfg.out)
     return 0
 
 
@@ -176,8 +180,7 @@ def cmd_recl(args) -> int:
     dataset, circuit, encoding = resolve_inputs(cfg)
     params = (_load_params(args.params, circuit) if args.params
               else vanilla_train(circuit, dataset, cfg.train, encoding))
-    recon = reconstruct_lut(circuit, params, build_lut(circuit), dataset.train, encoding,
-                            cfg.orientation)
+    recon = reconstruct_lut(circuit, params, build_lut(circuit), dataset.train, encoding)
     lines = ["gate_index,kind,level,depth,metric"]
     for gi in sorted(recon.levels):
         lv = recon.levels[gi]
@@ -197,15 +200,15 @@ def cmd_compress(args) -> int:
     report = run_experiment(replace(cfg, methods=("Vanilla", args.method)))
     vanilla, row = report.row("Vanilla"), report.row(args.method)
     result = report.results[args.method]
-    print(f"vanilla: acc {vanilla.accuracy:.3f} tcd {vanilla.tcd}{_noisy(vanilla)}")
-    print(f"{args.method}: acc {row.accuracy:.3f} ({row.acc_vs_baseline:+.3f}) tcd {row.tcd} "
-          f"({row.speedup:.2f}x) masked {result.mask.count} "
-          f"converged {result.converged}{_noisy(row)}")
-    for rec in result.records:
-        print(f"  iter {rec.r}: loss {rec.loss:.4f} acc {rec.acc:.3f} tcd {rec.tcd} "
-              f"gap {rec.theta_z_gap:.2e}")
+    lines = [f"vanilla: acc {vanilla.accuracy:.3f} tcd {vanilla.tcd}{_noisy(vanilla)}",
+             f"{args.method}: acc {row.accuracy:.3f} ({row.acc_vs_baseline:+.3f}) tcd {row.tcd} "
+             f"({row.speedup:.2f}x) masked {result.mask.count} "
+             f"converged {result.converged}{_noisy(row)}"]
+    lines += [f"  iter {rec.r}: loss {rec.loss:.4f} acc {rec.acc:.3f} tcd {rec.tcd} "
+              f"gap {rec.theta_z_gap:.2e}" for rec in result.records]
     if args.save:
         np.savetxt(args.save, result.params)
+    _emit("\n".join(lines) + "\n", cfg.out)
     return 0
 
 

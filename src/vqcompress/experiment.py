@@ -21,7 +21,6 @@ from .data import (Dataset, EncodeScheme, EncoderSpec, generate_synthetic, load_
 from .errors import ConfigError
 from .lut import build_lut
 from .noise import noisy_accuracy
-from .recl import RATIO, SPEEDUP
 from .training import TrainConfig, loss_and_accuracy
 from .transpile import tcd
 
@@ -35,7 +34,6 @@ class ExperimentConfig:
     methods: tuple = ("Vanilla", "CompVQC")
     seed: int = 0
     encoding: str = "angle"          # angle | amplitude
-    orientation: str = SPEEDUP
     n_classes: int = 2               # for CSV datasets
     csv_pool: bool = False           # 28x28 -> 4x4 average pooling on CSV rows
     noise_p: float | None = None
@@ -53,8 +51,6 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHOD_ORDER}")
         if self.encoding not in ("angle", "amplitude"):
             raise ConfigError(f"unknown encoding {self.encoding!r}")
-        if self.orientation not in (SPEEDUP, RATIO):
-            raise ConfigError(f"orientation must be {SPEEDUP} or {RATIO}, not {self.orientation!r}")
         if self.shots < 1:
             raise ConfigError(f"shots must be at least 1, got {self.shots}")
         if self.noise_p is not None and not 0.0 <= self.noise_p <= 1.0:
@@ -150,11 +146,10 @@ def run_experiment(config: ExperimentConfig) -> Report:
             result = empty_result(circuit, warm)
         elif method == "CompVQC":
             result = run_cqcp_admm(circuit, dataset, lut, config.admm, train_cfg, encoding,
-                                   warm_theta=warm, orientation=config.orientation)
+                                   warm_theta=warm)
         else:
             result = baseline_compress(BaselineMode(method), circuit, dataset, lut,
-                                       config.admm, train_cfg, encoding,
-                                       warm_theta=warm, orientation=config.orientation)
+                                       config.admm, train_cfg, encoding, warm_theta=warm)
         acc, depth = (vanilla_acc, vanilla_tcd) if method == "Vanilla" else evaluate(result.params)
         noisy = None
         if config.noise_p is not None:

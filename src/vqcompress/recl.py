@@ -1,10 +1,8 @@
-"""LUT reconstruction: pick one compression level per gate by accuracy x depth.
+"""LUT reconstruction: pick one compression level per gate by accuracy x speedup.
 
 For gate i and candidate level v, the metric is the accuracy of the circuit
-with only parameter i moved to v, times a depth factor.  The depth factor
-defaults to the speedup orientation TCD(theta) / TCD(theta^{i,v}), under which
-depth reductions raise the metric; the inverse "ratio" orientation is
-selectable for comparison.
+with only parameter i moved to v, times the speedup TCD(theta) / TCD(theta^{i,v}),
+so levels that shorten the transpiled circuit raise the metric.
 """
 
 import warnings
@@ -18,9 +16,6 @@ from .lut import CompressionLUT, CompressionLevel
 from .simulator import apply_matrix, gate_plan, measure_outputs_batch, zero_state
 from .training import initial_states, softmax
 from .transpile import DepthScan, lower_circuit, lower_gate, probe_features
-
-SPEEDUP = "speedup"
-RATIO = "ratio"
 
 
 @dataclass
@@ -43,16 +38,15 @@ def _substituted(theta: np.ndarray, circuit: Circuit, gate_index: int,
     return new
 
 
-def _depth_factor(base_tcd: int, new_tcd: int, orientation: str) -> float:
+def _depth_factor(theta_tcd: int, new_tcd: int) -> float:
     if new_tcd == 0:
         warnings.warn("substituted circuit has zero depth; treating TCD as 1")
         new_tcd = 1
-    b = base_tcd if base_tcd > 0 else 1
-    return b / new_tcd if orientation == SPEEDUP else new_tcd / b
+    return (theta_tcd if theta_tcd > 0 else 1) / new_tcd
 
 
 def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples,
-           encoding: EncoderSpec | None, orientation: str, base_tcd: int | None = None) -> dict:
+           encoding: EncoderSpec | None) -> dict:
     """Metric of every level in `candidates` (layer index -> levels).
 
     theta is lowered once and its lowering scanned once by a `DepthScan`,
@@ -86,8 +80,7 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples,
         if k in firsts:
             snapshots[k] = scan.copy()
         scan.feed(physical)
-    if base_tcd is None:
-        base_tcd = scan.close()
+    theta_tcd = scan.close()
     done, metrics = 0, {}
     for gi in sorted(candidates, key=lambda gi: readers[gi][0]):
         first = readers[gi][0]
@@ -107,21 +100,18 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples,
                 scan.feed(relowered.get(k, lowered[k]))
             probs = softmax(measure_outputs_batch(final, circuit.measurement))
             acc = float((probs.argmax(axis=1) == labels).mean())
-            metrics[gi].append(acc * _depth_factor(base_tcd, scan.close(), orientation))
+            metrics[gi].append(acc * _depth_factor(theta_tcd, scan.close()))
     return metrics
 
 
 def level_metric(circuit: Circuit, theta, gate_index: int, level: CompressionLevel,
-                 eval_samples, encoding: EncoderSpec | None = None,
-                 orientation: str = SPEEDUP, base_tcd: int | None = None) -> float:
-    """Accuracy x depth-factor of moving one gate's parameter to a level."""
-    return _sweep(circuit, theta, {gate_index: [level]}, eval_samples, encoding,
-                  orientation, base_tcd)[gate_index][0]
+                 eval_samples, encoding: EncoderSpec | None = None) -> float:
+    """Accuracy x speedup of moving one gate's parameter to a level."""
+    return _sweep(circuit, theta, {gate_index: [level]}, eval_samples, encoding)[gate_index][0]
 
 
 def reconstruct_lut(circuit: Circuit, theta, lut: CompressionLUT, eval_samples,
-                    encoding: EncoderSpec | None = None,
-                    orientation: str = SPEEDUP) -> ReconstructedLUT:
+                    encoding: EncoderSpec | None = None) -> ReconstructedLUT:
     """Per-gate argmax of the level metric, one gate perturbed at a time.
 
     Every evaluation starts from the unmodified trained theta.  Ties pick the
@@ -130,7 +120,7 @@ def reconstruct_lut(circuit: Circuit, theta, lut: CompressionLUT, eval_samples,
     """
     candidates = {gi: lut.entries.get(circuit.layers[gi].kind, [])
                   for gi in circuit.trainable_indices()}
-    metrics = _sweep(circuit, theta, candidates, eval_samples, encoding, orientation)
+    metrics = _sweep(circuit, theta, candidates, eval_samples, encoding)
     recon = ReconstructedLUT()
     for gi, levels in candidates.items():
         if levels:

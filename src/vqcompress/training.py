@@ -28,7 +28,6 @@ class TrainConfig:
     batch_size: int = 10
     seed: int = 0
     momentum: float = 0.0
-    init_scheme: str = "uniform2pi"
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -44,8 +43,6 @@ class TrainConfig:
 def init_params(circuit: Circuit, config: TrainConfig) -> np.ndarray:
     """Seeded uniform [0, 2pi) initialization of all trainable slots."""
     rng = np.random.default_rng(config.seed)
-    if config.init_scheme != "uniform2pi":
-        raise ValueError(f"unknown init scheme {config.init_scheme!r}")
     return rng.uniform(0.0, 2 * math.pi, size=circuit.n_thetas)
 
 
@@ -177,8 +174,7 @@ def loss_gradient(circuit: Circuit, params, samples,
 def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,
               encoding: EncoderSpec | None = None,
               proximal: tuple | None = None,
-              frozen: np.ndarray | None = None,
-              loss_log: list | None = None) -> np.ndarray:
+              frozen: np.ndarray | None = None) -> np.ndarray:
     """Minibatch SGD on cross-entropy, optionally plus a proximal anchor term.
 
     `proximal` is (z, lam, rho); its gradient contribution is
@@ -196,11 +192,10 @@ def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,
     velocity = np.zeros_like(theta)
     for _ in range(config.epochs):
         order = rng.permutation(n)
-        epoch_losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            loss, grad = batch_loss_and_gradient(circuit, theta, feats[idx], labels[idx],
-                                                 encoding)
+            _, grad = batch_loss_and_gradient(circuit, theta, feats[idx], labels[idx],
+                                              encoding)
             if proximal is not None:
                 z, lam, rho = proximal
                 grad = grad + rho * circ_residual(theta, z) + lam
@@ -212,7 +207,4 @@ def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,
             else:
                 step = grad
             theta = wrap_params(theta - config.learning_rate * step)
-            epoch_losses.append(loss)
-        if loss_log is not None:
-            loss_log.append(float(np.mean(epoch_losses)))
     return theta

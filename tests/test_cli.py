@@ -1,10 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from vqcompress import cli
+from vqcompress.admm import ADMMConfig
 from vqcompress.circfile import load_reference
 from vqcompress.cli import main, read_config_file
-from vqcompress.experiment import parse_csv_report
+from vqcompress.experiment import ExperimentConfig, parse_csv_report
+from vqcompress.training import TrainConfig
 from vqcompress.transpile import tcd
 
 
@@ -232,6 +236,69 @@ def test_config_file_orientation_outside_choices_exits_2(tmp_path, capsys):
     cfgfile.write_text("dataset = syn4\ncircuit = syn4\norientation = Speedup\n")
     assert main(["report", "--config", str(cfgfile)]) == 2
     assert "orientation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["orientation = speedup", "scaled_lambda = true"])
+def test_config_file_removed_key_exits_2(line, tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"dataset = syn4\ncircuit = syn4\n{line}\n")
+    assert main(["report", "--config", str(cfgfile)]) == 2
+    assert line.split()[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--orientation", "ratio"], ["--scaled-lambda"]])
+def test_removed_flag_exits_2(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--dataset", "syn4", "--circuit", "syn4"] + flags)
+    assert exc.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, key", [("epochs = ten", "epochs"), ("lr = fast", "lr"),
+                                       ("csv_pool = ture", "csv_pool")])
+def test_config_file_malformed_value_exits_2(line, key, tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"dataset = syn4\ncircuit = syn4\n{line}\n")
+    assert main(["report", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: "), err
+
+
+@pytest.mark.parametrize("config_line, flags, want", [
+    ("csv_pool = TRUE", [], True), ("csv_pool = Yes", [], True), ("csv_pool = 1", [], True),
+    ("csv_pool = False", [], False), ("csv_pool = no", [], False), ("csv_pool = 0", [], False),
+    ("", ["--csv-pool"], True), ("", [], False),
+])
+def test_csv_pool_spellings(config_line, flags, want, tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(config_line + "\n")
+    args = cli.make_parser().parse_args(["report", "--config", str(cfgfile)] + flags)
+    assert cli.build_config(args).csv_pool is want
+
+
+def test_every_config_field_has_exactly_one_key():
+    """Each config field is set by one key; `seed` also sets TrainConfig.seed."""
+    for cls, names in ((ExperimentConfig, list(cli._TOP_KEYS) + ["train", "admm"]),
+                       (TrainConfig, [name for name, _ in cli._TRAIN_KEYS.values()] + ["seed"]),
+                       (ADMMConfig, [name for name, _ in cli._ADMM_KEYS.values()])):
+        assert sorted(f.name for f in fields(cls)) == sorted(names), cls.__name__
+    all_keys = list(cli._TOP_KEYS) + list(cli._TRAIN_KEYS) + list(cli._ADMM_KEYS)
+    assert len(all_keys) == len(set(all_keys))
+
+
+@pytest.mark.parametrize("args", [
+    ["train", "--dataset", "syn4", "--circuit", "syn4", "--epochs", "2"],
+    ["depth", "--circuit", "syn4"],
+    ["compress", "--dataset", "syn4", "--circuit", "syn4", "--epochs", "2", "--ratio", "0.5",
+     "--max-iters", "2", "--epochs-per-iter", "1", "--retrain-epochs", "1"],
+], ids=["train", "depth", "compress"])
+def test_out_file_holds_the_printed_text(args, tmp_path, capsys):
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
 
 
 SHARED_RUN = ["--dataset", "syn4", "--circuit", "syn4", "--seed", "5", "--epochs", "6",

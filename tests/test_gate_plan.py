@@ -182,7 +182,7 @@ def test_recl_candidates_rebuild_only_their_reader_gates(name, gate_mats_calls):
     lut = build_lut(circ)
     candidates = {gi: lut.entries.get(circ.layers[gi].kind, [])
                   for gi in circ.trainable_indices()}
-    recl._sweep(circ, th, candidates, samples, None, recl.SPEEDUP)
+    recl._sweep(circ, th, candidates, samples, None)
 
     gates = circ.all_gates
     readers = {gi: [g for g in gates if set(g.theta_slots) & set(circ.layers[gi].theta_slots)]

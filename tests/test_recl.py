@@ -9,7 +9,7 @@ from vqcompress.circuit import Circuit, Gate, MeasureScheme, MeasurementSpec, th
 from vqcompress.data import EncodeScheme, EncoderSpec, Sample, generate_synthetic, stack
 from vqcompress.gates import GateKind
 from vqcompress.lut import CompressionLevel, LevelTag, build_lut
-from vqcompress.recl import RATIO, SPEEDUP, _sweep, level_metric, reconstruct_lut
+from vqcompress.recl import _sweep, level_metric, reconstruct_lut
 from vqcompress import transpile
 from vqcompress.training import TrainConfig, init_params, outputs_batch, softmax
 from vqcompress.transpile import DepthScan, lower_circuit, tcd
@@ -30,8 +30,8 @@ def toy_samples(rng, n=12):
     return [Sample(f, int(l)) for f, l in zip(feats, labels)]
 
 
-def brute_force_metric(circ, th, gi, level, samples, orientation):
-    """Independent implementation: explicit substitution, accuracy, depth ratio."""
+def brute_force_metric(circ, th, gi, level, samples):
+    """Independent implementation: explicit substitution, accuracy, speedup."""
     new = np.array(th, copy=True)
     new[circ.layers[gi].theta_slots[0]] = level.value[0]
     correct = 0
@@ -40,7 +40,7 @@ def brute_force_metric(circ, th, gi, level, samples, orientation):
         correct += int(np.argmax(probs)) == s.label
     acc = correct / len(samples)
     t0, t1 = tcd(circ, th), max(tcd(circ, new), 1)
-    return acc * (t0 / t1 if orientation == SPEEDUP else t1 / t0)
+    return acc * t0 / t1
 
 
 def test_metric_is_accuracy_when_depth_unchanged():
@@ -58,26 +58,12 @@ def test_metric_is_accuracy_when_depth_unchanged():
     base = tcd(circ, th)
     new = th.copy()
     new[0] = PI
-    expected_acc = brute_force_metric(circ, th, 0, level, samples, SPEEDUP)
+    expected_acc = brute_force_metric(circ, th, 0, level, samples)
     assert m == pytest.approx(expected_acc)
     if tcd(circ, new) == base:
         assert m == pytest.approx(sum(int(np.argmax(softmax(outputs_batch(
             circ, new[None, :], s.features[None, :]))[0])) == s.label
             for s in samples) / len(samples))
-
-
-def test_metric_both_orientations_multiply_out():
-    circ = toy_circuit()
-    rng = np.random.default_rng(2)
-    samples = toy_samples(rng)
-    th = np.array([1.3, 2.2, 0.9])
-    lut = build_lut(circ)
-    level = lut.entries[GateKind.CRX][0]  # prune level
-    m_speed = level_metric(circ, th, 1, level, samples, orientation=SPEEDUP)
-    m_ratio = level_metric(circ, th, 1, level, samples, orientation=RATIO)
-    assert m_speed == pytest.approx(brute_force_metric(circ, th, 1, level, samples, SPEEDUP))
-    assert m_ratio == pytest.approx(brute_force_metric(circ, th, 1, level, samples, RATIO))
-    assert m_speed >= m_ratio  # pruning shrinks depth, speedup >= 1 >= ratio
 
 
 def test_exhaustive_sweep_matches_brute_force():
@@ -90,7 +76,7 @@ def test_exhaustive_sweep_matches_brute_force():
             ((gi, lv) for lv in lut.entries[circ.layers[gi].kind])
             for gi in range(3)):
         got = level_metric(circ, th, gi, level, samples)
-        want = brute_force_metric(circ, th, gi, level, samples, SPEEDUP)
+        want = brute_force_metric(circ, th, gi, level, samples)
         assert got == pytest.approx(want)
 
 
@@ -103,7 +89,7 @@ def test_reconstruct_argmax_matches_exhaustive():
     recon = reconstruct_lut(circ, th, lut, samples)
     assert set(recon.levels) == {0, 1, 2}
     for gi in range(3):
-        scored = [(brute_force_metric(circ, th, gi, lv, samples, SPEEDUP),
+        scored = [(brute_force_metric(circ, th, gi, lv, samples),
                    lv) for lv in lut.entries[circ.layers[gi].kind]]
         best = max(s for s, _ in scored)
         ties = [lv for s, lv in scored if s == pytest.approx(best)]
@@ -168,7 +154,7 @@ def from_scratch_metric(circ, th, gi, level, samples, encoding=None):
 def assert_sweep_matches_from_scratch(circ, th, lut, samples, encoding=None):
     candidates = {gi: lut.entries.get(circ.layers[gi].kind, [])
                   for gi in circ.trainable_indices()}
-    swept = _sweep(circ, th, candidates, samples, encoding, SPEEDUP)
+    swept = _sweep(circ, th, candidates, samples, encoding)
     assert set(swept) == set(candidates)
     for gi, levels in candidates.items():
         assert swept[gi] == [from_scratch_metric(circ, th, gi, lv, samples, encoding)
@@ -247,7 +233,7 @@ def test_rz_merge_across_gate_boundary_changes_candidate_depth():
     assert tcd(circ, th) == 3
     assert tcd(circ, np.array([PI / 2, 3 * PI / 2])) == 2
     assert level_metric(circ, th, 2, level, samples) == 1.5
-    swept = _sweep(circ, th, {1: [level], 2: [level]}, samples, None, SPEEDUP)
+    swept = _sweep(circ, th, {1: [level], 2: [level]}, samples, None)
     assert swept == {1: [1.0], 2: [1.5]}
 
 

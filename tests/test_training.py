@@ -226,12 +226,10 @@ def test_frozen_slots_do_not_move():
 def test_training_loss_decreases():
     circ = load_reference("syn4")
     ds = generate_synthetic(4, 100, seed=6)
-    log: list = []
-    sgd_train(circ, init_params(circ, TrainConfig(seed=6)), ds.train,
-              TrainConfig(seed=6, epochs=40), loss_log=log)
-    head = np.median(log[: max(1, len(log) // 10)])
-    tail = np.median(log[-max(1, len(log) // 10):])
-    assert tail < head
+    p0 = init_params(circ, TrainConfig(seed=6))
+    trained = [sgd_train(circ, p0, ds.train, TrainConfig(seed=6, epochs=e)) for e in (4, 40)]
+    initial, short, long = (loss_and_accuracy(circ, p, ds.train)[0] for p in [p0] + trained)
+    assert long < short < initial
 
 
 def test_training_reaches_high_accuracy():
