@@ -35,7 +35,7 @@ def _parse_methods(s) -> tuple:
 
 
 _TRAIN_KEYS = {"lr": ("learning_rate", float), "epochs": ("epochs", int),
-               "batch_size": ("batch_size", int), "momentum": ("momentum", float)}
+               "batch_size": ("batch_size", int)}
 _ADMM_KEYS = {"ratio": ("target_ratio", float), "rho": ("rho", float),
               "alpha": ("alpha", float), "zeta": ("zeta", float),
               "max_iters": ("max_iters", int), "epochs_per_iter": ("epochs_per_iter", int),
@@ -117,7 +117,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--lr", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--momentum", type=float)
     p.add_argument("--ratio", type=float)
     p.add_argument("--rho", type=float)
     p.add_argument("--alpha", type=float)

@@ -9,10 +9,6 @@ class SpecError(ValueError):
     """Measurement specification is inconsistent with the circuit."""
 
 
-class UnsupportedGateError(ValueError):
-    """No decomposition rule exists for this gate kind."""
-
-
 class LUTError(ValueError):
     """Compression-level lookup failed (e.g. empty level list)."""
 

@@ -85,7 +85,12 @@ class Report:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    blob = json.dumps(asdict(config), sort_keys=True, default=str)
+    """Hash of the fields that decide the results: `out` is left out, and
+    `train.seed` is `seed`, as `run_experiment` sets it."""
+    fields = asdict(config)
+    del fields["out"]
+    fields["train"]["seed"] = config.seed
+    blob = json.dumps(fields, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

@@ -3,6 +3,9 @@
 All rotation angles are radians.  Parameters live on a circle of circumference
 4*pi because every rotation gate here has period 4*pi (period 2*pi only up to
 global phase).
+
+Gate matrices are built here and nowhere else: `gate_mats_batch` stacks them
+for an angle array, and `gate_matrix` (one gate) is its one-row view.
 """
 
 import enum
@@ -48,10 +51,6 @@ N_QUBITS_OF_KIND = {
     GateKind.U3: 1, GateKind.CU3: 2,
 }
 
-_ID2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
-
 
 def wrap_param(x: float) -> float:
     """Map an angle to its canonical representative in [0, 4pi)."""
@@ -86,65 +85,82 @@ def circ_residual(a, b) -> np.ndarray:
     return (np.asarray(a, dtype=float) - np.asarray(b, dtype=float) + TWO_PI) % FOUR_PI - TWO_PI
 
 
-def _rx(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
-def _ry(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _rz(theta: float) -> np.ndarray:
-    return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=complex)
-
-
-def _u3(theta: float, phi: float, lam: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([
-        [c, -np.exp(1j * lam) * s],
-        [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-    ], dtype=complex)
-
-
-def _controlled(u: np.ndarray) -> np.ndarray:
-    """4x4 block diag(I, u); first (control) qubit is the high bit of the index."""
-    m = np.eye(4, dtype=complex)
-    m[2:, 2:] = u
+def _rotation_mats(kind: GateKind, angles: np.ndarray) -> np.ndarray:
+    """Per-row 2x2 blocks for RX/RY/RZ given an (R,) angle array."""
+    m = np.zeros((angles.shape[0], 2, 2), dtype=complex)
+    if kind is GateKind.RZ:
+        m[:, 0, 0] = np.exp(-0.5j * angles)
+        m[:, 1, 1] = np.exp(0.5j * angles)
+        return m
+    half = angles / 2
+    c, s = np.cos(half), np.sin(half)
+    m[:, 0, 0] = c
+    m[:, 1, 1] = c
+    if kind is GateKind.RX:
+        m[:, 0, 1] = m[:, 1, 0] = -1j * s
+    else:
+        m[:, 0, 1] = -s
+        m[:, 1, 0] = s
     return m
 
 
+def _u3_mats(angles: np.ndarray) -> np.ndarray:
+    """(R,3) Euler angles -> (R,2,2)."""
+    th, ph, lm = angles[:, 0], angles[:, 1], angles[:, 2]
+    c, s = np.cos(th / 2), np.sin(th / 2)
+    m = np.zeros((angles.shape[0], 2, 2), dtype=complex)
+    m[:, 0, 0] = c
+    m[:, 0, 1] = -np.exp(1j * lm) * s
+    m[:, 1, 0] = np.exp(1j * ph) * s
+    m[:, 1, 1] = np.exp(1j * (ph + lm)) * c
+    return m
+
+
+def controlled_mats(blocks: np.ndarray, control0: float = 1.0) -> np.ndarray:
+    """(R, 4, 4) matrices diag(control0 * I, block) from (R, 2, 2) target blocks;
+    the first (control) qubit is the high bit of the index."""
+    r = blocks.shape[0]
+    m = np.zeros((r, 4, 4), dtype=complex)
+    m[:, 0, 0] = control0
+    m[:, 1, 1] = control0
+    m[:, 2:, 2:] = blocks
+    return m
+
+
+# Target-qubit kind of each controlled kind with angles.
+CONTROLLED_TARGET = {GateKind.CRX: GateKind.RX, GateKind.CRY: GateKind.RY,
+                     GateKind.CRZ: GateKind.RZ, GateKind.CU3: GateKind.U3}
+
+# Matrices of the kinds without angles.
+_FIXED = {
+    GateKind.CX: np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+    GateKind.SX: 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex),
+    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
+    GateKind.ID: np.eye(2, dtype=complex),
+}
+
+
+def gate_mats_batch(kind: GateKind, angles: np.ndarray | None) -> np.ndarray:
+    """Per-row gate matrices from (R,) angles, or (R, 3) for U3/CU3; a fixed
+    kind takes None and gives one fresh (d, d) matrix."""
+    if ARITY[kind] == 0:
+        return _FIXED[kind].copy()
+    if kind in CONTROLLED_TARGET:
+        return controlled_mats(gate_mats_batch(CONTROLLED_TARGET[kind], angles))
+    if kind is GateKind.U3:
+        return _u3_mats(angles)
+    return _rotation_mats(kind, angles)
+
+
 def gate_matrix(kind: GateKind, params) -> np.ndarray:
-    """Dense unitary of a gate kind, 2x2 or 4x4."""
+    """Dense unitary of a gate kind, 2x2 or 4x4: one row of `gate_mats_batch`."""
     params = list(params)
     if len(params) != ARITY[kind]:
         raise ArityError(f"{kind.value} takes {ARITY[kind]} parameter(s), got {len(params)}")
-    if kind is GateKind.RX:
-        return _rx(params[0])
-    if kind is GateKind.RY:
-        return _ry(params[0])
-    if kind is GateKind.RZ:
-        return _rz(params[0])
-    if kind is GateKind.CRX:
-        return _controlled(_rx(params[0]))
-    if kind is GateKind.CRY:
-        return _controlled(_ry(params[0]))
-    if kind is GateKind.CRZ:
-        return _controlled(_rz(params[0]))
-    if kind is GateKind.U3:
-        return _u3(*params)
-    if kind is GateKind.CU3:
-        return _controlled(_u3(*params))
-    if kind is GateKind.CX:
-        return _controlled(_X)
-    if kind is GateKind.SX:
-        return _SX.copy()
-    if kind is GateKind.X:
-        return _X.copy()
-    if kind is GateKind.ID:
-        return _ID2.copy()
-    raise ArityError(f"unknown gate kind {kind!r}")
+    if not params:
+        return gate_mats_batch(kind, None)
+    angles = np.array([params], dtype=float)
+    return gate_mats_batch(kind, angles[:, 0] if len(params) == 1 else angles)[0]
 
 
 def phase_identity_factor(m: np.ndarray, tol: float = PHASE_IDENTITY_TOL):

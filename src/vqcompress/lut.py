@@ -1,10 +1,12 @@
 """Compression levels: angles where a gate prunes away or compiles shorter.
 
 A pruning level makes the gate's matrix a global phase times identity, so the
-gate can be deleted outright.  A quantization level compiles to strictly fewer
-physical layers than a generic angle.  Levels are searched on the grid of
-pi/2 multiples in [0, 4pi), which is where all of them live for the supported
-gate kinds; a finer grid can be passed in for oracle scans.
+transpiler lowers it to no gate at all (depth 0).  A quantization level
+compiles to strictly fewer physical layers than a generic angle.  Both are
+read off `standalone_gate_depth`, so `transpile` alone decides what prunes.
+Levels are searched on the grid of pi/2 multiples in [0, 4pi), which is where
+all of them live for the supported gate kinds; a finer grid can be passed in
+for oracle scans.
 """
 
 import enum
@@ -16,8 +18,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import LUTError
-from .gates import (ARITY, GateKind, circ_dist, gate_matrix,
-                    phase_identity_factor, wrap_param)
+from .gates import ARITY, GateKind, circ_dist, wrap_param
 from .transpile import GENERIC_ANGLE, standalone_gate_depth
 
 HALF_PI = math.pi / 2
@@ -45,39 +46,35 @@ def default_candidates(kind: GateKind) -> list[tuple[float, ...]]:
     return [tuple(t) for t in itertools.product(grid, repeat=ARITY[kind])]
 
 
-def find_pruning_levels(kind: GateKind, candidates=None) -> list[CompressionLevel]:
-    """Candidates whose gate matrix is c*I with |c| = 1 (identity up to phase)."""
-    if candidates is None:
-        candidates = default_candidates(kind)
-    found = []
-    for cand in candidates:
-        cand = tuple(wrap_param(a) for a in cand)
-        if phase_identity_factor(gate_matrix(kind, cand)) is not None:
-            found.append(CompressionLevel(standalone_gate_depth(kind, cand), cand,
-                                          LevelTag.PRUNE))
-    return sorted(set(found))
-
-
 def generic_depth(kind: GateKind) -> int:
     """Depth at a fully generic angle tuple; the maximum over all parameters."""
     probe = tuple(GENERIC_ANGLE + 0.1 * i for i in range(ARITY[kind]))
     return standalone_gate_depth(kind, probe)
 
 
-def find_quantization_levels(kind: GateKind, candidates=None) -> list[CompressionLevel]:
-    """Non-pruning candidates compiling strictly below the generic depth."""
+def find_levels(kind: GateKind, candidates=None) -> list[CompressionLevel]:
+    """Every candidate's level by its standalone depth: depth 0 prunes, and a
+    depth below the generic one quantizes."""
     if candidates is None:
         candidates = default_candidates(kind)
     ceiling = generic_depth(kind)
     found = set()
     for cand in candidates:
         cand = tuple(wrap_param(a) for a in cand)
-        if phase_identity_factor(gate_matrix(kind, cand)) is not None:
-            continue
         d = standalone_gate_depth(kind, cand)
         if d < ceiling:
-            found.add(CompressionLevel(d, cand, LevelTag.QUANTIZE))
+            found.add(CompressionLevel(d, cand, LevelTag.PRUNE if d == 0 else LevelTag.QUANTIZE))
     return sorted(found)
+
+
+def find_pruning_levels(kind: GateKind, candidates=None) -> list[CompressionLevel]:
+    """Candidates whose gate matrix is c*I with |c| = 1 (identity up to phase)."""
+    return [lv for lv in find_levels(kind, candidates) if lv.tag is LevelTag.PRUNE]
+
+
+def find_quantization_levels(kind: GateKind, candidates=None) -> list[CompressionLevel]:
+    """Non-pruning candidates compiling strictly below the generic depth."""
+    return [lv for lv in find_levels(kind, candidates) if lv.tag is LevelTag.QUANTIZE]
 
 
 @dataclass
@@ -103,8 +100,7 @@ class CompressionLUT:
 def build_lut(circuit: Circuit) -> CompressionLUT:
     """Union of pruning and quantization levels for every trainable kind used."""
     kinds = sorted({g.kind for g in circuit.layers if g.trainable}, key=lambda k: k.value)
-    return CompressionLUT({kind: sorted(find_pruning_levels(kind) + find_quantization_levels(kind))
-                           for kind in kinds})
+    return CompressionLUT({kind: find_levels(kind) for kind in kinds})
 
 
 def level_distance(value: tuple[float, ...], angles) -> float:

@@ -6,10 +6,10 @@ batch has shape (rows, 2^n).  A gate acts on every row either through one
 shared matrix or through one matrix per row, so a batch can mix samples
 (per-row data angles) and parameter vectors.
 
-Gate matrices are built per circuit through a cached `GatePlan`: gates of one
-kind and row shape are one group, and each group's matrices come from one
-stacked `gate_mats_batch` call.  `run_batch`, training's forward and adjoint
-passes and ReCL all take their matrices from it.
+The matrices come from `gates.gate_mats_batch`, through a cached `GatePlan`
+per circuit: gates of one kind and row shape are one group, and each group's
+matrices come from one stacked call.  `run_batch`, training's forward and
+adjoint passes and ReCL all take their matrices from it.
 """
 
 from functools import lru_cache
@@ -18,7 +18,7 @@ import numpy as np
 
 from .circuit import BindKind, Circuit, Gate, MeasureScheme, MeasurementSpec
 from .errors import SpecError
-from .gates import ARITY, GateKind, gate_matrix
+from .gates import ARITY, GateKind, gate_mats_batch
 
 
 def zero_state(n_qubits: int, rows: int | None = None) -> np.ndarray:
@@ -67,63 +67,6 @@ def _batched_2q(states: np.ndarray, mats: np.ndarray, qa: int, qb: int) -> np.nd
     out = states.copy()
     out[:, idx] = new
     return out
-
-
-def _rotation_mats(kind: GateKind, angles: np.ndarray) -> np.ndarray:
-    """Per-row 2x2 blocks for RX/RY/RZ given an (R,) angle array."""
-    m = np.zeros((angles.shape[0], 2, 2), dtype=complex)
-    if kind is GateKind.RZ:
-        m[:, 0, 0] = np.exp(-0.5j * angles)
-        m[:, 1, 1] = np.exp(0.5j * angles)
-        return m
-    half = angles / 2
-    c, s = np.cos(half), np.sin(half)
-    m[:, 0, 0] = c
-    m[:, 1, 1] = c
-    if kind is GateKind.RX:
-        m[:, 0, 1] = m[:, 1, 0] = -1j * s
-    else:
-        m[:, 0, 1] = -s
-        m[:, 1, 0] = s
-    return m
-
-
-def _u3_mats(angles: np.ndarray) -> np.ndarray:
-    """(R,3) Euler angles -> (R,2,2)."""
-    th, ph, lm = angles[:, 0], angles[:, 1], angles[:, 2]
-    c, s = np.cos(th / 2), np.sin(th / 2)
-    m = np.zeros((angles.shape[0], 2, 2), dtype=complex)
-    m[:, 0, 0] = c
-    m[:, 0, 1] = -np.exp(1j * lm) * s
-    m[:, 1, 0] = np.exp(1j * ph) * s
-    m[:, 1, 1] = np.exp(1j * (ph + lm)) * c
-    return m
-
-
-def controlled_mats(blocks: np.ndarray, control0: float = 1.0) -> np.ndarray:
-    """(R, 4, 4) matrices diag(control0 * I, block) from (R, 2, 2) target blocks."""
-    r = blocks.shape[0]
-    m = np.zeros((r, 4, 4), dtype=complex)
-    m[:, 0, 0] = control0
-    m[:, 1, 1] = control0
-    m[:, 2:, 2:] = blocks
-    return m
-
-
-# Target-qubit kind of each controlled kind with angles.
-CONTROLLED_TARGET = {GateKind.CRX: GateKind.RX, GateKind.CRY: GateKind.RY,
-                     GateKind.CRZ: GateKind.RZ, GateKind.CU3: GateKind.U3}
-
-
-def gate_mats_batch(kind: GateKind, angles: np.ndarray | None) -> np.ndarray:
-    """Per-row gate matrices; `angles` is (R,) for rotations, (R,3) for U3/CU3."""
-    if ARITY[kind] == 0:
-        return gate_matrix(kind, [])
-    if kind in CONTROLLED_TARGET:
-        return controlled_mats(gate_mats_batch(CONTROLLED_TARGET[kind], angles))
-    if kind is GateKind.U3:
-        return _u3_mats(angles)
-    return _rotation_mats(kind, angles)
 
 
 def resolve_angles(gate: Gate, thetas: np.ndarray, feats: np.ndarray | None) -> np.ndarray | None:

@@ -15,10 +15,10 @@ import numpy as np
 from .circuit import BindKind, Circuit
 from .data import EncodeScheme, EncoderSpec, amplitude_state, stack
 from .errors import ConfigError, DataError
-from .gates import GateKind, circ_residual, wrap_params
-from .simulator import (CONTROLLED_TARGET, apply_matrix, controlled_mats,
-                        gate_mats_batch, gate_plan, measure_outputs_batch,
-                        readout_weights, run_batch, zero_state)
+from .gates import (CONTROLLED_TARGET, GateKind, circ_residual, controlled_mats,
+                    gate_mats_batch, wrap_params)
+from .simulator import (apply_matrix, gate_plan, measure_outputs_batch, readout_weights,
+                        run_batch, zero_state)
 
 
 @dataclass
@@ -27,7 +27,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 10
     seed: int = 0
-    momentum: float = 0.0
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -36,8 +35,6 @@ class TrainConfig:
             raise ConfigError(f"epochs must be positive, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum {self.momentum} outside [0, 1)")
 
 
 def init_params(circuit: Circuit, config: TrainConfig) -> np.ndarray:
@@ -189,7 +186,6 @@ def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,
     theta = wrap_params(np.asarray(params0, dtype=float).copy())
     feats, labels = stack(samples)
     n = len(labels)
-    velocity = np.zeros_like(theta)
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
@@ -201,10 +197,5 @@ def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,
                 grad = grad + rho * circ_residual(theta, z) + lam
             if frozen is not None:
                 grad[frozen] = 0.0
-            if config.momentum:
-                velocity = config.momentum * velocity + grad
-                step = velocity
-            else:
-                step = grad
-            theta = wrap_params(theta - config.learning_rate * step)
+            theta = wrap_params(theta - config.learning_rate * grad)
     return theta

@@ -29,7 +29,6 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .errors import UnsupportedGateError
 from .gates import (ARITY, N_QUBITS_OF_KIND, GateKind, gate_matrix,
                     phase_identity_factor, wrap_param)
 from .simulator import resolve_angles
@@ -179,9 +178,11 @@ _TEMPLATES = {GateKind.RX: _rx_gates, GateKind.RY: _ry_gates, GateKind.U3: _u3_g
 
 def decompose_kind(kind: GateKind, qubits: tuple[int, ...],
                    angles: tuple[float, ...]) -> list[PhysicalGate]:
-    """Lower one logical gate (resolved angles) to physical basis gates."""
-    if kind not in ARITY:
-        raise UnsupportedGateError(f"unsupported gate kind {kind!r}")
+    """Lower one logical gate (resolved angles) to physical basis gates.
+
+    A gate that is a phase times identity lowers to no gate at all; this is
+    the one test of what prunes, and `lut` reads it as depth 0.
+    """
     angles = tuple(wrap_param(a) for a in angles)
     if ARITY[kind] > 0 and phase_identity_factor(gate_matrix(kind, _snapped(angles))) is not None:
         return []

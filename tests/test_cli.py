@@ -68,11 +68,13 @@ def test_identical_runs_are_byte_identical(tmp_path):
     args = ["report", "--dataset", "syn4", "--circuit", "syn4", "--seed", "3",
             "--epochs", "8", "--ratio", "0.3", "--max-iters", "2",
             "--epochs-per-iter", "2", "--retrain-epochs", "2",
-            "--methods", "Vanilla,CompVQC", "--format", "csv"]
+            "--methods", "Vanilla,CompVQC", "--format", "all"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    # the table and JSON carry the config hash, which must not hash `out`
+    for ext in ("txt", "csv", "json"):
+        assert a.with_suffix(f".{ext}").read_bytes() == b.with_suffix(f".{ext}").read_bytes()
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):
@@ -216,9 +218,9 @@ def test_amplitude_csv_on_encoder_free_circuit_runs(tmp_path, capsys):
     (["--noise-p", "-0.1"], "noise_p"),
     (["--lr", "0.5", "--rho", "4"], "learning_rate * rho"),
     (["--lr", "1.0"], "learning_rate * rho"),
-    (["--momentum", "5"], "momentum"),
-    (["--momentum", "-3"], "momentum"),
-    (["--momentum", "1"], "momentum"),
+    (["--epochs", "-1"], "epochs"),
+    (["--batch-size", "-2"], "batch_size"),
+    (["--lr", "-0.1"], "learning_rate"),
     (["--max-iters", "-1"], "max_iters"),
     (["--max-iters", "0"], "max_iters"),
     (["--epochs-per-iter", "0"], "epochs_per_iter"),
@@ -238,7 +240,8 @@ def test_config_file_orientation_outside_choices_exits_2(tmp_path, capsys):
     assert "orientation" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["orientation = speedup", "scaled_lambda = true"])
+@pytest.mark.parametrize("line", ["orientation = speedup", "scaled_lambda = true",
+                                  "momentum = 0.9"])
 def test_config_file_removed_key_exits_2(line, tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"dataset = syn4\ncircuit = syn4\n{line}\n")
@@ -246,7 +249,9 @@ def test_config_file_removed_key_exits_2(line, tmp_path, capsys):
     assert line.split()[0] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [["--orientation", "ratio"], ["--scaled-lambda"]])
+@pytest.mark.parametrize("flags", [["--orientation", "ratio"], ["--scaled-lambda"],
+                                   ["--momentum", "5"], ["--momentum", "-3"],
+                                   ["--momentum", "1"]])
 def test_removed_flag_exits_2(flags, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["report", "--dataset", "syn4", "--circuit", "syn4"] + flags)

@@ -126,18 +126,14 @@ def test_run_batch_with_one_dimensional_input_state_matches_per_gate_loop():
 
 @pytest.fixture
 def gate_mats_calls(monkeypatch):
-    """(kind, matrices built, nested) per `gate_mats_batch` call made through
-    the simulator, training or recl module; a controlled kind's call for its
-    target block is nested."""
-    original, calls, depth = simulator.gate_mats_batch, [], [0]
+    """(kind, matrices built) per `gate_mats_batch` call made through the
+    simulator, training or recl module.  Calls inside `gates`, such as a
+    controlled kind's call for its target block, are not counted."""
+    original, calls = simulator.gate_mats_batch, []
 
     def counted(kind, angles):
-        calls.append((kind, 1 if angles is None else len(angles), depth[0] > 0))
-        depth[0] += 1
-        try:
-            return original(kind, angles)
-        finally:
-            depth[0] -= 1
+        calls.append((kind, 1 if angles is None else len(angles)))
+        return original(kind, angles)
 
     for module in (simulator, training, recl):
         if getattr(module, "gate_mats_batch", None) is original:
@@ -154,11 +150,11 @@ def test_gradient_builds_matrices_once_per_gate_group(gate_mats_calls):
     circ, params, feats, labels, _ = _reference_case("syn16")
     batch_loss_and_gradient(circ, params, feats, labels)
     groups = _group_keys(circ.all_gates)
-    assert len(groups) == 9
-    # One forward call per group, one derivative call per trainable group, and
-    # a nested target-block call per controlled group: 18.  Per-gate building
-    # makes 68 (38 gates, 8 controlled, 22 derivatives).
-    assert len(gate_mats_calls) <= 2 * len(groups)
+    trainable = _group_keys(g for g in circ.all_gates if g.trainable)
+    assert (len(groups), len(trainable)) == (9, 6)
+    # One forward call per group and one derivative call per trainable group:
+    # 15.  Per-gate building makes 60 (38 gates, 22 derivatives).
+    assert len(gate_mats_calls) == len(groups) + len(trainable)
 
 
 def _shared_slot_circuit():
@@ -190,9 +186,9 @@ def test_recl_candidates_rebuild_only_their_reader_gates(name, gate_mats_calls):
     rows = len(samples)
     base = sum(rows if any(b.kind is BindKind.DATA for b in g.bindings) else 1 for g in gates)
     per_level = sum(len(levels) * len(readers[gi]) for gi, levels in candidates.items())
-    top = [n for _, n, nested in gate_mats_calls if not nested]
+    built = [n for _, n in gate_mats_calls]
     # theta's matrices once (one row per theta-bound gate), then one matrix
     # per reader gate and candidate level, one call per reader group
-    assert sum(top) == base + per_level
-    assert len(top) == len(_group_keys(gates)) + sum(
+    assert sum(built) == base + per_level
+    assert len(built) == len(_group_keys(gates)) + sum(
         len(levels) * len(_group_keys(readers[gi])) for gi, levels in candidates.items())

@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import oracle
 from vqcompress.errors import ArityError
-from vqcompress.gates import (FOUR_PI, GateKind, circ_dist, circ_residual,
+from vqcompress.gates import (ARITY, FOUR_PI, GateKind, circ_dist, circ_residual,
                               gate_matrix, phase_identity_factor, wrap_param,
                               wrap_params)
 
@@ -25,6 +27,29 @@ def test_crx_matrix_blocks():
     assert np.allclose(m[2:, 2:], -np.eye(2), atol=1e-12)
     assert np.allclose(m[:2, 2:], 0) and np.allclose(m[2:, :2], 0)
     assert np.allclose(gate_matrix(GateKind.CRX, [0]), np.eye(4), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
+def test_gate_matrix_matches_oracle_entry_by_entry(kind):
+    """Every gate matrix in the package comes from `gate_mats_batch`, and
+    `gate_matrix` is its one-row view, so this pins the one builder against
+    the independent cmath-built oracle: at every angle tuple on the pi/2 grid
+    of [0, 4pi) and at random angles.  Controlled kinds are diag(I, body),
+    the control being the high bit of the index."""
+    rng = np.random.default_rng(4)
+    grid = [k * PI / 2 for k in range(8)]
+    cases = list(itertools.product(grid, repeat=ARITY[kind]))
+    if ARITY[kind]:
+        cases += [tuple(rng.uniform(-20, 20, ARITY[kind])) for _ in range(200)]
+    for angles in cases:
+        if kind.value in oracle.ONE_QUBIT:
+            want = oracle.ONE_QUBIT[kind.value](*angles)
+        else:
+            zero = np.zeros((2, 2))
+            want = np.block([[np.eye(2), zero], [zero, oracle.CONTROLLED[kind.value](*angles)]])
+        got = gate_matrix(kind, angles)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14, (kind, angles)
 
 
 @pytest.mark.parametrize("kind,n_angles", [

@@ -1,0 +1,51 @@
+"""Import layering: gate matrices are built in `gates` and nowhere else.
+
+`gates` sits at the bottom of the package and imports nothing from it but
+`errors`, so no module it could call back into can own a second builder.
+"""
+
+import ast
+from pathlib import Path
+
+import vqcompress
+
+PACKAGE = Path(vqcompress.__file__).parent
+BUILDERS = {"gate_matrix", "gate_mats_batch", "controlled_mats", "_rotation_mats", "_u3_mats"}
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{name}.py").read_text())
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """Package modules a module imports, by their name inside the package."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                found |= {node.module} if node.module else {a.name for a in node.names}
+            elif (node.module or "").startswith("vqcompress"):
+                found.add(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.partition(".")[2] for a in node.names
+                      if a.name.split(".")[0] == "vqcompress"}
+    return found
+
+
+def test_gates_imports_only_errors_from_the_package():
+    assert _package_imports(_tree("gates")) == {"errors"}
+
+
+def test_the_import_scan_sees_package_imports():
+    # guards the scan itself: simulator's imports are known
+    assert {"circuit", "errors", "gates"} <= _package_imports(_tree("simulator"))
+
+
+def test_only_gates_defines_matrix_builders():
+    for path in sorted(PACKAGE.glob("*.py")):
+        defined = {node.name for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.FunctionDef)}
+        if path.stem != "gates":
+            assert not defined & BUILDERS, (path.name, defined & BUILDERS)
+        else:
+            assert BUILDERS <= defined
