@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuit import Circuit
-from .data import Dataset, EncoderSpec
+from .data import Dataset
 from .errors import ConfigError
 from .gates import circ_residual, wrap_params
 from .lut import CompressionLUT, CompressionLevel, LevelTag, level_distance
@@ -165,43 +165,40 @@ def empty_result(circuit: Circuit, params: np.ndarray) -> CompressionResult:
     return CompressionResult(np.array(params, copy=True), mask, ReconstructedLUT())
 
 
-def vanilla_train(circuit: Circuit, dataset: Dataset, train_cfg: TrainConfig,
-                  encoding: EncoderSpec | None = None) -> np.ndarray:
-    return sgd_train(circuit, init_params(circuit, train_cfg), dataset.train,
-                     train_cfg, encoding)
+def vanilla_train(circuit: Circuit, dataset: Dataset, train_cfg: TrainConfig) -> np.ndarray:
+    return sgd_train(circuit, init_params(circuit, train_cfg), dataset.train, train_cfg)
 
 
 def _warm_start(circuit: Circuit, dataset: Dataset, train_cfg: TrainConfig,
-                encoding: EncoderSpec | None, warm_theta: np.ndarray | None) -> np.ndarray:
+                warm_theta: np.ndarray | None) -> np.ndarray:
     if warm_theta is None:
-        return vanilla_train(circuit, dataset, train_cfg, encoding)
+        return vanilla_train(circuit, dataset, train_cfg)
     return np.array(warm_theta, dtype=float, copy=True)
 
 
 def _retrain(circuit: Circuit, dataset: Dataset, theta: np.ndarray, mask: CompressionMask,
-             recon: ReconstructedLUT, admm_cfg: ADMMConfig, train_cfg: TrainConfig,
-             encoding: EncoderSpec | None) -> np.ndarray:
+             recon: ReconstructedLUT, admm_cfg: ADMMConfig,
+             train_cfg: TrainConfig) -> np.ndarray:
     """Set the masked gates to their levels, freeze them, retrain the rest."""
     retrain = replace(train_cfg, epochs=admm_cfg.retrain_epochs,
                       seed=train_cfg.seed + 999_983)
     return sgd_train(circuit, compose_params(theta, mask, recon, circuit), dataset.train,
-                     retrain, encoding, frozen=frozen_slots(mask, circuit))
+                     retrain, frozen=frozen_slots(mask, circuit))
 
 
 def run_cqcp_admm(circuit: Circuit, dataset: Dataset, lut: CompressionLUT,
                   admm_cfg: ADMMConfig, train_cfg: TrainConfig,
-                  encoding: EncoderSpec | None = None,
                   warm_theta: np.ndarray | None = None) -> CompressionResult:
     """Full compression run: warm start, ReCL, ADMM loop, mask-frozen retrain.
 
     A target ratio of zero degenerates to the plain training result, returned
     unchanged so the pipeline is bit-for-bit identical to vanilla training.
     """
-    warm = _warm_start(circuit, dataset, train_cfg, encoding, warm_theta)
+    warm = _warm_start(circuit, dataset, train_cfg, warm_theta)
     if admm_cfg.target_ratio == 0.0:
         return empty_result(circuit, warm)
 
-    recon = reconstruct_lut(circuit, warm, lut, dataset.train, encoding)
+    recon = reconstruct_lut(circuit, warm, lut, dataset.train)
     max_td = build_depth_table().max_depth()
     state = ADMMState(theta=warm.copy(), z=warm.copy(), lam=np.zeros_like(warm))
     mask = build_mask(state.theta, state.lam, recon, circuit, admm_cfg, max_td)
@@ -211,13 +208,13 @@ def run_cqcp_admm(circuit: Circuit, dataset: Dataset, lut: CompressionLUT,
     for r in range(admm_cfg.max_iters):
         inner = replace(train_cfg, epochs=admm_cfg.epochs_per_iter,
                         seed=train_cfg.seed + 1000 * (r + 1))
-        state.theta = sgd_train(circuit, state.theta, dataset.train, inner, encoding,
+        state.theta = sgd_train(circuit, state.theta, dataset.train, inner,
                                 proximal=(state.z, state.lam, admm_cfg.rho))
         mask = build_mask(state.theta, state.lam, recon, circuit, admm_cfg, max_td)
         state.z = compose_params(state.z, mask, recon, circuit)
         state.lam = update_lambda(state, admm_cfg.rho)
 
-        loss, acc = loss_and_accuracy(circuit, state.theta, dataset.train, encoding)
+        loss, acc = loss_and_accuracy(circuit, state.theta, dataset.train)
         composed = compose_params(state.theta, mask, recon, circuit)
         gap = float(np.sqrt(np.sum(circ_residual(state.theta, state.z) ** 2)))
         records.append(IterationRecord(r, loss, acc, tcd(circuit, composed), gap))
@@ -228,8 +225,7 @@ def run_cqcp_admm(circuit: Circuit, dataset: Dataset, lut: CompressionLUT,
             break
         prev = current
 
-    params = _retrain(circuit, dataset, state.theta, mask, recon, admm_cfg, train_cfg,
-                      encoding)
+    params = _retrain(circuit, dataset, state.theta, mask, recon, admm_cfg, train_cfg)
     return CompressionResult(params, mask, recon, records, converged)
 
 
@@ -245,7 +241,6 @@ _LEVEL_FAMILY = {BaselineMode.PRUNE_ONLY: LevelTag.PRUNE,
 
 def baseline_compress(mode: BaselineMode, circuit: Circuit, dataset: Dataset,
                       lut: CompressionLUT, admm_cfg: ADMMConfig, train_cfg: TrainConfig,
-                      encoding: EncoderSpec | None = None,
                       warm_theta: np.ndarray | None = None) -> CompressionResult:
     """Competitor pipelines sharing the warm start and retraining protocol.
 
@@ -256,9 +251,9 @@ def baseline_compress(mode: BaselineMode, circuit: Circuit, dataset: Dataset,
     """
     if mode in _LEVEL_FAMILY:
         return run_cqcp_admm(circuit, dataset, lut.filtered(_LEVEL_FAMILY[mode]), admm_cfg,
-                             train_cfg, encoding, warm_theta)
+                             train_cfg, warm_theta)
 
-    warm = _warm_start(circuit, dataset, train_cfg, encoding, warm_theta)
+    warm = _warm_start(circuit, dataset, train_cfg, warm_theta)
     if admm_cfg.target_ratio == 0.0:
         return empty_result(circuit, warm)
     slots = {gi: list(circuit.layers[gi].theta_slots) for gi in circuit.trainable_indices()}
@@ -267,5 +262,5 @@ def baseline_compress(mode: BaselineMode, circuit: Circuit, dataset: Dataset,
     dists = np.array([level_distance(zero.levels[gi].value, wrap_params(warm[s]))
                       for gi, s in slots.items()])
     mask = _lowest(dists, mask_size(admm_cfg.target_ratio, len(dists)))
-    params = _retrain(circuit, dataset, warm, mask, zero, admm_cfg, train_cfg, encoding)
+    params = _retrain(circuit, dataset, warm, mask, zero, admm_cfg, train_cfg)
     return CompressionResult(params, mask, zero)

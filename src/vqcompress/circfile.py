@@ -16,6 +16,10 @@ a fixed angle, `free` for the next open slot, or `free3` for three slots
 in the layers section it binds the next trainable parameter.  Fixed-arity
 gates (CX, SX, X, ID) take no angle token.  Unknown tokens are rejected with
 their line number.
+
+A circuit whose encoder binds no feature (no `free`/`free3` in `#encoder`, or
+no `#encoder` section) reads its input as amplitudes: each sample's 2^N
+features, L2-normalized, are the initial state.
 """
 
 from importlib import resources
@@ -133,7 +137,7 @@ def parse_circuit(text: str) -> Circuit:
         raise ParseError("missing `qubits N` header", 1)
     if measurement is None:
         raise ParseError("missing `#measure` section", 1)
-    return Circuit(n_qubits, encoder, layers, measurement)
+    return Circuit(n_qubits, encoder, layers, measurement, amplitude_input=next_data == 0)
 
 
 def load_circuit_file(path) -> Circuit:

@@ -109,12 +109,18 @@ class MeasurementSpec:
 
 @dataclass
 class Circuit:
-    """Encoder gates (never compressed), trainable layers, and a measurement."""
+    """Encoder gates (never compressed), trainable layers, and a measurement.
+
+    Inputs enter as the angles of the data-bound gates, from |0...0>, or with
+    `amplitude_input` as the L2-normalized initial state; the two exclude
+    each other.
+    """
 
     n_qubits: int
     encoder: list[Gate] = field(default_factory=list)
     layers: list[Gate] = field(default_factory=list)
     measurement: MeasurementSpec = field(default_factory=lambda: MeasurementSpec(2))
+    amplitude_input: bool = False
 
     def __post_init__(self):
         for g in self.encoder + self.layers:
@@ -124,6 +130,9 @@ class Circuit:
         for g in self.encoder:
             if g.trainable:
                 raise SpecError("encoder gates must not be trainable")
+        if self.amplitude_input and self.n_data:
+            raise SpecError(f"amplitude input needs a circuit with no data-bound gates, "
+                            f"this one reads {self.n_data} features")
         self.measurement = self.measurement.validated(self.n_qubits)
 
     @property
@@ -139,6 +148,11 @@ class Circuit:
     def n_data(self) -> int:
         slots = [b.slot for g in self.all_gates for b in g.bindings if b.kind is BindKind.DATA]
         return max(slots) + 1 if slots else 0
+
+    @property
+    def n_inputs(self) -> int:
+        """Features per sample: 2^n amplitudes, or one per data slot."""
+        return 2 ** self.n_qubits if self.amplitude_input else self.n_data
 
     def trainable_indices(self) -> list[int]:
         """Indices into `layers` of gates with at least one trainable slot."""

@@ -40,9 +40,9 @@ _ADMM_KEYS = {"ratio": ("target_ratio", float), "rho": ("rho", float),
               "alpha": ("alpha", float), "zeta": ("zeta", float),
               "max_iters": ("max_iters", int), "epochs_per_iter": ("epochs_per_iter", int),
               "retrain_epochs": ("retrain_epochs", int)}
-_TOP_KEYS = {"dataset": str, "circuit": str, "seed": int, "encoding": str,
-             "n_classes": int, "noise_p": float, "shots": int,
-             "out": str, "csv_pool": _parse_bool, "methods": _parse_methods}
+_TOP_KEYS = {"dataset": str, "circuit": str, "seed": int, "n_classes": int,
+             "noise_p": float, "shots": int, "out": str, "csv_pool": _parse_bool,
+             "methods": _parse_methods}
 
 
 def read_config_file(path) -> dict:
@@ -111,7 +111,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--dataset", help="syn4 | syn16 | csv:<path>")
     p.add_argument("--circuit", help="syn4 | syn16 | path to a .circ file")
     p.add_argument("--seed", type=int)
-    p.add_argument("--encoding", choices=("angle", "amplitude"))
     p.add_argument("--n-classes", dest="n_classes", type=int)
     p.add_argument("--csv-pool", dest="csv_pool", action="store_const", const="true")
     p.add_argument("--lr", type=float)
@@ -139,10 +138,10 @@ def _emit(text: str, path: str | None) -> None:
 
 def cmd_train(args) -> int:
     cfg = build_config(args)
-    dataset, circuit, encoding = resolve_inputs(cfg)
-    params = vanilla_train(circuit, dataset, cfg.train, encoding)
-    train_loss, train_acc = loss_and_accuracy(circuit, params, dataset.train, encoding)
-    test_loss, test_acc = loss_and_accuracy(circuit, params, dataset.test, encoding)
+    dataset, circuit = resolve_inputs(cfg)
+    params = vanilla_train(circuit, dataset, cfg.train)
+    train_loss, train_acc = loss_and_accuracy(circuit, params, dataset.train)
+    test_loss, test_acc = loss_and_accuracy(circuit, params, dataset.test)
     text = (f"train loss {train_loss:.4f} acc {train_acc:.3f} | "
             f"test loss {test_loss:.4f} acc {test_acc:.3f} | tcd {tcd(circuit, params)}\n")
     if args.save:
@@ -176,10 +175,10 @@ def cmd_lut(args) -> int:
 
 def cmd_recl(args) -> int:
     cfg = build_config(args)
-    dataset, circuit, encoding = resolve_inputs(cfg)
+    dataset, circuit = resolve_inputs(cfg)
     params = (_load_params(args.params, circuit) if args.params
-              else vanilla_train(circuit, dataset, cfg.train, encoding))
-    recon = reconstruct_lut(circuit, params, build_lut(circuit), dataset.train, encoding)
+              else vanilla_train(circuit, dataset, cfg.train))
+    recon = reconstruct_lut(circuit, params, build_lut(circuit), dataset.train)
     lines = ["gate_index,kind,level,depth,metric"]
     for gi in sorted(recon.levels):
         lv = recon.levels[gi]

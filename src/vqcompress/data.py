@@ -1,6 +1,6 @@
-"""Datasets (synthetic two-class generator, CSV ingestion) and feature encoders."""
+"""Datasets (synthetic two-class generator, CSV ingestion) and the amplitude
+encoder; angle inputs are bound by the circuit's encoder gates instead."""
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -95,29 +95,19 @@ def load_csv(path, n_classes: int, seed: int = 0, pool: bool = False) -> Dataset
             if not 0 <= label < n_classes:
                 raise ParseError(f"label {label} out of range for {n_classes} classes", lineno)
             if pool:
-                feats = pool_image(feats)
+                try:
+                    feats = pool_image(feats)
+                except DataError as exc:
+                    raise ParseError(str(exc), lineno) from None
             if width is None:
                 width = feats.size
             elif feats.size != width:
                 raise ParseError(f"row has {feats.size} features, expected {width}", lineno)
             samples.append(Sample(feats, label))
     if not samples:
-        raise DataError(f"no samples in {path}")
+        raise ConfigError(f"dataset: no samples in {path}")
     train, test = _split(samples, seed)
     return Dataset(train, test, n_classes=n_classes, seed=seed)
-
-
-class EncodeScheme(enum.Enum):
-    ANGLE = "angle"
-    AMPLITUDE = "amplitude"
-
-
-@dataclass(frozen=True)
-class EncoderSpec:
-    """Angle features feed the circuit's `#encoder` gates; amplitude features
-    become the initial state."""
-
-    scheme: EncodeScheme
 
 
 def amplitude_state(features: np.ndarray, n_qubits: int) -> np.ndarray:

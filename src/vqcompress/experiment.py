@@ -17,11 +17,11 @@ from .admm import (ADMMConfig, BaselineMode, baseline_compress, empty_result,
                    run_cqcp_admm, vanilla_train)
 from .circfile import REFERENCE_NAMES, load_circuit_file, load_reference
 from .circuit import Circuit
-from .data import (Dataset, EncodeScheme, EncoderSpec, generate_synthetic, load_csv)
-from .errors import ConfigError
+from .data import Dataset, generate_synthetic, load_csv, stack
+from .errors import ConfigError, EncodeError
 from .lut import build_lut
 from .noise import noisy_accuracy
-from .training import TrainConfig, loss_and_accuracy
+from .training import TrainConfig, initial_states, loss_and_accuracy
 from .transpile import tcd
 
 METHOD_ORDER = ("Vanilla", "ZeroOnlyPruning", "PruneOnly", "QuantOnly", "CompVQC")
@@ -33,7 +33,6 @@ class ExperimentConfig:
     circuit: str = "syn4"
     methods: tuple = ("Vanilla", "CompVQC")
     seed: int = 0
-    encoding: str = "angle"          # angle | amplitude
     n_classes: int = 2               # for CSV datasets
     csv_pool: bool = False           # 28x28 -> 4x4 average pooling on CSV rows
     noise_p: float | None = None
@@ -49,8 +48,6 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHOD_ORDER:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHOD_ORDER}")
-        if self.encoding not in ("angle", "amplitude"):
-            raise ConfigError(f"unknown encoding {self.encoding!r}")
         if self.shots < 1:
             raise ConfigError(f"shots must be at least 1, got {self.shots}")
         if self.noise_p is not None and not 0.0 <= self.noise_p <= 1.0:
@@ -85,10 +82,13 @@ class Report:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    """Hash of the fields that decide the results: `out` is left out, and
-    `train.seed` is `seed`, as `run_experiment` sets it."""
+    """Hash of the fields that decide the results: `out` is left out, so is
+    `shots` when there is no noise, and `train.seed` is `seed`, as
+    `run_experiment` sets it."""
     fields = asdict(config)
     del fields["out"]
+    if config.noise_p is None:
+        del fields["shots"]
     fields["train"]["seed"] = config.seed
     blob = json.dumps(fields, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -114,33 +114,36 @@ def resolve_circuit(config: ExperimentConfig) -> Circuit:
     return load_circuit_file(config.circuit)
 
 
-def resolve_inputs(config: ExperimentConfig) -> tuple[Dataset, Circuit, EncoderSpec | None]:
-    """Dataset, circuit and encoding, checked to fit each other."""
+def resolve_inputs(config: ExperimentConfig) -> tuple[Dataset, Circuit]:
+    """Dataset and circuit, checked to fit each other before any training."""
     dataset, circuit = resolve_dataset(config), resolve_circuit(config)
-    amplitude = config.encoding == "amplitude"
-    if amplitude and circuit.n_data:
-        raise ConfigError(f"encoding: amplitude input needs a circuit with no data-bound "
-                          f"gates, this one reads {circuit.n_data} features")
-    want = 2 ** circuit.n_qubits if amplitude else circuit.n_data
-    if dataset.n_features != want:
+    if not dataset.train or not dataset.test:
+        raise ConfigError(f"dataset: the 90/10 split of {config.dataset!r} leaves "
+                          f"{len(dataset.train)} training and {len(dataset.test)} test "
+                          f"samples; both must be non-empty")
+    if dataset.n_features != circuit.n_inputs:
         raise ConfigError(f"n_features: the dataset has {dataset.n_features}, the circuit "
-                          f"reads {want} ({config.encoding} encoding)")
+                          f"reads {circuit.n_inputs}")
     if dataset.n_classes > circuit.measurement.n_classes:
         raise ConfigError(f"n_classes: the dataset has {dataset.n_classes}, the circuit "
                           f"measures {circuit.measurement.n_classes}")
-    return dataset, circuit, EncoderSpec(EncodeScheme.AMPLITUDE) if amplitude else None
+    try:  # encodes every sample the way training will
+        initial_states(circuit, stack(dataset.train + dataset.test)[0])
+    except EncodeError as exc:
+        raise ConfigError(f"dataset: {exc}") from None
+    return dataset, circuit
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
     """Run the requested methods in fixed order from one shared warm start."""
-    dataset, circuit, encoding = resolve_inputs(config)
+    dataset, circuit = resolve_inputs(config)
     train_cfg = replace(config.train, seed=config.seed)
     lut = build_lut(circuit)
 
     def evaluate(params) -> tuple[float, int]:
-        return loss_and_accuracy(circuit, params, dataset.test, encoding)[1], tcd(circuit, params)
+        return loss_and_accuracy(circuit, params, dataset.test)[1], tcd(circuit, params)
 
-    warm = vanilla_train(circuit, dataset, train_cfg, encoding)
+    warm = vanilla_train(circuit, dataset, train_cfg)
     vanilla_acc, vanilla_tcd = evaluate(warm)
 
     rows, results = [], {}
@@ -150,16 +153,16 @@ def run_experiment(config: ExperimentConfig) -> Report:
         if method == "Vanilla":
             result = empty_result(circuit, warm)
         elif method == "CompVQC":
-            result = run_cqcp_admm(circuit, dataset, lut, config.admm, train_cfg, encoding,
+            result = run_cqcp_admm(circuit, dataset, lut, config.admm, train_cfg,
                                    warm_theta=warm)
         else:
             result = baseline_compress(BaselineMode(method), circuit, dataset, lut,
-                                       config.admm, train_cfg, encoding, warm_theta=warm)
+                                       config.admm, train_cfg, warm_theta=warm)
         acc, depth = (vanilla_acc, vanilla_tcd) if method == "Vanilla" else evaluate(result.params)
         noisy = None
         if config.noise_p is not None:
             noisy = noisy_accuracy(circuit, result.params, dataset.test, config.noise_p,
-                                   config.shots, config.seed, encoding)
+                                   config.shots, config.seed)
         rows.append(MethodRow(method, acc, acc - vanilla_acc, depth,
                               vanilla_tcd / max(depth, 1), noisy))
         results[method] = result

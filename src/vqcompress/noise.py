@@ -9,7 +9,7 @@ readouts over a fixed shot count, so results are deterministic given the seed.
 import numpy as np
 
 from .circuit import Circuit, MeasurementSpec
-from .data import EncoderSpec, stack
+from .data import stack
 from .errors import ConfigError
 from .simulator import apply_matrix, measure_outputs_batch, zero_state
 from .training import initial_states, softmax
@@ -54,16 +54,16 @@ def noisy_outputs(tc: TranspiledCircuit, input_state: np.ndarray, spec: Measurem
     return measure_outputs_batch(states, spec).mean(axis=0)
 
 
-def noisy_accuracy(circuit: Circuit, params, samples, p: float, shots: int, seed: int,
-                   encoding: EncoderSpec | None = None) -> float:
+def noisy_accuracy(circuit: Circuit, params, samples, p: float, shots: int, seed: int) -> float:
     """Classification accuracy when every physical gate is followed by noise.
 
-    Angle-encoded inputs change the physical circuit, so each sample gets its
-    own transpilation; amplitude-encoded ones share one.  Each sample gets its
-    own derived noise seed.
+    Features bound to encoder gates change the physical circuit, so each
+    sample gets its own transpilation; on an amplitude-input circuit the
+    samples differ only in their initial state and share one.  Each sample
+    gets its own derived noise seed.
     """
     feats, labels = stack(samples)
-    states, gate_feats = initial_states(circuit, feats, encoding)
+    states, gate_feats = initial_states(circuit, feats)
     thetas = np.atleast_2d(params)
     shared = transpile_circuit(circuit, thetas) if gate_feats is None else None
     correct = 0

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit
-from .data import EncoderSpec, stack
+from .data import stack
 from .lut import CompressionLUT, CompressionLevel
 from .simulator import apply_matrix, gate_plan, measure_outputs_batch, zero_state
 from .training import initial_states, softmax
@@ -45,8 +45,7 @@ def _depth_factor(theta_tcd: int, new_tcd: int) -> float:
     return (theta_tcd if theta_tcd > 0 else 1) / new_tcd
 
 
-def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples,
-           encoding: EncoderSpec | None) -> dict:
+def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
     """Metric of every level in `candidates` (layer index -> levels).
 
     theta is lowered once and its lowering scanned once by a `DepthScan`,
@@ -67,7 +66,7 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples,
     lowered = [physical for _, physical in lower_circuit(circuit, theta)]
     probe = probe_features(circuit.n_data)  # the data angles `lower_circuit` uses
     feats, labels = stack(eval_samples)
-    init, gate_feats = initial_states(circuit, feats, encoding)
+    init, gate_feats = initial_states(circuit, feats)
     rows = len(labels)
     state = zero_state(circuit.n_qubits, rows) if init is None else init.astype(complex)
     base = gate_plan(tuple(gates)).matrices(theta[None, :], gate_feats)
@@ -105,13 +104,13 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples,
 
 
 def level_metric(circuit: Circuit, theta, gate_index: int, level: CompressionLevel,
-                 eval_samples, encoding: EncoderSpec | None = None) -> float:
+                 eval_samples) -> float:
     """Accuracy x speedup of moving one gate's parameter to a level."""
-    return _sweep(circuit, theta, {gate_index: [level]}, eval_samples, encoding)[gate_index][0]
+    return _sweep(circuit, theta, {gate_index: [level]}, eval_samples)[gate_index][0]
 
 
-def reconstruct_lut(circuit: Circuit, theta, lut: CompressionLUT, eval_samples,
-                    encoding: EncoderSpec | None = None) -> ReconstructedLUT:
+def reconstruct_lut(circuit: Circuit, theta, lut: CompressionLUT,
+                    eval_samples) -> ReconstructedLUT:
     """Per-gate argmax of the level metric, one gate perturbed at a time.
 
     Every evaluation starts from the unmodified trained theta.  Ties pick the
@@ -120,7 +119,7 @@ def reconstruct_lut(circuit: Circuit, theta, lut: CompressionLUT, eval_samples,
     """
     candidates = {gi: lut.entries.get(circuit.layers[gi].kind, [])
                   for gi in circuit.trainable_indices()}
-    metrics = _sweep(circuit, theta, candidates, eval_samples, encoding)
+    metrics = _sweep(circuit, theta, candidates, eval_samples)
     recon = ReconstructedLUT()
     for gi, levels in candidates.items():
         if levels:

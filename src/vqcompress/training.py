@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import BindKind, Circuit
-from .data import EncodeScheme, EncoderSpec, amplitude_state, stack
+from .data import amplitude_state, stack
 from .errors import ConfigError, DataError
 from .gates import (CONTROLLED_TARGET, GateKind, circ_residual, controlled_mats,
                     gate_mats_batch, wrap_params)
@@ -43,19 +43,18 @@ def init_params(circuit: Circuit, config: TrainConfig) -> np.ndarray:
     return rng.uniform(0.0, 2 * math.pi, size=circuit.n_thetas)
 
 
-def initial_states(circuit: Circuit, feats: np.ndarray | None, encoding: EncoderSpec | None):
+def initial_states(circuit: Circuit, feats: np.ndarray | None):
     """(states, gate features): amplitude-encoded input states and no features,
     or no states (|0...0>) and the features the encoder gates read."""
-    if encoding is not None and encoding.scheme is EncodeScheme.AMPLITUDE:
+    if circuit.amplitude_input:
         states = np.stack([amplitude_state(f, circuit.n_qubits) for f in feats])
         return states, None
     return None, feats
 
 
-def outputs_batch(circuit: Circuit, thetas: np.ndarray, feats: np.ndarray | None,
-                  encoding: EncoderSpec | None = None) -> np.ndarray:
+def outputs_batch(circuit: Circuit, thetas: np.ndarray, feats: np.ndarray | None) -> np.ndarray:
     """Measurement outputs (R, C), one row per parameter-vector/sample pair."""
-    states, gate_feats = initial_states(circuit, feats, encoding)
+    states, gate_feats = initial_states(circuit, feats)
     final = run_batch(circuit, thetas, gate_feats, states=states)
     return measure_outputs_batch(final, circuit.measurement)
 
@@ -65,19 +64,18 @@ def softmax(outputs: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward(circuit: Circuit, params, sample_or_feats, encoding: EncoderSpec | None = None):
+def forward(circuit: Circuit, params, sample_or_feats):
     """Class probabilities for one sample."""
     feats = getattr(sample_or_feats, "features", sample_or_feats)
     feats = np.atleast_2d(np.asarray(feats, dtype=float))
-    out = outputs_batch(circuit, np.atleast_2d(np.asarray(params, dtype=float)), feats, encoding)
+    out = outputs_batch(circuit, np.atleast_2d(np.asarray(params, dtype=float)), feats)
     return softmax(out)[0]
 
 
-def loss_and_accuracy(circuit: Circuit, params, samples,
-                      encoding: EncoderSpec | None = None) -> tuple[float, float]:
+def loss_and_accuracy(circuit: Circuit, params, samples) -> tuple[float, float]:
     """Mean cross-entropy and argmax accuracy over a sample list."""
     feats, labels = stack(samples)
-    probs = softmax(outputs_batch(circuit, np.atleast_2d(params), feats, encoding))
+    probs = softmax(outputs_batch(circuit, np.atleast_2d(params), feats))
     n = len(labels)
     loss = float(-np.log(np.maximum(probs[np.arange(n), labels], 1e-300)).mean())
     acc = float((probs.argmax(axis=1) == labels).mean())
@@ -108,8 +106,7 @@ def _angle_derivatives(kind: GateKind, angles: np.ndarray) -> list[np.ndarray]:
 
 
 def batch_loss_and_gradient(circuit: Circuit, params: np.ndarray, feats: np.ndarray,
-                            labels: np.ndarray, encoding: EncoderSpec | None = None
-                            ) -> tuple[float, np.ndarray]:
+                            labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its gradient w.r.t. all slots.
 
     Forward: every gate once, data-bound gates with per-sample matrices and
@@ -125,7 +122,7 @@ def batch_loss_and_gradient(circuit: Circuit, params: np.ndarray, feats: np.ndar
     """
     params = np.asarray(params, dtype=float)
     n_batch = feats.shape[0]
-    states, gate_feats = initial_states(circuit, feats, encoding)
+    states, gate_feats = initial_states(circuit, feats)
     if states is None:
         states = zero_state(circuit.n_qubits, rows=n_batch)
     plan = gate_plan(tuple(circuit.all_gates))
@@ -160,16 +157,13 @@ def batch_loss_and_gradient(circuit: Circuit, params: np.ndarray, feats: np.ndar
     return loss, grad
 
 
-def loss_gradient(circuit: Circuit, params, samples,
-                  encoding: EncoderSpec | None = None) -> np.ndarray:
+def loss_gradient(circuit: Circuit, params, samples) -> np.ndarray:
     """Gradient of the mean cross-entropy over `samples` w.r.t. the parameters."""
     feats, labels = stack(samples)
-    return batch_loss_and_gradient(circuit, np.asarray(params, dtype=float),
-                                   feats, labels, encoding)[1]
+    return batch_loss_and_gradient(circuit, np.asarray(params, dtype=float), feats, labels)[1]
 
 
 def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,
-              encoding: EncoderSpec | None = None,
               proximal: tuple | None = None,
               frozen: np.ndarray | None = None) -> np.ndarray:
     """Minibatch SGD on cross-entropy, optionally plus a proximal anchor term.
@@ -190,8 +184,7 @@ def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            _, grad = batch_loss_and_gradient(circuit, theta, feats[idx], labels[idx],
-                                              encoding)
+            _, grad = batch_loss_and_gradient(circuit, theta, feats[idx], labels[idx])
             if proximal is not None:
                 z, lam, rho = proximal
                 grad = grad + rho * circ_residual(theta, z) + lam

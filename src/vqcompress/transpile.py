@@ -366,16 +366,6 @@ def peephole_optimize(tc: TranspiledCircuit) -> TranspiledCircuit:
                              scan.phase)
 
 
-def circuit_depth(tc: TranspiledCircuit) -> int:
-    """Longest path through the shared-qubit dependency DAG."""
-    level = [0] * tc.n_qubits
-    for g in tc.gates:
-        d = 1 + max(level[q] for q in g.qubits)
-        for q in g.qubits:
-            level[q] = d
-    return max(level, default=0) if tc.n_qubits else 0
-
-
 def tcd(circuit: Circuit, params, feats=None) -> int:
     """Transpiled circuit depth of a logical circuit at given parameters."""
     return lowered_depth(circuit.n_qubits, lower_circuit(circuit, params, feats))

@@ -204,7 +204,7 @@ def per_gate_run_batch(circuit, thetas, feats=None, states=None):
     return states
 
 
-def per_gate_loss_and_gradient(circuit, params, feats, labels, encoding=None):
+def per_gate_loss_and_gradient(circuit, params, feats, labels):
     """`batch_loss_and_gradient` with each gate's matrices, adjoint and
     derivative blocks built from that gate's own angles."""
     from vqcompress.circuit import BindKind
@@ -213,7 +213,7 @@ def per_gate_loss_and_gradient(circuit, params, feats, labels, encoding=None):
     from vqcompress.training import _angle_derivatives, initial_states, softmax
     params = np.asarray(params, dtype=float)
     n_batch = feats.shape[0]
-    states, gate_feats = initial_states(circuit, feats, encoding)
+    states, gate_feats = initial_states(circuit, feats)
     if states is None:
         states = zero_state(circuit.n_qubits, rows=n_batch)
     tape = []

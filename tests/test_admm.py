@@ -274,8 +274,7 @@ def test_zero_only_pruning_matches_hand_written_oracle(name):
     for p in np.flatnonzero(bits):
         frozen[slots[p]] = True
     retrain = replace(tcfg, epochs=cfg.retrain_epochs, seed=tcfg.seed + 999_983)
-    expected = sgd_train(circ, np.where(frozen, 0.0, warm), ds.train, retrain, None,
-                         frozen=frozen)
+    expected = sgd_train(circ, np.where(frozen, 0.0, warm), ds.train, retrain, frozen=frozen)
 
     res = baseline_compress(BaselineMode.ZERO_ONLY_PRUNING, circ, ds, build_lut(circ), cfg,
                             tcfg, warm_theta=warm)

@@ -1,8 +1,8 @@
 import pytest
 
 from vqcompress.circfile import load_reference, parse_circuit
-from vqcompress.circuit import BindKind, MeasureScheme
-from vqcompress.errors import ParseError
+from vqcompress.circuit import BindKind, Circuit, Gate, MeasureScheme, data
+from vqcompress.errors import ParseError, SpecError
 from vqcompress.gates import GateKind
 
 GOOD = """\
@@ -56,6 +56,28 @@ def test_parse_errors_carry_line_numbers(bad, line):
     with pytest.raises(ParseError) as err:
         parse_circuit(bad)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("encoder, amplitude, n_inputs", [
+    ("#encoder\nRY 0 free\nRZ 1 free\n", False, 2),
+    ("#encoder\nU3 1 free3\n", False, 3),
+    ("#encoder\nRY 0 0.5\nCX 0,1\n", True, 4),
+    ("", True, 4),
+], ids=["free", "free3", "fixed-angles", "no-encoder"])
+def test_encoder_bindings_decide_the_input(encoder, amplitude, n_inputs):
+    # an encoder that binds no feature reads 2^n amplitudes
+    circ = parse_circuit(f"qubits 2\n{encoder}#layers\nRX 0 free\n#measure perqubitz 2\n")
+    assert circ.amplitude_input is amplitude
+    assert circ.n_inputs == n_inputs
+
+
+@pytest.mark.parametrize("section", ["encoder", "layers"])
+def test_amplitude_input_rejects_data_bound_gates(section):
+    reader = [Gate(GateKind.RY, (0,), (data(0),))]
+    encoder, layers = (reader, []) if section == "encoder" else ([], reader)
+    assert Circuit(2, encoder, layers).n_inputs == 1
+    with pytest.raises(SpecError, match="amplitude input"):
+        Circuit(2, encoder, layers, amplitude_input=True)
 
 
 def test_missing_header_or_measure():

@@ -77,6 +77,17 @@ def test_identical_runs_are_byte_identical(tmp_path):
         assert a.with_suffix(f".{ext}").read_bytes() == b.with_suffix(f".{ext}").read_bytes()
 
 
+def test_noiseless_reports_ignore_shots(tmp_path):
+    # with no noise, shots decide nothing, so they must not move the config hash
+    args = ["report", "--dataset", "syn4", "--circuit", "syn4", "--seed", "3",
+            "--epochs", "2", "--methods", "Vanilla", "--format", "all"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["--shots", "64", "--out", str(a)]) == 0
+    assert main(args + ["--shots", "128", "--out", str(b)]) == 0
+    for ext in ("txt", "csv", "json"):
+        assert a.with_suffix(f".{ext}").read_bytes() == b.with_suffix(f".{ext}").read_bytes()
+
+
 def test_config_file_and_flag_override(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("dataset = syn4\ncircuit = syn4\nseed = 4\nepochs = 6\n"
@@ -173,8 +184,9 @@ def test_missing_input_or_output_path_exits_2_before_training(field, tmp_path, m
 AMPLITUDE_CIRC = "qubits 2\n#layers\nRY 0 free\nCRX 0,1 free\nRY 1 free\n#measure perqubitz 2\n"
 
 
-def _csv(path, n_features, labels=(0, 1)):
-    rows = [f"{label}," + ",".join(["0.5"] * n_features) for label in labels for _ in range(5)]
+def _csv(path, n_features, labels=(0, 1), per_label=5):
+    rows = [f"{label}," + ",".join(["0.5"] * n_features)
+            for label in labels for _ in range(per_label)]
     path.write_text("\n".join(rows) + "\n")
     return f"csv:{path}"
 
@@ -184,7 +196,10 @@ def _csv(path, n_features, labels=(0, 1)):
     ("fewer-features", "train", ("n_features", "3", "4")),
     ("more-features", "recl", ("n_features", "5", "4")),
     ("amplitude-feature-count", "compress", ("n_features", "3", "4")),
-    ("amplitude-on-data-bound-encoder", "train", ("encoding", "4")),
+    ("pooled-row-width", "train", ("line 1", "784", "100")),
+    ("empty-csv", "report", ("dataset", "no samples")),
+    ("empty-test-split", "compress", ("dataset", "4 training", "0 test")),
+    ("zero-norm-amplitude-row", "train", ("dataset", "zero-norm")),
 ])
 def test_dataset_circuit_mismatch_exits_2(case, command, words, tmp_path, capsys):
     args = [command, "--circuit", "syn4", "--epochs", "1"]
@@ -197,10 +212,19 @@ def test_dataset_circuit_mismatch_exits_2(case, command, words, tmp_path, capsys
     elif case == "amplitude-feature-count":
         circ = tmp_path / "amp.circ"
         circ.write_text(AMPLITUDE_CIRC)
-        args += ["--dataset", _csv(tmp_path / "d.csv", 3), "--circuit", str(circ),
-                 "--encoding", "amplitude"]
+        args += ["--dataset", _csv(tmp_path / "d.csv", 3), "--circuit", str(circ)]
+    elif case == "pooled-row-width":
+        args += ["--dataset", _csv(tmp_path / "d.csv", 100), "--csv-pool"]
+    elif case == "empty-csv":
+        args += ["--dataset", _csv(tmp_path / "d.csv", 4, labels=())]
+    elif case == "empty-test-split":
+        args += ["--dataset", _csv(tmp_path / "d.csv", 4, per_label=2)]
     else:
-        args += ["--dataset", "syn4", "--encoding", "amplitude"]
+        circ, path = tmp_path / "amp.circ", tmp_path / "d.csv"
+        circ.write_text(AMPLITUDE_CIRC)
+        _csv(path, 4)
+        path.write_text(path.read_text() + "1,0,0,0,0\n")
+        args += ["--dataset", f"csv:{path}", "--circuit", str(circ)]
     assert main(args) == 2
     err = capsys.readouterr().err
     assert all(w in err for w in words), err
@@ -210,7 +234,7 @@ def test_amplitude_csv_on_encoder_free_circuit_runs(tmp_path, capsys):
     circ = tmp_path / "amp.circ"
     circ.write_text(AMPLITUDE_CIRC)
     assert main(["train", "--dataset", _csv(tmp_path / "d.csv", 4), "--circuit", str(circ),
-                 "--encoding", "amplitude", "--epochs", "1"]) == 0
+                 "--epochs", "1"]) == 0
 
 
 @pytest.mark.parametrize("args, field", [
@@ -241,17 +265,17 @@ def test_config_file_orientation_outside_choices_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["orientation = speedup", "scaled_lambda = true",
-                                  "momentum = 0.9"])
+                                  "momentum = 0.9", "encoding = amplitude"])
 def test_config_file_removed_key_exits_2(line, tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"dataset = syn4\ncircuit = syn4\n{line}\n")
     assert main(["report", "--config", str(cfgfile)]) == 2
-    assert line.split()[0] in capsys.readouterr().err
+    assert f"unknown config key {line.split()[0]!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--orientation", "ratio"], ["--scaled-lambda"],
                                    ["--momentum", "5"], ["--momentum", "-3"],
-                                   ["--momentum", "1"]])
+                                   ["--momentum", "1"], ["--encoding", "amplitude"]])
 def test_removed_flag_exits_2(flags, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["report", "--dataset", "syn4", "--circuit", "syn4"] + flags)

@@ -12,7 +12,7 @@ from vqcompress import recl, simulator, training
 from vqcompress.circfile import load_reference
 from vqcompress.circuit import (BindKind, Circuit, Gate, MeasureScheme, MeasurementSpec,
                                 const, data, theta)
-from vqcompress.data import EncodeScheme, EncoderSpec, Sample, generate_synthetic, stack
+from vqcompress.data import Sample, generate_synthetic, stack
 from vqcompress.gates import GateKind
 from vqcompress.lut import build_lut
 from vqcompress.simulator import run_batch
@@ -26,7 +26,7 @@ def _reference_case(name):
     circ = load_reference(name)
     n_features = 4 if name == "syn4" else 16
     feats, labels = stack(generate_synthetic(n_features, 40, seed=12).train[:10])
-    return circ, init_params(circ, TrainConfig(seed=12)), feats, labels, None
+    return circ, init_params(circ, TrainConfig(seed=12)), feats, labels
 
 
 def _amplitude_case():
@@ -37,11 +37,12 @@ def _amplitude_case():
              Gate(GateKind.CX, (0, 2)),
              Gate(GateKind.CRY, (2, 0), (theta(6),)),
              Gate(GateKind.RY, (1,), (theta(7),))]
-    circ = Circuit(3, [], gates, MeasurementSpec(3, MeasureScheme.STATE_GROUPING))
+    circ = Circuit(3, [], gates, MeasurementSpec(3, MeasureScheme.STATE_GROUPING),
+                   amplitude_input=True)
     rng = np.random.default_rng(21)
     feats = rng.uniform(0.05, 1.0, (6, 8))
     labels = np.array([0, 1, 2, 2, 1, 0])
-    return circ, rng.uniform(0, 4 * PI, 8), feats, labels, EncoderSpec(EncodeScheme.AMPLITUDE)
+    return circ, rng.uniform(0, 4 * PI, 8), feats, labels
 
 
 def _random_case(seed):
@@ -49,7 +50,7 @@ def _random_case(seed):
     circ, params = random_circuit(rng, 3, 40, trainable=True)
     kinds = {g.kind for g in circ.layers}
     assert {GateKind.U3, GateKind.CU3} <= kinds and kinds & FIXED_KINDS
-    return circ, params, rng.uniform(0, 1, (5, 1)), rng.integers(0, 2, 5), None
+    return circ, params, rng.uniform(0, 1, (5, 1)), rng.integers(0, 2, 5)
 
 
 def _mixed_circuit():
@@ -73,7 +74,7 @@ def _mixed_circuit():
 def _mixed_case():
     rng = np.random.default_rng(23)
     return (_mixed_circuit(), rng.uniform(0, 4 * PI, 7), rng.uniform(0, 1, (6, 3)),
-            rng.integers(0, 2, 6), None)
+            rng.integers(0, 2, 6))
 
 
 CASES = {"syn4": lambda: _reference_case("syn4"), "syn16": lambda: _reference_case("syn16"),
@@ -83,9 +84,9 @@ CASES = {"syn4": lambda: _reference_case("syn4"), "syn16": lambda: _reference_ca
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_gradient_is_bit_identical_to_per_gate_building(case):
-    circ, params, feats, labels, enc = CASES[case]()
-    loss, grad = batch_loss_and_gradient(circ, params, feats, labels, enc)
-    want_loss, want_grad = oracle.per_gate_loss_and_gradient(circ, params, feats, labels, enc)
+    circ, params, feats, labels = CASES[case]()
+    loss, grad = batch_loss_and_gradient(circ, params, feats, labels)
+    want_loss, want_grad = oracle.per_gate_loss_and_gradient(circ, params, feats, labels)
     assert np.max(np.abs(grad)) > 1e-3  # the comparison is not between zeros
     assert loss == want_loss
     assert np.array_equal(grad, want_grad)
@@ -97,7 +98,7 @@ def test_run_batch_with_distinct_theta_rows_matches_per_gate_loop():
         circ, params = random_circuit(rng, 3, 30, trainable=True)
         thetas = params + rng.normal(size=(7, params.size))
         assert np.array_equal(run_batch(circ, thetas), oracle.per_gate_run_batch(circ, thetas))
-    circ, params, feats, _, _ = _mixed_case()
+    circ, params, feats, _ = _mixed_case()
     thetas = params + rng.normal(size=(feats.shape[0], params.size))
     assert np.array_equal(run_batch(circ, thetas, feats),
                           oracle.per_gate_run_batch(circ, thetas, feats))
@@ -105,7 +106,7 @@ def test_run_batch_with_distinct_theta_rows_matches_per_gate_loop():
 
 @pytest.mark.parametrize("case", ["syn16", "mixed"])
 def test_run_batch_with_one_theta_row_against_feature_rows_matches_per_gate_loop(case):
-    circ, params, feats, _, _ = CASES[case]()
+    circ, params, feats, _ = CASES[case]()
     assert np.array_equal(run_batch(circ, params[None, :], feats),
                           oracle.per_gate_run_batch(circ, params[None, :], feats))
     # and the other way round: many theta rows against one feature row
@@ -147,7 +148,7 @@ def _group_keys(gates):
 
 
 def test_gradient_builds_matrices_once_per_gate_group(gate_mats_calls):
-    circ, params, feats, labels, _ = _reference_case("syn16")
+    circ, params, feats, labels = _reference_case("syn16")
     batch_loss_and_gradient(circ, params, feats, labels)
     groups = _group_keys(circ.all_gates)
     trainable = _group_keys(g for g in circ.all_gates if g.trainable)
@@ -178,7 +179,7 @@ def test_recl_candidates_rebuild_only_their_reader_gates(name, gate_mats_calls):
     lut = build_lut(circ)
     candidates = {gi: lut.entries.get(circ.layers[gi].kind, [])
                   for gi in circ.trainable_indices()}
-    recl._sweep(circ, th, candidates, samples, None)
+    recl._sweep(circ, th, candidates, samples)
 
     gates = circ.all_gates
     readers = {gi: [g for g in gates if set(g.theta_slots) & set(circ.layers[gi].theta_slots)]

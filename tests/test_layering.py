@@ -1,7 +1,11 @@
-"""Import layering: gate matrices are built in `gates` and nowhere else.
+"""Layering: gate matrices are built in `gates` and nowhere else, and the
+circuit alone decides how its input is encoded.
 
 `gates` sits at the bottom of the package and imports nothing from it but
 `errors`, so no module it could call back into can own a second builder.
+`Circuit.amplitude_input` is set by the file parser and read only by the
+circuit and by `training.initial_states`, so no other module can grow a
+second encoding path.
 """
 
 import ast
@@ -49,3 +53,16 @@ def test_only_gates_defines_matrix_builders():
             assert not defined & BUILDERS, (path.name, defined & BUILDERS)
         else:
             assert BUILDERS <= defined
+
+
+def test_only_circuit_and_training_read_the_input_mode():
+    readers, passers = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "amplitude_input"
+                    or isinstance(node, ast.Constant) and node.value == "amplitude_input"):
+                readers.add(path.stem)
+            elif isinstance(node, ast.keyword) and node.arg == "amplitude_input":
+                passers.add(path.stem)
+    assert readers == {"circuit", "training"}
+    assert passers == {"circfile"}

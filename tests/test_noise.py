@@ -94,22 +94,19 @@ AMPLITUDE_GATES = [Gate(GateKind.RY, (0,), (theta(0),)),
                    Gate(GateKind.RY, (1,), (theta(2),))]
 
 
-@pytest.mark.parametrize("encoding", ["amplitude", "angle"])
-def test_noisy_accuracy_transpiles_once_per_distinct_circuit(encoding, monkeypatch):
+@pytest.mark.parametrize("inputs", ["amplitude", "angle"])
+def test_noisy_accuracy_transpiles_once_per_distinct_circuit(inputs, monkeypatch):
     import vqcompress.noise as noise
     from vqcompress.circfile import load_reference
-    from vqcompress.data import (EncodeScheme, EncoderSpec, Sample, amplitude_state,
-                                 generate_synthetic)
+    from vqcompress.data import Sample, amplitude_state, generate_synthetic
     from vqcompress.training import TrainConfig, init_params
     rng = np.random.default_rng(11)
-    if encoding == "amplitude":
-        circ = Circuit(2, [], AMPLITUDE_GATES, MeasurementSpec(2))
+    if inputs == "amplitude":
+        circ = Circuit(2, [], AMPLITUDE_GATES, MeasurementSpec(2), amplitude_input=True)
         samples = [Sample(rng.uniform(0.1, 1.0, 4), int(rng.integers(2))) for _ in range(6)]
-        spec = EncoderSpec(EncodeScheme.AMPLITUDE)
     else:
         circ = load_reference("syn4")
         samples = generate_synthetic(4, 100, seed=11).test[:6]
-        spec = None
     params = init_params(circ, TrainConfig(seed=11))
     calls = []
 
@@ -118,12 +115,12 @@ def test_noisy_accuracy_transpiles_once_per_distinct_circuit(encoding, monkeypat
         return transpile_circuit(*args, **kwargs)
 
     monkeypatch.setattr(noise, "transpile_circuit", counted)
-    acc = noisy_accuracy(circ, params, samples, p=0.05, shots=64, seed=4, encoding=spec)
-    assert len(calls) == (1 if encoding == "amplitude" else len(samples))
+    acc = noisy_accuracy(circ, params, samples, p=0.05, shots=64, seed=4)
+    assert len(calls) == (1 if inputs == "amplitude" else len(samples))
 
     correct = 0
     for i, s in enumerate(samples):
-        if spec is None:
+        if inputs == "angle":
             tc = transpile_circuit(circ, np.atleast_2d(params), feats=s.features[None, :])
             init = zero_state(circ.n_qubits)
         else:

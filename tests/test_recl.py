@@ -6,7 +6,7 @@ import pytest
 
 from vqcompress.circfile import load_reference
 from vqcompress.circuit import Circuit, Gate, MeasureScheme, MeasurementSpec, theta
-from vqcompress.data import EncodeScheme, EncoderSpec, Sample, generate_synthetic, stack
+from vqcompress.data import Sample, generate_synthetic, stack
 from vqcompress.gates import GateKind
 from vqcompress.lut import CompressionLevel, LevelTag, build_lut
 from vqcompress.recl import _sweep, level_metric, reconstruct_lut
@@ -140,25 +140,24 @@ def test_zero_depth_guard_warns():
     assert m == pytest.approx(tcd(circ, np.array([1.0])) / 1.0)
 
 
-def from_scratch_metric(circ, th, gi, level, samples, encoding=None):
+def from_scratch_metric(circ, th, gi, level, samples):
     """Full-batch accuracy and tcd of the substituted vector, no shared state."""
     new = np.array(th, copy=True)
     for slot, val in zip(circ.layers[gi].theta_slots, level.value):
         new[slot] = val
     feats, labels = stack(samples)
-    probs = softmax(outputs_batch(circ, new[None, :], feats, encoding))
+    probs = softmax(outputs_batch(circ, new[None, :], feats))
     acc = float((probs.argmax(axis=1) == labels).mean())
     return acc * (tcd(circ, th) / max(tcd(circ, new), 1))
 
 
-def assert_sweep_matches_from_scratch(circ, th, lut, samples, encoding=None):
+def assert_sweep_matches_from_scratch(circ, th, lut, samples):
     candidates = {gi: lut.entries.get(circ.layers[gi].kind, [])
                   for gi in circ.trainable_indices()}
-    swept = _sweep(circ, th, candidates, samples, encoding)
+    swept = _sweep(circ, th, candidates, samples)
     assert set(swept) == set(candidates)
     for gi, levels in candidates.items():
-        assert swept[gi] == [from_scratch_metric(circ, th, gi, lv, samples, encoding)
-                             for lv in levels]
+        assert swept[gi] == [from_scratch_metric(circ, th, gi, lv, samples) for lv in levels]
 
 
 def test_sweep_equals_from_scratch_on_syn16_with_grid_angles():
@@ -210,13 +209,13 @@ def test_sweep_equals_from_scratch_with_amplitude_encoding():
              Gate(GateKind.RZ, (2,), (theta(2),)),
              Gate(GateKind.CRY, (1, 2), (theta(3),)),
              Gate(GateKind.RX, (2,), (theta(0),))]
-    circ = Circuit(3, [], gates, MeasurementSpec(3, MeasureScheme.STATE_GROUPING))
+    circ = Circuit(3, [], gates, MeasurementSpec(3, MeasureScheme.STATE_GROUPING),
+                   amplitude_input=True)
     rng = np.random.default_rng(31)
     samples = [Sample(rng.uniform(0.1, 1.0, 8), int(rng.integers(3))) for _ in range(30)]
     th = rng.uniform(0, 4 * PI, 4)
     th[1] = PI
-    assert_sweep_matches_from_scratch(circ, th, build_lut(circ), samples,
-                                      EncoderSpec(EncodeScheme.AMPLITUDE))
+    assert_sweep_matches_from_scratch(circ, th, build_lut(circ), samples)
 
 
 def test_rz_merge_across_gate_boundary_changes_candidate_depth():
@@ -233,7 +232,7 @@ def test_rz_merge_across_gate_boundary_changes_candidate_depth():
     assert tcd(circ, th) == 3
     assert tcd(circ, np.array([PI / 2, 3 * PI / 2])) == 2
     assert level_metric(circ, th, 2, level, samples) == 1.5
-    swept = _sweep(circ, th, {1: [level], 2: [level]}, samples, None)
+    swept = _sweep(circ, th, {1: [level], 2: [level]}, samples)
     assert swept == {1: [1.0], 2: [1.5]}
 
 

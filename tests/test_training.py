@@ -6,8 +6,7 @@ import pytest
 from conftest import random_circuit
 from oracle import SHIFT_RULES, param_shift_gradient
 from vqcompress.circuit import Circuit, Gate, MeasureScheme, MeasurementSpec, data, theta
-from vqcompress.data import (EncodeScheme, EncoderSpec, Sample, amplitude_state,
-                             generate_synthetic, stack)
+from vqcompress.data import Sample, amplitude_state, generate_synthetic, stack
 from vqcompress.errors import DataError
 from vqcompress.gates import GateKind
 from vqcompress.circfile import load_reference
@@ -90,28 +89,29 @@ def _grouping_amplitude_case():
              Gate(GateKind.RZ, (2,), (theta(4),)),
              Gate(GateKind.CRY, (2, 0), (theta(5),)),
              Gate(GateKind.RY, (1,), (theta(6),))]
-    circ = Circuit(3, [], gates, MeasurementSpec(3, MeasureScheme.STATE_GROUPING))
+    circ = Circuit(3, [], gates, MeasurementSpec(3, MeasureScheme.STATE_GROUPING),
+                   amplitude_input=True)
     rng = np.random.default_rng(21)
     feats = rng.uniform(0.05, 1.0, (6, 8))
     labels = np.array([0, 1, 2, 2, 1, 0])
-    return circ, rng.uniform(0, 4 * PI, 7), feats, labels, EncoderSpec(EncodeScheme.AMPLITUDE)
+    return circ, rng.uniform(0, 4 * PI, 7), feats, labels
 
 
 def _reference_case(name, n_features):
     circ = load_reference(name)
     feats, labels = stack(generate_synthetic(n_features, 40, seed=12).train[:10])
-    return circ, init_params(circ, TrainConfig(seed=12)), feats, labels, None
+    return circ, init_params(circ, TrainConfig(seed=12)), feats, labels
 
 
 @pytest.mark.parametrize("case", ["syn4", "syn16", "grouping-amplitude"])
 def test_gradient_matches_param_shift_oracle(case):
     if case == "grouping-amplitude":
-        circ, params, feats, labels, enc = _grouping_amplitude_case()
+        circ, params, feats, labels = _grouping_amplitude_case()
         states = np.stack([amplitude_state(f, circ.n_qubits) for f in feats])
     else:
-        circ, params, feats, labels, enc = _reference_case(case, 4 if case == "syn4" else 16)
+        circ, params, feats, labels = _reference_case(case, 4 if case == "syn4" else 16)
         states = None
-    _, grad = batch_loss_and_gradient(circ, params, feats, labels, enc)
+    _, grad = batch_loss_and_gradient(circ, params, feats, labels)
     expected = param_shift_gradient(circ, params, feats, labels, initial_states=states)
     assert np.max(np.abs(expected)) > 1e-3  # the comparison is not between zeros
     assert np.max(np.abs(grad - expected)) <= 1e-12
@@ -242,16 +242,14 @@ def test_training_reaches_high_accuracy():
 
 
 def test_amplitude_encoding_training_path():
-    from vqcompress.data import EncodeScheme, EncoderSpec, generate_synthetic
     gates = [Gate(GateKind.RY, (0,), (theta(0),)),
              Gate(GateKind.CRX, (0, 1), (theta(1),)),
              Gate(GateKind.RY, (1,), (theta(2),))]
-    circ = Circuit(2, [], gates, MeasurementSpec(2))  # no encoder gates
+    circ = Circuit(2, [], gates, MeasurementSpec(2), amplitude_input=True)
     ds = generate_synthetic(4, 100, seed=9)           # 4 features == 2^2 amplitudes
-    enc = EncoderSpec(EncodeScheme.AMPLITUDE)
     cfg = TrainConfig(seed=9, epochs=10)
-    params = sgd_train(circ, init_params(circ, cfg), ds.train, cfg, encoding=enc)
-    loss, acc = loss_and_accuracy(circ, params, ds.test, encoding=enc)
+    params = sgd_train(circ, init_params(circ, cfg), ds.train, cfg)
+    loss, acc = loss_and_accuracy(circ, params, ds.test)
     assert np.isfinite(loss) and 0.0 <= acc <= 1.0
-    probs = forward(circ, params, ds.test[0], encoding=enc)
+    probs = forward(circ, params, ds.test[0])
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)

@@ -10,9 +10,9 @@ from vqcompress.circuit import Circuit, Gate, MeasurementSpec, const
 from vqcompress.gates import ARITY, N_QUBITS_OF_KIND, GateKind
 from vqcompress.training import TrainConfig, init_params
 from vqcompress.transpile import (BASIS_KINDS, GENERIC_ANGLE, PhysicalGate,
-                                  TranspiledCircuit, build_depth_table, circuit_depth,
-                                  decompose_kind, lowered_depth, peephole_optimize,
-                                  standalone_gate_depth, tcd, transpile_circuit)
+                                  TranspiledCircuit, build_depth_table, decompose_kind,
+                                  lowered_depth, peephole_optimize, standalone_gate_depth,
+                                  tcd, transpile_circuit)
 
 PI = math.pi
 
@@ -143,7 +143,7 @@ def test_peephole_preserves_unitary_on_random_chains():
         out = peephole_optimize(tc)
         assert oracle.equal_up_to_phase(oracle.transpiled_unitary(tc),
                                         oracle.transpiled_unitary(out))
-        assert circuit_depth(out) <= circuit_depth(tc)
+        assert oracle.dag_depth(out.gates) <= oracle.dag_depth(tc.gates)
 
 
 # RZ angles whose runs reach 0 mod 2pi both mid-run and at a run's end.
@@ -201,16 +201,14 @@ def test_partial_run_sum_at_zero_is_kept(b):
 
 
 def test_circuit_depth_dag_cases():
-    assert circuit_depth(TranspiledCircuit(2, [], [])) == 0
-    parallel = TranspiledCircuit(2, [PhysicalGate(GateKind.SX, (0,)),
-                                     PhysicalGate(GateKind.SX, (1,))], [0, 1])
-    assert circuit_depth(parallel) == 1
-    serial = TranspiledCircuit(1, [PhysicalGate(GateKind.SX, (0,))] * 3, [0, 1, 2])
-    assert circuit_depth(serial) == 3
-    mixed = TranspiledCircuit(2, [PhysicalGate(GateKind.SX, (0,)),
-                                  PhysicalGate(GateKind.CX, (0, 1)),
-                                  PhysicalGate(GateKind.SX, (1,))], [0, 1, 2])
-    assert circuit_depth(mixed) == 3
+    assert lowered_depth(2, [((), [])]) == 0
+    parallel = [PhysicalGate(GateKind.SX, (0,)), PhysicalGate(GateKind.SX, (1,))]
+    assert lowered_depth(2, [((), parallel)]) == 1
+    serial = [PhysicalGate(GateKind.SX, (0,))] * 3
+    assert lowered_depth(1, [((), serial)]) == 3
+    mixed = [PhysicalGate(GateKind.SX, (0,)), PhysicalGate(GateKind.CX, (0, 1)),
+             PhysicalGate(GateKind.SX, (1,))]
+    assert lowered_depth(2, [((), mixed)]) == 3
 
 
 def test_transpile_single_gate_circuits():
@@ -268,4 +266,4 @@ def test_depth_only_tcd_equals_transpiled_depth(grid):
         circ, params = random_circuit(rng, n, int(rng.integers(1, 25)), trainable=True)
         if grid:
             params = rng.integers(0, 8, params.size) * (PI / 2)
-        assert tcd(circ, params) == circuit_depth(transpile_circuit(circ, params))
+        assert tcd(circ, params) == oracle.dag_depth(transpile_circuit(circ, params).gates)
