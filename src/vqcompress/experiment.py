@@ -48,6 +48,8 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHOD_ORDER:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHOD_ORDER}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.shots < 1:
             raise ConfigError(f"shots must be at least 1, got {self.shots}")
         if self.noise_p is not None and not 0.0 <= self.noise_p <= 1.0:

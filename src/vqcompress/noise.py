@@ -4,6 +4,13 @@ After every physical gate, each qubit the gate touched suffers, with
 probability p, a Pauli drawn uniformly from {I, X, Y, Z}; at p = 1 this fully
 depolarizes the qubit.  Expectations are the average of exact per-trajectory
 readouts over a fixed shot count, so results are deterministic given the seed.
+
+A sample's trajectories are one amplitude-major (2^n, shots) batch, handed to
+`simulator.apply_matrix` as a single row whose trailing axis holds the shots:
+every gate is one kernel call shared by all shots, and the shot axis is the
+contiguous inner loop.  Per touched qubit the sampler draws `shots` uniforms,
+then `shots` Pauli indices, and the readout averages (shots, C) outputs in
+shot order, so a seed gives the same bits as a (shots, 2^n) batch would.
 """
 
 import numpy as np
@@ -16,21 +23,20 @@ from .training import initial_states, softmax
 from .transpile import TranspiledCircuit, transpile_circuit
 
 
-def _apply_pauli_rows(states: np.ndarray, rows: np.ndarray, q: int, which: int):
-    """In-place X/Y/Z on one qubit for a subset of trajectory rows."""
-    dim = states.shape[1]
+def _apply_pauli(states: np.ndarray, cols: np.ndarray, q: int, which: int):
+    """In-place X/Y/Z on one qubit for a subset of trajectory columns."""
     low = 1 << q
-    sub = states[rows].reshape(len(rows), dim // (2 * low), 2, low)
+    view = states.reshape(states.shape[0] // (2 * low), 2, low, -1)
+    sub = view[..., cols]
     if which == 1:    # X
-        sub = sub[:, :, ::-1, :]
+        sub = sub[:, ::-1]
     elif which == 2:  # Y
-        sub = sub[:, :, ::-1, :].copy()
-        sub[:, :, 0, :] *= -1j
-        sub[:, :, 1, :] *= 1j
+        sub = sub[:, ::-1].copy()
+        sub[:, 0] *= -1j
+        sub[:, 1] *= 1j
     else:             # Z
-        sub = sub.copy()
-        sub[:, :, 1, :] *= -1
-    states[rows] = sub.reshape(len(rows), dim)
+        sub[:, 1] *= -1
+    view[..., cols] = sub
 
 
 def noisy_outputs(tc: TranspiledCircuit, input_state: np.ndarray, spec: MeasurementSpec,
@@ -41,16 +47,18 @@ def noisy_outputs(tc: TranspiledCircuit, input_state: np.ndarray, spec: Measurem
     if shots < 1:
         raise ConfigError(f"shots must be at least 1, got {shots}")
     rng = np.random.default_rng(seed)
-    states = np.broadcast_to(input_state, (shots, input_state.shape[0])).astype(complex).copy()
+    states = np.empty((1, input_state.shape[0], shots), dtype=complex)
+    states[0] = input_state[:, None]
     for pg in tc.gates:
         states = apply_matrix(states, pg.matrix(), pg.qubits)
         for q in pg.qubits:
-            hit = rng.random(shots) < p
-            paulis = rng.integers(0, 4, size=shots)
+            hit = np.flatnonzero(rng.random(shots) < p)
+            paulis = rng.integers(0, 4, size=shots)[hit]
             for which in (1, 2, 3):
-                rows = np.flatnonzero(hit & (paulis == which))
-                if rows.size:
-                    _apply_pauli_rows(states, rows, q, which)
+                cols = hit[paulis == which]
+                if cols.size:
+                    _apply_pauli(states[0], cols, q, which)
+    states = np.ascontiguousarray(states[0].T)    # (shots, 2^n); frees the batch
     return measure_outputs_batch(states, spec).mean(axis=0)
 
 

@@ -4,7 +4,9 @@ States are complex128 arrays of 2^n amplitudes; qubit 0 is the least
 significant bit of the basis-state index.  Everything is batched: a state
 batch has shape (rows, 2^n).  A gate acts on every row either through one
 shared matrix or through one matrix per row, so a batch can mix samples
-(per-row data angles) and parameter vectors.
+(per-row data angles) and parameter vectors.  A batch may also carry a
+trailing axis, (rows, 2^n, cols), of columns that share their row's matrix;
+the noise evaluator runs its shots that way, along the contiguous axis.
 
 The matrices come from `gates.gate_mats_batch`, through a cached `GatePlan`
 per circuit: gates of one kind and row shape are one group, and each group's
@@ -45,25 +47,25 @@ def _pair_indices(n_qubits: int, qa: int, qb: int):
 
 
 def _batched_1q(states: np.ndarray, mats: np.ndarray, q: int) -> np.ndarray:
-    rows, dim = states.shape
+    rows, dim = states.shape[:2]
     low = 1 << q
     high = dim // (2 * low)
-    t = states.reshape(rows, high, 2, low)
+    t = states.reshape(rows, high, 2, -1)      # trailing columns join the low bits
     if mats.ndim == 2:
         out = np.einsum("ab,rhbl->rhal", mats, t)
     else:
         out = np.einsum("rab,rhbl->rhal", mats, t)
-    return np.ascontiguousarray(out.reshape(rows, dim))
+    return np.ascontiguousarray(out.reshape(states.shape))
 
 
 def _batched_2q(states: np.ndarray, mats: np.ndarray, qa: int, qb: int) -> np.ndarray:
     n = states.shape[1].bit_length() - 1
     idx = _pair_indices(n, qa, qb)
-    cols = states[:, idx]                      # (rows, 4, dim/4)
+    cols = states[:, idx]                      # (rows, 4, dim/4[, cols])
     if mats.ndim == 2:
-        new = np.einsum("jk,rkg->rjg", mats, cols)
+        new = np.einsum("jk,rk...->rj...", mats, cols)
     else:
-        new = np.einsum("rjk,rkg->rjg", mats, cols)
+        new = np.einsum("rjk,rk...->rj...", mats, cols)
     out = states.copy()
     out[:, idx] = new
     return out
@@ -199,7 +201,7 @@ def gate_plan(gates: tuple[Gate, ...]) -> GatePlan:
 
 def apply_matrix(states: np.ndarray, mats: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
     """Apply 2x2/4x4 matrices to `qubits`: shared (d, d) or (1, d, d), or one
-    per row (R, d, d)."""
+    per row (R, d, d).  `states` is (R, 2^n) or (R, 2^n, cols)."""
     if len(qubits) == 1:
         return _batched_1q(states, mats, qubits[0])
     return _batched_2q(states, mats, qubits[0], qubits[1])

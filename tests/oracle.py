@@ -7,7 +7,8 @@ significant bit of the basis index, matching the package convention.  The
 references at the end are the exceptions: the per-gate ones reuse the
 package's kernels to pin its stacked matrix building bit for bit, and the
 fixpoint peephole reuses its gate records and snap test to pin the one-pass
-peephole's output.
+peephole's output, and the row-major shot sampler reuses its kernel and
+readout to pin the noise evaluator's trajectories.
 """
 
 import cmath
@@ -298,3 +299,47 @@ def dag_depth(gates):
         preds = [depth[j] for j in range(i) if set(gates[j].qubits) & set(g.qubits)]
         depth.append(1 + max(preds, default=0))
     return max(depth, default=0)
+
+
+# Row-major shot sampler: the noise evaluator as it kept its trajectories
+# before they moved to the trailing axis, one (shots, 2^n) row per shot.  It
+# shares the package's kernel and readout, so it pins the RNG order and the
+# bits of every trajectory, not the noise model.
+
+def _apply_pauli_rows(states, rows, q, which):
+    """In-place X/Y/Z on one qubit for a subset of trajectory rows."""
+    dim = states.shape[1]
+    low = 1 << q
+    sub = states[rows].reshape(len(rows), dim // (2 * low), 2, low)
+    if which == 1:    # X
+        sub = sub[:, :, ::-1, :]
+    elif which == 2:  # Y
+        sub = sub[:, :, ::-1, :].copy()
+        sub[:, :, 0, :] *= -1j
+        sub[:, :, 1, :] *= 1j
+    else:             # Z
+        sub = sub.copy()
+        sub[:, :, 1, :] *= -1
+    states[rows] = sub.reshape(len(rows), dim)
+
+
+def noisy_outputs(tc, input_state, spec, p, shots, seed):
+    """Shot-averaged measurement outputs of a physical circuit under noise."""
+    from vqcompress.errors import ConfigError
+    from vqcompress.simulator import apply_matrix, measure_outputs_batch
+    if not 0.0 <= p <= 1.0:
+        raise ConfigError(f"depolarizing probability {p} outside [0, 1]")
+    if shots < 1:
+        raise ConfigError(f"shots must be at least 1, got {shots}")
+    rng = np.random.default_rng(seed)
+    states = np.broadcast_to(input_state, (shots, input_state.shape[0])).astype(complex).copy()
+    for pg in tc.gates:
+        states = apply_matrix(states, pg.matrix(), pg.qubits)
+        for q in pg.qubits:
+            hit = rng.random(shots) < p
+            paulis = rng.integers(0, 4, size=shots)
+            for which in (1, 2, 3):
+                rows = np.flatnonzero(hit & (paulis == which))
+                if rows.size:
+                    _apply_pauli_rows(states, rows, q, which)
+    return measure_outputs_batch(states, spec).mean(axis=0)

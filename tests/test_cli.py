@@ -126,6 +126,17 @@ def test_shots_below_one_rejected_with_exit_2(shots, capsys):
     assert "shots" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, seed", [
+    (["train", "--dataset", "syn4", "--circuit", "syn4", "--epochs", "1"], "-1"),
+    (["depth", "--circuit", "syn4"], "-3"),
+    (["report", "--dataset", "syn4", "--circuit", "syn4", "--methods", "Vanilla",
+      "--epochs", "1"], "-1"),
+])
+def test_negative_seed_exits_2(command, seed, capsys):
+    assert main(command + ["--seed", seed]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_exit_code_3_on_runtime_error(monkeypatch):
     def broken(circuit):
         raise RuntimeError("LUT construction failed")

@@ -1,15 +1,19 @@
-"""Layering: gate matrices are built in `gates` and nowhere else, and the
-circuit alone decides how its input is encoded.
+"""Layering: gate matrices are built in `gates` and applied in `simulator`
+and nowhere else, and the circuit alone decides how its input is encoded.
 
 `gates` sits at the bottom of the package and imports nothing from it but
 `errors`, so no module it could call back into can own a second builder.
-`Circuit.amplitude_input` is set by the file parser and read only by the
+`np.einsum` is used only in `simulator`, so every gate application, the
+noise path's included, goes through `apply_matrix` and no module can grow a
+second kernel.  `Circuit.amplitude_input` is set by the file parser and read only by the
 circuit and by `training.initial_states`, so no other module can grow a
 second encoding path.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import vqcompress
 
@@ -53,6 +57,32 @@ def test_only_gates_defines_matrix_builders():
             assert not defined & BUILDERS, (path.name, defined & BUILDERS)
         else:
             assert BUILDERS <= defined
+
+
+def _uses_einsum(tree: ast.Module) -> bool:
+    """An `x.einsum` attribute, a bare `einsum` name or an import of it."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "einsum"
+                or isinstance(node, ast.Name) and node.id == "einsum"
+                or isinstance(node, ast.alias) and node.name.endswith("einsum")):
+            return True
+    return False
+
+
+def test_only_simulator_uses_einsum():
+    users = {path.stem for path in sorted(PACKAGE.glob("*.py"))
+             if _uses_einsum(ast.parse(path.read_text()))}
+    assert users == {"simulator"}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("np.einsum('ab,rb->ra', m, s)", True),
+    ("from numpy import einsum as e", True),
+    ("import numpy as xp\nk = xp.einsum", True),
+    ("np.linalg.norm(s)", False),
+])
+def test_the_einsum_scan_sees_every_spelling(source, found):
+    assert _uses_einsum(ast.parse(source)) is found
 
 
 def test_only_circuit_and_training_read_the_input_mode():

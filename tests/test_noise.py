@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from vqcompress.circuit import Circuit, Gate, MeasurementSpec, const, theta
 from vqcompress.errors import ConfigError
 from vqcompress.gates import GateKind
@@ -129,3 +130,38 @@ def test_noisy_accuracy_transpiles_once_per_distinct_circuit(inputs, monkeypatch
         outs = noisy_outputs(tc, init, circ.measurement, 0.05, 64, 4 + i)
         correct += int(np.argmax(outs)) == s.label
     assert acc == correct / len(samples)
+
+
+def _oracle_case(name):
+    """(physical circuit, initial state, measurement) for the oracle comparison."""
+    from vqcompress.circfile import load_reference
+    from vqcompress.data import amplitude_state, generate_synthetic
+    from vqcompress.training import TrainConfig, init_params
+    rng = np.random.default_rng(5)
+    if name in ("syn4", "syn16"):
+        circ = load_reference(name)
+        sample = generate_synthetic(int(name[3:]), 100, seed=5).test[0]
+        params = init_params(circ, TrainConfig(seed=5))
+        tc = transpile_circuit(circ, np.atleast_2d(params), feats=sample.features[None, :])
+        return tc, zero_state(circ.n_qubits), circ.measurement
+    if name == "one-qubit":
+        gates = [Gate(GateKind.RX, (0,), (const(0.9),)), Gate(GateKind.RY, (0,), (const(-1.3),)),
+                 Gate(GateKind.U3, (0,), (const(0.4), const(1.1), const(-0.7)))]
+        circ = Circuit(1, [], gates, MeasurementSpec(1))
+        return transpile_circuit(circ, []), zero_state(1), circ.measurement
+    circ = Circuit(2, [], AMPLITUDE_GATES, MeasurementSpec(2), amplitude_input=True)
+    tc = transpile_circuit(circ, rng.uniform(-PI, PI, (1, 3)))
+    return tc, amplitude_state(rng.uniform(0.1, 1.0, 4), 2), circ.measurement
+
+
+@pytest.mark.parametrize("shots", [1, 37, 4096])
+@pytest.mark.parametrize("p", [0.0, 0.02, 0.3, 1.0])
+@pytest.mark.parametrize("name", ["syn4", "syn16", "one-qubit", "amplitude"])
+def test_noisy_outputs_equal_the_row_major_sampler(name, p, shots):
+    tc, init, spec = _oracle_case(name)
+    if name.startswith("syn"):
+        kinds = {g.kind for g in tc.gates}
+        assert GateKind.CX in kinds and kinds - {GateKind.CX}
+    got = noisy_outputs(tc, init, spec, p, shots, seed=601)
+    want = oracle.noisy_outputs(tc, init, spec, p, shots, seed=601)
+    assert np.array_equal(got, want)

@@ -9,7 +9,7 @@ from vqcompress.circuit import (Circuit, Gate, MeasureScheme, MeasurementSpec,
                                 const)
 from vqcompress.errors import SpecError
 from vqcompress.gates import GateKind
-from vqcompress.simulator import (apply_gate, measure_outputs, run_batch,
+from vqcompress.simulator import (apply_gate, apply_matrix, measure_outputs, run_batch,
                                   run_circuit, zero_state)
 
 PI = math.pi
@@ -134,3 +134,19 @@ def test_global_phase_gate_leaves_outputs_unchanged():
         assert np.max(np.abs(np.abs(a) ** 2 - np.abs(b) ** 2)) < 1e-12
         assert np.allclose(measure_outputs(a, circ.measurement),
                            measure_outputs(b, circ.measurement), atol=1e-12)
+
+
+@pytest.mark.parametrize("mat_rows", [None, 1, 3], ids=["dd", "1dd", "Rdd"])
+@pytest.mark.parametrize("qubits", [(1,), (0,), (2,), (2, 0), (0, 2), (1, 2)],
+                         ids=["q1", "q0", "q2", "q2q0", "q0q2", "q1q2"])
+def test_trailing_axis_equals_each_column_slice(qubits, mat_rows):
+    # columns of a (rows, 2^n, cols) batch share their row's matrix
+    rng = np.random.default_rng(21)
+    rows, n, cols, d = 3, 3, 5, 2 ** len(qubits)
+    states = rng.normal(size=(rows, 2 ** n, cols)) + 1j * rng.normal(size=(rows, 2 ** n, cols))
+    shape = (d, d) if mat_rows is None else (mat_rows, d, d)
+    mats = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = apply_matrix(states, mats, qubits)
+    assert got.shape == states.shape and got.flags.c_contiguous
+    for c in range(cols):
+        assert np.array_equal(got[:, :, c], apply_matrix(states[:, :, c].copy(), mats, qubits))
