@@ -49,8 +49,9 @@ class ADMMConfig:
             raise ConfigError(f"target_ratio {self.target_ratio} outside [0, 1]")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha {self.alpha} outside (0, 1)")
-        if self.rho <= 0 or self.zeta <= 0:
-            raise ConfigError("rho and zeta must be positive")
+        for name, value in (("rho", self.rho), ("zeta", self.zeta)):
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
         for name in ("max_iters", "epochs_per_iter", "retrain_epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")

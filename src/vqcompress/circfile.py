@@ -22,10 +22,11 @@ no `#encoder` section) reads its input as amplitudes: each sample's 2^N
 features, L2-normalized, are the initial state.
 """
 
+import math
 from importlib import resources
 
 from .circuit import Circuit, Gate, MeasureScheme, MeasurementSpec, const, data, theta
-from .errors import ParseError
+from .errors import ParseError, SpecError
 from .gates import ARITY, N_QUBITS_OF_KIND, GateKind
 
 _SCHEMES = {"perqubitz": MeasureScheme.PER_QUBIT_Z, "grouping": MeasureScheme.STATE_GROUPING}
@@ -54,8 +55,8 @@ def parse_circuit(text: str) -> Circuit:
         head = tokens[0].lower()
 
         if head == "qubits":
-            if len(tokens) != 2 or not tokens[1].isdigit():
-                raise ParseError("expected `qubits N`", lineno)
+            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+                raise ParseError("expected `qubits N` with N >= 1", lineno)
             n_qubits = int(tokens[1])
             continue
         if head == "#encoder":
@@ -71,7 +72,10 @@ def parse_circuit(text: str) -> Circuit:
                 n_classes = int(tokens[2])
             except ValueError:
                 raise ParseError(f"bad class count {tokens[2]!r}", lineno) from None
+            if n_classes < 1:
+                raise ParseError(f"class count must be at least 1, got {n_classes}", lineno)
             measurement = MeasurementSpec(n_classes, _SCHEMES[tokens[1].lower()])
+            measure_line = lineno
             continue
         if head.startswith("#"):
             raise ParseError(f"unknown section marker {tokens[0]!r}", lineno)
@@ -94,6 +98,8 @@ def parse_circuit(text: str) -> Circuit:
             raise ParseError(f"{kind.value} takes {N_QUBITS_OF_KIND[kind]} qubit(s)", lineno)
         if any(not 0 <= q < n_qubits for q in qubits):
             raise ParseError(f"qubit out of range in {tokens[1]!r}", lineno)
+        if len(set(qubits)) != len(qubits):
+            raise ParseError(f"duplicate qubit in {tokens[1]!r}", lineno)
 
         arity = ARITY[kind]
         angle_tokens = tokens[2:]
@@ -130,6 +136,8 @@ def parse_circuit(text: str) -> Circuit:
                     raise ParseError(f"unknown angle token {angle_tokens[0]!r}", lineno) from None
                 if len(vals) != arity:
                     raise ParseError(f"{kind.value} takes {arity} angle(s)", lineno)
+                if not all(math.isfinite(v) for v in vals):
+                    raise ParseError(f"non-finite angle {angle_tokens[0]!r}", lineno)
                 bindings = tuple(const(v) for v in vals)
         (encoder if section == "encoder" else layers).append(Gate(kind, qubits, bindings))
 
@@ -137,6 +145,10 @@ def parse_circuit(text: str) -> Circuit:
         raise ParseError("missing `qubits N` header", 1)
     if measurement is None:
         raise ParseError("missing `#measure` section", 1)
+    try:
+        measurement.validated(n_qubits)
+    except SpecError as exc:
+        raise ParseError(str(exc), measure_line) from None
     return Circuit(n_qubits, encoder, layers, measurement, amplitude_input=next_data == 0)
 
 

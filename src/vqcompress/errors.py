@@ -9,10 +9,6 @@ class SpecError(ValueError):
     """Measurement specification is inconsistent with the circuit."""
 
 
-class LUTError(ValueError):
-    """Compression-level lookup failed (e.g. empty level list)."""
-
-
 class ConfigError(ValueError):
     """Invalid run configuration."""
 

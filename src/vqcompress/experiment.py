@@ -227,13 +227,3 @@ def format_report(report: Report, fmt: str) -> str:
         return _FORMATTERS[fmt](report)
     except KeyError:
         raise ConfigError(f"unknown report format {fmt!r}") from None
-
-
-def parse_csv_report(text: str) -> list[MethodRow]:
-    """Inverse of the CSV format, for round-trip checks."""
-    rows = []
-    for line in text.strip().splitlines()[1:]:
-        method, acc, delta, depth, speedup, noisy = line.split(",")
-        rows.append(MethodRow(method, float(acc), float(delta), int(depth),
-                              float(speedup), float(noisy) if noisy else None))
-    return rows

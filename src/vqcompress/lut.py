@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit
-from .errors import LUTError
 from .gates import ARITY, GateKind, circ_dist, wrap_param
 from .transpile import GENERIC_ANGLE, standalone_gate_depth
 
@@ -34,10 +33,6 @@ class CompressionLevel:
     depth: int
     value: tuple[float, ...]
     tag: LevelTag = field(compare=False)
-
-    def __str__(self):
-        vals = ";".join(f"{v:.10g}" for v in self.value)
-        return f"{vals} [{self.tag.value}, depth {self.depth}]"
 
 
 def default_candidates(kind: GateKind) -> list[tuple[float, ...]]:
@@ -65,16 +60,6 @@ def find_levels(kind: GateKind, candidates=None) -> list[CompressionLevel]:
         if d < ceiling:
             found.add(CompressionLevel(d, cand, LevelTag.PRUNE if d == 0 else LevelTag.QUANTIZE))
     return sorted(found)
-
-
-def find_pruning_levels(kind: GateKind, candidates=None) -> list[CompressionLevel]:
-    """Candidates whose gate matrix is c*I with |c| = 1 (identity up to phase)."""
-    return [lv for lv in find_levels(kind, candidates) if lv.tag is LevelTag.PRUNE]
-
-
-def find_quantization_levels(kind: GateKind, candidates=None) -> list[CompressionLevel]:
-    """Non-pruning candidates compiling strictly below the generic depth."""
-    return [lv for lv in find_levels(kind, candidates) if lv.tag is LevelTag.QUANTIZE]
 
 
 @dataclass
@@ -107,10 +92,3 @@ def level_distance(value: tuple[float, ...], angles) -> float:
     """Euclidean circular distance between an angle tuple and a level value."""
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     return float(math.sqrt(sum(circ_dist(a, v) ** 2 for a, v in zip(angles, value))))
-
-
-def nearest_level(levels: list[CompressionLevel], angles) -> CompressionLevel:
-    """Closest level on the [0, 4pi) circle; ties go to smaller depth, then value."""
-    if not levels:
-        raise LUTError("empty compression-level list")
-    return min(levels, key=lambda lv: (level_distance(lv.value, angles), lv.depth, lv.value))

@@ -12,7 +12,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .data import stack
-from .lut import CompressionLUT, CompressionLevel
+from .lut import CompressionLUT
 from .simulator import apply_matrix, gate_plan, measure_outputs_batch, zero_state
 from .training import initial_states, softmax
 from .transpile import DepthScan, lower_circuit, lower_gate, probe_features
@@ -24,9 +24,6 @@ class ReconstructedLUT:
 
     levels: dict = field(default_factory=dict)   # layer index -> CompressionLevel
     metrics: dict = field(default_factory=dict)  # layer index -> achieved metric
-
-    def __len__(self):
-        return len(self.levels)
 
 
 def _substituted(theta: np.ndarray, circuit: Circuit, gate_index: int,
@@ -101,12 +98,6 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
             acc = float((probs.argmax(axis=1) == labels).mean())
             metrics[gi].append(acc * _depth_factor(theta_tcd, scan.close()))
     return metrics
-
-
-def level_metric(circuit: Circuit, theta, gate_index: int, level: CompressionLevel,
-                 eval_samples) -> float:
-    """Accuracy x speedup of moving one gate's parameter to a level."""
-    return _sweep(circuit, theta, {gate_index: [level]}, eval_samples)[gate_index][0]
 
 
 def reconstruct_lut(circuit: Circuit, theta, lut: CompressionLUT,

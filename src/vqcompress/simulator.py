@@ -241,18 +241,6 @@ def run_batch(circuit: Circuit, thetas: np.ndarray, feats: np.ndarray | None = N
     return states
 
 
-def apply_gate(state: np.ndarray, gate: Gate, params) -> np.ndarray:
-    """Single-state gate application; params is the flat trainable vector."""
-    state = np.asarray(state, dtype=complex)
-    for q in gate.qubits:
-        if not 0 <= q < state.shape[0].bit_length() - 1:
-            raise IndexError(f"qubit {q} out of range")
-    thetas = np.atleast_2d(np.asarray(params, dtype=float))
-    if thetas.size == 0:
-        thetas = np.zeros((1, 0))
-    return apply_gate_batch(state[None, :], gate, thetas)[0]
-
-
 def run_circuit(circuit: Circuit, params, input_state: np.ndarray | None = None,
                 feats=None) -> np.ndarray:
     """Run a circuit on one input state with one parameter vector."""
@@ -283,8 +271,3 @@ def readout_weights(spec: MeasurementSpec, n_qubits: int) -> np.ndarray:
 def measure_outputs_batch(states: np.ndarray, spec: MeasurementSpec) -> np.ndarray:
     n_qubits = states.shape[1].bit_length() - 1
     return (np.abs(states) ** 2) @ readout_weights(spec, n_qubits).T
-
-
-def measure_outputs(state: np.ndarray, spec: MeasurementSpec) -> np.ndarray:
-    """Classifier readout: per-qubit <Z> values or basis-state group weights."""
-    return measure_outputs_batch(np.asarray(state, dtype=complex)[None, :], spec)[0]

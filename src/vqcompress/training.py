@@ -64,14 +64,6 @@ def softmax(outputs: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward(circuit: Circuit, params, sample_or_feats):
-    """Class probabilities for one sample."""
-    feats = getattr(sample_or_feats, "features", sample_or_feats)
-    feats = np.atleast_2d(np.asarray(feats, dtype=float))
-    out = outputs_batch(circuit, np.atleast_2d(np.asarray(params, dtype=float)), feats)
-    return softmax(out)[0]
-
-
 def loss_and_accuracy(circuit: Circuit, params, samples) -> tuple[float, float]:
     """Mean cross-entropy and argmax accuracy over a sample list."""
     feats, labels = stack(samples)
@@ -155,12 +147,6 @@ def batch_loss_and_gradient(circuit: Circuit, params: np.ndarray, feats: np.ndar
                 grad[b.slot] += 2.0 * np.vdot(costate, d_states).real
         costate = apply_matrix(costate, u_dag, gate.qubits)
     return loss, grad
-
-
-def loss_gradient(circuit: Circuit, params, samples) -> np.ndarray:
-    """Gradient of the mean cross-entropy over `samples` w.r.t. the parameters."""
-    feats, labels = stack(samples)
-    return batch_loss_and_gradient(circuit, np.asarray(params, dtype=float), feats, labels)[1]
 
 
 def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,

@@ -21,7 +21,6 @@ and ReCL resumes copies of it to price a candidate from its first changed
 gate on.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -401,9 +400,6 @@ class DepthTable:
 
     entries: dict
 
-    def depth(self, kind: GateKind, param_class: str) -> int:
-        return self.entries[(kind, param_class)]
-
     def max_depth(self) -> int:
         return max(self.entries.values())
 
@@ -412,24 +408,6 @@ class DepthTable:
             yield kind.value, [self.entries[(kind, c)] for c in PARAM_CLASSES]
         for kind in FIXED_KINDS:
             yield kind.value, [self.entries[(kind, "-")]]
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["gate", "param_class", "depth"])
-            for kind in TABLE_KINDS:
-                for c in PARAM_CLASSES:
-                    w.writerow([kind.value, c, self.entries[(kind, c)]])
-            for kind in FIXED_KINDS:
-                w.writerow([kind.value, "-", self.entries[(kind, "-")]])
-
-    @staticmethod
-    def from_csv(path) -> "DepthTable":
-        entries = {}
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                entries[(GateKind(row["gate"]), row["param_class"])] = int(row["depth"])
-        return DepthTable(entries)
 
 
 def build_depth_table() -> DepthTable:

@@ -51,6 +51,14 @@ def test_comment_lines_are_ignored():
     ("qubits 2\n#layers\nRX 0 free3\n#measure perqubitz 2", 3),
     ("qubits 2\n#encodr\nRY 0 free\n#measure perqubitz 2", 2),
     ("qubits 2\nRX 0 free\n#measure perqubitz 2", 2),
+    ("qubits 2\n#layers\nCRX 0,0 free\n#measure perqubitz 2", 3),
+    ("qubits 2\n#layers\nRZ 1 nan\n#measure perqubitz 2", 3),
+    ("qubits 2\n#layers\nU3 1 0.5,inf,0\n#measure perqubitz 2", 3),
+    ("qubits 2\n#layers\nRX 0 free\n#measure perqubitz 3", 4),
+    ("qubits 2\n#layers\nRX 0 free\n#measure grouping 5", 4),
+    ("qubits 2\n#layers\nRX 0 free\n#measure grouping 0", 4),
+    ("#measure perqubitz 3\nqubits 2\n#layers\nRX 0 free", 1),
+    ("qubits 0\n#layers\n#measure perqubitz 2", 1),
 ])
 def test_parse_errors_carry_line_numbers(bad, line):
     with pytest.raises(ParseError) as err:

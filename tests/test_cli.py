@@ -1,3 +1,4 @@
+import csv
 from dataclasses import fields
 
 import numpy as np
@@ -7,7 +8,7 @@ from vqcompress import cli
 from vqcompress.admm import ADMMConfig
 from vqcompress.circfile import load_reference
 from vqcompress.cli import main, read_config_file
-from vqcompress.experiment import ExperimentConfig, parse_csv_report
+from vqcompress.experiment import ExperimentConfig
 from vqcompress.training import TrainConfig
 from vqcompress.transpile import tcd
 
@@ -241,6 +242,20 @@ def test_dataset_circuit_mismatch_exits_2(case, command, words, tmp_path, capsys
     assert all(w in err for w in words), err
 
 
+@pytest.mark.parametrize("body, words", [
+    ("qubits 2\n#layers\nCRX 0,0 free\n#measure perqubitz 2\n", ("line 3", "duplicate qubit")),
+    ("qubits 2\n#layers\nRZ 1 nan\n#measure perqubitz 2\n", ("line 3", "non-finite")),
+    ("qubits 2\n#layers\nRX 0 free\n#measure grouping 5\n", ("line 4", "5 classes")),
+    ("qubits 0\n#measure perqubitz 2\n", ("line 1", "qubits")),
+], ids=["duplicate-qubit", "nan-angle", "too-many-classes", "no-qubits"])
+def test_malformed_circuit_file_exits_2(body, words, tmp_path, capsys):
+    circ = tmp_path / "bad.circ"
+    circ.write_text(body)
+    assert main(["depth", "--circuit", str(circ)]) == 2
+    err = capsys.readouterr().err
+    assert all(w in err for w in words), err
+
+
 def test_amplitude_csv_on_encoder_free_circuit_runs(tmp_path, capsys):
     circ = tmp_path / "amp.circ"
     circ.write_text(AMPLITUDE_CIRC)
@@ -260,6 +275,8 @@ def test_amplitude_csv_on_encoder_free_circuit_runs(tmp_path, capsys):
     (["--max-iters", "0"], "max_iters"),
     (["--epochs-per-iter", "0"], "epochs_per_iter"),
     (["--retrain-epochs", "0"], "retrain_epochs"),
+    (["--rho", "nan"], "rho"),
+    (["--zeta", "nan"], "zeta"),
 ])
 def test_experiment_config_rejected_before_training(args, field, capsys):
     rc = main(["report", "--dataset", "syn4", "--circuit", "syn4", "--methods",
@@ -351,8 +368,8 @@ def shared_report(tmp_path_factory):
     base = tmp_path_factory.mktemp("shared") / "rep"
     assert main(["report", "--methods", "Vanilla,ZeroOnlyPruning,PruneOnly,QuantOnly,CompVQC",
                  "--format", "csv", "--out", str(base)] + SHARED_RUN) == 0
-    text = base.with_suffix(".csv").read_text()
-    return {r.method: r for r in parse_csv_report(text)}
+    with open(base.with_suffix(".csv"), newline="") as fh:
+        return {row["method"]: row for row in csv.DictReader(fh)}
 
 
 @pytest.mark.parametrize("method", ["ZeroOnlyPruning", "PruneOnly", "QuantOnly", "CompVQC"])
@@ -360,9 +377,9 @@ def test_compress_prints_the_report_row(method, shared_report, capsys):
     assert main(["compress", "--method", method] + SHARED_RUN) == 0
     lines = capsys.readouterr().out.splitlines()
     van, row = shared_report["Vanilla"], shared_report[method]
-    assert lines[0] == (f"vanilla: acc {van.accuracy:.3f} tcd {van.tcd} "
-                        f"noisy acc {van.noisy_accuracy:.3f}")
-    assert lines[1].startswith(f"{method}: acc {row.accuracy:.3f} "
-                               f"({row.acc_vs_baseline:+.3f}) tcd {row.tcd} "
-                               f"({row.speedup:.2f}x) masked ")
-    assert lines[1].endswith(f" noisy acc {row.noisy_accuracy:.3f}")
+    assert lines[0] == (f"vanilla: acc {float(van['accuracy']):.3f} tcd {van['tcd']} "
+                        f"noisy acc {float(van['noisy_accuracy']):.3f}")
+    assert lines[1].startswith(f"{method}: acc {float(row['accuracy']):.3f} "
+                               f"({float(row['acc_vs_baseline']):+.3f}) tcd {row['tcd']} "
+                               f"({float(row['speedup']):.2f}x) masked ")
+    assert lines[1].endswith(f" noisy acc {float(row['noisy_accuracy']):.3f}")

@@ -7,10 +7,13 @@ and nowhere else, and the circuit alone decides how its input is encoded.
 noise path's included, goes through `apply_matrix` and no module can grow a
 second kernel.  `Circuit.amplitude_input` is set by the file parser and read only by the
 circuit and by `training.initial_states`, so no other module can grow a
-second encoding path.
+second encoding path.  Every function, class and method the package defines
+is named somewhere in the package outside its own definition, so `src/`
+holds only what the pipeline runs, not an API that only tests call.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -96,3 +99,59 @@ def test_only_circuit_and_training_read_the_input_mode():
                 passers.add(path.stem)
     assert readers == {"circuit", "training"}
     assert passers == {"circfile"}
+
+
+# Defined for callers outside the package, each with its reason.
+UNCALLED_ALLOWED = {
+    "run_circuit",       # acceptance criterion 5 runs the transpiled circuit with it
+    "apply_gate_batch",  # the benchmark's tracer wraps it by name (perfbench/layers.py)
+}
+
+
+def _named(node: ast.AST) -> Counter:
+    """How often each name appears under `node` as a name, an attribute or an import."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            found[n.name.rpartition(".")[2]] += 1
+    return found
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and every method but the dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, ast.FunctionDef)
+                        and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
+def _unreferenced(sources: list[str]) -> set[str]:
+    """Definitions that no source names outside the definition itself."""
+    trees = [ast.parse(s) for s in sources]
+    named = sum((_named(tree) for tree in trees), Counter())
+    return {d.name for tree in trees for d in _definitions(tree)
+            if named[d.name] == _named(d)[d.name]}
+
+
+def test_every_definition_is_named_in_the_package():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+               if path.stem != "__init__"]
+    assert _unreferenced(sources) == UNCALLED_ALLOWED
+
+
+@pytest.mark.parametrize("source, unreferenced", [
+    ("def f():\n    return g()\n\ndef g():\n    return 1", {"f"}),
+    ("class A:\n    def m(self):\n        return self\n\nA()", {"m"}),
+    ("class A:\n    def m(self):\n        return self.m()\n\nA()", {"m"}),
+    ('def f():\n    """Calls g."""\n\ndef g():\n    pass\n\nf()', {"g"}),
+    ("class A:\n    def __len__(self):\n        return 0\n\nx = [A]", set()),
+    ("from m import f as h\n\ndef f():\n    pass", set()),
+], ids=["function", "method", "recursive-method", "docstring-only", "dunder", "import"])
+def test_the_definition_scan_sees_unreferenced_names(source, unreferenced):
+    assert _unreferenced([source]) == unreferenced

@@ -5,12 +5,9 @@ import pytest
 
 from vqcompress.circfile import load_reference
 from vqcompress.circuit import Circuit, Gate, MeasurementSpec, const
-from vqcompress.errors import LUTError
 from vqcompress.gates import FOUR_PI, GateKind, gate_matrix, phase_identity_factor
-from vqcompress.lut import (CompressionLevel, LevelTag, build_lut,
-                            default_candidates, find_pruning_levels,
-                            find_quantization_levels, nearest_level)
-from vqcompress.simulator import measure_outputs, run_circuit
+from vqcompress.lut import LevelTag, build_lut, default_candidates, find_levels
+from vqcompress.simulator import measure_outputs_batch, run_circuit
 from vqcompress.transpile import standalone_gate_depth
 
 PI = math.pi
@@ -18,6 +15,10 @@ PI = math.pi
 
 def values_of(levels):
     return sorted(lv.value[0] for lv in levels)
+
+
+def tagged(kind, tag, candidates=None):
+    return [lv for lv in find_levels(kind, candidates) if lv.tag is tag]
 
 
 @pytest.mark.parametrize("kind,expected", [
@@ -29,7 +30,7 @@ def values_of(levels):
     (GateKind.CRZ, [0.0]),
 ])
 def test_pruning_levels(kind, expected):
-    got = find_pruning_levels(kind)
+    got = tagged(kind, LevelTag.PRUNE)
     assert values_of(got) == pytest.approx(expected)
     assert all(lv.depth == 0 for lv in got)
 
@@ -47,31 +48,31 @@ def test_pruning_scan_oracle_finds_nothing_new():
 
 
 def test_quantization_levels_rx():
-    got = {lv.value[0]: lv.depth for lv in find_quantization_levels(GateKind.RX)}
+    got = {lv.value[0]: lv.depth for lv in tagged(GateKind.RX, LevelTag.QUANTIZE)}
     assert got[PI / 2] == 1 and got[PI] == 1 and got[3 * PI / 2] == 3
     assert 0.0 not in got and 2 * PI not in got  # pruning levels excluded
 
 
 def test_quantization_levels_crx():
-    got = {lv.value[0]: lv.depth for lv in find_quantization_levels(GateKind.CRX)}
+    got = {lv.value[0]: lv.depth for lv in tagged(GateKind.CRX, LevelTag.QUANTIZE)}
     assert got == {2 * PI: 5, PI: 8, 3 * PI: 9}
 
 
 def test_rz_has_no_quantization_levels():
-    assert find_quantization_levels(GateKind.RZ) == []
-    assert find_quantization_levels(GateKind.CRZ) == []
+    assert tagged(GateKind.RZ, LevelTag.QUANTIZE) == []
+    assert tagged(GateKind.CRZ, LevelTag.QUANTIZE) == []
 
 
 def test_quantization_depths_below_generic():
     from vqcompress.lut import generic_depth
     for kind in (GateKind.RX, GateKind.RY, GateKind.CRX, GateKind.CRY, GateKind.U3):
         ceiling = generic_depth(kind)
-        for lv in find_quantization_levels(kind):
+        for lv in tagged(kind, LevelTag.QUANTIZE):
             assert lv.depth < ceiling
 
 
 def test_u3_pruning_tuples():
-    levels = find_pruning_levels(GateKind.U3)
+    levels = tagged(GateKind.U3, LevelTag.PRUNE)
     assert levels, "U3 has pruning tuples on the grid"
     for lv in levels:
         t, p, l = lv.value
@@ -104,29 +105,10 @@ def test_rx_lut_includes_documented_levels():
         assert got[angle] == depth
 
 
-def test_nearest_level_basic_and_wrap():
-    levels = sorted(find_pruning_levels(GateKind.RX) + find_quantization_levels(GateKind.RX))
-    assert nearest_level(levels, [0.1]).value == (0.0,)
-    assert nearest_level(levels, [3.9 * PI]).value == (0.0,)  # wraps past 7pi/2
-
-
-def test_nearest_level_tie_prefers_smaller_depth():
-    a = CompressionLevel(3, (1.0,), LevelTag.QUANTIZE)
-    b = CompressionLevel(1, (2.0,), LevelTag.QUANTIZE)
-    assert nearest_level([a, b], [1.5]) is b
-    assert nearest_level([CompressionLevel(1, (1.0,), LevelTag.QUANTIZE),
-                          CompressionLevel(1, (2.0,), LevelTag.QUANTIZE)], [1.5]).value == (1.0,)
-
-
-def test_nearest_level_empty_raises():
-    with pytest.raises(LUTError):
-        nearest_level([], [1.0])
-
-
 def test_prune_substitution_equals_deletion():
     rng = np.random.default_rng(21)
     for kind in (GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.CRX, GateKind.CRZ):
-        for lv in find_pruning_levels(kind):
+        for lv in tagged(kind, LevelTag.PRUNE):
             qubits = (0,) if kind.value in ("RX", "RY", "RZ") else (0, 1)
             gates = [Gate(GateKind.RY, (0,), (const(0.8),)),
                      Gate(kind, qubits, tuple(const(v) for v in lv.value)),
@@ -136,13 +118,13 @@ def test_prune_substitution_equals_deletion():
             a = run_circuit(circ, [])
             b = run_circuit(removed, [])
             assert np.max(np.abs(np.abs(a) ** 2 - np.abs(b) ** 2)) < 1e-12
-            assert np.allclose(measure_outputs(a, circ.measurement),
-                               measure_outputs(b, circ.measurement), atol=1e-12)
+            outs = measure_outputs_batch(np.stack([a, b]), circ.measurement)
+            assert np.allclose(outs[0], outs[1], atol=1e-12)
 
 
 def test_custom_candidates_pass_through():
     fine = [(a,) for a in np.linspace(0, FOUR_PI, 1000, endpoint=False)]
-    got = find_pruning_levels(GateKind.RX, candidates=fine)
+    got = tagged(GateKind.RX, LevelTag.PRUNE, fine)
     assert values_of(got) == pytest.approx([0.0, 2 * PI])
 
 

@@ -8,7 +8,7 @@ from vqcompress.circuit import Circuit, Gate, MeasurementSpec, const, theta
 from vqcompress.errors import ConfigError
 from vqcompress.gates import GateKind
 from vqcompress.noise import noisy_accuracy, noisy_outputs
-from vqcompress.simulator import measure_outputs, run_circuit, zero_state
+from vqcompress.simulator import measure_outputs_batch, run_circuit, zero_state
 from vqcompress.transpile import transpile_circuit
 
 PI = math.pi
@@ -27,7 +27,7 @@ def test_p_zero_matches_noiseless():
     circ = chain_circuit(2)
     tc = transpile_circuit(circ, [])
     out = noisy_outputs(tc, zero_state(1), circ.measurement, p=0.0, shots=64, seed=3)
-    exact = measure_outputs(run_circuit(circ, []), circ.measurement)
+    exact = measure_outputs_batch(run_circuit(circ, [])[None], circ.measurement)[0]
     assert np.allclose(out, exact, atol=1e-12)
 
 

@@ -9,7 +9,7 @@ from vqcompress.circuit import Circuit, Gate, MeasureScheme, MeasurementSpec, th
 from vqcompress.data import Sample, generate_synthetic, stack
 from vqcompress.gates import GateKind
 from vqcompress.lut import CompressionLevel, LevelTag, build_lut
-from vqcompress.recl import _sweep, level_metric, reconstruct_lut
+from vqcompress.recl import _sweep, reconstruct_lut
 from vqcompress import transpile
 from vqcompress.training import TrainConfig, init_params, outputs_batch, softmax
 from vqcompress.transpile import DepthScan, lower_circuit, tcd
@@ -54,7 +54,7 @@ def test_metric_is_accuracy_when_depth_unchanged():
     # moving RY to a generic-depth-4 value is not in the LUT, so check the
     # tau = 1 identity directly by substituting the gate's own nearest value.
     level = next(lv for lv in lut.entries[GateKind.RY] if lv.value == (PI,))
-    m = level_metric(circ, th, 0, level, samples)
+    m = _sweep(circ, th, {0: [level]}, samples)[0][0]
     base = tcd(circ, th)
     new = th.copy()
     new[0] = PI
@@ -75,7 +75,7 @@ def test_exhaustive_sweep_matches_brute_force():
     for gi, level in itertools.chain.from_iterable(
             ((gi, lv) for lv in lut.entries[circ.layers[gi].kind])
             for gi in range(3)):
-        got = level_metric(circ, th, gi, level, samples)
+        got = _sweep(circ, th, {gi: [level]}, samples)[gi][0]
         want = brute_force_metric(circ, th, gi, level, samples)
         assert got == pytest.approx(want)
 
@@ -136,7 +136,7 @@ def test_zero_depth_guard_warns():
     lut = build_lut(circ)
     prune = lut.entries[GateKind.RX][0]
     with pytest.warns(UserWarning):
-        m = level_metric(circ, np.array([1.0]), 0, prune, samples)
+        m = _sweep(circ, np.array([1.0]), {0: [prune]}, samples)[0][0]
     assert m == pytest.approx(tcd(circ, np.array([1.0])) / 1.0)
 
 
@@ -189,7 +189,7 @@ def test_slot_read_before_and_after_another_gate():
         th = rng.uniform(0, 4 * PI, 2)
         assert_sweep_matches_from_scratch(circ, th, lut, samples)
         for lv in lut.entries[GateKind.RX]:
-            assert level_metric(circ, th, 2, lv, samples) == \
+            assert _sweep(circ, th, {2: [lv]}, samples)[2][0] == \
                 from_scratch_metric(circ, th, 2, lv, samples)
     # pruning theta(0) empties both readers, so the depth sees both re-lowered
     prune = lut.entries[GateKind.RX][0]
@@ -198,7 +198,7 @@ def test_slot_read_before_and_after_another_gate():
     new = np.array([0.0, 2.2])
     assert tcd(circ, new) < tcd(circ, th) - 4
     samples = toy_samples(np.random.default_rng(9), n=40)
-    assert level_metric(circ, th, 2, prune, samples) == \
+    assert _sweep(circ, th, {2: [prune]}, samples)[2][0] == \
         from_scratch_metric(circ, th, 2, prune, samples)
 
 
@@ -231,7 +231,7 @@ def test_rz_merge_across_gate_boundary_changes_candidate_depth():
     samples = [Sample(np.array([0.5]), 0)] * 4
     assert tcd(circ, th) == 3
     assert tcd(circ, np.array([PI / 2, 3 * PI / 2])) == 2
-    assert level_metric(circ, th, 2, level, samples) == 1.5
+    assert _sweep(circ, th, {2: [level]}, samples)[2][0] == 1.5
     swept = _sweep(circ, th, {1: [level], 2: [level]}, samples)
     assert swept == {1: [1.0], 2: [1.5]}
 

@@ -9,26 +9,35 @@ from vqcompress.circuit import (Circuit, Gate, MeasureScheme, MeasurementSpec,
                                 const)
 from vqcompress.errors import SpecError
 from vqcompress.gates import GateKind
-from vqcompress.simulator import (apply_gate, apply_matrix, measure_outputs, run_batch,
-                                  run_circuit, zero_state)
+from vqcompress.simulator import (apply_matrix, measure_outputs_batch, run_batch, run_circuit,
+                                  zero_state)
 
 PI = math.pi
 
 
+def _one_gate(n_qubits, gate):
+    return Circuit(n_qubits, [], [gate], MeasurementSpec(1))
+
+
 def test_rx_zero_is_identity():
     s = zero_state(1)
-    out = apply_gate(s, Gate(GateKind.RX, (0,), (const(0.0),)), [])
+    out = run_circuit(_one_gate(1, Gate(GateKind.RX, (0,), (const(0.0),))), [], s)
     assert np.allclose(out, s, atol=1e-12)
 
 
 def test_rx_pi_on_zero_gives_minus_i_one():
-    out = apply_gate(zero_state(1), Gate(GateKind.RX, (0,), (const(PI),)), [])
+    out = run_circuit(_one_gate(1, Gate(GateKind.RX, (0,), (const(PI),))), [])
     assert np.allclose(out, [0, -1j], atol=1e-12)
 
 
-def test_apply_gate_rejects_bad_qubit():
-    with pytest.raises(IndexError):
-        apply_gate(zero_state(2), Gate(GateKind.RX, (3,), (const(1.0),)), [])
+@pytest.mark.parametrize("section", ["encoder", "layers"])
+@pytest.mark.parametrize("qubits", [(3,), (-1,), (0, 2)], ids=["high", "negative", "2q"])
+def test_circuit_rejects_out_of_range_qubit(section, qubits):
+    kind = GateKind.RX if len(qubits) == 1 else GateKind.CRX
+    gate = Gate(kind, qubits, (const(1.0),))
+    encoder, layers = ([gate], []) if section == "encoder" else ([], [gate])
+    with pytest.raises(IndexError, match="out of range"):
+        Circuit(2, encoder, layers, MeasurementSpec(2))
 
 
 def test_random_cry_matches_kron_oracle():
@@ -38,7 +47,7 @@ def test_random_cry_matches_kron_oracle():
         q = rng.choice(3, size=2, replace=False)
         angle = rng.uniform(0, 4 * PI)
         gate = Gate(GateKind.CRY, (int(q[0]), int(q[1])), (const(angle),))
-        got = apply_gate(state, gate, [])
+        got = run_circuit(_one_gate(3, gate), [], state)
         want = oracle.embed_gate(3, "CRY", gate.qubits, (angle,)) @ state
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -48,7 +57,7 @@ def test_norm_preserved_for_all_kinds():
     for _ in range(60):
         circ, _ = random_circuit(rng, int(rng.integers(1, 5)), 1)
         state = random_state(rng, circ.n_qubits)
-        out = apply_gate(state, circ.layers[0], [])
+        out = run_circuit(_one_gate(circ.n_qubits, circ.layers[0]), [], state)
         assert abs(np.vdot(out, out).real - 1.0) < 1e-9
 
 
@@ -63,7 +72,7 @@ def test_run_circuit_is_sequential_composition():
     g2 = Gate(GateKind.CRX, (0, 1), (const(2.1),))
     circ = Circuit(2, [], [g1, g2], MeasurementSpec(2))
     state = random_state(np.random.default_rng(1), 2)
-    step = apply_gate(apply_gate(state, g1, []), g2, [])
+    step = run_circuit(_one_gate(2, g2), [], run_circuit(_one_gate(2, g1), [], state))
     assert np.allclose(run_circuit(circ, [], state), step, atol=1e-12)
 
 
@@ -98,28 +107,28 @@ def test_batched_rows_match_single_runs():
 
 
 def test_measure_per_qubit_z_basis_states():
-    assert np.allclose(measure_outputs(zero_state(2), MeasurementSpec(2)), [1, 1])
+    assert np.allclose(measure_outputs_batch(zero_state(2)[None], MeasurementSpec(2))[0], [1, 1])
     one_one = np.zeros(4, dtype=complex)
     one_one[3] = 1.0
-    assert np.allclose(measure_outputs(one_one, MeasurementSpec(2)), [-1, -1])
+    assert np.allclose(measure_outputs_batch(one_one[None], MeasurementSpec(2))[0], [-1, -1])
 
 
 def test_measure_grouping_uniform_state():
     state = np.full(16, 0.25, dtype=complex)
     spec = MeasurementSpec(3, MeasureScheme.STATE_GROUPING)
-    out = measure_outputs(state, spec)
+    out = measure_outputs_batch(state[None], spec)[0]
     assert np.allclose(out, [5 / 16, 5 / 16, 5 / 16], atol=1e-12)
 
 
 def test_measure_too_many_classes_raises():
     with pytest.raises(SpecError):
-        measure_outputs(zero_state(2), MeasurementSpec(3))
+        measure_outputs_batch(zero_state(2)[None], MeasurementSpec(3))
 
 
 def test_grouping_rejects_overlapping_groups():
     spec = MeasurementSpec(2, MeasureScheme.STATE_GROUPING, ((0, 1), (1, 2)))
     with pytest.raises(SpecError):
-        measure_outputs(zero_state(2), spec)
+        measure_outputs_batch(zero_state(2)[None], spec)
 
 
 def test_global_phase_gate_leaves_outputs_unchanged():
@@ -132,8 +141,8 @@ def test_global_phase_gate_leaves_outputs_unchanged():
         a = run_circuit(circ, params)
         b = run_circuit(with_phase, params)
         assert np.max(np.abs(np.abs(a) ** 2 - np.abs(b) ** 2)) < 1e-12
-        assert np.allclose(measure_outputs(a, circ.measurement),
-                           measure_outputs(b, circ.measurement), atol=1e-12)
+        outs = measure_outputs_batch(np.stack([a, b]), circ.measurement)
+        assert np.allclose(outs[0], outs[1], atol=1e-12)
 
 
 @pytest.mark.parametrize("mat_rows", [None, 1, 3], ids=["dd", "1dd", "Rdd"])

@@ -10,9 +10,8 @@ from vqcompress.data import Sample, amplitude_state, generate_synthetic, stack
 from vqcompress.errors import DataError
 from vqcompress.gates import GateKind
 from vqcompress.circfile import load_reference
-from vqcompress.training import (TrainConfig, batch_loss_and_gradient, forward,
-                                 init_params, loss_and_accuracy, loss_gradient,
-                                 outputs_batch, sgd_train, softmax)
+from vqcompress.training import (TrainConfig, batch_loss_and_gradient, init_params,
+                                 loss_and_accuracy, outputs_batch, sgd_train, softmax)
 
 PI = math.pi
 
@@ -31,7 +30,7 @@ def test_softmax_symmetry_and_ratio():
 def test_forward_probabilities_sum_to_one():
     circ = load_reference("syn4")
     params = init_params(circ, TrainConfig(seed=0))
-    probs = forward(circ, params, np.array([0.2, 0.8, 0.4, 0.6]))
+    probs = softmax(outputs_batch(circ, params[None], np.array([[0.2, 0.8, 0.4, 0.6]])))[0]
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert probs.shape == (2,)
 
@@ -55,7 +54,7 @@ def test_gradient_zero_for_unmeasured_ancilla():
     gates = [Gate(GateKind.RX, (2,), (theta(0),))]
     circ = Circuit(3, [], gates, MeasurementSpec(2))
     samples = _samples(np.zeros((4, 1)), [0, 1, 1, 0])
-    g = loss_gradient(circ, np.array([1.3]), samples)
+    g = batch_loss_and_gradient(circ, np.array([1.3]), *stack(samples))[1]
     assert abs(g[0]) < 1e-9
 
 
@@ -251,5 +250,5 @@ def test_amplitude_encoding_training_path():
     params = sgd_train(circ, init_params(circ, cfg), ds.train, cfg)
     loss, acc = loss_and_accuracy(circ, params, ds.test)
     assert np.isfinite(loss) and 0.0 <= acc <= 1.0
-    probs = forward(circ, params, ds.test[0])
+    probs = softmax(outputs_batch(circ, params[None], ds.test[0].features[None]))[0]
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
