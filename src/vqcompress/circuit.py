@@ -109,11 +109,13 @@ class MeasurementSpec:
 
 @dataclass
 class Circuit:
-    """Encoder gates (never compressed), trainable layers, and a measurement.
+    """Encoder gates, trainable layers, and a measurement.
 
-    Inputs enter as the angles of the data-bound gates, from |0...0>, or with
+    The encoder is state preparation and is never compressed: inputs enter
+    as the angles of its data-bound gates, from |0...0>, or with
     `amplitude_input` as the L2-normalized initial state; the two exclude
-    each other.
+    each other.  Encoder gates read no theta and layer gates read no data,
+    so the layers see only theta.
     """
 
     n_qubits: int
@@ -130,6 +132,9 @@ class Circuit:
         for g in self.encoder:
             if g.trainable:
                 raise SpecError("encoder gates must not be trainable")
+        for g in self.layers:
+            if any(b.kind is BindKind.DATA for b in g.bindings):
+                raise SpecError("layer gates must not read data; features enter in the encoder")
         if self.amplitude_input and self.n_data:
             raise SpecError(f"amplitude input needs a circuit with no data-bound gates, "
                             f"this one reads {self.n_data} features")
@@ -146,7 +151,7 @@ class Circuit:
 
     @property
     def n_data(self) -> int:
-        slots = [b.slot for g in self.all_gates for b in g.bindings if b.kind is BindKind.DATA]
+        slots = [b.slot for g in self.encoder for b in g.bindings if b.kind is BindKind.DATA]
         return max(slots) + 1 if slots else 0
 
     @property

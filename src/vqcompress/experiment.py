@@ -21,10 +21,12 @@ from .data import Dataset, generate_synthetic, load_csv, stack
 from .errors import ConfigError, EncodeError
 from .lut import build_lut
 from .noise import noisy_accuracy
-from .training import TrainConfig, initial_states, loss_and_accuracy
+from .training import TrainConfig, input_states, loss_and_accuracy
 from .transpile import tcd
 
 METHOD_ORDER = ("Vanilla", "ZeroOnlyPruning", "PruneOnly", "QuantOnly", "CompVQC")
+# The methods whose ADMM loop takes proximal SGD steps, which diverge at lr * rho >= 2.
+ADMM_METHODS = ("PruneOnly", "QuantOnly", "CompVQC")
 
 
 @dataclass
@@ -54,9 +56,6 @@ class ExperimentConfig:
             raise ConfigError(f"shots must be at least 1, got {self.shots}")
         if self.noise_p is not None and not 0.0 <= self.noise_p <= 1.0:
             raise ConfigError(f"noise_p {self.noise_p} outside [0, 1]")
-        if self.train.learning_rate * self.admm.rho >= 2:  # proximal SGD step diverges
-            raise ConfigError(f"learning_rate * rho must be below 2, got "
-                              f"{self.train.learning_rate} * {self.admm.rho}")
 
 
 @dataclass
@@ -130,7 +129,7 @@ def resolve_inputs(config: ExperimentConfig) -> tuple[Dataset, Circuit]:
         raise ConfigError(f"n_classes: the dataset has {dataset.n_classes}, the circuit "
                           f"measures {circuit.measurement.n_classes}")
     try:  # encodes every sample the way training will
-        initial_states(circuit, stack(dataset.train + dataset.test)[0])
+        input_states(circuit, stack(dataset.train + dataset.test)[0])
     except EncodeError as exc:
         raise ConfigError(f"dataset: {exc}") from None
     return dataset, circuit
@@ -138,6 +137,10 @@ def resolve_inputs(config: ExperimentConfig) -> tuple[Dataset, Circuit]:
 
 def run_experiment(config: ExperimentConfig) -> Report:
     """Run the requested methods in fixed order from one shared warm start."""
+    lr, rho = config.train.learning_rate, config.admm.rho
+    if set(config.methods) & set(ADMM_METHODS) and lr * rho >= 2:
+        raise ConfigError(f"learning_rate * rho must be below 2 with an ADMM method, "
+                          f"got {lr} * {rho}")
     dataset, circuit = resolve_inputs(config)
     train_cfg = replace(config.train, seed=config.seed)
     lut = build_lut(circuit)

@@ -18,8 +18,8 @@ import numpy as np
 from .circuit import Circuit, MeasurementSpec
 from .data import stack
 from .errors import ConfigError
-from .simulator import apply_matrix, measure_outputs_batch, zero_state
-from .training import initial_states, softmax
+from .simulator import apply_matrix, measure_outputs_batch
+from .training import input_states, softmax
 from .transpile import TranspiledCircuit, transpile_circuit
 
 
@@ -65,21 +65,21 @@ def noisy_outputs(tc: TranspiledCircuit, input_state: np.ndarray, spec: Measurem
 def noisy_accuracy(circuit: Circuit, params, samples, p: float, shots: int, seed: int) -> float:
     """Classification accuracy when every physical gate is followed by noise.
 
-    Features bound to encoder gates change the physical circuit, so each
-    sample gets its own transpilation; on an amplitude-input circuit the
-    samples differ only in their initial state and share one.  Each sample
-    gets its own derived noise seed.
+    Noise hits the encoder's physical gates too, so each sample starts from
+    its `input_states` row and runs the whole transpiled circuit.  Features
+    bound to encoder gates change that circuit, so each sample then gets its
+    own transpilation; a circuit that binds no feature shares one.  Each
+    sample gets its own derived noise seed.
     """
     feats, labels = stack(samples)
-    states, gate_feats = initial_states(circuit, feats)
+    states = input_states(circuit, feats)
     thetas = np.atleast_2d(params)
-    shared = transpile_circuit(circuit, thetas) if gate_feats is None else None
+    shared = None if circuit.n_data else transpile_circuit(circuit, thetas)
     correct = 0
     for i, label in enumerate(labels):
-        init = zero_state(circuit.n_qubits) if states is None else states[i]
-        tc = (transpile_circuit(circuit, thetas, feats=gate_feats[i:i + 1])
+        tc = (transpile_circuit(circuit, thetas, feats=feats[i:i + 1])
               if shared is None else shared)
-        outs = noisy_outputs(tc, init, circuit.measurement, p, shots, seed + i)
+        outs = noisy_outputs(tc, states[i], circuit.measurement, p, shots, seed + i)
         if int(np.argmax(softmax(outs[None, :])[0])) == label:
             correct += 1
     return correct / len(labels)

@@ -13,9 +13,9 @@ import numpy as np
 from .circuit import Circuit
 from .data import stack
 from .lut import CompressionLUT
-from .simulator import apply_matrix, gate_plan, measure_outputs_batch, zero_state
+from .simulator import apply_matrix, gate_plan, measure_outputs_batch
 from .training import initial_states, softmax
-from .transpile import DepthScan, lower_circuit, lower_gate, probe_features
+from .transpile import DepthScan, lower_circuit, lower_gate
 
 
 @dataclass
@@ -46,32 +46,33 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
     """Metric of every level in `candidates` (layer index -> levels).
 
     theta is lowered once and its lowering scanned once by a `DepthScan`,
-    with a snapshot of the scan before each candidate's first reader gate.
-    A candidate re-lowers only the gates that read its gate's slots, resumes
-    a copy of that snapshot and feeds its re-lowered reader gates and theta's
-    lowering of the other gates from there on; the snapshot carries open RZ
-    runs across the boundary, so the depth equals a full rescan.  The
-    circuit's `GatePlan` builds theta's gate matrices once; a candidate
-    rebuilds only its reader gates' matrices, through the plan of those
-    gates.  Gates are visited in order of their first reader; one running
-    batch state holds the circuit up to it, and each candidate applies only
-    the rest with `apply_matrix`.  The matrices and states equal those of
-    `run_batch`, so metrics are bit-identical to a from-scratch evaluation.
+    the encoder's lowering first, with a snapshot of the scan before each
+    candidate's first reader gate.  A candidate re-lowers only the gates
+    that read its gate's slots, resumes a copy of that snapshot and feeds its
+    re-lowered reader gates and theta's lowering of the other gates from
+    there on; the snapshot carries open RZ runs across the boundary, so the
+    depth equals a full rescan.  The layers' `GatePlan` builds theta's gate
+    matrices once; a candidate rebuilds only its reader gates' matrices,
+    through the plan of those gates.  Gates are visited in order of their
+    first reader; one running batch state holds the `initial_states` pushed
+    through the layers up to it, and each candidate applies only the rest
+    with `apply_matrix`.  The matrices and states equal those of `run_batch`,
+    so metrics are bit-identical to a from-scratch evaluation.
     """
     theta = np.asarray(theta, dtype=float)
-    gates = circuit.all_gates
+    gates = circuit.layers
     lowered = [physical for _, physical in lower_circuit(circuit, theta)]
-    probe = probe_features(circuit.n_data)  # the data angles `lower_circuit` uses
     feats, labels = stack(eval_samples)
-    init, gate_feats = initial_states(circuit, feats)
-    rows = len(labels)
-    state = zero_state(circuit.n_qubits, rows) if init is None else init.astype(complex)
-    base = gate_plan(tuple(gates)).matrices(theta[None, :], gate_feats)
+    state = initial_states(circuit, feats)
+    base = gate_plan(tuple(gates)).matrices(theta[None, :])
     readers = {gi: [k for k, g in enumerate(gates)
                     if set(g.theta_slots) & set(circuit.layers[gi].theta_slots)]
                for gi in candidates}
     firsts = {r[0] for r in readers.values()}
     scan, snapshots = DepthScan(circuit.n_qubits), {}
+    for physical in lowered[:len(circuit.encoder)]:  # no candidate changes the encoder
+        scan.feed(physical)
+    lowered = lowered[len(circuit.encoder):]
     for k, physical in enumerate(lowered):
         if k in firsts:
             snapshots[k] = scan.copy()
@@ -87,8 +88,8 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
         metrics[gi] = []
         for level in candidates[gi]:
             new_theta = _substituted(theta, circuit, gi, level.value)
-            mats = dict(zip(readers[gi], reader_plan.matrices(new_theta[None, :], gate_feats)))
-            relowered = {k: lower_gate(gates[k], new_theta[None, :], probe)[1]
+            mats = dict(zip(readers[gi], reader_plan.matrices(new_theta[None, :])))
+            relowered = {k: lower_gate(gates[k], new_theta[None, :], None)[1]
                          for k in readers[gi]}
             final, scan = state, snapshots[first].copy()
             for k in range(first, len(gates)):

@@ -4,14 +4,16 @@ States are complex128 arrays of 2^n amplitudes; qubit 0 is the least
 significant bit of the basis-state index.  Everything is batched: a state
 batch has shape (rows, 2^n).  A gate acts on every row either through one
 shared matrix or through one matrix per row, so a batch can mix samples
-(per-row data angles) and parameter vectors.  A batch may also carry a
-trailing axis, (rows, 2^n, cols), of columns that share their row's matrix;
-the noise evaluator runs its shots that way, along the contiguous axis.
+(per-row data angles).  A batch may also carry a trailing axis,
+(rows, 2^n, cols), of columns that share their row's matrix; the noise
+evaluator runs its shots that way, along the contiguous axis.
 
 The matrices come from `gates.gate_mats_batch`, through a cached `GatePlan`
-per circuit: gates of one kind and row shape are one group, and each group's
-matrices come from one stacked call.  `run_batch`, training's forward and
-adjoint passes and ReCL all take their matrices from it.
+per gate sequence: gates of one kind are one group, and each group's
+matrices come from one stacked call.  The encoder's plan reads pi * features
+(`training.initial_states`), the layers' plan reads theta: `run_batch`
+applies the layers to the states it is given, and training's forward and
+adjoint passes and ReCL take their matrices from the same plans.
 """
 
 from functools import lru_cache
@@ -97,44 +99,31 @@ def resolve_angles(gate: Gate, thetas: np.ndarray, feats: np.ndarray | None) -> 
 
 
 class GateGroup:
-    """The gates of a `GatePlan` that share a kind and a row shape.
+    """The gates of a `GatePlan` that share a kind.
 
     `positions` index the plan's gates.  Angle j of the group's g-th gate is
-    column `data_cols[g, j]` of pi * feats where `is_data[g, j]`, and column
-    `theta_cols[g, j]` of [constants | thetas] elsewhere; one-angle kinds
-    drop the j axis.  A group is per-sample when some angle reads data.
+    column `cols[g, j]` of [constants | values]; one-angle kinds drop the j
+    axis.
     """
 
     def __init__(self, kind: GateKind, members: list, trainable: bool):
-        positions, cols, is_data = zip(*members)
+        positions, cols = zip(*members)
         self.kind, self.positions, self.trainable = kind, positions, trainable
-        cols, is_data = np.array(cols, dtype=int), np.array(is_data, dtype=bool)
+        self.cols = np.array(cols, dtype=int)
         if ARITY[kind] == 1:
-            cols, is_data = cols[:, 0], is_data[:, 0]
-        self.is_data = is_data
-        self.data_cols, self.theta_cols = np.where(is_data, cols, 0), np.where(is_data, 0, cols)
-        self.per_sample, self.all_data = bool(is_data.any()), bool(is_data.all())
-
-    def gather(self, tsrc: np.ndarray, dsrc: np.ndarray | None) -> np.ndarray:
-        """(rows, G) or (rows, G, 3) angles from the two column sources."""
-        if not self.per_sample:
-            return tsrc[:, self.theta_cols]
-        if dsrc is None:
-            raise SpecError("circuit has data-bound gates but no features were given")
-        if self.all_data:
-            return dsrc[:, self.data_cols]
-        return np.where(self.is_data, dsrc[:, self.data_cols], tsrc[:, self.theta_cols])
+            self.cols = self.cols[:, 0]
 
 
 class GatePlan:
     """Stacked gate-matrix building for one gate sequence.
 
-    Gates are grouped by kind and row shape: one-row gates read only theta
-    slots and constants, per-sample gates read a data slot.  Per call, a
-    group gathers all of its angles at once and makes one `gate_mats_batch`
-    call, and each gate's matrices are its slice of the stacked result.  They
-    equal the per-gate `gate_mats_batch(kind, resolve_angles(...))` matrices
-    bit for bit, with one row per theta row for one-row gates.
+    Each angle reads a constant or a column of one value source: theta for
+    the layers, pi * features for the encoder (`Circuit` keeps the two
+    apart).  Gates are grouped by kind.  Per call, a group gathers all of
+    its angles at once and makes one `gate_mats_batch` call, and each gate's
+    matrices are its slice of the stacked result.  They equal the per-gate
+    `gate_mats_batch(kind, resolve_angles(...))` matrices bit for bit, with
+    one row per value row.
     """
 
     def __init__(self, gates: tuple[Gate, ...]):
@@ -149,49 +138,51 @@ class GatePlan:
                     cols.append(next_const)
                     next_const += 1
                 else:
-                    cols.append(b.slot + (len(consts) if b.kind is BindKind.THETA else 0))
-            is_data = [b.kind is BindKind.DATA for b in gate.bindings]
-            members.setdefault((gate.kind, any(is_data)), []).append((k, cols, is_data))
-        self.groups = tuple(GateGroup(kind, m, any(gates[k].trainable for k, _, _ in m))
-                            for (kind, _), m in members.items())
+                    cols.append(len(consts) + b.slot)
+            members.setdefault(gate.kind, []).append((k, cols))
+        self.groups = tuple(GateGroup(kind, m, any(gates[k].trainable for k, _ in m))
+                            for kind, m in members.items())
 
-    def stacked(self, thetas: np.ndarray, feats: np.ndarray | None):
+    def stacked(self, values: np.ndarray):
         """Yield (group, angles, mats) for every group.
 
-        `thetas` is (1, P) or (R, P) and `feats` (R, F), (1, F) or None.
-        `angles` is the group's (G * rows,) or (G * rows, 3) angle array, None
-        for fixed kinds.  `mats` is (G, rows, d, d), or (G, d, d) for fixed
-        kinds, so `mats[g]` is gate g's matrix argument to `apply_matrix`.
+        `values` is (rows, V).  `angles` is the group's (G * rows,) or
+        (G * rows, 3) angle array, None for fixed kinds.  `mats` is
+        (G, rows, d, d), or (G, d, d) for fixed kinds, so `mats[g]` is gate
+        g's matrix argument to `apply_matrix`.
         """
-        tsrc = thetas
+        src, rows = values, values.shape[0]
         if self.consts.size:
-            consts = np.broadcast_to(self.consts, (thetas.shape[0], self.consts.shape[1]))
-            tsrc = np.concatenate([consts, thetas], axis=1)
-        dsrc = None if feats is None else np.pi * feats
+            consts = np.broadcast_to(self.consts, (rows, self.consts.shape[1]))
+            src = np.concatenate([consts, values], axis=1)
         for group in self.groups:
             n = len(group.positions)
             if ARITY[group.kind] == 0:
                 m = gate_mats_batch(group.kind, None)
                 yield group, None, np.broadcast_to(m, (n,) + m.shape)
                 continue
-            src = group.gather(tsrc, dsrc)
-            rows = src.shape[0]
-            angles = src.swapaxes(0, 1).reshape((n * rows,) + src.shape[2:])
+            angles = src[:, group.cols].swapaxes(0, 1).reshape((n * rows,) + group.cols.shape[1:])
             mats = gate_mats_batch(group.kind, angles)
             yield group, angles, mats.reshape((n, rows) + mats.shape[1:])
 
-    def matrices(self, thetas: np.ndarray, feats: np.ndarray | None) -> list[np.ndarray]:
+    def matrices(self, values: np.ndarray) -> list[np.ndarray]:
         """Each gate's matrix argument to `apply_matrix`, in gate order."""
         out = [None] * len(self.gates)
-        for group, _, mats in self.stacked(thetas, feats):
+        for group, _, mats in self.stacked(values):
             for g, k in enumerate(group.positions):
                 out[k] = mats[g]
         return out
 
+    def apply(self, states: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The plan's gates, in order, on a (rows, 2^n) state batch."""
+        for gate, mats in zip(self.gates, self.matrices(values)):
+            states = apply_matrix(states, mats, gate.qubits)
+        return states
+
 
 @lru_cache(maxsize=1024)
 def gate_plan(gates: tuple[Gate, ...]) -> GatePlan:
-    """The cached plan of a gate sequence, such as tuple(circuit.all_gates).
+    """The cached plan of a gate sequence, such as tuple(circuit.layers).
 
     Gates are frozen and hashable, so the tuple is a safe cache key; a
     `Circuit` is mutable and is never one.
@@ -213,40 +204,23 @@ def apply_gate_batch(states: np.ndarray, gate: Gate, thetas: np.ndarray,
     return apply_matrix(states, mats, gate.qubits)
 
 
-def run_batch(circuit: Circuit, thetas: np.ndarray, feats: np.ndarray | None = None,
-              states: np.ndarray | None = None) -> np.ndarray:
-    """Apply encoder then layers to a batch; returns final states (R, 2^n).
+def run_batch(circuit: Circuit, params, states: np.ndarray) -> np.ndarray:
+    """The circuit's layers, with one parameter vector, on a (rows, 2^n) state
+    batch; returns the final states.
 
-    Single-row `thetas` or `feats` broadcast against the other inputs, so one
-    parameter vector can be evaluated on many samples and vice versa.  The
-    matrices come from the circuit's `GatePlan`: a single theta row gives
-    every one-row gate one (1, d, d) matrix shared by all rows.
+    The matrices come from the layers' `GatePlan`, one (1, d, d) matrix per
+    gate shared by all rows.  The states the layers start from are
+    `training.initial_states`.
     """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    rows = thetas.shape[0]
-    if feats is not None:
-        feats = np.atleast_2d(np.asarray(feats, dtype=float))
-        rows = max(rows, feats.shape[0])
-    if states is not None:
-        states = np.array(states, dtype=complex, copy=True)
-        if states.ndim == 2:
-            rows = max(rows, states.shape[0])
-    if states is None:
-        states = zero_state(circuit.n_qubits, rows=rows)
-    elif states.ndim == 1:
-        states = np.broadcast_to(states, (rows, states.shape[0])).copy()
-    plan = gate_plan(tuple(circuit.all_gates))
-    for gate, mats in zip(plan.gates, plan.matrices(thetas, feats)):
-        states = apply_matrix(states, mats, gate.qubits)
-    return states
-
-
-def run_circuit(circuit: Circuit, params, input_state: np.ndarray | None = None,
-                feats=None) -> np.ndarray:
-    """Run a circuit on one input state with one parameter vector."""
     thetas = np.atleast_2d(np.asarray(params, dtype=float))
-    f = None if feats is None else np.atleast_2d(np.asarray(feats, dtype=float))
-    return run_batch(circuit, thetas, f, states=input_state)[0]
+    return gate_plan(tuple(circuit.layers)).apply(states, thetas)
+
+
+def run_circuit(circuit: Circuit, params, input_state: np.ndarray | None = None) -> np.ndarray:
+    """The layers, with one parameter vector, on one state (|0...0> by
+    default); the encoder is state preparation and is not applied."""
+    state = zero_state(circuit.n_qubits) if input_state is None else input_state
+    return run_batch(circuit, params, np.asarray(state, dtype=complex)[None, :])[0]
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,10 @@
-"""Forward pass, cross-entropy loss, adjoint-method gradients, and SGD.
+"""Input states, forward pass, cross-entropy loss, adjoint-method gradients,
+and SGD.
+
+Features enter in one place: `input_states` makes the states before the
+encoder (amplitudes or |0...0>) and `initial_states` runs the encoder on
+them.  The encoder is state preparation and is never compressed; everything
+downstream takes the states it returns and one theta vector.
 
 Gradients are exact for every gate kind.  `batch_loss_and_gradient` runs the
 batch forward once, keeping each layer gate's matrix, then walks the layer
@@ -43,19 +49,24 @@ def init_params(circuit: Circuit, config: TrainConfig) -> np.ndarray:
     return rng.uniform(0.0, 2 * math.pi, size=circuit.n_thetas)
 
 
-def initial_states(circuit: Circuit, feats: np.ndarray | None):
-    """(states, gate features): amplitude-encoded input states and no features,
-    or no states (|0...0>) and the features the encoder gates read."""
+def input_states(circuit: Circuit, feats: np.ndarray) -> np.ndarray:
+    """(rows, 2^n) states before the encoder: each sample's amplitudes on an
+    amplitude-input circuit, |0...0> otherwise."""
     if circuit.amplitude_input:
-        states = np.stack([amplitude_state(f, circuit.n_qubits) for f in feats])
-        return states, None
-    return None, feats
+        return np.stack([amplitude_state(f, circuit.n_qubits) for f in feats])
+    return zero_state(circuit.n_qubits, rows=len(feats))
 
 
-def outputs_batch(circuit: Circuit, thetas: np.ndarray, feats: np.ndarray | None) -> np.ndarray:
-    """Measurement outputs (R, C), one row per parameter-vector/sample pair."""
-    states, gate_feats = initial_states(circuit, feats)
-    final = run_batch(circuit, thetas, gate_feats, states=states)
+def initial_states(circuit: Circuit, feats: np.ndarray) -> np.ndarray:
+    """(rows, 2^n) states the layers start from: the encoder, reading
+    pi * features, applied to `input_states`."""
+    states = input_states(circuit, feats)
+    return gate_plan(tuple(circuit.encoder)).apply(states, np.pi * feats)
+
+
+def outputs_batch(circuit: Circuit, params, feats: np.ndarray) -> np.ndarray:
+    """Measurement outputs (R, C) of one parameter vector on R samples."""
+    final = run_batch(circuit, params, initial_states(circuit, feats))
     return measure_outputs_batch(final, circuit.measurement)
 
 
@@ -101,26 +112,24 @@ def batch_loss_and_gradient(circuit: Circuit, params: np.ndarray, feats: np.ndar
                             labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its gradient w.r.t. all slots.
 
-    Forward: every gate once, data-bound gates with per-sample matrices and
-    the rest with one (1, d, d) matrix shared by all rows.  Seed:
+    Forward: every layer gate once, on the batch's `initial_states`, with one
+    (1, d, d) matrix shared by all rows.  Seed:
     lambda = (dL/d(outputs) @ W) * psi for the readout table W.  Backward, per
     layer gate U in reverse: phi <- U^dagger phi, add 2 Re <lambda| dU phi> to
     each of its trainable slots, lambda <- U^dagger lambda.
 
-    Every matrix comes from the circuit's `GatePlan`, per gate group: one
+    Every matrix comes from the layers' `GatePlan`, per gate group: one
     stacked `gate_mats_batch` call, one conj-transpose for the U^dagger and
     one `_angle_derivatives` call on the group's stacked angles if it is
     trainable.
     """
     params = np.asarray(params, dtype=float)
     n_batch = feats.shape[0]
-    states, gate_feats = initial_states(circuit, feats)
-    if states is None:
-        states = zero_state(circuit.n_qubits, rows=n_batch)
-    plan = gate_plan(tuple(circuit.all_gates))
+    states = initial_states(circuit, feats)
+    plan = gate_plan(tuple(circuit.layers))
     n_gates = len(plan.gates)
     mats, daggers, derivs = [None] * n_gates, [None] * n_gates, [None] * n_gates
-    for group, angles, stacked in plan.stacked(params[None, :], gate_feats):
+    for group, angles, stacked in plan.stacked(params[None, :]):
         dagger = np.conj(np.swapaxes(stacked, -1, -2))
         blocks = _angle_derivatives(group.kind, angles) if group.trainable else []
         blocks = [b.reshape(stacked.shape) for b in blocks]
@@ -138,7 +147,7 @@ def batch_loss_and_gradient(circuit: Circuit, params: np.ndarray, feats: np.ndar
     costate = ((dl_dout / n_batch) @ weights) * states
 
     grad = np.zeros(params.size)
-    for k in reversed(range(len(circuit.encoder), n_gates)):
+    for k in reversed(range(n_gates)):
         gate, u_dag = plan.gates[k], daggers[k]
         states = apply_matrix(states, u_dag, gate.qubits)
         for b, d in zip(gate.bindings, derivs[k]):

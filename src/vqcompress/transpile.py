@@ -56,7 +56,6 @@ class PhysicalGate:
 class TranspiledCircuit:
     n_qubits: int
     gates: list[PhysicalGate] = field(default_factory=list)
-    source_map: list[int] = field(default_factory=list)
     global_phase: float = 0.0  # source unitary == exp(i*phase) * product(gates)
 
 
@@ -242,18 +241,10 @@ def lower_circuit(circuit: Circuit, params,
     return [lower_gate(gate, thetas, f) for gate in circuit.all_gates]
 
 
-def _concatenated(n_qubits: int, lowered) -> TranspiledCircuit:
-    tc = TranspiledCircuit(n_qubits)
-    for idx, (_, physical) in enumerate(lowered):
-        tc.gates.extend(physical)
-        tc.source_map.extend([idx] * len(physical))
-    return tc
-
-
 def transpile_circuit(circuit: Circuit, params, feats=None) -> TranspiledCircuit:
     """Lower every gate, track the global phase, and peephole-optimize."""
     lowered = lower_circuit(circuit, params, feats)
-    tc = _concatenated(circuit.n_qubits, lowered)
+    tc = TranspiledCircuit(circuit.n_qubits, [pg for _, physical in lowered for pg in physical])
     for gate, (angles, physical) in zip(circuit.all_gates, lowered):
         tc.global_phase += _template_phase(gate.kind, angles, physical, gate.qubits)
     return peephole_optimize(tc)
@@ -285,18 +276,16 @@ class DepthScan:
     lazily sums a run in the fixpoint's order and never drops a partial sum,
     so the kept gates equal those of looping the rule until nothing changes.
 
-    With `keep`, the scan also records the kept gates and their source
-    indices.  `copy` is cheap, so a caller can snapshot a depth-only scan and
-    resume it.
+    With `keep`, the scan also records the kept gates.  `copy` is cheap, so
+    a caller can snapshot a depth-only scan and resume it.
     """
 
-    __slots__ = ("level", "runs", "gates", "source_map", "phase")
+    __slots__ = ("level", "runs", "gates", "phase")
 
     def __init__(self, n_qubits: int, keep: bool = False, phase: float = 0.0):
         self.level = [0] * n_qubits
         self.runs = {}  # qubit -> (angle sum, watermark before the run, slot in gates)
         self.gates = [] if keep else None
-        self.source_map = []
         self.phase = phase
 
     def copy(self) -> "DepthScan":
@@ -305,8 +294,8 @@ class DepthScan:
         new.level, new.runs, new.phase = list(self.level), dict(self.runs), self.phase
         return new
 
-    def feed(self, gates, source: int = -1) -> None:
-        """Scan physical gates, all lowered from logical gate `source`."""
+    def feed(self, gates) -> None:
+        """Scan physical gates in order."""
         level, runs, kept = self.level, self.runs, self.gates
         for g in gates:
             if g.kind is GateKind.RZ:
@@ -331,7 +320,6 @@ class DepthScan:
                     level[q] = d
             if kept is not None:
                 kept.append(g)
-                self.source_map.append(source)
 
     def _close(self, q: int) -> None:
         total, before, slot = self.runs.pop(q)
@@ -352,22 +340,20 @@ class DepthScan:
 def peephole_optimize(tc: TranspiledCircuit) -> TranspiledCircuit:
     """Merge same-qubit RZ runs; drop ID and RZ(0 mod 2pi) gates.
 
-    One `DepthScan` pass.  Gates, angles and source map are bit-identical to
-    applying the rule until nothing changes; the global phase agrees to
-    roundoff, since the dropped angles are subtracted in another order.
+    One `DepthScan` pass.  Gates and angles are bit-identical to applying
+    the rule until nothing changes; the global phase agrees to roundoff,
+    since the dropped angles are subtracted in another order.
     """
     scan = DepthScan(tc.n_qubits, keep=True, phase=tc.global_phase)
-    for g, s in zip(tc.gates, tc.source_map):
-        scan.feed((g,), s)
+    scan.feed(tc.gates)
     scan.close()
-    kept = [(g, s) for g, s in zip(scan.gates, scan.source_map) if g is not None]
-    return TranspiledCircuit(tc.n_qubits, [g for g, _ in kept], [s for _, s in kept],
-                             scan.phase)
+    return TranspiledCircuit(tc.n_qubits, [g for g in scan.gates if g is not None], scan.phase)
 
 
-def tcd(circuit: Circuit, params, feats=None) -> int:
-    """Transpiled circuit depth of a logical circuit at given parameters."""
-    return lowered_depth(circuit.n_qubits, lower_circuit(circuit, params, feats))
+def tcd(circuit: Circuit, params) -> int:
+    """Transpiled circuit depth of a logical circuit at given parameters, with
+    the encoder at generic probe features."""
+    return lowered_depth(circuit.n_qubits, lower_circuit(circuit, params))
 
 
 def standalone_gate_depth(kind: GateKind, params) -> int:

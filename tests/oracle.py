@@ -179,29 +179,33 @@ def param_shift_gradient(circuit, params, feats, labels, initial_states=None):
 # resolves its angles and builds its matrices on its own, as the simulator
 # and training did before the plan.  They pin bit-identity, not correctness.
 
-def per_gate_run_batch(circuit, thetas, feats=None, states=None):
-    """`run_batch` with one `apply_gate_batch` call per gate and the theta
-    and feature rows broadcast to the batch."""
-    from vqcompress.simulator import apply_gate_batch, zero_state
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    rows = thetas.shape[0]
-    if feats is not None:
-        feats = np.atleast_2d(np.asarray(feats, dtype=float))
-        rows = max(rows, feats.shape[0])
-    if states is not None:
-        states = np.array(states, dtype=complex, copy=True)
-        if states.ndim == 2:
-            rows = max(rows, states.shape[0])
-    if thetas.shape[0] == 1 and rows > 1:
-        thetas = np.broadcast_to(thetas, (rows, thetas.shape[1]))
-    if feats is not None and feats.shape[0] == 1 and rows > 1:
-        feats = np.broadcast_to(feats, (rows, feats.shape[1]))
-    if states is None:
-        states = zero_state(circuit.n_qubits, rows=rows)
-    elif states.ndim == 1:
-        states = np.broadcast_to(states, (rows, states.shape[0])).copy()
-    for gate in circuit.all_gates:
-        states = apply_gate_batch(states, gate, thetas, feats)
+def per_gate_initial_states(circuit, feats):
+    """`initial_states` built here: amplitude-encoded rows or |0...0>, then
+    each encoder gate's matrices from that gate's own angles."""
+    from vqcompress.data import amplitude_state
+    from vqcompress.simulator import apply_matrix, gate_mats_batch, resolve_angles
+    feats = np.asarray(feats, dtype=float)
+    rows = feats.shape[0]
+    if circuit.amplitude_input:
+        states = np.stack([amplitude_state(f, circuit.n_qubits) for f in feats])
+    else:
+        states = np.zeros((rows, 2 ** circuit.n_qubits), dtype=complex)
+        states[:, 0] = 1.0
+    no_thetas = np.zeros((rows, 0))  # encoder gates read no theta; constants get a row each
+    for gate in circuit.encoder:
+        u = gate_mats_batch(gate.kind, resolve_angles(gate, no_thetas, feats))
+        states = apply_matrix(states, u, gate.qubits)
+    return states
+
+
+def per_gate_run_batch(circuit, params, states):
+    """`run_batch`: the layers on the given states, each layer gate's matrix
+    built from that gate's own angles."""
+    from vqcompress.simulator import apply_matrix, gate_mats_batch, resolve_angles
+    thetas = np.atleast_2d(np.asarray(params, dtype=float))
+    for gate in circuit.layers:
+        u = gate_mats_batch(gate.kind, resolve_angles(gate, thetas, None))
+        states = apply_matrix(states, u, gate.qubits)
     return states
 
 
@@ -210,16 +214,14 @@ def per_gate_loss_and_gradient(circuit, params, feats, labels):
     derivative blocks built from that gate's own angles."""
     from vqcompress.circuit import BindKind
     from vqcompress.simulator import (apply_matrix, gate_mats_batch, measure_outputs_batch,
-                                      readout_weights, resolve_angles, zero_state)
-    from vqcompress.training import _angle_derivatives, initial_states, softmax
+                                      readout_weights, resolve_angles)
+    from vqcompress.training import _angle_derivatives, softmax
     params = np.asarray(params, dtype=float)
     n_batch = feats.shape[0]
-    states, gate_feats = initial_states(circuit, feats)
-    if states is None:
-        states = zero_state(circuit.n_qubits, rows=n_batch)
+    states = per_gate_initial_states(circuit, feats)
     tape = []
-    for gate in circuit.all_gates:
-        angles = resolve_angles(gate, params[None, :], gate_feats)
+    for gate in circuit.layers:
+        angles = resolve_angles(gate, params[None, :], None)
         u = gate_mats_batch(gate.kind, angles)
         states = apply_matrix(states, u, gate.qubits)
         tape.append((gate, angles, u))
@@ -232,7 +234,7 @@ def per_gate_loss_and_gradient(circuit, params, feats, labels):
     costate = ((dl_dout / n_batch) @ weights) * states
 
     grad = np.zeros(params.size)
-    for gate, angles, u in reversed(tape[len(circuit.encoder):]):
+    for gate, angles, u in reversed(tape):
         u_dag = np.conj(np.swapaxes(u, -1, -2))
         states = apply_matrix(states, u_dag, gate.qubits)
         if gate.trainable:
@@ -257,12 +259,12 @@ def fixpoint_peephole(tc):
         k = snap_class(angle)
         return k is not None and k % 4 == 0
 
-    gates, src, phase = list(tc.gates), list(tc.source_map), tc.global_phase
+    gates, phase = list(tc.gates), tc.global_phase
     changed = True
     while changed:
         changed = False
-        kept, ksrc = [], []
-        for g, s in zip(gates, src):
+        kept = []
+        for g in gates:
             if g.kind is GateKind.ID:
                 changed = True
                 continue
@@ -271,11 +273,8 @@ def fixpoint_peephole(tc):
                 changed = True
                 continue
             kept.append(g)
-            ksrc.append(s)
-        gates, src = kept, ksrc
-        merged, msrc = [], []
-        last_on = {}
-        for g, s in zip(gates, src):
+        merged, last_on = [], {}
+        for g in kept:
             if g.kind is GateKind.RZ:
                 j = last_on.get(g.qubits[0])
                 if j is not None and merged[j].kind is GateKind.RZ:
@@ -284,11 +283,10 @@ def fixpoint_peephole(tc):
                     changed = True
                     continue
             merged.append(g)
-            msrc.append(s)
             for q in g.qubits:
                 last_on[q] = len(merged) - 1
-        gates, src = merged, msrc
-    return TranspiledCircuit(tc.n_qubits, gates, src, phase)
+        gates = merged
+    return TranspiledCircuit(tc.n_qubits, gates, phase)
 
 
 def dag_depth(gates):

@@ -82,10 +82,14 @@ def test_encoder_bindings_decide_the_input(encoder, amplitude, n_inputs):
 @pytest.mark.parametrize("section", ["encoder", "layers"])
 def test_amplitude_input_rejects_data_bound_gates(section):
     reader = [Gate(GateKind.RY, (0,), (data(0),))]
-    encoder, layers = (reader, []) if section == "encoder" else ([], reader)
-    assert Circuit(2, encoder, layers).n_inputs == 1
-    with pytest.raises(SpecError, match="amplitude input"):
-        Circuit(2, encoder, layers, amplitude_input=True)
+    if section == "encoder":
+        assert Circuit(2, reader, []).n_inputs == 1
+        with pytest.raises(SpecError, match="amplitude input"):
+            Circuit(2, reader, [], amplitude_input=True)
+        return
+    for amplitude_input in (False, True):  # features never reach a layer gate
+        with pytest.raises(SpecError, match="layer gates must not read data"):
+            Circuit(2, [], reader, amplitude_input=amplitude_input)
 
 
 def test_missing_header_or_measure():

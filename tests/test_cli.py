@@ -285,6 +285,17 @@ def test_experiment_config_rejected_before_training(args, field, capsys):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["train", "--lr", "1.5"],
+    ["recl", "--lr", "1.5"],
+    ["report", "--methods", "Vanilla,ZeroOnlyPruning", "--lr", "1.0", "--retrain-epochs", "1"],
+], ids=["train", "recl", "report-no-admm"])
+def test_learning_rate_over_2_by_rho_runs_without_an_admm_method(args):
+    # lr * rho < 2 bounds only the proximal step of the ADMM methods
+    assert main(args[:1] + ["--dataset", "syn4", "--circuit", "syn4", "--epochs", "1"]
+                + args[1:]) == 0
+
+
 def test_config_file_orientation_outside_choices_exits_2(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("dataset = syn4\ncircuit = syn4\norientation = Speedup\n")

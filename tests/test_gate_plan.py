@@ -10,13 +10,13 @@ import oracle
 from conftest import random_circuit, random_state
 from vqcompress import recl, simulator, training
 from vqcompress.circfile import load_reference
-from vqcompress.circuit import (BindKind, Circuit, Gate, MeasureScheme, MeasurementSpec,
+from vqcompress.circuit import (Circuit, Gate, MeasureScheme, MeasurementSpec,
                                 const, data, theta)
 from vqcompress.data import Sample, generate_synthetic, stack
 from vqcompress.gates import GateKind
 from vqcompress.lut import build_lut
-from vqcompress.simulator import run_batch
-from vqcompress.training import TrainConfig, batch_loss_and_gradient, init_params
+from vqcompress.simulator import run_batch, run_circuit
+from vqcompress.training import TrainConfig, batch_loss_and_gradient, init_params, initial_states
 
 PI = math.pi
 FIXED_KINDS = {GateKind.X, GateKind.SX, GateKind.ID, GateKind.CX}
@@ -54,16 +54,20 @@ def _random_case(seed):
 
 
 def _mixed_circuit():
-    """Slot 0 drives an RX and a CRY, U3s hold CONST angles, and layer gates
-    read data, one of them next to theta slots."""
+    """Slot 0 drives an RX and a CRY, and U3s hold CONST angles: in the
+    encoder next to a data slot, in the layers next to theta slots.  The
+    encoder's RY group mixes data and CONST gates, and it holds a fixed gate."""
     encoder = [Gate(GateKind.RY, (0,), (data(0),)),
                Gate(GateKind.RY, (1,), (data(1),)),
-               Gate(GateKind.RZ, (2,), (data(2),))]
+               Gate(GateKind.RZ, (2,), (data(2),)),
+               Gate(GateKind.CRX, (2, 1), (data(1),)),
+               Gate(GateKind.RY, (2,), (const(0.3),)),
+               Gate(GateKind.SX, (0,)),
+               Gate(GateKind.U3, (2,), (const(1.1), data(2), const(1.9)))]
     layers = [Gate(GateKind.RX, (0,), (theta(0),)),
               Gate(GateKind.U3, (1,), (theta(1), const(0.7), theta(2))),
               Gate(GateKind.CRY, (0, 2), (theta(0),)),
-              Gate(GateKind.CRX, (2, 1), (data(1),)),
-              Gate(GateKind.U3, (2,), (theta(3), data(2), const(1.9))),
+              Gate(GateKind.RY, (2,), (theta(3),)),
               Gate(GateKind.CX, (1, 0)),
               Gate(GateKind.RZ, (1,), (const(2.3),)),
               Gate(GateKind.RZ, (0,), (theta(4),)),
@@ -92,37 +96,31 @@ def test_gradient_is_bit_identical_to_per_gate_building(case):
     assert np.array_equal(grad, want_grad)
 
 
-def test_run_batch_with_distinct_theta_rows_matches_per_gate_loop():
+def test_run_batch_on_state_rows_matches_per_gate_loop():
     rng = np.random.default_rng(61)
     for _ in range(4):
         circ, params = random_circuit(rng, 3, 30, trainable=True)
-        thetas = params + rng.normal(size=(7, params.size))
-        assert np.array_equal(run_batch(circ, thetas), oracle.per_gate_run_batch(circ, thetas))
-    circ, params, feats, _ = _mixed_case()
-    thetas = params + rng.normal(size=(feats.shape[0], params.size))
-    assert np.array_equal(run_batch(circ, thetas, feats),
-                          oracle.per_gate_run_batch(circ, thetas, feats))
+        states = np.stack([random_state(rng, 3) for _ in range(7)])
+        assert np.array_equal(run_batch(circ, params, states),
+                              oracle.per_gate_run_batch(circ, params, states))
 
 
 @pytest.mark.parametrize("case", ["syn16", "mixed"])
 def test_run_batch_with_one_theta_row_against_feature_rows_matches_per_gate_loop(case):
     circ, params, feats, _ = CASES[case]()
-    assert np.array_equal(run_batch(circ, params[None, :], feats),
-                          oracle.per_gate_run_batch(circ, params[None, :], feats))
-    # and the other way round: many theta rows against one feature row
-    thetas = params + np.random.default_rng(62).normal(size=(5, params.size))
-    assert np.array_equal(run_batch(circ, thetas, feats[:1]),
-                          oracle.per_gate_run_batch(circ, thetas, feats[:1]))
+    states = initial_states(circ, feats)
+    assert np.array_equal(states, oracle.per_gate_initial_states(circ, feats))
+    assert np.array_equal(run_batch(circ, params, states),
+                          oracle.per_gate_run_batch(circ, params, states))
 
 
-def test_run_batch_with_one_dimensional_input_state_matches_per_gate_loop():
+def test_run_circuit_on_one_state_matches_per_gate_loop():
     rng = np.random.default_rng(63)
     circ, params = random_circuit(rng, 3, 30, trainable=True)
     state = random_state(rng, 3)
-    for thetas in (params[None, :], params + rng.normal(size=(4, params.size))):
-        got = run_batch(circ, thetas, states=state)
-        assert got.shape == (thetas.shape[0], 8)
-        assert np.array_equal(got, oracle.per_gate_run_batch(circ, thetas, states=state))
+    got = run_circuit(circ, params, state)
+    assert got.shape == (8,)
+    assert np.array_equal(got, oracle.per_gate_run_batch(circ, params, state[None, :])[0])
 
 
 @pytest.fixture
@@ -143,19 +141,20 @@ def gate_mats_calls(monkeypatch):
 
 
 def _group_keys(gates):
-    """The gate groups: kind, and whether some angle reads a data slot."""
-    return {(g.kind, any(b.kind is BindKind.DATA for b in g.bindings)) for g in gates}
+    """The gate groups of a plan: one per kind."""
+    return {g.kind for g in gates}
 
 
 def test_gradient_builds_matrices_once_per_gate_group(gate_mats_calls):
     circ, params, feats, labels = _reference_case("syn16")
     batch_loss_and_gradient(circ, params, feats, labels)
-    groups = _group_keys(circ.all_gates)
-    trainable = _group_keys(g for g in circ.all_gates if g.trainable)
-    assert (len(groups), len(trainable)) == (9, 6)
-    # One forward call per group and one derivative call per trainable group:
-    # 15.  Per-gate building makes 60 (38 gates, 22 derivatives).
-    assert len(gate_mats_calls) == len(groups) + len(trainable)
+    encoder, layers = _group_keys(circ.encoder), _group_keys(circ.layers)
+    trainable = _group_keys(g for g in circ.layers if g.trainable)
+    assert (len(encoder), len(layers), len(trainable)) == (3, 6, 6)
+    # One forward call per encoder and layer group and one derivative call
+    # per trainable group: 15.  Per-gate building makes 60 (38 gates, 22
+    # derivatives).
+    assert len(gate_mats_calls) == len(encoder) + len(layers) + len(trainable)
 
 
 def _shared_slot_circuit():
@@ -181,15 +180,15 @@ def test_recl_candidates_rebuild_only_their_reader_gates(name, gate_mats_calls):
                   for gi in circ.trainable_indices()}
     recl._sweep(circ, th, candidates, samples)
 
-    gates = circ.all_gates
-    readers = {gi: [g for g in gates if set(g.theta_slots) & set(circ.layers[gi].theta_slots)]
+    readers = {gi: [g for g in circ.layers
+                    if set(g.theta_slots) & set(circ.layers[gi].theta_slots)]
                for gi in candidates}
-    rows = len(samples)
-    base = sum(rows if any(b.kind is BindKind.DATA for b in g.bindings) else 1 for g in gates)
+    base = len(samples) * len(circ.encoder) + len(circ.layers)
     per_level = sum(len(levels) * len(readers[gi]) for gi, levels in candidates.items())
     built = [n for _, n in gate_mats_calls]
-    # theta's matrices once (one row per theta-bound gate), then one matrix
-    # per reader gate and candidate level, one call per reader group
+    # the encoder's matrices once (one row per sample), theta's once (one row
+    # per layer gate), then one matrix per reader gate and candidate level,
+    # one call per reader group
     assert sum(built) == base + per_level
-    assert len(built) == len(_group_keys(gates)) + sum(
+    assert len(built) == len(_group_keys(circ.encoder)) + len(_group_keys(circ.layers)) + sum(
         len(levels) * len(_group_keys(readers[gi])) for gi, levels in candidates.items())

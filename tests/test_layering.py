@@ -5,11 +5,13 @@ and nowhere else, and the circuit alone decides how its input is encoded.
 `errors`, so no module it could call back into can own a second builder.
 `np.einsum` is used only in `simulator`, so every gate application, the
 noise path's included, goes through `apply_matrix` and no module can grow a
-second kernel.  `Circuit.amplitude_input` is set by the file parser and read only by the
-circuit and by `training.initial_states`, so no other module can grow a
-second encoding path.  Every function, class and method the package defines
-is named somewhere in the package outside its own definition, so `src/`
-holds only what the pipeline runs, not an API that only tests call.
+second kernel.  `Circuit.amplitude_input` is set by the file parser and read
+only by the circuit and by `training.input_states`, and `zero_state` is
+named only in `simulator` and `training`, so no other module can grow a
+second encoding path or its own |0...0> fallback.  Every function, class and
+method the package defines is named somewhere in the package outside its
+own definition, so `src/` holds only what the pipeline runs, not an API that
+only tests call.
 """
 
 import ast
@@ -119,6 +121,12 @@ def _named(node: ast.AST) -> Counter:
         elif isinstance(n, ast.alias):
             found[n.name.rpartition(".")[2]] += 1
     return found
+
+
+def test_only_simulator_and_training_name_zero_state():
+    users = {path.stem for path in sorted(PACKAGE.glob("*.py"))
+             if _named(ast.parse(path.read_text()))["zero_state"]}
+    assert users == {"simulator", "training"}
 
 
 def _definitions(tree: ast.Module):

@@ -244,9 +244,9 @@ def test_candidates_scan_only_the_gates_from_their_first_reader(monkeypatch):
     fed, peephole_calls = [], []
     feed, peephole = DepthScan.feed, transpile.peephole_optimize
 
-    def counted_feed(self, gates, source=-1):
+    def counted_feed(self, gates):
         fed.append(len(gates))
-        return feed(self, gates, source)
+        return feed(self, gates)
 
     def counted_peephole(tc):
         peephole_calls.append(len(tc.gates))

@@ -6,7 +6,7 @@ import pytest
 import oracle
 from conftest import random_circuit, random_state
 from vqcompress.circuit import (Circuit, Gate, MeasureScheme, MeasurementSpec,
-                                const)
+                                const, data, theta)
 from vqcompress.errors import SpecError
 from vqcompress.gates import GateKind
 from vqcompress.simulator import (apply_matrix, measure_outputs_batch, run_batch, run_circuit,
@@ -38,6 +38,15 @@ def test_circuit_rejects_out_of_range_qubit(section, qubits):
     encoder, layers = ([gate], []) if section == "encoder" else ([], [gate])
     with pytest.raises(IndexError, match="out of range"):
         Circuit(2, encoder, layers, MeasurementSpec(2))
+
+
+@pytest.mark.parametrize("bindings", [(data(0),), (theta(0), data(0), const(0.4))],
+                         ids=["RY-data", "U3-theta-data"])
+def test_circuit_rejects_data_bound_layer_gate(bindings):
+    kind = GateKind.RY if len(bindings) == 1 else GateKind.U3
+    gate = Gate(kind, (0,), bindings)
+    with pytest.raises(SpecError, match="layer gates must not read data"):
+        Circuit(2, [], [gate], MeasurementSpec(2))
 
 
 def test_random_cry_matches_kron_oracle():
@@ -99,10 +108,10 @@ def test_fourteen_gate_two_qubit_circuit_vs_oracle():
 def test_batched_rows_match_single_runs():
     rng = np.random.default_rng(11)
     circ, params = random_circuit(rng, 3, 8, trainable=True)
-    thetas = np.stack([params + rng.normal(size=params.size) for _ in range(6)])
-    batch = run_batch(circ, thetas)
+    states = np.stack([random_state(rng, 3) for _ in range(6)])
+    batch = run_batch(circ, params, states)
     for row in range(6):
-        single = run_circuit(circ, thetas[row])
+        single = run_circuit(circ, params, states[row])
         assert np.max(np.abs(batch[row] - single)) < 1e-12
 
 

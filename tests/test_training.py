@@ -5,7 +5,8 @@ import pytest
 
 from conftest import random_circuit
 from oracle import SHIFT_RULES, param_shift_gradient
-from vqcompress.circuit import Circuit, Gate, MeasureScheme, MeasurementSpec, data, theta
+from vqcompress.circuit import (Circuit, Gate, MeasureScheme, MeasurementSpec, const, data,
+                                theta)
 from vqcompress.data import Sample, amplitude_state, generate_synthetic, stack
 from vqcompress.errors import DataError
 from vqcompress.gates import GateKind
@@ -166,15 +167,17 @@ def test_slot_shared_across_gate_kinds_sums_gradients():
     _assert_matches_central_differences(circ, params, np.zeros((4, 1)), np.array([0, 1, 1, 0]))
 
 
-def test_data_bound_layer_gates_get_per_sample_gradients():
-    # layer gates may read features too; their matrices are then per sample
-    gates = [Gate(GateKind.RY, (0,), (theta(0),)),
-             Gate(GateKind.U3, (1,), (theta(1), data(0), theta(2))),
-             Gate(GateKind.CRX, (1, 0), (data(1),)),
-             Gate(GateKind.RX, (1,), (theta(3),))]
-    circ = Circuit(2, [], gates, MeasurementSpec(2))
+def test_gradient_with_const_and_data_encoder_u3_matches_finite_differences():
+    # the encoder's U3 mixes a CONST angle with data; the layers read only theta
+    encoder = [Gate(GateKind.RY, (0,), (data(0),)),
+               Gate(GateKind.U3, (1,), (const(0.8), data(1), data(0)))]
+    layers = [Gate(GateKind.RY, (0,), (theta(0),)),
+              Gate(GateKind.U3, (1,), (theta(1), const(0.6), theta(2))),
+              Gate(GateKind.CRX, (1, 0), (theta(3),)),
+              Gate(GateKind.RX, (1,), (theta(4),))]
+    circ = Circuit(2, encoder, layers, MeasurementSpec(2))
     rng = np.random.default_rng(55)
-    params = rng.uniform(0, 4 * PI, 4)
+    params = rng.uniform(0, 4 * PI, 5)
     _assert_matches_central_differences(circ, params, rng.uniform(0, 1, (4, 2)),
                                         np.array([0, 1, 1, 0]))
 

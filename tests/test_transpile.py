@@ -95,16 +95,15 @@ def test_every_kind_lowers_into_the_basis(kind, angle):
 
 def test_peephole_merges_adjacent_rz():
     tc = TranspiledCircuit(1, [PhysicalGate(GateKind.RZ, (0,), (0.4,)),
-                               PhysicalGate(GateKind.RZ, (0,), (0.8,))], [0, 1])
+                               PhysicalGate(GateKind.RZ, (0,), (0.8,))])
     out = peephole_optimize(tc)
     assert len(out.gates) == 1
     assert out.gates[0].params[0] == pytest.approx(1.2)
-    assert out.source_map == [0]
 
 
 def test_peephole_removes_trivial_rz_and_id():
     tc = TranspiledCircuit(1, [PhysicalGate(GateKind.RZ, (0,), (2 * PI,)),
-                               PhysicalGate(GateKind.ID, (0,))], [0, 1])
+                               PhysicalGate(GateKind.ID, (0,))])
     out = peephole_optimize(tc)
     assert out.gates == []
     # removed RZ(2pi) = -I leaves its phase on the circuit record
@@ -114,7 +113,7 @@ def test_peephole_removes_trivial_rz_and_id():
 def test_peephole_does_not_merge_across_other_gates():
     tc = TranspiledCircuit(1, [PhysicalGate(GateKind.RZ, (0,), (0.4,)),
                                PhysicalGate(GateKind.SX, (0,)),
-                               PhysicalGate(GateKind.RZ, (0,), (0.8,))], [0, 0, 0])
+                               PhysicalGate(GateKind.RZ, (0,), (0.8,))])
     assert len(peephole_optimize(tc).gates) == 3
 
 
@@ -133,7 +132,7 @@ def test_peephole_preserves_unitary_on_random_chains():
                 gates.append(PhysicalGate(GateKind.X, (int(rng.integers(2)),)))
             else:
                 gates.append(PhysicalGate(GateKind.CX, (0, 1)))
-        tc = TranspiledCircuit(2, gates, list(range(20)))
+        tc = TranspiledCircuit(2, gates)
         out = peephole_optimize(tc)
         assert oracle.equal_up_to_phase(oracle.transpiled_unitary(tc),
                                         oracle.transpiled_unitary(out))
@@ -169,10 +168,9 @@ def test_one_pass_peephole_equals_fixpoint_oracle():
         gates = random_physical_list(rng, n, int(rng.integers(0, 30)))
         # consecutive physical gates share a logical source index
         source = [int(s) for s in np.cumsum(rng.random(len(gates)) < 0.3)]
-        tc = TranspiledCircuit(n, gates, source, float(rng.uniform(-PI, PI)))
+        tc = TranspiledCircuit(n, gates, float(rng.uniform(-PI, PI)))
         got, want = peephole_optimize(tc), oracle.fixpoint_peephole(tc)
         assert got.gates == want.gates
-        assert got.source_map == want.source_map
         assert abs(got.global_phase - want.global_phase) < 1e-12
         lowered = [((), [g for g, s in zip(gates, source) if s == k])
                    for k in range(source[-1] + 1)] if gates else []
@@ -186,10 +184,9 @@ def test_partial_run_sum_at_zero_is_kept(b):
     a, c = 1.2345, 0.7
     gates = [PhysicalGate(GateKind.RZ, (0,), (a,)), PhysicalGate(GateKind.RZ, (0,), (b,)),
              PhysicalGate(GateKind.RZ, (0,), (c,)), PhysicalGate(GateKind.SX, (0,))]
-    out = peephole_optimize(TranspiledCircuit(1, gates, [0, 1, 2, 3]))
+    out = peephole_optimize(TranspiledCircuit(1, gates))
     assert out.gates == [PhysicalGate(GateKind.RZ, (0,), (a + b + c,)),
                          PhysicalGate(GateKind.SX, (0,))]
-    assert out.source_map == [0, 3]
     assert out.global_phase == 0.0
     assert lowered_depth(1, [((), gates[:2]), ((), gates[2:])]) == 2
 
@@ -222,7 +219,6 @@ def test_transpile_matches_source_with_tracked_phase():
         want = oracle.logical_unitary(circ, params)
         # tracked global phase makes the match exact, not just up-to-phase
         assert np.max(np.abs(got - want)) < 1e-10
-        assert len(tc.source_map) == len(tc.gates)
 
 
 def test_transpile_reference_circuit_matches_source():
