@@ -6,11 +6,15 @@ depolarizes the qubit.  Expectations are the average of exact per-trajectory
 readouts over a fixed shot count, so results are deterministic given the seed.
 
 A sample's trajectories are one amplitude-major (2^n, shots) batch, handed to
-`simulator.apply_matrix` as a single row whose trailing axis holds the shots:
-every gate is one kernel call shared by all shots, and the shot axis is the
-contiguous inner loop.  Per touched qubit the sampler draws `shots` uniforms,
-then `shots` Pauli indices, and the readout averages (shots, C) outputs in
-shot order, so a seed gives the same bits as a (shots, 2^n) batch would.
+`simulator.apply_basis_gate` as a single row whose trailing axis holds the
+shots, so the shot axis is the contiguous inner loop.  Each physical gate is
+applied by its structure: X and CX are permutations that swap amplitude
+blocks in place, RZ is diagonal and scales them, and only SX runs the dense
+kernel.  A sample builds its RZ diagonals with one `gate_mats_batch` call and
+its SX matrix with one more.  The values equal the dense kernel's bit for bit.
+Per touched qubit the sampler draws `shots` uniforms, then `shots` Pauli
+indices, and the readout averages (shots, C) outputs in shot order, so a seed
+gives the same bits as a (shots, 2^n) batch would.
 """
 
 import numpy as np
@@ -18,9 +22,10 @@ import numpy as np
 from .circuit import Circuit, MeasurementSpec
 from .data import stack
 from .errors import ConfigError
-from .simulator import apply_matrix, measure_outputs_batch
+from .gates import GateKind, gate_mats_batch
+from .simulator import PERMUTATIONS, apply_basis_gate, measure_outputs_batch
 from .training import input_states, softmax
-from .transpile import TranspiledCircuit, transpile_circuit
+from .transpile import PhysicalGate, TranspiledCircuit, transpile_circuit
 
 
 def _apply_pauli(states: np.ndarray, cols: np.ndarray, q: int, which: int):
@@ -39,6 +44,25 @@ def _apply_pauli(states: np.ndarray, cols: np.ndarray, q: int, which: int):
     view[..., cols] = sub
 
 
+def _operands(gates: list[PhysicalGate]) -> list:
+    """Each basis gate's `apply_basis_gate` operand: None for X and CX, the
+    diagonal for RZ, the fixed matrix for SX (and ID).  All RZ diagonals come
+    from one `gate_mats_batch` call, and each fixed kind's matrix from one."""
+    out, members = [None] * len(gates), {}
+    for k, pg in enumerate(gates):
+        if pg.kind not in PERMUTATIONS:
+            members.setdefault(pg.kind, []).append(k)
+    for kind, ks in members.items():
+        if kind is GateKind.RZ:
+            mats = gate_mats_batch(kind, np.array([gates[k].params[0] for k in ks]))
+            operands = np.diagonal(mats, axis1=1, axis2=2)
+        else:
+            operands = [gate_mats_batch(kind, None)] * len(ks)
+        for k, operand in zip(ks, operands):
+            out[k] = operand
+    return out
+
+
 def noisy_outputs(tc: TranspiledCircuit, input_state: np.ndarray, spec: MeasurementSpec,
                   p: float, shots: int, seed: int) -> np.ndarray:
     """Shot-averaged measurement outputs of a physical circuit under noise."""
@@ -49,8 +73,8 @@ def noisy_outputs(tc: TranspiledCircuit, input_state: np.ndarray, spec: Measurem
     rng = np.random.default_rng(seed)
     states = np.empty((1, input_state.shape[0], shots), dtype=complex)
     states[0] = input_state[:, None]
-    for pg in tc.gates:
-        states = apply_matrix(states, pg.matrix(), pg.qubits)
+    for pg, operand in zip(tc.gates, _operands(tc.gates)):
+        states = apply_basis_gate(states, pg.kind, pg.qubits, operand)
         for q in pg.qubits:
             hit = np.flatnonzero(rng.random(shots) < p)
             paulis = rng.integers(0, 4, size=shots)[hit]

@@ -8,6 +8,12 @@ shared matrix or through one matrix per row, so a batch can mix samples
 (rows, 2^n, cols), of columns that share their row's matrix; the noise
 evaluator runs its shots that way, along the contiguous axis.
 
+`apply_matrix` is the dense kernel, one einsum per gate.  The noise
+evaluator's physical gates go through `apply_basis_gate`, which applies each
+basis kind by its structure: X and CX permute amplitude blocks in place, RZ
+multiplies by its diagonal, and SX (dense) falls through to `apply_matrix`.
+Both give the same values bit for bit.
+
 The matrices come from `gates.gate_mats_batch`, through a cached `GatePlan`
 per gate sequence: gates of one kind are one group, and each group's
 matrices come from one stacked call.  The encoder's plan reads pi * features
@@ -196,6 +202,50 @@ def apply_matrix(states: np.ndarray, mats: np.ndarray, qubits: tuple[int, ...]) 
     if len(qubits) == 1:
         return _batched_1q(states, mats, qubits[0])
     return _batched_2q(states, mats, qubits[0], qubits[1])
+
+
+# Basis kinds that only permute amplitudes: `apply_basis_gate` takes no operand.
+PERMUTATIONS = (GateKind.X, GateKind.CX)
+
+
+def _swap_blocks(states: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """X or CX in place on a contiguous batch: swap the amplitude blocks where
+    the target (the last qubit) is 0 and 1, within control = 1 for CX."""
+    rows, dim = states.shape[:2]                # trailing columns join the low bits
+    if len(qubits) == 1:
+        view = states.reshape(rows, dim >> (qubits[0] + 1), 2, -1)
+        low, high = view[:, :, 0], view[:, :, 1]
+    else:
+        hi, lo = max(qubits), min(qubits)
+        view = states.reshape(rows, dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, -1)
+        if qubits[0] == hi:
+            low, high = view[:, :, 1, :, 0], view[:, :, 1, :, 1]
+        else:
+            low, high = view[:, :, 0, :, 1], view[:, :, 1, :, 1]
+    tmp = low.copy()
+    low[...] = high
+    high[...] = tmp
+    return states
+
+
+def apply_basis_gate(states: np.ndarray, kind: GateKind, qubits: tuple[int, ...],
+                     operand: np.ndarray | None) -> np.ndarray:
+    """One physical gate by its structure, on a batch the caller owns.
+
+    X and CX (`PERMUTATIONS`) take no operand: they swap amplitude blocks in
+    place.  RZ takes its (2,) diagonal and scales the two halves of its
+    qubit's axis.  Any other kind (SX) takes its matrix and runs
+    `apply_matrix`.  `states` is (R, 2^n) or (R, 2^n, cols), and the result
+    equals `apply_matrix(states, gate_matrix(kind, params), qubits)` bit for
+    bit: a permutation does no arithmetic, and the diagonal einsum computes
+    d * t where the dense one computes d * t + 0 * t'.
+    """
+    if kind in PERMUTATIONS:
+        return _swap_blocks(np.ascontiguousarray(states), qubits)
+    if kind is GateKind.RZ:
+        t = states.reshape(states.shape[0] * (states.shape[1] >> (qubits[0] + 1)), 2, -1)
+        return np.einsum("a,hal->hal", operand, t).reshape(states.shape)
+    return apply_matrix(states, operand, qubits)
 
 
 def apply_gate_batch(states: np.ndarray, gate: Gate, thetas: np.ndarray,

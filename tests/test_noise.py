@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -149,6 +151,18 @@ def _oracle_case(name):
                  Gate(GateKind.U3, (0,), (const(0.4), const(1.1), const(-0.7)))]
         circ = Circuit(1, [], gates, MeasurementSpec(1))
         return transpile_circuit(circ, []), zero_state(1), circ.measurement
+    if name == "pi-class":
+        # RX/RY at multiples of pi/2 lower to X and SX; CXs run with the
+        # control above and below the target, adjacent and not
+        gates = [Gate(GateKind.RX, (0,), (const(PI),)), Gate(GateKind.RY, (1,), (const(PI),)),
+                 Gate(GateKind.RX, (2,), (const(PI / 2),)),
+                 Gate(GateKind.RY, (3,), (const(-PI / 2),)),
+                 Gate(GateKind.CX, (0, 3)), Gate(GateKind.CX, (3, 1)), Gate(GateKind.CX, (2, 0)),
+                 Gate(GateKind.RY, (0,), (const(3 * PI),)), Gate(GateKind.RX, (3,), (const(-PI),)),
+                 Gate(GateKind.CX, (1, 2))]
+        circ = Circuit(4, [], gates, MeasurementSpec(4), amplitude_input=True)
+        return (transpile_circuit(circ, []), amplitude_state(rng.uniform(0.1, 1.0, 16), 4),
+                circ.measurement)
     circ = Circuit(2, [], AMPLITUDE_GATES, MeasurementSpec(2), amplitude_input=True)
     tc = transpile_circuit(circ, rng.uniform(-PI, PI, (1, 3)))
     return tc, amplitude_state(rng.uniform(0.1, 1.0, 4), 2), circ.measurement
@@ -156,12 +170,51 @@ def _oracle_case(name):
 
 @pytest.mark.parametrize("shots", [1, 37, 4096])
 @pytest.mark.parametrize("p", [0.0, 0.02, 0.3, 1.0])
-@pytest.mark.parametrize("name", ["syn4", "syn16", "one-qubit", "amplitude"])
+@pytest.mark.parametrize("name", ["syn4", "syn16", "one-qubit", "amplitude", "pi-class"])
 def test_noisy_outputs_equal_the_row_major_sampler(name, p, shots):
     tc, init, spec = _oracle_case(name)
     if name.startswith("syn"):
         kinds = {g.kind for g in tc.gates}
         assert GateKind.CX in kinds and kinds - {GateKind.CX}
+    if name == "pi-class":
+        assert {g.kind for g in tc.gates} == {GateKind.CX, GateKind.RZ, GateKind.SX, GateKind.X}
     got = noisy_outputs(tc, init, spec, p, shots, seed=601)
     want = oracle.noisy_outputs(tc, init, spec, p, shots, seed=601)
     assert np.array_equal(got, want)
+
+
+def test_operands_are_built_once_per_kind(monkeypatch):
+    # one gate_mats_batch call for all RZ angles and one for SX, however many
+    # gates the circuit has; X and CX need none.  Per-gate building makes one
+    # call per RZ and SX gate, through gate_matrix.
+    import vqcompress.gates as gates
+    import vqcompress.noise as noise
+    tc, init, spec = _oracle_case("syn16")
+    assert len(tc.gates) > 100
+    original, calls = gates.gate_mats_batch, []
+
+    def counted(kind, angles):
+        calls.append(kind)
+        return original(kind, angles)
+
+    for module in (gates, noise):
+        if getattr(module, "gate_mats_batch", None) is original:
+            monkeypatch.setattr(module, "gate_mats_batch", counted)
+    noisy_outputs(tc, init, spec, 0.02, 64, seed=601)
+    assert set(calls) <= {GateKind.RZ, GateKind.SX}
+    assert max(Counter(calls).values()) == 1
+
+
+def test_shot_batch_memory_stays_within_three_batches():
+    # the shot batch plus one batch-sized temporary, and room for the readout
+    tc, init, spec = _oracle_case("syn16")
+    shots = 4096
+    batch = init.shape[0] * shots * np.dtype(complex).itemsize
+    noisy_outputs(tc, init, spec, 0.02, shots, seed=601)    # warm the caches
+    tracemalloc.start()
+    try:
+        noisy_outputs(tc, init, spec, 0.02, shots, seed=601)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * batch, peak / batch

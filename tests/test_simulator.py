@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,9 +9,9 @@ from conftest import random_circuit, random_state
 from vqcompress.circuit import (Circuit, Gate, MeasureScheme, MeasurementSpec,
                                 const, data, theta)
 from vqcompress.errors import SpecError
-from vqcompress.gates import GateKind
-from vqcompress.simulator import (apply_matrix, measure_outputs_batch, run_batch, run_circuit,
-                                  zero_state)
+from vqcompress.gates import GateKind, gate_matrix
+from vqcompress.simulator import (apply_basis_gate, apply_matrix, measure_outputs_batch,
+                                  run_batch, run_circuit, zero_state)
 
 PI = math.pi
 
@@ -168,3 +169,30 @@ def test_trailing_axis_equals_each_column_slice(qubits, mat_rows):
     assert got.shape == states.shape and got.flags.c_contiguous
     for c in range(cols):
         assert np.array_equal(got[:, :, c], apply_matrix(states[:, :, c].copy(), mats, qubits))
+
+
+def _basis_cases(n):
+    """(kind, qubits, params) for every basis gate placement on n qubits."""
+    yield from ((GateKind.X, (q,), ()) for q in range(n))
+    yield from ((GateKind.SX, (q,), ()) for q in range(n))
+    yield from ((GateKind.CX, pair, ()) for pair in itertools.permutations(range(n), 2))
+    for q in range(n):
+        for angle in (0.0, PI / 2, PI, 3 * PI / 2, 2 * PI, -0.7, 2.345678901):
+            yield GateKind.RZ, (q,), (angle,)
+
+
+@pytest.mark.parametrize("shape", ["rows", "cols1", "cols37"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_basis_gates_equal_the_dense_kernel(n, shape):
+    # X and CX permute, RZ scales by its diagonal, SX runs the dense kernel:
+    # every value equals apply_matrix with the gate's matrix, bit for bit
+    rng = np.random.default_rng(40 + n)
+    size = {"rows": (5, 2 ** n), "cols1": (1, 2 ** n, 1), "cols37": (1, 2 ** n, 37)}[shape]
+    states = rng.normal(size=size) + 1j * rng.normal(size=size)
+    for kind, qubits, params in _basis_cases(n):    # CX on (0, 3) and (3, 0) at n = 4
+        mat = gate_matrix(kind, params)
+        operand = {GateKind.X: None, GateKind.CX: None, GateKind.RZ: np.diagonal(mat)}.get(kind, mat)
+        want = apply_matrix(states, mat, qubits)
+        got = apply_basis_gate(states.copy(), kind, qubits, operand)
+        assert got.shape == states.shape, (kind, qubits, params)
+        assert np.array_equal(got, want), (kind, qubits, params)
