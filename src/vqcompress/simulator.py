@@ -18,8 +18,10 @@ The matrices come from `gates.gate_mats_batch`, through a cached `GatePlan`
 per gate sequence: gates of one kind are one group, and each group's
 matrices come from one stacked call.  The encoder's plan reads pi * features
 (`training.initial_states`), the layers' plan reads theta: `run_batch`
-applies the layers to the states it is given, and training's forward and
-adjoint passes and ReCL take their matrices from the same plans.
+applies the layers to the states it is given.  `training.loss_and_gradient`
+takes its forward matrices, their adjoints and its angle derivatives from
+the layers' plan, on states `sgd_train` encoded once, and ReCL takes its
+matrices from the same plans.
 """
 
 from functools import lru_cache

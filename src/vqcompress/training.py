@@ -6,11 +6,14 @@ encoder (amplitudes or |0...0>) and `initial_states` runs the encoder on
 them.  The encoder is state preparation and is never compressed; everything
 downstream takes the states it returns and one theta vector.
 
-Gradients are exact for every gate kind.  `batch_loss_and_gradient` runs the
-batch forward once, keeping each layer gate's matrix, then walks the layer
-gates backward with the adjoint method (Jones & Gacon, arXiv 2009.02823):
-one state and one co-state per sample, so the cost is O(gates) on the batch
-rows whatever the number of parameters.
+Gradients are exact for every gate kind.  `loss_and_gradient` takes a
+batch's initial states, runs the layers forward once, keeping each layer
+gate's matrix, then walks the layer gates backward with the adjoint method
+(Jones & Gacon, arXiv 2009.02823): one state and one co-state per sample,
+undone together by one apply per gate, so the cost is O(gates) on the batch
+rows whatever the number of parameters.  `sgd_train` encodes its samples
+once and indexes their states per batch, so a step runs only the layers;
+`batch_loss_and_gradient` is the same gradient from features.
 """
 
 import math
@@ -35,8 +38,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be finite and positive, "
+                              f"got {self.learning_rate}")
         if self.epochs <= 0:
             raise ConfigError(f"epochs must be positive, got {self.epochs}")
         if self.batch_size < 1:
@@ -108,15 +112,16 @@ def _angle_derivatives(kind: GateKind, angles: np.ndarray) -> list[np.ndarray]:
     return [controlled_mats(b, control0=0.0) for b in blocks]
 
 
-def batch_loss_and_gradient(circuit: Circuit, params: np.ndarray, feats: np.ndarray,
-                            labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its gradient w.r.t. all slots.
+def loss_and_gradient(circuit: Circuit, params: np.ndarray, states: np.ndarray,
+                      labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over a batch and its gradient w.r.t. all slots,
+    from the batch's `initial_states`.
 
-    Forward: every layer gate once, on the batch's `initial_states`, with one
-    (1, d, d) matrix shared by all rows.  Seed:
-    lambda = (dL/d(outputs) @ W) * psi for the readout table W.  Backward, per
-    layer gate U in reverse: phi <- U^dagger phi, add 2 Re <lambda| dU phi> to
-    each of its trainable slots, lambda <- U^dagger lambda.
+    Forward: every layer gate once, with one (1, d, d) matrix shared by all
+    rows.  Seed: lambda = (dL/d(outputs) @ W) * psi for the readout table W.
+    Backward, per layer gate U in reverse: [phi; lambda] <- U^dagger [phi;
+    lambda] as one (2B, 2^n) apply, then add 2 Re <lambda| dU phi> to each of
+    its trainable slots, with phi after the apply and lambda from before it.
 
     Every matrix comes from the layers' `GatePlan`, per gate group: one
     stacked `gate_mats_batch` call, one conj-transpose for the U^dagger and
@@ -124,8 +129,7 @@ def batch_loss_and_gradient(circuit: Circuit, params: np.ndarray, feats: np.ndar
     trainable.
     """
     params = np.asarray(params, dtype=float)
-    n_batch = feats.shape[0]
-    states = initial_states(circuit, feats)
+    n_batch = states.shape[0]
     plan = gate_plan(tuple(circuit.layers))
     n_gates = len(plan.gates)
     mats, daggers, derivs = [None] * n_gates, [None] * n_gates, [None] * n_gates
@@ -147,15 +151,21 @@ def batch_loss_and_gradient(circuit: Circuit, params: np.ndarray, feats: np.ndar
     costate = ((dl_dout / n_batch) @ weights) * states
 
     grad = np.zeros(params.size)
+    both = np.concatenate([states, costate])   # rows: the states, then the co-states
     for k in reversed(range(n_gates)):
-        gate, u_dag = plan.gates[k], daggers[k]
-        states = apply_matrix(states, u_dag, gate.qubits)
+        gate, prev = plan.gates[k], both
+        both = apply_matrix(prev, daggers[k], gate.qubits)
         for b, d in zip(gate.bindings, derivs[k]):
             if b.kind is BindKind.THETA:
-                d_states = apply_matrix(states, d, gate.qubits)
-                grad[b.slot] += 2.0 * np.vdot(costate, d_states).real
-        costate = apply_matrix(costate, u_dag, gate.qubits)
+                d_states = apply_matrix(both[:n_batch], d, gate.qubits)
+                grad[b.slot] += 2.0 * np.vdot(prev[n_batch:], d_states).real
     return loss, grad
+
+
+def batch_loss_and_gradient(circuit: Circuit, params: np.ndarray, feats: np.ndarray,
+                            labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """`loss_and_gradient` on the batch's features."""
+    return loss_and_gradient(circuit, params, initial_states(circuit, feats), labels)
 
 
 def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,
@@ -174,12 +184,13 @@ def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,
     rng = np.random.default_rng(config.seed)
     theta = wrap_params(np.asarray(params0, dtype=float).copy())
     feats, labels = stack(samples)
+    states = initial_states(circuit, feats)
     n = len(labels)
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            _, grad = batch_loss_and_gradient(circuit, theta, feats[idx], labels[idx])
+            _, grad = loss_and_gradient(circuit, theta, states[idx], labels[idx])
             if proximal is not None:
                 z, lam, rho = proximal
                 grad = grad + rho * circ_residual(theta, z) + lam

@@ -174,6 +174,19 @@ _TEMPLATES = {GateKind.RX: _rx_gates, GateKind.RY: _ry_gates, GateKind.U3: _u3_g
               GateKind.CU3: _cu3_gates}
 
 
+def is_phase_identity(kind: GateKind, angles: tuple[float, ...]) -> bool:
+    """Whether a gate at its snapped angles is a phase times identity.
+
+    A one-angle kind at a generic angle never is: more than SNAP_TOL off the
+    pi/2 grid, an off-diagonal entry (or a diagonal one's distance from the
+    phase) is at least sin(SNAP_TOL / 2) ~ 5e-10, above PHASE_IDENTITY_TOL,
+    so the dense test is skipped there.  U3/CU3 and snapped angles take it.
+    """
+    if ARITY[kind] == 0 or ARITY[kind] == 1 and snap_class(angles[0]) is None:
+        return False
+    return phase_identity_factor(gate_matrix(kind, _snapped(angles))) is not None
+
+
 def decompose_kind(kind: GateKind, qubits: tuple[int, ...],
                    angles: tuple[float, ...]) -> list[PhysicalGate]:
     """Lower one logical gate (resolved angles) to physical basis gates.
@@ -182,7 +195,7 @@ def decompose_kind(kind: GateKind, qubits: tuple[int, ...],
     the one test of what prunes, and `lut` reads it as depth 0.
     """
     angles = tuple(wrap_param(a) for a in angles)
-    if ARITY[kind] > 0 and phase_identity_factor(gate_matrix(kind, _snapped(angles))) is not None:
+    if is_phase_identity(kind, angles):
         return []
     if kind is GateKind.ID:
         return []

@@ -119,6 +119,14 @@ def test_train_config_field_rejected_with_exit_2(flag, field, capsys):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["train"], ["report", "--methods", "Vanilla"]])
+def test_infinite_learning_rate_rejected_with_exit_2(command, capsys):
+    rc = main(command + ["--dataset", "syn4", "--circuit", "syn4", "--epochs", "1",
+                         "--lr", "inf"])
+    assert rc == 2
+    assert "learning_rate" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("shots", ["0", "-5"])
 def test_shots_below_one_rejected_with_exit_2(shots, capsys):
     rc = main(["report", "--dataset", "syn4", "--circuit", "syn4", "--methods", "Vanilla",

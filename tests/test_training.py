@@ -10,9 +10,12 @@ from vqcompress.circuit import (Circuit, Gate, MeasureScheme, MeasurementSpec, c
 from vqcompress.data import Sample, amplitude_state, generate_synthetic, stack
 from vqcompress.errors import DataError
 from vqcompress.gates import GateKind
+from vqcompress import simulator, training
 from vqcompress.circfile import load_reference
+from vqcompress.gates import circ_residual, wrap_params
 from vqcompress.training import (TrainConfig, batch_loss_and_gradient, init_params,
-                                 loss_and_accuracy, outputs_batch, sgd_train, softmax)
+                                 initial_states, loss_and_accuracy, loss_and_gradient,
+                                 outputs_batch, sgd_train, softmax)
 
 PI = math.pi
 
@@ -180,6 +183,96 @@ def test_gradient_with_const_and_data_encoder_u3_matches_finite_differences():
     params = rng.uniform(0, 4 * PI, 5)
     _assert_matches_central_differences(circ, params, rng.uniform(0, 1, (4, 2)),
                                         np.array([0, 1, 1, 0]))
+
+
+def _training_case(name):
+    """A circuit, a start vector and a training set that splits into uneven
+    batches of 10."""
+    if name == "grouping-amplitude":
+        circ, params, _, _ = _grouping_amplitude_case()
+        rng = np.random.default_rng(22)
+        samples = _samples(rng.uniform(0.05, 1.0, (25, 8)), rng.integers(0, 3, 25))
+        return circ, params, samples
+    circ = load_reference(name)
+    samples = generate_synthetic(4 if name == "syn4" else 16, 40, seed=13).train[:25]
+    return circ, init_params(circ, TrainConfig(seed=13)), samples
+
+
+def _reference_sgd(circ, params0, samples, config, proximal, frozen):
+    """`sgd_train` as a loop over `batch_loss_and_gradient`, which encodes
+    every batch from its features."""
+    rng = np.random.default_rng(config.seed)
+    theta = wrap_params(np.asarray(params0, dtype=float).copy())
+    feats, labels = stack(samples)
+    for _ in range(config.epochs):
+        order = rng.permutation(len(labels))
+        for start in range(0, len(labels), config.batch_size):
+            idx = order[start:start + config.batch_size]
+            _, grad = batch_loss_and_gradient(circ, theta, feats[idx], labels[idx])
+            z, lam, rho = proximal
+            grad = grad + rho * circ_residual(theta, z) + lam
+            grad[frozen] = 0.0
+            theta = wrap_params(theta - config.learning_rate * grad)
+    return theta
+
+
+@pytest.mark.parametrize("name", ["syn4", "syn16", "grouping-amplitude"])
+def test_sgd_train_equals_a_loop_over_batch_loss_and_gradient(name):
+    circ, p0, samples = _training_case(name)
+    cfg = TrainConfig(seed=14, epochs=2)
+    rng = np.random.default_rng(15)
+    proximal = (rng.uniform(0, 4 * PI, p0.size), rng.normal(0, 0.1, p0.size), 2.0)
+    frozen = np.zeros(p0.size, dtype=bool)
+    frozen[::3] = True
+    got = sgd_train(circ, p0, samples, cfg, proximal=proximal, frozen=frozen)
+    assert not np.array_equal(got[~frozen], wrap_params(p0)[~frozen])
+    assert np.array_equal(got, _reference_sgd(circ, p0, samples, cfg, proximal, frozen))
+
+
+@pytest.mark.parametrize("name", ["syn4", "syn16", "grouping-amplitude"])
+def test_loss_and_gradient_on_initial_states_equals_the_feature_call(name):
+    circ, params, samples = _training_case(name)
+    feats, labels = stack(samples[:10])
+    loss, grad = loss_and_gradient(circ, params, initial_states(circ, feats), labels)
+    want_loss, want_grad = batch_loss_and_gradient(circ, params, feats, labels)
+    assert np.max(np.abs(grad)) > 1e-3  # the comparison is not between zeros
+    assert loss == want_loss
+    assert np.array_equal(grad, want_grad)
+
+
+def _counting(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("name, per_call", [("syn4", 42), ("syn16", 66)])
+def test_a_gradient_call_applies_only_the_layers(name, per_call, monkeypatch):
+    circ, params, samples = _training_case(name)
+    layers, derivs = len(circ.layers), sum(len(g.theta_slots) for g in circ.layers)
+    assert per_call == 2 * layers + derivs  # forward, one backward apply, each derivative
+    calls = []
+    _counting(monkeypatch, training, "apply_matrix", calls)
+    _counting(monkeypatch, simulator, "apply_matrix", calls)
+    feats, labels = stack(samples[:10])
+    states = initial_states(circ, feats)
+    calls.clear()
+    loss_and_gradient(circ, params, states, labels)
+    assert len(calls) == per_call
+
+
+@pytest.mark.parametrize("name", ["syn4", "syn16", "grouping-amplitude"])
+def test_sgd_train_encodes_its_samples_once(name, monkeypatch):
+    circ, p0, samples = _training_case(name)
+    encodes, grads = [], []
+    _counting(monkeypatch, training, "initial_states", encodes)
+    _counting(monkeypatch, training, "loss_and_gradient", grads)
+    sgd_train(circ, p0, samples, TrainConfig(seed=14, epochs=3))
+    assert (len(encodes), len(grads)) == (1, 3 * 3)  # 25 samples in batches of 10
 
 
 def test_sgd_is_deterministic():

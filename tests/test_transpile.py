@@ -9,12 +9,14 @@ import oracle
 from conftest import random_circuit
 from vqcompress.circfile import load_reference
 from vqcompress.circuit import Circuit, Gate, MeasurementSpec, const
-from vqcompress.gates import ARITY, N_QUBITS_OF_KIND, GateKind
+from vqcompress import transpile
+from vqcompress.gates import (ARITY, N_QUBITS_OF_KIND, GateKind, gate_matrix,
+                              phase_identity_factor, wrap_param)
 from vqcompress.training import TrainConfig, init_params
 from vqcompress.transpile import (BASIS_KINDS, GENERIC_ANGLE, PhysicalGate,
                                   TranspiledCircuit, build_depth_table, decompose_kind,
-                                  lowered_depth, peephole_optimize, standalone_gate_depth,
-                                  tcd, transpile_circuit)
+                                  is_phase_identity, lowered_depth, peephole_optimize,
+                                  snap_class, standalone_gate_depth, tcd, transpile_circuit)
 
 PI = math.pi
 
@@ -57,6 +59,34 @@ def test_basis_gate_passes_through():
 def test_snap_tolerance_uses_special_template():
     gates = decompose_kind(GateKind.RX, (0,), (PI / 2 + 1e-10,))
     assert [g.kind for g in gates] == [GateKind.SX]
+
+
+ONE_ANGLE_KINDS = [k for k in GateKind if ARITY[k] == 1]
+GRID = [k * PI / 2 for k in range(9)]
+NEAR_GRID = [g + d for g in GRID for d in (-2e-9, -5e-10, 5e-10, 2e-9)]
+
+
+def _dense_phase_identity(kind, angle):
+    """The dense test at the snapped angle, taken at every angle."""
+    k = snap_class(angle)
+    snapped = k * PI / 2 if k is not None else wrap_param(angle)
+    return phase_identity_factor(gate_matrix(kind, [snapped])) is not None
+
+
+@pytest.mark.parametrize("kind", ONE_ANGLE_KINDS, ids=lambda k: k.value)
+def test_phase_identity_equals_the_dense_test(kind, monkeypatch):
+    dense_calls = []
+    monkeypatch.setattr(transpile, "gate_matrix",
+                        lambda *a: dense_calls.append(a) or gate_matrix(*a))
+    got, want = {}, {}
+    for a in GRID + [GENERIC_ANGLE] + NEAR_GRID:
+        got[a] = is_phase_identity(kind, (wrap_param(a),))
+        want[a] = _dense_phase_identity(kind, a)
+    assert got == want
+    assert want[0.0] and want[4 * PI]                       # the comparison sees True
+    assert not any(want[g + 2e-9] or want[g - 2e-9] for g in GRID)
+    # the generic angles, GENERIC_ANGLE and grid +- 2e-9, skip the dense test
+    assert len(dense_calls) == len(GRID) + 2 * len(GRID)
 
 
 @pytest.mark.parametrize("kind", PUBLISHED_DEPTHS)
