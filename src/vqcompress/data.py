@@ -92,6 +92,9 @@ def load_csv(path, n_classes: int, seed: int = 0, pool: bool = False) -> Dataset
                 raise ParseError(f"bad row ({exc})", lineno) from None
             if not np.isfinite(feats).all():
                 raise ParseError("non-finite feature", lineno)
+            outside = feats[(feats < 0) | (feats > 1)]
+            if outside.size:
+                raise ParseError(f"feature {outside[0]} outside [0, 1]", lineno)
             if not 0 <= label < n_classes:
                 raise ParseError(f"label {label} out of range for {n_classes} classes", lineno)
             if pool:

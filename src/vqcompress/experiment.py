@@ -97,6 +97,9 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def resolve_dataset(config: ExperimentConfig) -> Dataset:
     spec = config.dataset
+    if config.csv_pool and not spec.startswith("csv:"):
+        raise ConfigError(f"csv_pool: only CSV rows are pooled, and dataset {spec!r} "
+                          f"is not csv:<path>")
     if spec in ("syn4", "syn16"):
         return generate_synthetic(int(spec[3:]), 100, seed=config.seed)
     if spec.startswith("csv:"):

@@ -47,27 +47,33 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
 
     theta is lowered once and its lowering scanned once by a `DepthScan`,
     the encoder's lowering first, with a snapshot of the scan before each
-    candidate's first reader gate.  A candidate re-lowers only the gates
+    candidate gate's first reader gate.  A level re-lowers only the gates
     that read its gate's slots, resumes a copy of that snapshot and feeds its
     re-lowered reader gates and theta's lowering of the other gates from
     there on; the snapshot carries open RZ runs across the boundary, so the
-    depth equals a full rescan.  The layers' `GatePlan` builds theta's gate
-    matrices once; a candidate rebuilds only its reader gates' matrices,
-    through the plan of those gates.  Gates are visited in order of their
-    first reader; one running batch state holds the `initial_states` pushed
-    through the layers up to it, and each candidate applies only the rest
-    with `apply_matrix`.  The matrices and states equal those of `run_batch`,
-    so metrics are bit-identical to a from-scratch evaluation.
+    depth equals a full rescan.
+
+    The states run as one batch per candidate gate.  The `initial_states`
+    are held as a (1, 2^n, B) batch, samples on the trailing axis, and
+    pushed through the layers up to each candidate gate's first reader, in
+    order of first readers.  From there the gate's C levels run together as
+    a (C, 2^n, B) batch: the reader gates' plan builds their (C, d, d)
+    matrices from the C substituted theta rows in one call per group, every
+    other gate applies theta's (1, d, d) matrix from the layers' `GatePlan`
+    to all C rows, and the readout takes the (C * B, 2^n) rows at once, so
+    the suffix costs one `apply_matrix` per gate whatever C is.  Each row
+    sees the arithmetic `run_batch` does on it, so metrics are bit-identical
+    to a from-scratch evaluation.  Gates without levels are skipped.
     """
     theta = np.asarray(theta, dtype=float)
     gates = circuit.layers
     lowered = [physical for _, physical in lower_circuit(circuit, theta)]
     feats, labels = stack(eval_samples)
-    state = initial_states(circuit, feats)
+    state = np.ascontiguousarray(initial_states(circuit, feats).T)[None]
     base = gate_plan(tuple(gates)).matrices(theta[None, :])
     readers = {gi: [k for k, g in enumerate(gates)
                     if set(g.theta_slots) & set(circuit.layers[gi].theta_slots)]
-               for gi in candidates}
+               for gi, levels in candidates.items() if levels}
     firsts = {r[0] for r in readers.values()}
     scan, snapshots = DepthScan(circuit.n_qubits), {}
     for physical in lowered[:len(circuit.encoder)]:  # no candidate changes the encoder
@@ -78,26 +84,29 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
             snapshots[k] = scan.copy()
         scan.feed(physical)
     theta_tcd = scan.close()
-    done, metrics = 0, {}
-    for gi in sorted(candidates, key=lambda gi: readers[gi][0]):
+    done, metrics = 0, {gi: [] for gi in candidates}
+    for gi in sorted(readers, key=lambda gi: readers[gi][0]):
         first = readers[gi][0]
         for k in range(done, first):
             state = apply_matrix(state, base[k], gates[k].qubits)
         done = first
+        thetas = np.stack([_substituted(theta, circuit, gi, level.value)
+                           for level in candidates[gi]])
         reader_plan = gate_plan(tuple(gates[k] for k in readers[gi]))
-        metrics[gi] = []
-        for level in candidates[gi]:
-            new_theta = _substituted(theta, circuit, gi, level.value)
-            mats = dict(zip(readers[gi], reader_plan.matrices(new_theta[None, :])))
+        mats = dict(zip(readers[gi], reader_plan.matrices(thetas)))
+        final = np.broadcast_to(state, (len(thetas),) + state.shape[1:])
+        for k in range(first, len(gates)):
+            final = apply_matrix(final, mats.get(k, base[k]), gates[k].qubits)
+        rows = final.transpose(0, 2, 1).reshape(-1, final.shape[1])
+        probs = softmax(measure_outputs_batch(rows, circuit.measurement))
+        hits = probs.argmax(axis=1).reshape(len(thetas), -1) == labels
+        for new_theta, acc in zip(thetas, hits.mean(axis=1)):
             relowered = {k: lower_gate(gates[k], new_theta[None, :], None)[1]
                          for k in readers[gi]}
-            final, scan = state, snapshots[first].copy()
+            scan = snapshots[first].copy()
             for k in range(first, len(gates)):
-                final = apply_matrix(final, mats.get(k, base[k]), gates[k].qubits)
                 scan.feed(relowered.get(k, lowered[k]))
-            probs = softmax(measure_outputs_batch(final, circuit.measurement))
-            acc = float((probs.argmax(axis=1) == labels).mean())
-            metrics[gi].append(acc * _depth_factor(theta_tcd, scan.close()))
+            metrics[gi].append(float(acc) * _depth_factor(theta_tcd, scan.close()))
     return metrics
 
 

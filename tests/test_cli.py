@@ -250,6 +250,32 @@ def test_dataset_circuit_mismatch_exits_2(case, command, words, tmp_path, capsys
     assert all(w in err for w in words), err
 
 
+@pytest.mark.parametrize("row, value", [("0,1e308,1e308,1e308,1e308", "1e+308"),
+                                        ("0,-5,7,0.2,0.3", "-5.0")],
+                         ids=["huge", "negative"])
+def test_csv_feature_outside_unit_interval_exits_2_at_its_line(row, value, tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    _csv(path, 4)
+    path.write_text(path.read_text() + row + "\n")
+    assert main(["train", "--dataset", f"csv:{path}", "--circuit", "syn4", "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert all(w in err for w in ("line 11", value, "outside [0, 1]")), err
+
+
+@pytest.mark.parametrize("source", ["flag", "config-file"])
+def test_csv_pool_with_synthetic_dataset_exits_2(source, tmp_path, capsys):
+    args = ["train", "--dataset", "syn4", "--circuit", "syn4", "--epochs", "1"]
+    if source == "flag":
+        args.append("--csv-pool")
+    else:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("csv_pool = true\n")
+        args += ["--config", str(cfgfile)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "csv_pool" in err and "syn4" in err, err
+
+
 @pytest.mark.parametrize("body, words", [
     ("qubits 2\n#layers\nCRX 0,0 free\n#measure perqubitz 2\n", ("line 3", "duplicate qubit")),
     ("qubits 2\n#layers\nRZ 1 nan\n#measure perqubitz 2\n", ("line 3", "non-finite")),

@@ -188,7 +188,7 @@ def test_recl_candidates_rebuild_only_their_reader_gates(name, gate_mats_calls):
     built = [n for _, n in gate_mats_calls]
     # the encoder's matrices once (one row per sample), theta's once (one row
     # per layer gate), then one matrix per reader gate and candidate level,
-    # one call per reader group
+    # built by one call per reader group for all of a candidate gate's levels
     assert sum(built) == base + per_level
     assert len(built) == len(_group_keys(circ.encoder)) + len(_group_keys(circ.layers)) + sum(
-        len(levels) * len(_group_keys(readers[gi])) for gi, levels in candidates.items())
+        len(_group_keys(readers[gi])) for gi, levels in candidates.items() if levels)

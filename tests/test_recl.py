@@ -8,10 +8,12 @@ from vqcompress.circfile import load_reference
 from vqcompress.circuit import Circuit, Gate, MeasureScheme, MeasurementSpec, theta
 from vqcompress.data import Sample, generate_synthetic, stack
 from vqcompress.gates import GateKind
-from vqcompress.lut import CompressionLevel, LevelTag, build_lut
+from vqcompress.lut import CompressionLUT, CompressionLevel, LevelTag, build_lut
 from vqcompress.recl import _sweep, reconstruct_lut
-from vqcompress import transpile
-from vqcompress.training import TrainConfig, init_params, outputs_batch, softmax
+from vqcompress.simulator import run_batch
+from vqcompress import recl, transpile
+from vqcompress.training import (TrainConfig, init_params, initial_states, outputs_batch,
+                                 softmax)
 from vqcompress.transpile import DepthScan, lower_circuit, tcd
 
 PI = math.pi
@@ -160,19 +162,112 @@ def assert_sweep_matches_from_scratch(circ, th, lut, samples):
         assert swept[gi] == [from_scratch_metric(circ, th, gi, lv, samples) for lv in levels]
 
 
-def test_sweep_equals_from_scratch_on_syn16_with_grid_angles():
-    circ = load_reference("syn16")
-    samples = generate_synthetic(16, 100, seed=21).train
-    rng = np.random.default_rng(21)
+def _grid_theta(circ, seed):
+    """Generic angles with every other trainable gate on the pi/2 grid."""
+    rng = np.random.default_rng(seed)
     th = rng.uniform(0, 4 * PI, circ.n_thetas)
     for gi in circ.trainable_indices()[::2]:
         for slot in circ.layers[gi].theta_slots:
             th[slot] = int(rng.integers(8)) * PI / 2
+    return th
+
+
+def test_sweep_equals_from_scratch_on_syn16_with_grid_angles():
+    circ = load_reference("syn16")
+    samples = generate_synthetic(16, 100, seed=21).train
+    th = _grid_theta(circ, 21)
     lut = build_lut(circ)
     assert_sweep_matches_from_scratch(circ, th, lut, samples)
     recon = reconstruct_lut(circ, th, lut, samples)
     for gi, lv in recon.levels.items():
         assert recon.metrics[gi] == from_scratch_metric(circ, th, gi, lv, samples)
+
+
+def test_sweep_equals_from_scratch_on_syn4():
+    circ = load_reference("syn4")
+    lut = build_lut(circ)
+    for seed in (601, 1601):
+        samples = generate_synthetic(4, 200, seed=seed).train
+        for th in (init_params(circ, TrainConfig(seed=seed)), _grid_theta(circ, seed)):
+            assert_sweep_matches_from_scratch(circ, th, lut, samples)
+
+
+def test_sweep_equals_from_scratch_with_one_level_per_gate():
+    # C = 1: every candidate batch holds a single row of states
+    circ = load_reference("syn16")
+    samples = generate_synthetic(16, 100, seed=777).train
+    lut = build_lut(circ)
+    one = CompressionLUT({kind: levels[:1] for kind, levels in lut.entries.items()})
+    assert all(len(levels) == 1 for levels in one.entries.values())
+    assert_sweep_matches_from_scratch(circ, _grid_theta(circ, 777), one, samples)
+
+
+def test_sweep_skips_gates_without_levels():
+    # the quantize-only LUT has no RZ or CRZ levels: those gates get an empty
+    # metric list, and the gates around them are still evaluated exactly
+    circ = load_reference("syn4")
+    samples = generate_synthetic(4, 200, seed=777).train
+    lut = build_lut(circ).filtered(LevelTag.QUANTIZE)
+    empty = [gi for gi in circ.trainable_indices()
+             if not lut.entries.get(circ.layers[gi].kind)]
+    assert empty and len(empty) < len(circ.trainable_indices())
+    th = _grid_theta(circ, 777)
+    assert_sweep_matches_from_scratch(circ, th, lut, samples)
+    assert all(_sweep(circ, th, {gi: []}, samples) == {gi: []} for gi in empty)
+
+
+def test_batched_final_states_equal_per_candidate_run_batch(monkeypatch):
+    # one candidate gate: its C levels' final states, read as the (C * B, 2^n)
+    # rows the readout sees, equal run_batch of each substituted theta
+    circ = load_reference("syn16")
+    samples = generate_synthetic(16, 100, seed=601).train
+    th = init_params(circ, TrainConfig(seed=601))
+    gi = next(gi for gi in circ.trainable_indices() if circ.layers[gi].kind is GateKind.RY)
+    levels = build_lut(circ).entries[GateKind.RY]
+    seen, measure = [], recl.measure_outputs_batch
+
+    def captured(states, spec):
+        seen.append(states.copy())
+        return measure(states, spec)
+
+    monkeypatch.setattr(recl, "measure_outputs_batch", captured)
+    _sweep(circ, th, {gi: levels}, samples)
+    feats, _ = stack(samples)
+    start = initial_states(circ, feats)
+    [rows] = seen
+    assert rows.shape == (len(levels) * len(samples), 2 ** circ.n_qubits)
+    for c, level in enumerate(levels):
+        new = np.array(th, copy=True)
+        new[list(circ.layers[gi].theta_slots)] = level.value
+        want = run_batch(circ, new, start)
+        assert np.array_equal(rows[c * len(samples):(c + 1) * len(samples)], want)
+
+
+def test_sweep_applies_each_suffix_gate_once_per_candidate_gate(monkeypatch):
+    # the prefix runs once up to the last candidate gate's first reader, and
+    # each candidate gate applies the gates from its first reader on once for
+    # all of its levels
+    circ = load_reference("syn16")
+    samples = generate_synthetic(16, 100, seed=1601).train
+    th = init_params(circ, TrainConfig(seed=1601))
+    lut = build_lut(circ)
+    candidates = {gi: lut.entries.get(circ.layers[gi].kind, [])
+                  for gi in circ.trainable_indices()}
+    applied, apply = [], recl.apply_matrix
+
+    def counted(states, mats, qubits):
+        applied.append(qubits)
+        return apply(states, mats, qubits)
+
+    monkeypatch.setattr(recl, "apply_matrix", counted)
+    _sweep(circ, th, candidates, samples)
+    firsts = {gi: next(k for k, g in enumerate(circ.layers)
+                       if set(g.theta_slots) & set(circ.layers[gi].theta_slots))
+              for gi in candidates}
+    n = len(circ.layers)
+    assert len(applied) == max(firsts.values()) + sum(n - f for f in firsts.values())
+    # one suffix per level, as a per-level loop runs it, is several times more
+    assert len(applied) < sum(len(candidates[gi]) * (n - f) for gi, f in firsts.items()) / 4
 
 
 def test_slot_read_before_and_after_another_gate():
