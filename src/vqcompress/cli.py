@@ -41,7 +41,7 @@ _ADMM_KEYS = {"ratio": ("target_ratio", float), "rho": ("rho", float),
               "max_iters": ("max_iters", int), "epochs_per_iter": ("epochs_per_iter", int),
               "retrain_epochs": ("retrain_epochs", int)}
 _TOP_KEYS = {"dataset": str, "circuit": str, "seed": int, "n_classes": int,
-             "noise_p": float, "shots": int, "out": str, "csv_pool": _parse_bool,
+             "noise_p": float, "out": str, "csv_pool": _parse_bool,
              "methods": _parse_methods}
 
 
@@ -124,7 +124,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--epochs-per-iter", dest="epochs_per_iter", type=int)
     p.add_argument("--retrain-epochs", dest="retrain_epochs", type=int)
     p.add_argument("--noise-p", dest="noise_p", type=float)
-    p.add_argument("--shots", type=int)
     p.add_argument("--out")
 
 

@@ -38,7 +38,6 @@ class ExperimentConfig:
     n_classes: int = 2               # for CSV datasets
     csv_pool: bool = False           # 28x28 -> 4x4 average pooling on CSV rows
     noise_p: float | None = None
-    shots: int = 4096
     out: str | None = None
     train: TrainConfig = field(default_factory=TrainConfig)
     admm: ADMMConfig = field(default_factory=ADMMConfig)
@@ -52,8 +51,11 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHOD_ORDER}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.shots < 1:
-            raise ConfigError(f"shots must be at least 1, got {self.shots}")
+        if self.dataset not in ("syn4", "syn16") and not self.dataset.startswith("csv:"):
+            raise ConfigError(f"unknown dataset spec {self.dataset!r} (syn4 | syn16 | csv:<path>)")
+        if self.csv_pool and not self.dataset.startswith("csv:"):
+            raise ConfigError(f"csv_pool: only CSV rows are pooled, and dataset "
+                              f"{self.dataset!r} is not csv:<path>")
         if self.noise_p is not None and not 0.0 <= self.noise_p <= 1.0:
             raise ConfigError(f"noise_p {self.noise_p} outside [0, 1]")
 
@@ -83,30 +85,23 @@ class Report:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    """Hash of the fields that decide the results: `out` is left out, so is
-    `shots` when there is no noise, and `train.seed` is `seed`, as
-    `run_experiment` sets it."""
+    """Hash of the fields that decide the results: `out` is left out, and
+    `train.seed` is `seed`, as `run_experiment` sets it."""
     fields = asdict(config)
     del fields["out"]
-    if config.noise_p is None:
-        del fields["shots"]
     fields["train"]["seed"] = config.seed
     blob = json.dumps(fields, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def resolve_dataset(config: ExperimentConfig) -> Dataset:
+    """The dataset `config.dataset` names; `ExperimentConfig` checked its spec."""
     spec = config.dataset
-    if config.csv_pool and not spec.startswith("csv:"):
-        raise ConfigError(f"csv_pool: only CSV rows are pooled, and dataset {spec!r} "
-                          f"is not csv:<path>")
     if spec in ("syn4", "syn16"):
         return generate_synthetic(int(spec[3:]), 100, seed=config.seed)
-    if spec.startswith("csv:"):
-        if not os.path.isfile(spec[4:]):
-            raise ConfigError(f"dataset: no file named {spec[4:]!r}")
-        return load_csv(spec[4:], config.n_classes, seed=config.seed, pool=config.csv_pool)
-    raise ConfigError(f"unknown dataset spec {spec!r} (syn4 | syn16 | csv:<path>)")
+    if not os.path.isfile(spec[4:]):
+        raise ConfigError(f"dataset: no file named {spec[4:]!r}")
+    return load_csv(spec[4:], config.n_classes, seed=config.seed, pool=config.csv_pool)
 
 
 def resolve_circuit(config: ExperimentConfig) -> Circuit:
@@ -169,8 +164,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
         acc, depth = (vanilla_acc, vanilla_tcd) if method == "Vanilla" else evaluate(result.params)
         noisy = None
         if config.noise_p is not None:
-            noisy = noisy_accuracy(circuit, result.params, dataset.test, config.noise_p,
-                                   config.shots, config.seed)
+            noisy = noisy_accuracy(circuit, result.params, dataset.test, config.noise_p)
         rows.append(MethodRow(method, acc, acc - vanilla_acc, depth,
                               vanilla_tcd / max(depth, 1), noisy))
         results[method] = result

@@ -1,20 +1,21 @@
-"""Shot-based depolarizing-noise evaluation of transpiled circuits.
+"""Exact depolarizing-noise evaluation of lowered circuits.
 
-After every physical gate, each qubit the gate touched suffers, with
-probability p, a Pauli drawn uniformly from {I, X, Y, Z}; at p = 1 this fully
-depolarizes the qubit.  Expectations are the average of exact per-trajectory
-readouts over a fixed shot count, so results are deterministic given the seed.
+After every physical gate, each qubit the gate touched is depolarized with
+probability p: rho -> (1 - p) rho + p I/2 (x) Tr_q rho (Nielsen & Chuang
+section 8.3).  That is the expectation of applying, with probability p, a
+Pauli drawn uniformly from {I, X, Y, Z}; at p = 1 the qubit is fully
+depolarized.  The outputs are exact expectations, so they depend on nothing
+but the circuit, the input state and p.
 
-A sample's trajectories are one amplitude-major (2^n, shots) batch, handed to
-`simulator.apply_basis_gate` as a single row whose trailing axis holds the
-shots, so the shot axis is the contiguous inner loop.  Each physical gate is
-applied by its structure: X and CX are permutations that swap amplitude
-blocks in place, RZ is diagonal and scales them, and only SX runs the dense
-kernel.  A sample builds its RZ diagonals with one `gate_mats_batch` call and
-its SX matrix with one more.  The values equal the dense kernel's bit for bit.
-Per touched qubit the sampler draws `shots` uniforms, then `shots` Pauli
-indices, and the readout averages (shots, C) outputs in shot order, so a seed
-gives the same bits as a (shots, 2^n) batch would.
+rho is held as a state of 2n qubits, kron(conj(psi), psi): qubits 0..n-1
+index its ket and qubits n..2n-1 its bra.  A physical gate U acts as
+rho -> U rho U^dagger, which is U on the ket qubits and conj(U) on the bra
+qubits, each through `simulator.apply_basis_gate`: X and CX are real
+permutations and take no operand, RZ takes its (conjugated) diagonal, and SX
+its (conjugated) matrix.  The channel on qubit q acts on the pair of its
+bra and ket bits (q + n, q) as the fixed 4x4 matrix (1 - p) I + (p/2) |v><v|
+with v = |00> + |11>; `_depolarize` applies it in place, so a pass holds
+rho and a temporary of at most its size.  The outputs are diag(rho) @ W.T.
 """
 
 import numpy as np
@@ -23,25 +24,9 @@ from .circuit import Circuit, MeasurementSpec
 from .data import stack
 from .errors import ConfigError
 from .gates import GateKind, gate_mats_batch
-from .simulator import PERMUTATIONS, apply_basis_gate, measure_outputs_batch
+from .simulator import PERMUTATIONS, apply_basis_gate, readout_weights
 from .training import input_states, softmax
-from .transpile import PhysicalGate, TranspiledCircuit, transpile_circuit
-
-
-def _apply_pauli(states: np.ndarray, cols: np.ndarray, q: int, which: int):
-    """In-place X/Y/Z on one qubit for a subset of trajectory columns."""
-    low = 1 << q
-    view = states.reshape(states.shape[0] // (2 * low), 2, low, -1)
-    sub = view[..., cols]
-    if which == 1:    # X
-        sub = sub[:, ::-1]
-    elif which == 2:  # Y
-        sub = sub[:, ::-1].copy()
-        sub[:, 0] *= -1j
-        sub[:, 1] *= 1j
-    else:             # Z
-        sub[:, 1] *= -1
-    view[..., cols] = sub
+from .transpile import DepthScan, PhysicalGate, TranspiledCircuit, lower_gate
 
 
 def _operands(gates: list[PhysicalGate]) -> list:
@@ -63,47 +48,64 @@ def _operands(gates: list[PhysicalGate]) -> list:
     return out
 
 
+def _depolarize(rho: np.ndarray, q: int, n: int, p: float) -> None:
+    """The channel on qubit q, in place on a contiguous rho.  The view's axes
+    1 and 3 are its bra bit (q + n) and ket bit (q).  Every block scales by
+    1 - p, and each of the two diagonal blocks gains p/2 times their sum."""
+    view = rho.reshape(-1, 2, 1 << (n - 1), 2, 1 << q)
+    mixed = (view[:, 0, :, 0] + view[:, 1, :, 1]) * (p / 2)
+    view *= 1.0 - p
+    view[:, 0, :, 0] += mixed
+    view[:, 1, :, 1] += mixed
+
+
 def noisy_outputs(tc: TranspiledCircuit, input_state: np.ndarray, spec: MeasurementSpec,
-                  p: float, shots: int, seed: int) -> np.ndarray:
-    """Shot-averaged measurement outputs of a physical circuit under noise."""
+                  p: float, shots=None, seed=None) -> np.ndarray:
+    """Exact measurement outputs of a physical circuit under depolarizing
+    noise, from one pass of its density matrix.
+
+    `shots` and `seed` are ignored; they stay in the signature only until
+    the benchmark stops passing them.
+    """
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"depolarizing probability {p} outside [0, 1]")
-    if shots < 1:
-        raise ConfigError(f"shots must be at least 1, got {shots}")
-    rng = np.random.default_rng(seed)
-    states = np.empty((1, input_state.shape[0], shots), dtype=complex)
-    states[0] = input_state[:, None]
+    n = tc.n_qubits
+    rho = np.kron(input_state.conj(), input_state)[None, :]
     for pg, operand in zip(tc.gates, _operands(tc.gates)):
-        states = apply_basis_gate(states, pg.kind, pg.qubits, operand)
-        for q in pg.qubits:
-            hit = np.flatnonzero(rng.random(shots) < p)
-            paulis = rng.integers(0, 4, size=shots)[hit]
-            for which in (1, 2, 3):
-                cols = hit[paulis == which]
-                if cols.size:
-                    _apply_pauli(states[0], cols, q, which)
-    states = np.ascontiguousarray(states[0].T)    # (shots, 2^n); frees the batch
-    return measure_outputs_batch(states, spec).mean(axis=0)
+        bra = tuple(q + n for q in pg.qubits)
+        rho = apply_basis_gate(rho, pg.kind, pg.qubits, operand)
+        rho = apply_basis_gate(rho, pg.kind, bra, None if operand is None else operand.conj())
+        if p > 0:
+            for q in pg.qubits:
+                _depolarize(rho, q, n, p)
+    probs = np.diagonal(rho.reshape(1 << n, 1 << n)).real
+    return probs @ readout_weights(spec, n).T
 
 
-def noisy_accuracy(circuit: Circuit, params, samples, p: float, shots: int, seed: int) -> float:
+def noisy_accuracy(circuit: Circuit, params, samples, p: float, shots=None, seed=None) -> float:
     """Classification accuracy when every physical gate is followed by noise.
 
     Noise hits the encoder's physical gates too, so each sample starts from
-    its `input_states` row and runs the whole transpiled circuit.  Features
-    bound to encoder gates change that circuit, so each sample then gets its
-    own transpilation; a circuit that binds no feature shares one.  Each
-    sample gets its own derived noise seed.
+    its `input_states` row and runs the whole lowered circuit.  The layers
+    are lowered once per call and only the encoder per sample; one keep-mode
+    `DepthScan` over both applies the peephole rule across their boundary,
+    as `transpile_circuit` does.  `shots` and `seed` go to `noisy_outputs`
+    unchanged, which ignores them.
     """
     feats, labels = stack(samples)
     states = input_states(circuit, feats)
     thetas = np.atleast_2d(params)
-    shared = None if circuit.n_data else transpile_circuit(circuit, thetas)
+    layers = [lower_gate(gate, thetas, None)[1] for gate in circuit.layers]
     correct = 0
     for i, label in enumerate(labels):
-        tc = (transpile_circuit(circuit, thetas, feats=feats[i:i + 1])
-              if shared is None else shared)
-        outs = noisy_outputs(tc, states[i], circuit.measurement, p, shots, seed + i)
+        scan = DepthScan(circuit.n_qubits, keep=True)
+        for gate in circuit.encoder:
+            scan.feed(lower_gate(gate, thetas, feats[i:i + 1])[1])
+        for physical in layers:
+            scan.feed(physical)
+        scan.close()
+        tc = TranspiledCircuit(circuit.n_qubits, [g for g in scan.gates if g is not None])
+        outs = noisy_outputs(tc, states[i], circuit.measurement, p, shots, seed)
         if int(np.argmax(softmax(outs[None, :])[0])) == label:
             correct += 1
     return correct / len(labels)

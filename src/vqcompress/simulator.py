@@ -5,14 +5,15 @@ significant bit of the basis-state index.  Everything is batched: a state
 batch has shape (rows, 2^n).  A gate acts on every row either through one
 shared matrix or through one matrix per row, so a batch can mix samples
 (per-row data angles).  A batch may also carry a trailing axis,
-(rows, 2^n, cols), of columns that share their row's matrix; the noise
-evaluator runs its shots that way, along the contiguous axis.
+(rows, 2^n, cols), of columns that share their row's matrix; ReCL runs its
+samples that way, along the contiguous axis.
 
 `apply_matrix` is the dense kernel, one einsum per gate.  The noise
-evaluator's physical gates go through `apply_basis_gate`, which applies each
-basis kind by its structure: X and CX permute amplitude blocks in place, RZ
-multiplies by its diagonal, and SX (dense) falls through to `apply_matrix`.
-Both give the same values bit for bit.
+evaluator holds a density matrix as a state of 2n qubits, and its physical
+gates go through `apply_basis_gate`, which applies each basis kind by its
+structure: X and CX permute amplitude blocks in place, RZ multiplies by its
+diagonal, and SX (dense) falls through to `apply_matrix`.  Both give the
+same values bit for bit.
 
 The matrices come from `gates.gate_mats_batch`, through a cached `GatePlan`
 per gate sequence: gates of one kind are one group, and each group's

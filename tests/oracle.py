@@ -8,7 +8,7 @@ references at the end are the exceptions: the per-gate ones reuse the
 package's kernels to pin its stacked matrix building bit for bit, and the
 fixpoint peephole reuses its gate records and snap test to pin the one-pass
 peephole's output, and the row-major shot sampler reuses its kernel and
-readout to pin the noise evaluator's trajectories.
+readout to cross-check the exact noise evaluator by its shot mean.
 """
 
 import cmath
@@ -126,9 +126,13 @@ SHIFT_RULES = {"RX": _TWO_POINT, "RY": _TWO_POINT, "RZ": _TWO_POINT,
 
 def readout(states, measurement, n_qubits):
     """(R, C) classifier outputs: per-qubit <Z> or basis-state group weights."""
+    return readout_probs(np.abs(states) ** 2, measurement, n_qubits)
+
+
+def readout_probs(probs, measurement, n_qubits):
+    """Classifier outputs of (R, 2^n) basis-state probabilities."""
     from vqcompress.circuit import MeasureScheme
     spec = measurement.validated(n_qubits)
-    probs = np.abs(states) ** 2
     if spec.scheme is MeasureScheme.PER_QUBIT_Z:
         signs = [[1.0 - 2.0 * ((i >> q) & 1) for i in range(2 ** n_qubits)]
                  for q in range(spec.n_classes)]
@@ -299,10 +303,29 @@ def dag_depth(gates):
     return max(depth, default=0)
 
 
+PAULIS = (I2, PAULI_X, np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+def dense_noisy_outputs(tc, input_state, spec, p):
+    """Exact noisy outputs from a full 2^n x 2^n density matrix: each physical
+    gate's oracle unitary U as rho -> U rho U^dagger, then on each qubit it
+    touched (1 - p) rho + p/4 sum_P P rho P^dagger over the Paulis P."""
+    n = tc.n_qubits
+    rho = np.outer(input_state, np.conj(input_state))
+    for pg in tc.gates:
+        u = embed_gate(n, pg.kind.value, pg.qubits, pg.params)
+        rho = u @ rho @ u.conj().T
+        for q in pg.qubits:
+            twirl = sum(e @ rho @ e.conj().T
+                        for e in (embed_factors(n, {q: pauli}) for pauli in PAULIS))
+            rho = (1 - p) * rho + (p / 4) * twirl
+    return readout_probs(np.diag(rho).real[None, :], spec, n)[0]
+
+
 # Row-major shot sampler: the noise evaluator as it kept its trajectories
-# before they moved to the trailing axis, one (shots, 2^n) row per shot.  It
-# shares the package's kernel and readout, so it pins the RNG order and the
-# bits of every trajectory, not the noise model.
+# before the exact evaluator replaced it, one (shots, 2^n) row per shot.  It
+# shares the package's kernel and readout; its shot mean estimates the exact
+# outputs, so it cross-checks the noise model statistically.
 
 def _apply_pauli_rows(states, rows, q, which):
     """In-place X/Y/Z on one qubit for a subset of trajectory rows."""

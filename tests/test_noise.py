@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import oracle
+from conftest import random_circuit, random_state
 from vqcompress.circuit import Circuit, Gate, MeasurementSpec, const, theta
 from vqcompress.errors import ConfigError
 from vqcompress.gates import GateKind
 from vqcompress.noise import noisy_accuracy, noisy_outputs
 from vqcompress.simulator import measure_outputs_batch, run_circuit, zero_state
-from vqcompress.transpile import transpile_circuit
+from vqcompress.transpile import lower_gate, transpile_circuit
 
 PI = math.pi
 
@@ -28,7 +29,7 @@ def chain_circuit(n_pairs):
 def test_p_zero_matches_noiseless():
     circ = chain_circuit(2)
     tc = transpile_circuit(circ, [])
-    out = noisy_outputs(tc, zero_state(1), circ.measurement, p=0.0, shots=64, seed=3)
+    out = noisy_outputs(tc, zero_state(1), circ.measurement, p=0.0)
     exact = measure_outputs_batch(run_circuit(circ, [])[None], circ.measurement)[0]
     assert np.allclose(out, exact, atol=1e-12)
 
@@ -36,33 +37,29 @@ def test_p_zero_matches_noiseless():
 def test_p_one_fully_depolarizes():
     circ = Circuit(1, [], [Gate(GateKind.RX, (0,), (const(0.7),))], MeasurementSpec(1))
     tc = transpile_circuit(circ, [])
-    shots = 8192
-    out = noisy_outputs(tc, zero_state(1), circ.measurement, p=1.0, shots=shots, seed=5)
-    # fully depolarized qubit: <Z> = 0; allow 3 sigma of shot noise
-    sigma = 1.0 / math.sqrt(shots)
-    assert abs(out[0]) < 3 * sigma + 0.02
+    out = noisy_outputs(tc, zero_state(1), circ.measurement, p=1.0)
+    assert abs(out[0]) < 1e-12  # fully depolarized qubit: <Z> = 0
 
 
 def test_deterministic_given_seed():
+    # the outputs are exact expectations: the ignored seed and shot count move no bit
     circ = chain_circuit(3)
     tc = transpile_circuit(circ, [])
-    a = noisy_outputs(tc, zero_state(1), circ.measurement, p=0.05, shots=256, seed=9)
-    b = noisy_outputs(tc, zero_state(1), circ.measurement, p=0.05, shots=256, seed=9)
-    assert np.array_equal(a, b)
-    c = noisy_outputs(tc, zero_state(1), circ.measurement, p=0.05, shots=256, seed=10)
-    assert not np.array_equal(a, c)
+    want = noisy_outputs(tc, zero_state(1), circ.measurement, p=0.05)
+    for shots, seed in ((256, 9), (256, 10), (1, 0), (4096, 601)):
+        got = noisy_outputs(tc, zero_state(1), circ.measurement, 0.05, shots, seed)
+        assert np.array_equal(got, want)
 
 
 def test_deeper_circuit_loses_more_fidelity():
     # both circuits are the identity; <Z> decay tracks the physical gate count
     shallow = chain_circuit(1)
     deep = chain_circuit(8)
-    p, shots = 0.05, 4096
+    p = 0.05
     z_shallow = noisy_outputs(transpile_circuit(shallow, []), zero_state(1),
-                              shallow.measurement, p, shots, seed=1)[0]
-    z_deep = noisy_outputs(transpile_circuit(deep, []), zero_state(1),
-                           deep.measurement, p, shots, seed=1)[0]
-    assert z_deep <= z_shallow + 3 / math.sqrt(shots)
+                              shallow.measurement, p)[0]
+    z_deep = noisy_outputs(transpile_circuit(deep, []), zero_state(1), deep.measurement, p)[0]
+    assert z_deep < z_shallow
     assert z_shallow > 0.5  # shallow circuit keeps most of its signal
 
 
@@ -70,15 +67,7 @@ def test_p_out_of_range_raises():
     circ = chain_circuit(1)
     tc = transpile_circuit(circ, [])
     with pytest.raises(ConfigError):
-        noisy_outputs(tc, zero_state(1), circ.measurement, p=1.5, shots=16, seed=0)
-
-
-@pytest.mark.parametrize("shots", [0, -5])
-def test_shots_below_one_raises(shots):
-    circ = chain_circuit(1)
-    tc = transpile_circuit(circ, [])
-    with pytest.raises(ConfigError, match="shots"):
-        noisy_outputs(tc, zero_state(1), circ.measurement, p=0.02, shots=shots, seed=0)
+        noisy_outputs(tc, zero_state(1), circ.measurement, p=1.5)
 
 
 def test_noisy_accuracy_on_reference_circuit():
@@ -88,7 +77,7 @@ def test_noisy_accuracy_on_reference_circuit():
     circ = load_reference("syn4")
     ds = generate_synthetic(4, 100, seed=0)
     params = init_params(circ, TrainConfig(seed=0))
-    acc = noisy_accuracy(circ, params, ds.test[:4], p=0.02, shots=128, seed=0)
+    acc = noisy_accuracy(circ, params, ds.test[:4], p=0.02)
     assert 0.0 <= acc <= 1.0
 
 
@@ -111,15 +100,22 @@ def test_noisy_accuracy_transpiles_once_per_distinct_circuit(inputs, monkeypatch
         circ = load_reference("syn4")
         samples = generate_synthetic(4, 100, seed=11).test[:6]
     params = init_params(circ, TrainConfig(seed=11))
-    calls = []
+    lowered, ran = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return transpile_circuit(*args, **kwargs)
+    def counted(gate, *args):
+        lowered.append(gate)
+        return lower_gate(gate, *args)
 
-    monkeypatch.setattr(noise, "transpile_circuit", counted)
-    acc = noisy_accuracy(circ, params, samples, p=0.05, shots=64, seed=4)
-    assert len(calls) == (1 if inputs == "amplitude" else len(samples))
+    def recorded(tc, *args):
+        ran.append(tc.gates)
+        return noisy_outputs(tc, *args)
+
+    monkeypatch.setattr(noise, "lower_gate", counted)
+    monkeypatch.setattr(noise, "noisy_outputs", recorded)
+    acc = noisy_accuracy(circ, params, samples, p=0.05)
+    # the layers once per call, the encoder once per sample
+    assert len(circ.encoder) == (0 if inputs == "amplitude" else 4)
+    assert len(lowered) == len(circ.layers) + len(samples) * len(circ.encoder)
 
     correct = 0
     for i, s in enumerate(samples):
@@ -129,7 +125,8 @@ def test_noisy_accuracy_transpiles_once_per_distinct_circuit(inputs, monkeypatch
         else:
             tc = transpile_circuit(circ, np.atleast_2d(params))
             init = amplitude_state(s.features, circ.n_qubits)
-        outs = noisy_outputs(tc, init, circ.measurement, 0.05, 64, 4 + i)
+        assert ran[i] == tc.gates  # the peephole rule merges across the encoder's end
+        outs = noisy_outputs(tc, init, circ.measurement, 0.05)
         correct += int(np.argmax(outs)) == s.label
     assert acc == correct / len(samples)
 
@@ -172,15 +169,19 @@ def _oracle_case(name):
 @pytest.mark.parametrize("p", [0.0, 0.02, 0.3, 1.0])
 @pytest.mark.parametrize("name", ["syn4", "syn16", "one-qubit", "amplitude", "pi-class"])
 def test_noisy_outputs_equal_the_row_major_sampler(name, p, shots):
+    """The exact outputs equal the dense density-matrix oracle's, and the
+    row-major shot sampler's mean lies within 3 sigma of them: each
+    trajectory's readout lies in [-1, 1], so sigma <= 1 / sqrt(shots)."""
     tc, init, spec = _oracle_case(name)
     if name.startswith("syn"):
         kinds = {g.kind for g in tc.gates}
         assert GateKind.CX in kinds and kinds - {GateKind.CX}
     if name == "pi-class":
         assert {g.kind for g in tc.gates} == {GateKind.CX, GateKind.RZ, GateKind.SX, GateKind.X}
-    got = noisy_outputs(tc, init, spec, p, shots, seed=601)
-    want = oracle.noisy_outputs(tc, init, spec, p, shots, seed=601)
-    assert np.array_equal(got, want)
+    got = noisy_outputs(tc, init, spec, p)
+    assert np.max(np.abs(got - oracle.dense_noisy_outputs(tc, init, spec, p))) <= 1e-12
+    sampled = oracle.noisy_outputs(tc, init, spec, p, shots, seed=601)
+    assert np.max(np.abs(sampled - got)) <= 3 / math.sqrt(shots)
 
 
 def test_operands_are_built_once_per_kind(monkeypatch):
@@ -200,21 +201,25 @@ def test_operands_are_built_once_per_kind(monkeypatch):
     for module in (gates, noise):
         if getattr(module, "gate_mats_batch", None) is original:
             monkeypatch.setattr(module, "gate_mats_batch", counted)
-    noisy_outputs(tc, init, spec, 0.02, 64, seed=601)
+    noisy_outputs(tc, init, spec, 0.02)
     assert set(calls) <= {GateKind.RZ, GateKind.SX}
     assert max(Counter(calls).values()) == 1
 
 
-def test_shot_batch_memory_stays_within_three_batches():
-    # the shot batch plus one batch-sized temporary, and room for the readout
-    tc, init, spec = _oracle_case("syn16")
-    shots = 4096
-    batch = init.shape[0] * shots * np.dtype(complex).itemsize
-    noisy_outputs(tc, init, spec, 0.02, shots, seed=601)    # warm the caches
+def test_density_matrix_memory_stays_within_three_matrices():
+    # rho plus one rho-sized temporary, and room for the operands and readout;
+    # at 8 qubits rho (1 MiB) outweighs the per-gate bookkeeping
+    rng = np.random.default_rng(601)
+    circ, params = random_circuit(rng, 8, 16)
+    tc = transpile_circuit(circ, np.atleast_2d(params))
+    init, spec = random_state(rng, 8), circ.measurement
+    assert {GateKind.CX, GateKind.RZ, GateKind.SX} <= {g.kind for g in tc.gates}
+    matrix = 4 ** 8 * np.dtype(complex).itemsize
+    noisy_outputs(tc, init, spec, 0.02)    # warm the caches
     tracemalloc.start()
     try:
-        noisy_outputs(tc, init, spec, 0.02, shots, seed=601)
+        noisy_outputs(tc, init, spec, 0.02)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * batch, peak / batch
+    assert peak <= 3 * matrix, peak / matrix
