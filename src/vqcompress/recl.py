@@ -15,7 +15,7 @@ from .data import stack
 from .lut import CompressionLUT
 from .simulator import apply_matrix, gate_plan, measure_outputs_batch
 from .training import initial_states, softmax
-from .transpile import DepthScan, lower_circuit, lower_gate
+from .transpile import DepthScan, lower_circuit, lower_gate, suffix_summaries
 
 
 @dataclass
@@ -47,11 +47,14 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
 
     theta is lowered once and its lowering scanned once by a `DepthScan`,
     the encoder's lowering first, with a snapshot of the scan before each
-    candidate gate's first reader gate.  A level re-lowers only the gates
-    that read its gate's slots, resumes a copy of that snapshot and feeds its
-    re-lowered reader gates and theta's lowering of the other gates from
-    there on; the snapshot carries open RZ runs across the boundary, so the
-    depth equals a full rescan.
+    candidate gate's first reader gate.  One backward pass over theta's
+    lowering (`suffix_summaries`) summarizes the gates after each candidate
+    gate's last reader.  A level re-lowers only the gates that read its
+    gate's slots, resumes a copy of the snapshot, feeds its re-lowered
+    reader gates and theta's lowering of the gates between them, and joins
+    the summary (`DepthScan.join`).  The snapshot carries open RZ runs into
+    the span and the join carries them out of it, so the depth equals a full
+    rescan.
 
     The states run as one batch per candidate gate.  The `initial_states`
     are held as a (1, 2^n, B) batch, samples on the trailing axis, and
@@ -84,9 +87,10 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
             snapshots[k] = scan.copy()
         scan.feed(physical)
     theta_tcd = scan.close()
+    summaries = suffix_summaries(circuit.n_qubits, lowered, {r[-1] + 1 for r in readers.values()})
     done, metrics = 0, {gi: [] for gi in candidates}
     for gi in sorted(readers, key=lambda gi: readers[gi][0]):
-        first = readers[gi][0]
+        first, last = readers[gi][0], readers[gi][-1]
         for k in range(done, first):
             state = apply_matrix(state, base[k], gates[k].qubits)
         done = first
@@ -104,9 +108,10 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
             relowered = {k: lower_gate(gates[k], new_theta[None, :], None)[1]
                          for k in readers[gi]}
             scan = snapshots[first].copy()
-            for k in range(first, len(gates)):
+            for k in range(first, last + 1):
                 scan.feed(relowered.get(k, lowered[k]))
-            metrics[gi].append(float(acc) * _depth_factor(theta_tcd, scan.close()))
+            depth = scan.join(summaries[last + 1])
+            metrics[gi].append(float(acc) * _depth_factor(theta_tcd, depth))
     return metrics
 
 

@@ -9,11 +9,12 @@ shared matrix or through one matrix per row, so a batch can mix samples
 samples that way, along the contiguous axis.
 
 `apply_matrix` is the dense kernel, one einsum per gate.  The noise
-evaluator holds a density matrix as a state of 2n qubits, and its physical
-gates go through `apply_basis_gate`, which applies each basis kind by its
-structure: X and CX permute amplitude blocks in place, RZ multiplies by its
-diagonal, and SX (dense) falls through to `apply_matrix`.  Both give the
-same values bit for bit.
+evaluator holds a density matrix as a state of 2n qubits, one sample's per
+row, and its physical gates go through `apply_basis_gate`, which applies
+each basis kind by its structure: X and CX permute amplitude blocks in
+place, RZ multiplies by its diagonal (one shared, or one per row), and SX
+(dense) falls through to `apply_matrix`.  Both give the same values bit for
+bit.
 
 The matrices come from `gates.gate_mats_batch`, through a cached `GatePlan`
 per gate sequence: gates of one kind are one group, and each group's
@@ -236,18 +237,20 @@ def apply_basis_gate(states: np.ndarray, kind: GateKind, qubits: tuple[int, ...]
     """One physical gate by its structure, on a batch the caller owns.
 
     X and CX (`PERMUTATIONS`) take no operand: they swap amplitude blocks in
-    place.  RZ takes its (2,) diagonal and scales the two halves of its
-    qubit's axis.  Any other kind (SX) takes its matrix and runs
-    `apply_matrix`.  `states` is (R, 2^n) or (R, 2^n, cols), and the result
-    equals `apply_matrix(states, gate_matrix(kind, params), qubits)` bit for
-    bit: a permutation does no arithmetic, and the diagonal einsum computes
-    d * t where the dense one computes d * t + 0 * t'.
+    place.  RZ takes its diagonal, shared (2,) or one per row (R, 2), and
+    scales the two halves of its qubit's axis.  Any other kind (SX) takes its
+    matrix and runs `apply_matrix`.  `states` is (R, 2^n) or (R, 2^n, cols),
+    and the result equals `apply_matrix` with the gate's (d, d) or (R, d, d)
+    matrices bit for bit: a permutation does no arithmetic, and the diagonal
+    einsum computes d * t where the dense one computes d * t + 0 * t'.
     """
     if kind in PERMUTATIONS:
         return _swap_blocks(np.ascontiguousarray(states), qubits)
     if kind is GateKind.RZ:
-        t = states.reshape(states.shape[0] * (states.shape[1] >> (qubits[0] + 1)), 2, -1)
-        return np.einsum("a,hal->hal", operand, t).reshape(states.shape)
+        rows = states.shape[0]
+        t = states.reshape(rows, states.shape[1] >> (qubits[0] + 1), 2, -1)
+        diag = np.broadcast_to(operand, (rows, 2))
+        return np.einsum("ra,rhal->rhal", diag, t).reshape(states.shape)
     return apply_matrix(states, operand, qubits)
 
 

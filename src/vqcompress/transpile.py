@@ -16,9 +16,12 @@ exactly.
 The peephole rule (merge same-qubit RZ runs; drop ID and RZ(0 mod 2pi)) is
 one left-to-right pass, `DepthScan`, that closes an RZ run only when a
 non-RZ gate touches its qubit or the scan ends; its output is bit-identical
-to looping the rule to a fixpoint.  Every depth and transpile path runs it,
-and ReCL resumes copies of it to price a candidate from its first changed
-gate on.
+to looping the rule to a fixpoint.  Every depth and transpile path runs it.
+ReCL resumes copies of it to price a candidate over the span of its changed
+gates, and `DepthScan.join` finishes such a scan from a summary of the
+unchanged rest: per qubit, the RZ angles that open the rest and the longest
+path after them, which `suffix_summaries` records for many boundaries in
+one backward pass.
 """
 
 import math
@@ -334,6 +337,19 @@ class DepthScan:
             if kept is not None:
                 kept.append(g)
 
+    def join(self, summary) -> int:
+        """Depth of this scan followed by the suffix that `summary`
+        describes (`suffix_summaries`), without feeding it: on each qubit,
+        the open run and the suffix's leading RZ angles close as one run,
+        and the qubit's reach is added to its level."""
+        depth = 0
+        for q, (lead, reach) in enumerate(summary):
+            level, run = self.level[q], self.runs.get(q)
+            if run is not None:
+                level, lead = run[1], (run[0],) + lead
+            depth = max(depth, level + _run_depth(lead) + reach)
+        return depth
+
     def _close(self, q: int) -> None:
         total, before, slot = self.runs.pop(q)
         zero = _is_zero_mod_2pi(total)
@@ -348,6 +364,45 @@ class DepthScan:
         for q in list(self.runs):
             self._close(q)
         return max(self.level, default=0)
+
+
+def _run_depth(angles) -> int:
+    """Depth an RZ run adds: 1 unless it is empty or its angles, added in
+    feed order as `DepthScan.feed` adds them, sum to 0 mod 2pi."""
+    total = 0.0
+    for angle in angles:
+        total += angle
+    return int(bool(angles) and not _is_zero_mod_2pi(total))
+
+
+def suffix_summaries(n_qubits: int, lowered, starts) -> dict:
+    """Depth summary of `lowered[b:]` for each b in `starts`, from one
+    backward pass over the per-gate physical lists `lowered`.
+
+    A summary holds, per qubit, a pair (lead, reach): the nonzero RZ angles
+    the suffix puts on the qubit before its first other gate, in feed order,
+    and the longest path from that gate to the end (0 if there is none).
+    ID gates and single RZs that are 0 mod 2pi are skipped, as the scan
+    skips them.  Past a qubit's first other gate the scan no longer depends
+    on what came before, so that gate's reach is one more than the largest,
+    over the qubits it touches, of the depth of the RZ run that follows it
+    on the qubit plus the qubit's reach from there.  `DepthScan.join`
+    finishes a scan of `lowered[:b]` with the summary.
+    """
+    lead, reach = [()] * n_qubits, [0] * n_qubits
+    out = {}
+    for b in range(len(lowered), min(starts, default=len(lowered)) - 1, -1):
+        for g in reversed(lowered[b] if b < len(lowered) else ()):
+            if g.kind is GateKind.RZ:
+                if not _is_zero_mod_2pi(g.params[0]):
+                    lead[g.qubits[0]] = (g.params[0],) + lead[g.qubits[0]]
+            elif g.kind is not GateKind.ID:
+                r = 1 + max(_run_depth(lead[q]) + reach[q] for q in g.qubits)
+                for q in g.qubits:
+                    lead[q], reach[q] = (), r
+        if b in starts:
+            out[b] = tuple(zip(lead, reach))
+    return out
 
 
 def peephole_optimize(tc: TranspiledCircuit) -> TranspiledCircuit:

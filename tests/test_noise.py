@@ -86,9 +86,12 @@ AMPLITUDE_GATES = [Gate(GateKind.RY, (0,), (theta(0),)),
                    Gate(GateKind.RY, (1,), (theta(2),))]
 
 
-@pytest.mark.parametrize("inputs", ["amplitude", "angle"])
-def test_noisy_accuracy_transpiles_once_per_distinct_circuit(inputs, monkeypatch):
-    import vqcompress.noise as noise
+def _accuracy_case(inputs):
+    """(circuit, params, samples, [(physical circuit, initial state)] per sample).
+
+    "angle-split" sets feature 0 of every other sample to exactly 0.5, so its
+    encoder RY(pi * 0.5) lowers to the pi/2 template and the samples fall into
+    two structure groups."""
     from vqcompress.circfile import load_reference
     from vqcompress.data import Sample, amplitude_state, generate_synthetic
     from vqcompress.training import TrainConfig, init_params
@@ -99,36 +102,86 @@ def test_noisy_accuracy_transpiles_once_per_distinct_circuit(inputs, monkeypatch
     else:
         circ = load_reference("syn4")
         samples = generate_synthetic(4, 100, seed=11).test[:6]
+        if inputs == "angle-split":
+            samples = [Sample(np.concatenate([[0.5], s.features[1:]]) if i % 2 else
+                              s.features, s.label) for i, s in enumerate(samples)]
     params = init_params(circ, TrainConfig(seed=11))
-    lowered, ran = [], []
+    wants = []
+    for s in samples:
+        if inputs == "amplitude":
+            wants.append((transpile_circuit(circ, np.atleast_2d(params)),
+                          amplitude_state(s.features, circ.n_qubits)))
+        else:
+            wants.append((transpile_circuit(circ, np.atleast_2d(params),
+                                            feats=s.features[None, :]),
+                          zero_state(circ.n_qubits)))
+    return circ, params, samples, wants
+
+
+def _record_passes(monkeypatch):
+    """Wrap noise._density_pass; each call appends (gate lists, states, outputs)."""
+    import vqcompress.noise as noise
+    passes, original = [], noise._density_pass
+
+    def recorded(rows, states, *args):
+        outs = original(rows, states, *args)
+        passes.append((rows, states, outs))
+        return outs
+
+    monkeypatch.setattr(noise, "_density_pass", recorded)
+    return passes
+
+
+def _grouped_order(tcs):
+    """Sample indices in the order noisy_accuracy runs them: grouped by their
+    sequence of (kind, qubits), groups in order of their first sample."""
+    keys = [tuple((g.kind, g.qubits) for g in tc.gates) for tc in tcs]
+    return sorted(range(len(keys)), key=lambda i: keys.index(keys[i]))
+
+
+@pytest.mark.parametrize("inputs", ["amplitude", "angle"])
+def test_noisy_accuracy_transpiles_once_per_distinct_circuit(inputs, monkeypatch):
+    import vqcompress.noise as noise
+    circ, params, samples, wants = _accuracy_case(inputs)
+    lowered = []
 
     def counted(gate, *args):
         lowered.append(gate)
         return lower_gate(gate, *args)
 
-    def recorded(tc, *args):
-        ran.append(tc.gates)
-        return noisy_outputs(tc, *args)
-
     monkeypatch.setattr(noise, "lower_gate", counted)
-    monkeypatch.setattr(noise, "noisy_outputs", recorded)
+    passes = _record_passes(monkeypatch)
     acc = noisy_accuracy(circ, params, samples, p=0.05)
     # the layers once per call, the encoder once per sample
     assert len(circ.encoder) == (0 if inputs == "amplitude" else 4)
     assert len(lowered) == len(circ.layers) + len(samples) * len(circ.encoder)
 
+    # the peephole rule merges across the encoder's end, as transpile_circuit's does
+    ran = [gates for rows, _, _ in passes for gates in rows]
+    assert ran == [wants[i][0].gates for i in _grouped_order([tc for tc, _ in wants])]
     correct = 0
-    for i, s in enumerate(samples):
-        if inputs == "angle":
-            tc = transpile_circuit(circ, np.atleast_2d(params), feats=s.features[None, :])
-            init = zero_state(circ.n_qubits)
-        else:
-            tc = transpile_circuit(circ, np.atleast_2d(params))
-            init = amplitude_state(s.features, circ.n_qubits)
-        assert ran[i] == tc.gates  # the peephole rule merges across the encoder's end
+    for (tc, init), s in zip(wants, samples):
         outs = noisy_outputs(tc, init, circ.measurement, 0.05)
         correct += int(np.argmax(outs)) == s.label
     assert acc == correct / len(samples)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.02, 1.0])
+@pytest.mark.parametrize("inputs", ["amplitude", "angle", "angle-split"])
+def test_batched_pass_equals_noisy_outputs_per_sample(inputs, p, monkeypatch):
+    # samples of one gate structure share one rho batch, and each row's
+    # outputs equal its own one-row pass bit for bit
+    circ, params, samples, wants = _accuracy_case(inputs)
+    passes = _record_passes(monkeypatch)
+    noisy_accuracy(circ, params, samples, p)
+    assert [len(rows) for rows, _, _ in passes] == ([3, 3] if inputs == "angle-split" else [6])
+    order = _grouped_order([tc for tc, _ in wants])
+    outs = [row for _, _, batch in passes for row in batch]
+    states = [row for _, batch, _ in passes for row in batch]
+    for i, got, state in zip(order, outs, states):
+        tc, init = wants[i]
+        assert np.array_equal(state, init)
+        assert np.array_equal(got, noisy_outputs(tc, init, circ.measurement, p)), i
 
 
 def _oracle_case(name):
@@ -223,3 +276,25 @@ def test_density_matrix_memory_stays_within_three_matrices():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * matrix, peak / matrix
+
+
+def test_noisy_accuracy_memory_stays_within_the_batch_cap_and_three_matrices():
+    # at 8 qubits rho fills a batch alone, so six samples run one at a time:
+    # the peak is one batch, rho's temporaries, and the per-sample gate lists
+    import vqcompress.noise as noise
+    from vqcompress.data import Sample
+    rng = np.random.default_rng(601)
+    circ, params = random_circuit(rng, 8, 16)
+    circ = Circuit(8, [], circ.layers, circ.measurement, amplitude_input=True)
+    samples = [Sample(rng.uniform(0.1, 1.0, 256), int(rng.integers(2))) for _ in range(6)]
+    matrix = 4 ** 8 * np.dtype(complex).itemsize
+    assert 4 ** 8 <= noise.BATCH_AMPLITUDES < 2 * 4 ** 8  # one 8-qubit rho per batch
+    noisy_accuracy(circ, params, samples[:1], 0.02)    # warm the caches
+    tracemalloc.start()
+    try:
+        noisy_accuracy(circ, params, samples, 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= noise.BATCH_AMPLITUDES * np.dtype(complex).itemsize + 3 * matrix, \
+        peak / matrix

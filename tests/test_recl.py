@@ -336,31 +336,37 @@ def test_candidates_scan_only_the_gates_from_their_first_reader(monkeypatch):
     samples = generate_synthetic(16, 100, seed=601).train
     th = init_params(circ, TrainConfig(seed=601))
     lut = build_lut(circ)
-    fed, peephole_calls = [], []
-    feed, peephole = DepthScan.feed, transpile.peephole_optimize
+    fed, joins, peephole_calls = [], [], []
+    feed, join, peephole = DepthScan.feed, DepthScan.join, transpile.peephole_optimize
 
     def counted_feed(self, gates):
         fed.append(len(gates))
         return feed(self, gates)
+
+    def counted_join(self, summary):
+        joins.append(len(summary))
+        return join(self, summary)
 
     def counted_peephole(tc):
         peephole_calls.append(len(tc.gates))
         return peephole(tc)
 
     monkeypatch.setattr(DepthScan, "feed", counted_feed)
+    monkeypatch.setattr(DepthScan, "join", counted_join)
     monkeypatch.setattr(transpile, "peephole_optimize", counted_peephole)
     reconstruct_lut(circ, th, lut, samples)
     assert peephole_calls == []
 
     full = sum(len(physical) for _, physical in lower_circuit(circ, th))
-    expected, n_candidates = full, 0  # theta's lowering is scanned once
+    expected, n_levels = full, 0  # theta's lowering is scanned once
     for gi in circ.trainable_indices():
         slots = set(circ.layers[gi].theta_slots)
-        first = next(k for k, g in enumerate(circ.all_gates) if slots & set(g.theta_slots))
+        readers = [k for k, g in enumerate(circ.all_gates) if slots & set(g.theta_slots)]
         for level in lut.entries.get(circ.layers[gi].kind, []):
             new = np.array(th, copy=True)
             new[list(circ.layers[gi].theta_slots)] = level.value
-            expected += sum(len(physical) for _, physical in lower_circuit(circ, new)[first:])
-            n_candidates += 1
+            span = lower_circuit(circ, new)[readers[0]:readers[-1] + 1]
+            expected += sum(len(physical) for _, physical in span)
+            n_levels += 1
     assert sum(fed) == expected
-    assert sum(fed) - full < n_candidates * full
+    assert joins == [circ.n_qubits] * n_levels  # one suffix join per level

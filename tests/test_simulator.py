@@ -9,7 +9,7 @@ from conftest import random_circuit, random_state
 from vqcompress.circuit import (Circuit, Gate, MeasureScheme, MeasurementSpec,
                                 const, data, theta)
 from vqcompress.errors import SpecError
-from vqcompress.gates import GateKind, gate_matrix
+from vqcompress.gates import GateKind, gate_mats_batch, gate_matrix
 from vqcompress.simulator import (apply_basis_gate, apply_matrix, measure_outputs_batch,
                                   run_batch, run_circuit, zero_state)
 
@@ -196,3 +196,9 @@ def test_basis_gates_equal_the_dense_kernel(n, shape):
         got = apply_basis_gate(states.copy(), kind, qubits, operand)
         assert got.shape == states.shape, (kind, qubits, params)
         assert np.array_equal(got, want), (kind, qubits, params)
+        if kind is GateKind.RZ:
+            # one diagonal per row, against one dense matrix per row
+            mats = gate_mats_batch(kind, params[0] + 0.37 * np.arange(len(states)))
+            want = apply_matrix(states, mats, qubits)
+            got = apply_basis_gate(states.copy(), kind, qubits, np.diagonal(mats, axis1=1, axis2=2))
+            assert np.array_equal(got, want), (kind, qubits, params, "per row")

@@ -1,5 +1,6 @@
 import csv
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from vqcompress import transpile
 from vqcompress.gates import (ARITY, N_QUBITS_OF_KIND, GateKind, gate_matrix,
                               phase_identity_factor, wrap_param)
 from vqcompress.training import TrainConfig, init_params
-from vqcompress.transpile import (BASIS_KINDS, GENERIC_ANGLE, PhysicalGate,
+from vqcompress.transpile import (BASIS_KINDS, GENERIC_ANGLE, DepthScan, PhysicalGate,
                                   TranspiledCircuit, build_depth_table, decompose_kind,
                                   is_phase_identity, lowered_depth, peephole_optimize,
                                   snap_class, standalone_gate_depth, tcd, transpile_circuit)
@@ -205,6 +206,69 @@ def test_one_pass_peephole_equals_fixpoint_oracle():
         lowered = [((), [g for g, s in zip(gates, source) if s == k])
                    for k in range(source[-1] + 1)] if gates else []
         assert lowered_depth(n, lowered) == oracle.dag_depth(want.gates)
+
+
+def _zero_mod_2pi(angle):
+    k = snap_class(angle)
+    return k is not None and k % 4 == 0
+
+
+def _leading_rz(gates, q):
+    """The nonzero RZ angles on q before the first gate other than RZ or ID on it."""
+    out = []
+    for g in gates:
+        if q not in g.qubits or g.kind is GateKind.ID:
+            continue
+        if g.kind is not GateKind.RZ:
+            break
+        if not _zero_mod_2pi(g.params[0]):
+            out.append(g.params[0])
+    return out
+
+
+def _sums_to_zero(angles):
+    total = 0.0
+    for a in angles:
+        total += a
+    return _zero_mod_2pi(total)
+
+
+def test_suffix_summary_join_equals_a_full_rescan():
+    # a scan resumed at any boundary of a lowering and joined to the summary
+    # of the rest gives the depth of one scan over everything; one backward
+    # pass gives every boundary's summary
+    rng = np.random.default_rng(19)
+    seen = Counter()
+    for _ in range(600):
+        n = int(rng.integers(1, 5))
+        gates = random_physical_list(rng, n, int(rng.integers(0, 16)))
+        cuts = sorted(int(c) for c in rng.integers(0, len(gates) + 1, int(rng.integers(1, 8))))
+        lowered = [gates[a:b] for a, b in zip([0] + cuts, cuts + [len(gates)])]
+        full = DepthScan(n)
+        for part in lowered:
+            full.feed(part)
+        want = full.close()
+        summaries = transpile.suffix_summaries(n, lowered, set(range(len(lowered) + 1)))
+        assert sorted(summaries) == list(range(len(lowered) + 1))
+        for b, summary in summaries.items():
+            scan = DepthScan(n)
+            for part in lowered[:b]:
+                scan.feed(part)
+            suffix = [g for part in lowered[b:] for g in part]
+            assert scan.join(summary) == want, (gates, cuts, b)
+            seen["empty suffix"] += not suffix
+            seen["ID"] += any(g.kind is GateKind.ID for g in suffix)
+            seen["zero single RZ"] += any(g.kind is GateKind.RZ and _zero_mod_2pi(g.params[0])
+                                          for g in suffix)
+            for q in range(n):
+                lead = _leading_rz(suffix, q)
+                if q in scan.runs:
+                    seen["zero across"] += bool(lead) and _sums_to_zero([scan.runs[q][0]] + lead)
+                else:
+                    seen["zero after"] += len(lead) > 1 and _sums_to_zero(lead)
+                seen["untouched qubit"] += bool(suffix) and all(q not in g.qubits for g in suffix)
+    assert min(seen[k] for k in ("empty suffix", "ID", "zero single RZ", "zero across",
+                                 "zero after", "untouched qubit")) >= 25, seen
 
 
 @pytest.mark.parametrize("b", [-1.2345, 2 * PI - 1.2345], ids=["exact-zero", "2pi"])
