@@ -10,7 +10,7 @@ from .lut import CompressionLUT, CompressionLevel, build_lut
 from .recl import ReconstructedLUT, reconstruct_lut
 from .simulator import run_circuit
 from .training import TrainConfig, loss_and_accuracy, sgd_train
-from .transpile import (DepthTable, TranspiledCircuit, build_depth_table, peephole_optimize,
-                        standalone_gate_depth, tcd, transpile_circuit)
+from .transpile import (DepthTable, TranspiledCircuit, build_depth_table, standalone_gate_depth,
+                        tcd, transpile_circuit)
 
 __version__ = "0.1.0"

@@ -40,9 +40,8 @@ _ADMM_KEYS = {"ratio": ("target_ratio", float), "rho": ("rho", float),
               "alpha": ("alpha", float), "zeta": ("zeta", float),
               "max_iters": ("max_iters", int), "epochs_per_iter": ("epochs_per_iter", int),
               "retrain_epochs": ("retrain_epochs", int)}
-_TOP_KEYS = {"dataset": str, "circuit": str, "seed": int, "n_classes": int,
-             "noise_p": float, "out": str, "csv_pool": _parse_bool,
-             "methods": _parse_methods}
+_TOP_KEYS = {"dataset": str, "circuit": str, "seed": int, "noise_p": float,
+             "out": str, "csv_pool": _parse_bool, "methods": _parse_methods}
 
 
 def read_config_file(path) -> dict:
@@ -111,7 +110,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--dataset", help="syn4 | syn16 | csv:<path>")
     p.add_argument("--circuit", help="syn4 | syn16 | path to a .circ file")
     p.add_argument("--seed", type=int)
-    p.add_argument("--n-classes", dest="n_classes", type=int)
     p.add_argument("--csv-pool", dest="csv_pool", action="store_const", const="true")
     p.add_argument("--lr", type=float)
     p.add_argument("--epochs", type=int)

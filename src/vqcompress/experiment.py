@@ -35,7 +35,6 @@ class ExperimentConfig:
     circuit: str = "syn4"
     methods: tuple = ("Vanilla", "CompVQC")
     seed: int = 0
-    n_classes: int = 2               # for CSV datasets
     csv_pool: bool = False           # 28x28 -> 4x4 average pooling on CSV rows
     noise_p: float | None = None
     out: str | None = None
@@ -94,14 +93,15 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def resolve_dataset(config: ExperimentConfig) -> Dataset:
-    """The dataset `config.dataset` names; `ExperimentConfig` checked its spec."""
+def resolve_dataset(config: ExperimentConfig, n_classes: int) -> Dataset:
+    """The dataset `config.dataset` names; `ExperimentConfig` checked its spec.
+    A CSV label must lie below `n_classes`, the circuit's class count."""
     spec = config.dataset
     if spec in ("syn4", "syn16"):
         return generate_synthetic(int(spec[3:]), 100, seed=config.seed)
     if not os.path.isfile(spec[4:]):
         raise ConfigError(f"dataset: no file named {spec[4:]!r}")
-    return load_csv(spec[4:], config.n_classes, seed=config.seed, pool=config.csv_pool)
+    return load_csv(spec[4:], n_classes, seed=config.seed, pool=config.csv_pool)
 
 
 def resolve_circuit(config: ExperimentConfig) -> Circuit:
@@ -115,7 +115,8 @@ def resolve_circuit(config: ExperimentConfig) -> Circuit:
 
 def resolve_inputs(config: ExperimentConfig) -> tuple[Dataset, Circuit]:
     """Dataset and circuit, checked to fit each other before any training."""
-    dataset, circuit = resolve_dataset(config), resolve_circuit(config)
+    circuit = resolve_circuit(config)
+    dataset = resolve_dataset(config, circuit.measurement.n_classes)
     if not dataset.train or not dataset.test:
         raise ConfigError(f"dataset: the 90/10 split of {config.dataset!r} leaves "
                           f"{len(dataset.train)} training and {len(dataset.test)} test "

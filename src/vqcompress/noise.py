@@ -34,7 +34,7 @@ from .errors import ConfigError
 from .gates import GateKind, gate_mats_batch
 from .simulator import PERMUTATIONS, apply_basis_gate, readout_weights
 from .training import input_states, softmax
-from .transpile import DepthScan, PhysicalGate, TranspiledCircuit, lower_gate
+from .transpile import PhysicalGate, TranspiledCircuit, kept_gates, lower_gate
 
 
 # Amplitudes in one rho batch (1 MiB of complex128).  A 4-qubit rho has 256,
@@ -112,9 +112,9 @@ def noisy_accuracy(circuit: Circuit, params, samples, p: float, shots=None, seed
 
     Noise hits the encoder's physical gates too, so each sample starts from
     its `input_states` row and runs the whole lowered circuit.  The layers
-    are lowered once per call and only the encoder per sample; one keep-mode
-    `DepthScan` over both applies the peephole rule across their boundary,
-    as `transpile_circuit` does.  Samples whose kept gates share their
+    are lowered once per call and only the encoder per sample; `kept_gates`
+    of both applies the peephole rule across their boundary, as
+    `transpile_circuit` does.  Samples whose kept gates share their
     sequence of (kind, qubits) run as one rho batch of at most
     `BATCH_AMPLITUDES` amplitudes; they differ only in their RZ angles.  The
     outputs equal `noisy_outputs` of each sample bit for bit.  `shots` and
@@ -126,13 +126,8 @@ def noisy_accuracy(circuit: Circuit, params, samples, p: float, shots=None, seed
     layers = [lower_gate(gate, thetas, None)[1] for gate in circuit.layers]
     kept, groups = [], {}
     for i in range(len(labels)):
-        scan = DepthScan(circuit.n_qubits, keep=True)
-        for gate in circuit.encoder:
-            scan.feed(lower_gate(gate, thetas, feats[i:i + 1])[1])
-        for physical in layers:
-            scan.feed(physical)
-        scan.close()
-        kept.append([g for g in scan.gates if g is not None])
+        encoder = [lower_gate(gate, thetas, feats[i:i + 1])[1] for gate in circuit.encoder]
+        kept.append(kept_gates(circuit.n_qubits, encoder + layers))
         groups.setdefault(tuple((g.kind, g.qubits) for g in kept[i]), []).append(i)
     step = max(1, BATCH_AMPLITUDES >> (2 * circuit.n_qubits))
     correct = 0

@@ -1,4 +1,4 @@
-"""Decomposition to basis gates, peephole optimization, and circuit depth.
+"""Decomposition to basis gates, the peephole rule, and circuit depth.
 
 The one target basis is {CX, ID, RZ, SX, X} (`BASIS_KINDS`); every LUT level
 and TCD is defined against it.  Single-qubit rotations are lowered to RZ/SX/X
@@ -7,21 +7,22 @@ within SNAP_TOL of a multiple of pi/2 select shorter special-case templates;
 the snap exists to absorb float noise from projections that produce exact
 table values, not to approximate.
 
-Lowering is per gate and tracks no phase.  `transpile_circuit` adds the
-global phase; `tcd` is depth-only.  Depth is the longest path through the
-dependency DAG where two physical gates conflict iff they share a qubit;
-appending gates in list order and keeping a per-qubit watermark computes it
-exactly.
+Lowering is per gate and tracks no phase, and neither does the scan.  Only
+`transpile_circuit` knows a global phase: it reads it off the unitaries of
+the source and of the kept gates.  `tcd` is depth-only.  Depth is the
+longest path through the dependency DAG where two physical gates conflict
+iff they share a qubit; appending gates in list order and keeping a
+per-qubit watermark computes it exactly.
 
 The peephole rule (merge same-qubit RZ runs; drop ID and RZ(0 mod 2pi)) is
 one left-to-right pass, `DepthScan`, that closes an RZ run only when a
 non-RZ gate touches its qubit or the scan ends; its output is bit-identical
-to looping the rule to a fixpoint.  Every depth and transpile path runs it.
-ReCL resumes copies of it to price a candidate over the span of its changed
-gates, and `DepthScan.join` finishes such a scan from a summary of the
-unchanged rest: per qubit, the RZ angles that open the rest and the longest
-path after them, which `suffix_summaries` records for many boundaries in
-one backward pass.
+to looping the rule to a fixpoint.  Every depth and transpile path runs it;
+`kept_gates` is its one keep-mode use.  ReCL resumes copies of it to price
+a candidate over the span of its changed gates, and `DepthScan.join`
+finishes such a scan from a summary of the unchanged rest: per qubit, the
+RZ angles that open the rest and the longest path after them, which
+`suffix_summaries` records for many boundaries in one backward pass.
 """
 
 import math
@@ -33,7 +34,7 @@ import numpy as np
 from .circuit import Circuit, Gate
 from .gates import (ARITY, N_QUBITS_OF_KIND, GateKind, gate_matrix,
                     phase_identity_factor, wrap_param)
-from .simulator import resolve_angles
+from .simulator import apply_matrix, gate_plan, resolve_angles
 
 HALF_PI = math.pi / 2
 PI = math.pi
@@ -50,9 +51,6 @@ class PhysicalGate:
     kind: GateKind
     qubits: tuple[int, ...]
     params: tuple[float, ...] = ()
-
-    def matrix(self) -> np.ndarray:
-        return gate_matrix(self.kind, self.params)
 
 
 @dataclass
@@ -207,31 +205,6 @@ def decompose_kind(kind: GateKind, qubits: tuple[int, ...],
     return _TEMPLATES[kind](*angles, *qubits)
 
 
-def _local_matrix(pg: PhysicalGate, qubits: tuple[int, ...]) -> np.ndarray:
-    """Embed a physical gate into the local space of the logical gate's qubits."""
-    m = pg.matrix()
-    if len(qubits) == 1:
-        return m
-    if len(pg.qubits) == 2:
-        return m  # template CXs always use (control, target) == qubits order
-    eye = np.eye(2, dtype=complex)
-    if pg.qubits[0] == qubits[0]:
-        return np.kron(m, eye)  # acts on the control (high) bit
-    return np.kron(eye, m)
-
-
-def _template_phase(kind: GateKind, angles: tuple[float, ...],
-                    physical: list[PhysicalGate], qubits: tuple[int, ...]) -> float:
-    """Phase delta with source == exp(i*delta) * product(template)."""
-    dim = 2 ** len(qubits)
-    prod = np.eye(dim, dtype=complex)
-    for pg in physical:
-        prod = _local_matrix(pg, qubits) @ prod
-    source = gate_matrix(kind, angles)
-    c = np.trace(prod.conj().T @ source) / dim
-    return float(np.angle(c))
-
-
 def lower_gate(gate: Gate, thetas: np.ndarray,
                feats: np.ndarray | None) -> tuple[tuple[float, ...], list[PhysicalGate]]:
     """One logical gate's wrapped angles and its basis gates, with no phase.
@@ -258,17 +231,42 @@ def lower_circuit(circuit: Circuit, params,
 
 
 def transpile_circuit(circuit: Circuit, params, feats=None) -> TranspiledCircuit:
-    """Lower every gate, track the global phase, and peephole-optimize."""
-    lowered = lower_circuit(circuit, params, feats)
-    tc = TranspiledCircuit(circuit.n_qubits, [pg for _, physical in lowered for pg in physical])
-    for gate, (angles, physical) in zip(circuit.all_gates, lowered):
-        tc.global_phase += _template_phase(gate.kind, angles, physical, gate.qubits)
-    return peephole_optimize(tc)
+    """Lower every gate and keep what the peephole rule keeps (`kept_gates`).
+
+    The global phase is read off the two unitaries, the source U (the
+    encoder's `gate_plan` at pi * feats, then the layers' at theta) and the
+    kept gates' P, each applied to the 2^n basis states as rows: the batches
+    hold their transposes, and the phase of tr(P^dagger U) makes
+    U == exp(i*phase) * P.
+    """
+    thetas = np.atleast_2d(np.asarray(params, dtype=float))
+    if feats is None:
+        feats = probe_features(circuit.n_data)
+    feats = np.atleast_2d(np.asarray(feats, dtype=float))
+    gates = kept_gates(circuit.n_qubits,
+                       [physical for _, physical in lower_circuit(circuit, thetas, feats)])
+    eye = np.eye(2 ** circuit.n_qubits, dtype=complex)
+    source = gate_plan(tuple(circuit.layers)).apply(
+        gate_plan(tuple(circuit.encoder)).apply(eye, np.pi * feats), thetas)
+    physical = eye
+    for g in gates:
+        physical = apply_matrix(physical, gate_matrix(g.kind, g.params), g.qubits)
+    return TranspiledCircuit(circuit.n_qubits, gates, float(np.angle(np.vdot(physical, source))))
+
+
+def kept_gates(n_qubits: int, physical_lists) -> list[PhysicalGate]:
+    """The gates that the peephole rule keeps of the physical gate lists, in
+    order: one keep-mode `DepthScan`."""
+    scan = DepthScan(n_qubits, keep=True)
+    for physical in physical_lists:
+        scan.feed(physical)
+    scan.close()
+    return [g for g in scan.gates if g is not None]
 
 
 def lowered_depth(n_qubits: int, lowered) -> int:
     """Depth of a per-gate lowering after the peephole rule: one `DepthScan`
-    pass, with no gate list or phase built."""
+    pass, with no gate list built."""
     scan = DepthScan(n_qubits)
     for _, physical in lowered:
         scan.feed(physical)
@@ -287,8 +285,8 @@ class DepthScan:
     its nonzero RZ angles so far, the watermark before the run, and the run's
     slot in the kept gate list.  ID gates and single RZs that are 0 mod 2pi
     are skipped.  A run closes only when a non-RZ gate touches its qubit, or
-    at `close`; a run whose sum is 0 mod 2pi is then dropped, its phase is
-    taken and the watermark goes back to its value before the run.  Closing
+    at `close`; a run whose sum is 0 mod 2pi is then dropped and the
+    watermark goes back to its value before the run.  Closing
     lazily sums a run in the fixpoint's order and never drops a partial sum,
     so the kept gates equal those of looping the rule until nothing changes.
 
@@ -296,18 +294,17 @@ class DepthScan:
     a caller can snapshot a depth-only scan and resume it.
     """
 
-    __slots__ = ("level", "runs", "gates", "phase")
+    __slots__ = ("level", "runs", "gates")
 
-    def __init__(self, n_qubits: int, keep: bool = False, phase: float = 0.0):
+    def __init__(self, n_qubits: int, keep: bool = False):
         self.level = [0] * n_qubits
         self.runs = {}  # qubit -> (angle sum, watermark before the run, slot in gates)
         self.gates = [] if keep else None
-        self.phase = phase
 
     def copy(self) -> "DepthScan":
-        """A depth-only scan resuming from this one's watermarks, runs and phase."""
+        """A depth-only scan resuming from this one's watermarks and runs."""
         new = DepthScan(0)
-        new.level, new.runs, new.phase = list(self.level), dict(self.runs), self.phase
+        new.level, new.runs = list(self.level), dict(self.runs)
         return new
 
     def feed(self, gates) -> None:
@@ -317,7 +314,6 @@ class DepthScan:
             if g.kind is GateKind.RZ:
                 angle, q = g.params[0], g.qubits[0]
                 if _is_zero_mod_2pi(angle):
-                    self.phase -= angle / 2  # removed gate equals exp(-i*angle/2) * I
                     continue
                 run = runs.get(q)
                 if run is not None:
@@ -355,7 +351,6 @@ class DepthScan:
         zero = _is_zero_mod_2pi(total)
         if zero:
             self.level[q] = before
-            self.phase -= total / 2
         if self.gates is not None:
             self.gates[slot] = None if zero else _rz(q, total)
 
@@ -403,19 +398,6 @@ def suffix_summaries(n_qubits: int, lowered, starts) -> dict:
         if b in starts:
             out[b] = tuple(zip(lead, reach))
     return out
-
-
-def peephole_optimize(tc: TranspiledCircuit) -> TranspiledCircuit:
-    """Merge same-qubit RZ runs; drop ID and RZ(0 mod 2pi) gates.
-
-    One `DepthScan` pass.  Gates and angles are bit-identical to applying
-    the rule until nothing changes; the global phase agrees to roundoff,
-    since the dropped angles are subtracted in another order.
-    """
-    scan = DepthScan(tc.n_qubits, keep=True, phase=tc.global_phase)
-    scan.feed(tc.gates)
-    scan.close()
-    return TranspiledCircuit(tc.n_qubits, [g for g in scan.gates if g is not None], scan.phase)
 
 
 def tcd(circuit: Circuit, params) -> int:

@@ -347,6 +347,7 @@ def _apply_pauli_rows(states, rows, q, which):
 def noisy_outputs(tc, input_state, spec, p, shots, seed):
     """Shot-averaged measurement outputs of a physical circuit under noise."""
     from vqcompress.errors import ConfigError
+    from vqcompress.gates import gate_matrix
     from vqcompress.simulator import apply_matrix, measure_outputs_batch
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"depolarizing probability {p} outside [0, 1]")
@@ -355,7 +356,7 @@ def noisy_outputs(tc, input_state, spec, p, shots, seed):
     rng = np.random.default_rng(seed)
     states = np.broadcast_to(input_state, (shots, input_state.shape[0])).astype(complex).copy()
     for pg in tc.gates:
-        states = apply_matrix(states, pg.matrix(), pg.qubits)
+        states = apply_matrix(states, gate_matrix(pg.kind, pg.params), pg.qubits)
         for q in pg.qubits:
             hit = rng.random(shots) < p
             paulis = rng.integers(0, 4, size=shots)

@@ -82,12 +82,13 @@ def test_identical_runs_are_byte_identical(tmp_path):
 # Made by the shot-sampling evaluator, before `shots` left the config: a
 # noiseless report and its config hash do not depend on how noise is evaluated.
 # This report holds only accuracies in tenths, a depth and the hash, so its
-# bytes do not depend on float roundoff.
-PINNED_DEFAULT_HASH = "704d5aaecae766a8"
+# bytes do not depend on float roundoff.  The table and JSON carry the hash,
+# so they change with the config fields; the CSV does not.
+PINNED_DEFAULT_HASH = "fcde476d8f577a04"
 PINNED_REPORT_SHA256 = {
-    "txt": "40b460b7de60a7ec7bda7f05381237d32b4a09ea74e7737cec5e5df4d25cfb1b",
+    "txt": "ca1f5c16311019581adb033bf2102a3189c3d7fae5c1a01e53dc60ad6fd479ea",
     "csv": "e55d909fc53c2d2f7d9f8bb6932fb24bd9256410df744ee08b7af859511fc189",
-    "json": "ff941ae5efe178464b48a4439d2bd230102a49b2d733413210a90326982b6702",
+    "json": "16723337f6c9b8e57490f5a4276001ac0a81ff02050b7375b2198ba509e40271",
 }
 
 
@@ -97,7 +98,7 @@ def test_noiseless_reports_ignore_shots(tmp_path):
     assert main(["report", "--dataset", "syn4", "--circuit", "syn4", "--seed", "3",
                  "--epochs", "2", "--methods", "Vanilla", "--format", "all",
                  "--out", str(base)]) == 0
-    assert "config=7db71af234fcf7e2" in base.with_suffix(".txt").read_text()
+    assert "config=19a61b545362b65a" in base.with_suffix(".txt").read_text()
     for ext, digest in PINNED_REPORT_SHA256.items():
         assert hashlib.sha256(base.with_suffix(f".{ext}").read_bytes()).hexdigest() == digest
 
@@ -217,7 +218,7 @@ def _csv(path, n_features, labels=(0, 1), per_label=5):
 
 
 @pytest.mark.parametrize("case, command, words", [
-    ("labels-exceed-classes", "report", ("n_classes", "3", "2")),
+    ("labels-exceed-classes", "report", ("line 11", "label 2", "2 classes")),
     ("fewer-features", "train", ("n_features", "3", "4")),
     ("more-features", "recl", ("n_features", "5", "4")),
     ("amplitude-feature-count", "compress", ("n_features", "3", "4")),
@@ -225,11 +226,18 @@ def _csv(path, n_features, labels=(0, 1), per_label=5):
     ("empty-csv", "report", ("dataset", "no samples")),
     ("empty-test-split", "compress", ("dataset", "4 training", "0 test")),
     ("zero-norm-amplitude-row", "train", ("dataset", "zero-norm")),
+    ("syn-exceeds-classes", "train", ("n_classes", "has 2", "measures 1")),
 ])
 def test_dataset_circuit_mismatch_exits_2(case, command, words, tmp_path, capsys):
     args = [command, "--circuit", "syn4", "--epochs", "1"]
     if case == "labels-exceed-classes":
-        args += ["--dataset", _csv(tmp_path / "d.csv", 4, (0, 1, 2)), "--n-classes", "3"]
+        # the circuit's `#measure` section decides the label range
+        args += ["--dataset", _csv(tmp_path / "d.csv", 4, (0, 1, 2))]
+    elif case == "syn-exceeds-classes":
+        circ = tmp_path / "one.circ"
+        circ.write_text("qubits 2\n#encoder\nRY 0 free\nRY 1 free\nRZ 0 free\nRZ 1 free\n"
+                        "#layers\nRY 0 free\n#measure perqubitz 1\n")
+        args += ["--dataset", "syn4", "--circuit", str(circ)]
     elif case == "fewer-features":
         args += ["--dataset", _csv(tmp_path / "d.csv", 3)]
     elif case == "more-features":
@@ -354,7 +362,8 @@ def test_config_file_orientation_outside_choices_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["orientation = speedup", "scaled_lambda = true",
-                                  "momentum = 0.9", "encoding = amplitude", "shots = 64"])
+                                  "momentum = 0.9", "encoding = amplitude", "shots = 64",
+                                  "n_classes = 3"])
 def test_config_file_removed_key_exits_2(line, tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"dataset = syn4\ncircuit = syn4\n{line}\n")
@@ -365,7 +374,7 @@ def test_config_file_removed_key_exits_2(line, tmp_path, capsys):
 @pytest.mark.parametrize("flags", [["--orientation", "ratio"], ["--scaled-lambda"],
                                    ["--momentum", "5"], ["--momentum", "-3"],
                                    ["--momentum", "1"], ["--encoding", "amplitude"],
-                                   ["--shots", "64"]])
+                                   ["--shots", "64"], ["--n-classes", "3"]])
 def test_removed_flag_exits_2(flags, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["report", "--dataset", "syn4", "--circuit", "syn4"] + flags)

@@ -8,7 +8,9 @@ noise path's included, goes through `apply_matrix` and no module can grow a
 second kernel.  `Circuit.amplitude_input` is set by the file parser and read
 only by the circuit and by `training.input_states`, and `zero_state` is
 named only in `simulator` and `training`, so no other module can grow a
-second encoding path or its own |0...0> fallback.  Every function, class and
+second encoding path or its own |0...0> fallback.  Only `transpile` builds
+a keep-mode `DepthScan`, so the peephole rule's gate list has one source,
+`transpile.kept_gates`.  Every function, class and
 method the package defines is named somewhere in the package outside its
 own definition, so `src/` holds only what the pipeline runs, not an API that
 only tests call.
@@ -103,13 +105,46 @@ def test_only_circuit_and_training_read_the_input_mode():
     assert passers == {"circfile"}
 
 
+def _keep_scans(tree: ast.Module) -> bool:
+    """A `DepthScan(...)` call, bare or as an attribute, whose `keep` is
+    passed by position or as anything but a literal False."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "DepthScan":
+            continue
+        keep = [k.value for k in node.keywords if k.arg == "keep"] + node.args[1:2]
+        if any(not (isinstance(v, ast.Constant) and v.value is False) for v in keep):
+            return True
+    return False
+
+
+def test_only_transpile_builds_a_keep_mode_scan():
+    users = {path.stem for path in sorted(PACKAGE.glob("*.py"))
+             if _keep_scans(ast.parse(path.read_text()))}
+    assert users == {"transpile"}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("DepthScan(n, keep=True)", True),
+    ("transpile.DepthScan(n, True)", True),
+    ("DepthScan(n, keep=flag)", True),
+    ("DepthScan(n)", False),
+    ("DepthScan(n, keep=False)", False),
+])
+def test_the_keep_scan_scan_sees_every_spelling(source, found):
+    assert _keep_scans(ast.parse(source)) is found
+
+
 # Defined for callers outside the package, each with its reason.
 UNCALLED_ALLOWED = {
     "run_circuit",       # acceptance criterion 5 runs the transpiled circuit with it
     "apply_gate_batch",  # the benchmark's tracer wraps it by name (perfbench/layers.py)
     # perfbench's check_gradient and criterion 4 call it with features
     "batch_loss_and_gradient",
-    # perfbench's check_unitary and check_tcd, and its tracer, call it by name
+    # perfbench's check_unitary reads its global_phase; check_tcd and the
+    # tracer call it by name
     "transpile_circuit",
     # the one-row rho pass: perfbench's tracer wraps it by name, and criterion
     # 9b and the noise tests call it

@@ -336,8 +336,8 @@ def test_candidates_scan_only_the_gates_from_their_first_reader(monkeypatch):
     samples = generate_synthetic(16, 100, seed=601).train
     th = init_params(circ, TrainConfig(seed=601))
     lut = build_lut(circ)
-    fed, joins, peephole_calls = [], [], []
-    feed, join, peephole = DepthScan.feed, DepthScan.join, transpile.peephole_optimize
+    fed, joins, kept_calls = [], [], []
+    feed, join, kept = DepthScan.feed, DepthScan.join, transpile.kept_gates
 
     def counted_feed(self, gates):
         fed.append(len(gates))
@@ -347,15 +347,15 @@ def test_candidates_scan_only_the_gates_from_their_first_reader(monkeypatch):
         joins.append(len(summary))
         return join(self, summary)
 
-    def counted_peephole(tc):
-        peephole_calls.append(len(tc.gates))
-        return peephole(tc)
+    def counted_kept(n_qubits, physical_lists):
+        kept_calls.append(len(physical_lists))
+        return kept(n_qubits, physical_lists)
 
     monkeypatch.setattr(DepthScan, "feed", counted_feed)
     monkeypatch.setattr(DepthScan, "join", counted_join)
-    monkeypatch.setattr(transpile, "peephole_optimize", counted_peephole)
+    monkeypatch.setattr(transpile, "kept_gates", counted_kept)
     reconstruct_lut(circ, th, lut, samples)
-    assert peephole_calls == []
+    assert kept_calls == []
 
     full = sum(len(physical) for _, physical in lower_circuit(circ, th))
     expected, n_levels = full, 0  # theta's lowering is scanned once
