@@ -5,9 +5,11 @@ gates to compress, projects the masked entries of the auxiliary vector Z onto
 their reconstructed levels, and updates the multipliers with the signed
 circular residual.  After the loop stops (squared step norms of both theta
 and Z under zeta, or the iteration cap), masked parameters are frozen at
-their levels and the free ones are retrained.  The baselines share the warm
-start, the lowest-k mask selection and this freeze-and-retrain tail;
-Zero-Only-Pruning is a zero-level LUT with no loop.
+their levels and the free ones are retrained.  Every method takes the warm
+start and the one ReCL sweep of it that `experiment.run_experiment` runs;
+PruneOnly and QuantOnly run this loop on that sweep's pick restricted to one
+level family.  The baselines share the lowest-k mask selection and the
+freeze-and-retrain tail; Zero-Only-Pruning is a zero-level LUT with no loop.
 """
 
 import enum
@@ -19,8 +21,8 @@ from .circuit import Circuit
 from .data import Dataset
 from .errors import ConfigError
 from .gates import circ_residual, wrap_params
-from .lut import CompressionLUT, CompressionLevel, LevelTag, level_distance
-from .recl import ReconstructedLUT, reconstruct_lut
+from .lut import CompressionLevel, LevelTag, level_distance
+from .recl import ReconstructedLUT
 from .training import TrainConfig, init_params, loss_and_accuracy, sgd_train
 from .transpile import build_depth_table, tcd
 
@@ -120,7 +122,7 @@ def build_mask(theta_next: np.ndarray, lam: np.ndarray, recon: ReconstructedLUT,
     for pos, gi in enumerate(trainable):
         level = recon.levels.get(gi)
         if level is None:
-            continue  # kind had no usable levels (filtered LUT); never masked
+            continue  # no level of the method's family; never masked
         d = _gate_distance(theta_next, lam, circuit.layers[gi].theta_slots, level.value)
         depth_term = level.depth / max_table_depth if max_table_depth else 0.0
         scores[pos] = config.alpha * d + (1.0 - config.alpha) * depth_term
@@ -170,13 +172,6 @@ def vanilla_train(circuit: Circuit, dataset: Dataset, train_cfg: TrainConfig) ->
     return sgd_train(circuit, init_params(circuit, train_cfg), dataset.train, train_cfg)
 
 
-def _warm_start(circuit: Circuit, dataset: Dataset, train_cfg: TrainConfig,
-                warm_theta: np.ndarray | None) -> np.ndarray:
-    if warm_theta is None:
-        return vanilla_train(circuit, dataset, train_cfg)
-    return np.array(warm_theta, dtype=float, copy=True)
-
-
 def _retrain(circuit: Circuit, dataset: Dataset, theta: np.ndarray, mask: CompressionMask,
              recon: ReconstructedLUT, admm_cfg: ADMMConfig,
              train_cfg: TrainConfig) -> np.ndarray:
@@ -187,19 +182,11 @@ def _retrain(circuit: Circuit, dataset: Dataset, theta: np.ndarray, mask: Compre
                      retrain, frozen=frozen_slots(mask, circuit))
 
 
-def run_cqcp_admm(circuit: Circuit, dataset: Dataset, lut: CompressionLUT,
+def run_cqcp_admm(circuit: Circuit, dataset: Dataset, recon: ReconstructedLUT,
                   admm_cfg: ADMMConfig, train_cfg: TrainConfig,
-                  warm_theta: np.ndarray | None = None) -> CompressionResult:
-    """Full compression run: warm start, ReCL, ADMM loop, mask-frozen retrain.
-
-    A target ratio of zero degenerates to the plain training result, returned
-    unchanged so the pipeline is bit-for-bit identical to vanilla training.
-    """
-    warm = _warm_start(circuit, dataset, train_cfg, warm_theta)
-    if admm_cfg.target_ratio == 0.0:
-        return empty_result(circuit, warm)
-
-    recon = reconstruct_lut(circuit, warm, lut, dataset.train)
+                  warm: np.ndarray) -> CompressionResult:
+    """ADMM loop from the warm start against the reconstructed levels of
+    `recon`, then the mask-frozen retrain.  `warm` is not modified."""
     max_td = build_depth_table().max_depth()
     state = ADMMState(theta=warm.copy(), z=warm.copy(), lam=np.zeros_like(warm))
     mask = build_mask(state.theta, state.lam, recon, circuit, admm_cfg, max_td)
@@ -241,22 +228,20 @@ _LEVEL_FAMILY = {BaselineMode.PRUNE_ONLY: LevelTag.PRUNE,
 
 
 def baseline_compress(mode: BaselineMode, circuit: Circuit, dataset: Dataset,
-                      lut: CompressionLUT, admm_cfg: ADMMConfig, train_cfg: TrainConfig,
-                      warm_theta: np.ndarray | None = None) -> CompressionResult:
+                      recon: ReconstructedLUT | None, admm_cfg: ADMMConfig,
+                      train_cfg: TrainConfig, warm: np.ndarray) -> CompressionResult:
     """Competitor pipelines sharing the warm start and retraining protocol.
 
-    ZeroOnlyPruning is compilation-agnostic: each gate's only level is all
-    zeros, and the gates closest to it on the circle are frozen there.
-    PruneOnly / QuantOnly rerun the full pipeline with the LUT filtered to
-    one level family; gates of a kind with no surviving levels are never masked.
+    ZeroOnlyPruning is compilation-agnostic and reads no `recon`: each gate's
+    only level is all zeros, and the gates closest to it on the circle are
+    frozen there.
+    PruneOnly / QuantOnly run the ADMM loop on `recon` restricted to one
+    level family; gates with no level of that family are never masked.
     """
     if mode in _LEVEL_FAMILY:
-        return run_cqcp_admm(circuit, dataset, lut.filtered(_LEVEL_FAMILY[mode]), admm_cfg,
-                             train_cfg, warm_theta)
+        return run_cqcp_admm(circuit, dataset, recon.restricted(_LEVEL_FAMILY[mode]), admm_cfg,
+                             train_cfg, warm)
 
-    warm = _warm_start(circuit, dataset, train_cfg, warm_theta)
-    if admm_cfg.target_ratio == 0.0:
-        return empty_result(circuit, warm)
     slots = {gi: list(circuit.layers[gi].theta_slots) for gi in circuit.trainable_indices()}
     zero = ReconstructedLUT({gi: CompressionLevel(0, (0.0,) * len(s), LevelTag.PRUNE)
                              for gi, s in slots.items()})

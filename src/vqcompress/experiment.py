@@ -1,6 +1,9 @@
 """Experiment orchestration: run methods against a shared warm start, report.
 
 `run_experiment` is the only place that maps a method name to its pipeline.
+It trains the warm start once and, when an ADMM method runs at a nonzero
+target ratio, sweeps ReCL over the full LUT once; every method takes what it
+needs from that sweep.  At target ratio 0 every method is the warm start.
 Reports are pure data keyed by method: test accuracy, delta versus vanilla,
 transpiled depth, speedup (vanilla TCD / method TCD), optional noisy accuracy,
 and the method's `CompressionResult`.  The same values are emitted in table,
@@ -21,6 +24,7 @@ from .data import Dataset, generate_synthetic, load_csv, stack
 from .errors import ConfigError, EncodeError
 from .lut import build_lut
 from .noise import noisy_accuracy
+from .recl import reconstruct_lut
 from .training import TrainConfig, input_states, loss_and_accuracy
 from .transpile import tcd
 
@@ -142,26 +146,28 @@ def run_experiment(config: ExperimentConfig) -> Report:
                           f"got {lr} * {rho}")
     dataset, circuit = resolve_inputs(config)
     train_cfg = replace(config.train, seed=config.seed)
-    lut = build_lut(circuit)
 
     def evaluate(params) -> tuple[float, int]:
         return loss_and_accuracy(circuit, params, dataset.test)[1], tcd(circuit, params)
 
     warm = vanilla_train(circuit, dataset, train_cfg)
     vanilla_acc, vanilla_tcd = evaluate(warm)
+    uncompressed = config.admm.target_ratio == 0.0
+    recon = None
+    if not uncompressed and set(config.methods) & set(ADMM_METHODS):
+        recon = reconstruct_lut(circuit, warm, build_lut(circuit), dataset.train)
 
     rows, results = [], {}
     for method in METHOD_ORDER:
         if method not in config.methods:
             continue
-        if method == "Vanilla":
+        if method == "Vanilla" or uncompressed:
             result = empty_result(circuit, warm)
         elif method == "CompVQC":
-            result = run_cqcp_admm(circuit, dataset, lut, config.admm, train_cfg,
-                                   warm_theta=warm)
+            result = run_cqcp_admm(circuit, dataset, recon, config.admm, train_cfg, warm)
         else:
-            result = baseline_compress(BaselineMode(method), circuit, dataset, lut,
-                                       config.admm, train_cfg, warm_theta=warm)
+            result = baseline_compress(BaselineMode(method), circuit, dataset, recon,
+                                       config.admm, train_cfg, warm)
         acc, depth = (vanilla_acc, vanilla_tcd) if method == "Vanilla" else evaluate(result.params)
         noisy = None
         if config.noise_p is not None:

@@ -68,11 +68,6 @@ class CompressionLUT:
 
     entries: dict  # GateKind -> list[CompressionLevel]
 
-    def filtered(self, tag: LevelTag) -> "CompressionLUT":
-        """Restrict every entry to one tag; entries may become empty."""
-        return CompressionLUT({k: [lv for lv in v if lv.tag is tag]
-                               for k, v in self.entries.items()})
-
     def write_csv_text(self) -> str:
         lines = ["gate,values,tag,depth"]
         for kind in sorted(self.entries, key=lambda k: k.value):

@@ -123,10 +123,10 @@ def noisy_accuracy(circuit: Circuit, params, samples, p: float, shots=None, seed
     feats, labels = stack(samples)
     states = input_states(circuit, feats)
     thetas = np.atleast_2d(params)
-    layers = [lower_gate(gate, thetas, None)[1] for gate in circuit.layers]
+    layers = [lower_gate(gate, thetas, None) for gate in circuit.layers]
     kept, groups = [], {}
     for i in range(len(labels)):
-        encoder = [lower_gate(gate, thetas, feats[i:i + 1])[1] for gate in circuit.encoder]
+        encoder = [lower_gate(gate, thetas, feats[i:i + 1]) for gate in circuit.encoder]
         kept.append(kept_gates(circuit.n_qubits, encoder + layers))
         groups.setdefault(tuple((g.kind, g.qubits) for g in kept[i]), []).append(i)
     step = max(1, BATCH_AMPLITUDES >> (2 * circuit.n_qubits))

@@ -2,7 +2,10 @@
 
 For gate i and candidate level v, the metric is the accuracy of the circuit
 with only parameter i moved to v, times the speedup TCD(theta) / TCD(theta^{i,v}),
-so levels that shorten the transpiled circuit raise the metric.
+so levels that shorten the transpiled circuit raise the metric.  A metric
+does not depend on the other levels swept, so one sweep of the full LUT
+serves every level family: `ReconstructedLUT.restricted` picks among one
+family's swept levels.
 """
 
 import warnings
@@ -12,7 +15,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .data import stack
-from .lut import CompressionLUT
+from .lut import CompressionLUT, LevelTag
 from .simulator import apply_matrix, gate_plan, measure_outputs_batch
 from .training import initial_states, softmax
 from .transpile import DepthScan, lower_circuit, lower_gate, suffix_summaries
@@ -20,10 +23,29 @@ from .transpile import DepthScan, lower_circuit, lower_gate, suffix_summaries
 
 @dataclass
 class ReconstructedLUT:
-    """One chosen level per trainable gate (keyed by index into circuit.layers)."""
+    """One chosen level per trainable gate (keyed by index into circuit.layers),
+    and every (metric, level) pair of the sweep it was picked from."""
 
     levels: dict = field(default_factory=dict)   # layer index -> CompressionLevel
     metrics: dict = field(default_factory=dict)  # layer index -> achieved metric
+    swept: dict = field(default_factory=dict)    # layer index -> [(metric, level), ...]
+
+    def restricted(self, tag: LevelTag) -> "ReconstructedLUT":
+        """The pick among the swept levels of one family; a gate with no
+        level of that family gets no entry."""
+        return _pick({gi: [(m, lv) for m, lv in pairs if lv.tag is tag]
+                      for gi, pairs in self.swept.items()})
+
+
+def _pick(swept: dict) -> ReconstructedLUT:
+    """Per-gate argmax of the metric; ties pick the level with smaller depth,
+    then smaller value."""
+    recon = ReconstructedLUT(swept=swept)
+    for gi, pairs in swept.items():
+        if pairs:
+            m, level = min(pairs, key=lambda ml: (-ml[0], ml[1].depth, ml[1].value))
+            recon.levels[gi], recon.metrics[gi] = level, m
+    return recon
 
 
 def _substituted(theta: np.ndarray, circuit: Circuit, gate_index: int,
@@ -70,7 +92,7 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
     """
     theta = np.asarray(theta, dtype=float)
     gates = circuit.layers
-    lowered = [physical for _, physical in lower_circuit(circuit, theta)]
+    lowered = lower_circuit(circuit, theta)
     feats, labels = stack(eval_samples)
     state = np.ascontiguousarray(initial_states(circuit, feats).T)[None]
     base = gate_plan(tuple(gates)).matrices(theta[None, :])
@@ -105,7 +127,7 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
         probs = softmax(measure_outputs_batch(rows, circuit.measurement))
         hits = probs.argmax(axis=1).reshape(len(thetas), -1) == labels
         for new_theta, acc in zip(thetas, hits.mean(axis=1)):
-            relowered = {k: lower_gate(gates[k], new_theta[None, :], None)[1]
+            relowered = {k: lower_gate(gates[k], new_theta[None, :], None)
                          for k in readers[gi]}
             scan = snapshots[first].copy()
             for k in range(first, last + 1):
@@ -117,19 +139,12 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
 
 def reconstruct_lut(circuit: Circuit, theta, lut: CompressionLUT,
                     eval_samples) -> ReconstructedLUT:
-    """Per-gate argmax of the level metric, one gate perturbed at a time.
+    """Per-gate pick of the level metric, one gate perturbed at a time.
 
-    Every evaluation starts from the unmodified trained theta.  Ties pick the
-    level with smaller depth, then smaller value.  Gates whose kind has no
-    levels in (a possibly filtered) LUT get no entry.
+    Every evaluation starts from the unmodified trained theta.  Gates whose
+    kind has no levels in the LUT get no entry.
     """
     candidates = {gi: lut.entries.get(circuit.layers[gi].kind, [])
                   for gi in circuit.trainable_indices()}
     metrics = _sweep(circuit, theta, candidates, eval_samples)
-    recon = ReconstructedLUT()
-    for gi, levels in candidates.items():
-        if levels:
-            m, level = min(zip(metrics[gi], levels),
-                           key=lambda ml: (-ml[0], ml[1].depth, ml[1].value))
-            recon.levels[gi], recon.metrics[gi] = level, m
-    return recon
+    return _pick({gi: list(zip(metrics[gi], levels)) for gi, levels in candidates.items()})

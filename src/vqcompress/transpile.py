@@ -206,18 +206,17 @@ def decompose_kind(kind: GateKind, qubits: tuple[int, ...],
 
 
 def lower_gate(gate: Gate, thetas: np.ndarray,
-               feats: np.ndarray | None) -> tuple[tuple[float, ...], list[PhysicalGate]]:
-    """One logical gate's wrapped angles and its basis gates, with no phase.
+               feats: np.ndarray | None) -> list[PhysicalGate]:
+    """One logical gate's basis gates at its wrapped angles, with no phase.
 
     `thetas` (1, P) and `feats` (1, F) are the rows `resolve_angles` reads.
     """
     angles = resolve_angles(gate, thetas, feats)
     tup = () if angles is None else tuple(wrap_param(float(v)) for v in np.atleast_1d(angles[0]))
-    return tup, decompose_kind(gate.kind, gate.qubits, tup)
+    return decompose_kind(gate.kind, gate.qubits, tup)
 
 
-def lower_circuit(circuit: Circuit, params,
-                  feats=None) -> list[tuple[tuple[float, ...], list[PhysicalGate]]]:
+def lower_circuit(circuit: Circuit, params, feats=None) -> list[list[PhysicalGate]]:
     """`lower_gate` of every gate, encoder first, then layers.
 
     Data-bound angles default to generic probe values so the depth of an
@@ -243,8 +242,7 @@ def transpile_circuit(circuit: Circuit, params, feats=None) -> TranspiledCircuit
     if feats is None:
         feats = probe_features(circuit.n_data)
     feats = np.atleast_2d(np.asarray(feats, dtype=float))
-    gates = kept_gates(circuit.n_qubits,
-                       [physical for _, physical in lower_circuit(circuit, thetas, feats)])
+    gates = kept_gates(circuit.n_qubits, lower_circuit(circuit, thetas, feats))
     eye = np.eye(2 ** circuit.n_qubits, dtype=complex)
     source = gate_plan(tuple(circuit.layers)).apply(
         gate_plan(tuple(circuit.encoder)).apply(eye, np.pi * feats), thetas)
@@ -264,11 +262,11 @@ def kept_gates(n_qubits: int, physical_lists) -> list[PhysicalGate]:
     return [g for g in scan.gates if g is not None]
 
 
-def lowered_depth(n_qubits: int, lowered) -> int:
-    """Depth of a per-gate lowering after the peephole rule: one `DepthScan`
-    pass, with no gate list built."""
+def lowered_depth(n_qubits: int, physical_lists) -> int:
+    """Depth of the physical gate lists after the peephole rule: one
+    `DepthScan` pass, with no gate list built."""
     scan = DepthScan(n_qubits)
-    for _, physical in lowered:
+    for physical in physical_lists:
         scan.feed(physical)
     return scan.close()
 
@@ -416,7 +414,7 @@ def standalone_gate_depth(kind: GateKind, params) -> int:
 @lru_cache(maxsize=4096)
 def _standalone_depth_cached(kind: GateKind, angles: tuple) -> int:
     qubits = tuple(range(N_QUBITS_OF_KIND[kind]))
-    return lowered_depth(len(qubits), [(angles, decompose_kind(kind, qubits, angles))])
+    return lowered_depth(len(qubits), [decompose_kind(kind, qubits, angles)])
 
 
 # Parameter-class columns of the standalone depth table, printing order.

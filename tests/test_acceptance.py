@@ -19,9 +19,11 @@ from vqcompress.admm import (ADMMConfig, BaselineMode, baseline_compress,
                              run_cqcp_admm, vanilla_train)
 from vqcompress.circfile import load_reference
 from vqcompress.data import generate_synthetic, stack
+from vqcompress.experiment import ExperimentConfig, run_experiment
 from vqcompress.gates import FOUR_PI, GateKind, gate_matrix, phase_identity_factor
 from vqcompress.lut import build_lut
 from vqcompress.noise import noisy_accuracy, noisy_outputs
+from vqcompress.recl import reconstruct_lut
 from vqcompress.simulator import run_circuit
 from vqcompress.training import (TrainConfig, batch_loss_and_gradient, input_states,
                                  loss_and_accuracy, outputs_batch, softmax)
@@ -55,7 +57,8 @@ def pipeline():
         ds = generate_synthetic(4, 100, seed=seed)
         tcfg = TrainConfig(seed=seed)
         warm = vanilla_train(circ, ds, tcfg)
-        res = run_cqcp_admm(circ, ds, lut, ADMMConfig(), tcfg, warm_theta=warm)
+        recon = reconstruct_lut(circ, warm, lut, ds.train)
+        res = run_cqcp_admm(circ, ds, recon, ADMMConfig(), tcfg, warm)
         runs[seed] = {
             "dataset": ds,
             "warm": warm,
@@ -214,9 +217,10 @@ def test_criterion_8_baseline_dominance():
             warm = vanilla_train(circ, ds, tcfg)
             v_tcd = tcd(circ, warm)
             cfg = ADMMConfig(target_ratio=ratio)
-            comp = run_cqcp_admm(circ, ds, lut, cfg, tcfg, warm_theta=warm)
-            zero = baseline_compress(BaselineMode.ZERO_ONLY_PRUNING, circ, ds, lut,
-                                     cfg, tcfg, warm_theta=warm)
+            recon = reconstruct_lut(circ, warm, lut, ds.train)
+            comp = run_cqcp_admm(circ, ds, recon, cfg, tcfg, warm)
+            zero = baseline_compress(BaselineMode.ZERO_ONLY_PRUNING, circ, ds, recon,
+                                     cfg, tcfg, warm)
             m_comp = (loss_and_accuracy(circ, comp.params, ds.test)[1]
                       * v_tcd / max(tcd(circ, comp.params), 1))
             m_zero = (loss_and_accuracy(circ, zero.params, ds.test)[1]
@@ -280,12 +284,13 @@ def test_criterion_9b_noise_robustness_probability(pipeline):
 
 
 def test_criterion_10_degenerate_ratio_identity():
+    # run_experiment decides the ratio-0 rule for every method
     circ = load_reference("syn4")
     ds = generate_synthetic(4, 100, seed=3)
-    tcfg = TrainConfig(seed=3)
-    lut = build_lut(circ)
-    warm = vanilla_train(circ, ds, tcfg)
-    res = run_cqcp_admm(circ, ds, lut, ADMMConfig(target_ratio=0.0), tcfg)
+    warm = vanilla_train(circ, ds, TrainConfig(seed=3))
+    report = run_experiment(ExperimentConfig(methods=("CompVQC",), seed=3,
+                                             admm=ADMMConfig(target_ratio=0.0)))
+    res = report.results["CompVQC"]
     identical = np.array_equal(res.params, warm)
     _verdict("10 degenerate-identity",
              identical and res.mask.count == 0,

@@ -12,10 +12,11 @@ from vqcompress.circfile import load_reference
 from vqcompress.circuit import Circuit, Gate, MeasurementSpec, theta
 from vqcompress.data import Dataset, generate_synthetic
 from vqcompress.errors import ConfigError
+from vqcompress.experiment import ExperimentConfig, run_experiment
 from vqcompress.gates import FOUR_PI, GateKind, wrap_params
 from vqcompress.lut import CompressionLevel, LevelTag, build_lut, level_distance
-from vqcompress.recl import ReconstructedLUT
-from vqcompress.training import TrainConfig, sgd_train
+from vqcompress.recl import ReconstructedLUT, reconstruct_lut
+from vqcompress.training import TrainConfig, init_params, sgd_train
 from vqcompress.transpile import standalone_gate_depth, tcd
 
 PI = math.pi
@@ -26,6 +27,12 @@ def three_gate_circuit():
              Gate(GateKind.RY, (1,), (theta(1),)),
              Gate(GateKind.CRX, (0, 1), (theta(2),))]
     return Circuit(2, [], gates, MeasurementSpec(2))
+
+
+def warm_and_recon(circ, ds, tcfg):
+    """The warm start and its one ReCL sweep, as run_experiment makes them."""
+    warm = vanilla_train(circ, ds, tcfg)
+    return warm, reconstruct_lut(circ, warm, build_lut(circ), ds.train)
 
 
 def recon_for(circ, values, depths):
@@ -141,9 +148,10 @@ def test_ratio_zero_reproduces_vanilla_bit_for_bit():
     circ = load_reference("syn4")
     ds = generate_synthetic(4, 100, seed=2)
     tcfg = TrainConfig(seed=2, epochs=20)
-    lut = build_lut(circ)
     warm = vanilla_train(circ, ds, tcfg)
-    res = run_cqcp_admm(circ, ds, lut, ADMMConfig(target_ratio=0.0), tcfg)
+    report = run_experiment(ExperimentConfig(methods=("CompVQC",), seed=2, train=tcfg,
+                                             admm=ADMMConfig(target_ratio=0.0)))
+    res = report.results["CompVQC"]
     assert np.array_equal(res.params, warm)
     assert res.mask.count == 0
     assert tcd(circ, res.params) == tcd(circ, warm)
@@ -153,11 +161,11 @@ def test_masked_parameters_exactly_at_levels_after_finalize():
     circ = load_reference("syn4")
     ds = generate_synthetic(4, 100, seed=1)
     tcfg = TrainConfig(seed=1, epochs=25)
-    lut = build_lut(circ)
-    res = run_cqcp_admm(circ, ds, lut,
+    warm, recon = warm_and_recon(circ, ds, tcfg)
+    res = run_cqcp_admm(circ, ds, recon,
                         ADMMConfig(target_ratio=0.5, max_iters=3, epochs_per_iter=5,
                                    retrain_epochs=10),
-                        tcfg)
+                        tcfg, warm)
     trainable = circ.trainable_indices()
     assert res.mask.count == mask_size(0.5, len(trainable))
     masked_depths = []
@@ -185,10 +193,10 @@ def test_report_records_present():
     circ = load_reference("syn4")
     ds = generate_synthetic(4, 100, seed=3)
     tcfg = TrainConfig(seed=3, epochs=15)
-    lut = build_lut(circ)
-    res = run_cqcp_admm(circ, ds, lut,
+    warm, recon = warm_and_recon(circ, ds, tcfg)
+    res = run_cqcp_admm(circ, ds, recon,
                         ADMMConfig(target_ratio=0.5, max_iters=4, epochs_per_iter=4,
-                                   retrain_epochs=5), tcfg)
+                                   retrain_epochs=5), tcfg, warm)
     assert 1 <= len(res.records) <= 4
     for rec in res.records:
         assert rec.tcd > 0 and rec.theta_z_gap >= 0 and 0 <= rec.acc <= 1
@@ -200,14 +208,13 @@ def test_increasing_rho_shrinks_theta_z_gap():
     circ = load_reference("syn4")
     ds = generate_synthetic(4, 100, seed=4)
     tcfg = TrainConfig(seed=4, epochs=15)
-    lut = build_lut(circ)
-    warm = vanilla_train(circ, ds, tcfg)
+    warm, recon = warm_and_recon(circ, ds, tcfg)
     gaps = []
     for rho in (0.002, 0.2, 20.0):
-        res = run_cqcp_admm(circ, ds, lut,
+        res = run_cqcp_admm(circ, ds, recon,
                             ADMMConfig(target_ratio=0.5, rho=rho, max_iters=4,
                                        epochs_per_iter=5, retrain_epochs=2),
-                            replace(tcfg, learning_rate=0.02), warm_theta=warm)
+                            replace(tcfg, learning_rate=0.02), warm)
         gaps.append(res.records[-1].theta_z_gap)
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -216,22 +223,21 @@ def test_zero_only_pruning_ratio_zero_is_vanilla():
     circ = load_reference("syn4")
     ds = generate_synthetic(4, 100, seed=5)
     tcfg = TrainConfig(seed=5, epochs=15)
-    lut = build_lut(circ)
     warm = vanilla_train(circ, ds, tcfg)
-    res = baseline_compress(BaselineMode.ZERO_ONLY_PRUNING, circ, ds, lut,
-                            ADMMConfig(target_ratio=0.0), tcfg, warm_theta=warm)
+    report = run_experiment(ExperimentConfig(methods=("ZeroOnlyPruning",), seed=5, train=tcfg,
+                                             admm=ADMMConfig(target_ratio=0.0)))
+    res = report.results["ZeroOnlyPruning"]
     assert np.array_equal(res.params, warm)
+    assert res.mask.count == 0
 
 
 def test_zero_only_pruning_masks_nearest_to_zero():
     circ = load_reference("syn4")
     ds = generate_synthetic(4, 100, seed=6)
     tcfg = TrainConfig(seed=6, epochs=12)
-    lut = build_lut(circ)
     warm = vanilla_train(circ, ds, tcfg)
-    res = baseline_compress(BaselineMode.ZERO_ONLY_PRUNING, circ, ds, lut,
-                            ADMMConfig(target_ratio=0.3, retrain_epochs=5),
-                            tcfg, warm_theta=warm)
+    res = baseline_compress(BaselineMode.ZERO_ONLY_PRUNING, circ, ds, None,
+                            ADMMConfig(target_ratio=0.3, retrain_epochs=5), tcfg, warm)
     trainable = circ.trainable_indices()
     dists = [min(warm[circ.layers[gi].theta_slots[0]],
                  FOUR_PI - warm[circ.layers[gi].theta_slots[0]]) for gi in trainable]
@@ -276,8 +282,7 @@ def test_zero_only_pruning_matches_hand_written_oracle(name):
     retrain = replace(tcfg, epochs=cfg.retrain_epochs, seed=tcfg.seed + 999_983)
     expected = sgd_train(circ, np.where(frozen, 0.0, warm), ds.train, retrain, frozen=frozen)
 
-    res = baseline_compress(BaselineMode.ZERO_ONLY_PRUNING, circ, ds, build_lut(circ), cfg,
-                            tcfg, warm_theta=warm)
+    res = baseline_compress(BaselineMode.ZERO_ONLY_PRUNING, circ, ds, None, cfg, tcfg, warm)
     assert np.array_equal(res.mask.bits, bits)
     assert np.array_equal(res.mask.scores, dists)
     assert np.array_equal(res.params, expected)
@@ -286,23 +291,27 @@ def test_zero_only_pruning_matches_hand_written_oracle(name):
 
 def test_prune_only_lut_restriction():
     circ = load_reference("syn4")
-    lut = build_lut(circ)
-    pruned = lut.filtered(LevelTag.PRUNE)
-    assert [lv.value[0] for lv in pruned.entries[GateKind.RZ]] == [0.0, 2 * PI]
-    assert all(lv.tag is LevelTag.PRUNE for levels in pruned.entries.values()
-               for lv in levels)
+    ds = generate_synthetic(4, 100, seed=7)
+    th = init_params(circ, TrainConfig(seed=7))
+    recon = reconstruct_lut(circ, th, build_lut(circ), ds.train)
+    pruned = recon.restricted(LevelTag.PRUNE)
+    # every kind has a prune level, so every trainable gate keeps an entry
+    assert sorted(pruned.levels) == circ.trainable_indices()
+    for gi, pairs in pruned.swept.items():
+        assert pairs == [(m, lv) for m, lv in recon.swept[gi] if lv.tag is LevelTag.PRUNE]
+        assert pruned.levels[gi].tag is LevelTag.PRUNE
+        if circ.layers[gi].kind is GateKind.RZ:
+            assert [lv.value[0] for _, lv in pairs] == [0.0, 2 * PI]
 
 
 def test_quant_only_excludes_rz_gates_from_mask():
     circ = load_reference("syn4")
     ds = generate_synthetic(4, 100, seed=7)
     tcfg = TrainConfig(seed=7, epochs=12)
-    lut = build_lut(circ)
-    warm = vanilla_train(circ, ds, tcfg)
-    res = baseline_compress(BaselineMode.QUANT_ONLY, circ, ds, lut,
+    warm, recon = warm_and_recon(circ, ds, tcfg)
+    res = baseline_compress(BaselineMode.QUANT_ONLY, circ, ds, recon,
                             ADMMConfig(target_ratio=1.0, max_iters=2,
-                                       epochs_per_iter=3, retrain_epochs=3),
-                            tcfg, warm_theta=warm)
+                                       epochs_per_iter=3, retrain_epochs=3), tcfg, warm)
     trainable = circ.trainable_indices()
     for pos, gi in enumerate(trainable):
         if circ.layers[gi].kind in (GateKind.RZ, GateKind.CRZ):
@@ -315,11 +324,10 @@ def test_final_circuit_transpiles_shallower_when_masked():
     circ = load_reference("syn4")
     ds = generate_synthetic(4, 100, seed=8)
     tcfg = TrainConfig(seed=8, epochs=20)
-    lut = build_lut(circ)
-    warm = vanilla_train(circ, ds, tcfg)
-    res = run_cqcp_admm(circ, ds, lut,
+    warm, recon = warm_and_recon(circ, ds, tcfg)
+    res = run_cqcp_admm(circ, ds, recon,
                         ADMMConfig(target_ratio=0.85, max_iters=5, epochs_per_iter=5,
-                                   retrain_epochs=10), tcfg, warm_theta=warm)
+                                   retrain_epochs=10), tcfg, warm)
     assert res.mask.count > 0
     assert tcd(circ, res.params) < tcd(circ, warm)
 
@@ -335,12 +343,12 @@ def test_pipeline_supports_three_angle_gates():
     samples = [s for s in ds.train]
     from vqcompress.data import Dataset
     small = Dataset(samples[:30], ds.test, 2, 11)
-    lut = build_lut(circ)
-    assert GateKind.U3 in lut.entries
+    assert GateKind.U3 in build_lut(circ).entries
     tcfg = TrainConfig(seed=11, epochs=5)
-    res = run_cqcp_admm(circ, small, lut,
+    warm, recon = warm_and_recon(circ, small, tcfg)
+    res = run_cqcp_admm(circ, small, recon,
                         ADMMConfig(target_ratio=1.0, max_iters=2, epochs_per_iter=2,
-                                   retrain_epochs=2), tcfg)
+                                   retrain_epochs=2), tcfg, warm)
     u3_level = res.recon.levels[0]
     assert len(u3_level.value) == 3
     assert tuple(res.params[:3]) == u3_level.value

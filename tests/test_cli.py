@@ -1,5 +1,7 @@
 import csv
 import hashlib
+import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -455,3 +457,45 @@ def test_compress_prints_the_report_row(method, shared_report, capsys):
                                f"({float(row['acc_vs_baseline']):+.3f}) tcd {row['tcd']} "
                                f"({float(row['speedup']):.2f}x) masked ")
     assert lines[1].endswith(f" noisy acc {float(row['noisy_accuracy']):.3f}")
+
+
+# A seeded boundary table: each numeric flag on a subcommand that reads it,
+# and one feature cell of a CSV, take every value below.  The input must run
+# (exit 0) or fail at the boundary (exit 2); exit 3 means it reached numpy.
+BOUNDARY = ("0", "-1", "nan", "inf", "1e308", str(10**30), "")
+LOOP_COUNTS = ("--epochs", "--max-iters", "--epochs-per-iter", "--retrain-epochs")
+TINY_TRAIN = ["train", "--dataset", "syn4", "--circuit", "syn4", "--epochs", "1"]
+TINY_COMPRESS = ["compress", "--dataset", "syn4", "--circuit", "syn4", "--epochs", "1",
+                 "--max-iters", "1", "--epochs-per-iter", "1", "--retrain-epochs", "1"]
+READER = {"--seed": TINY_TRAIN, "--lr": TINY_TRAIN, "--epochs": TINY_TRAIN,
+          "--batch-size": TINY_TRAIN, "--ratio": TINY_COMPRESS, "--rho": TINY_COMPRESS,
+          "--alpha": TINY_COMPRESS, "--zeta": TINY_COMPRESS, "--max-iters": TINY_COMPRESS,
+          "--epochs-per-iter": TINY_COMPRESS, "--retrain-epochs": TINY_COMPRESS,
+          "--noise-p": TINY_COMPRESS}
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|\b(?:nan|inf)\b", re.IGNORECASE)
+
+
+def _boundary_cases():
+    for flag, command in READER.items():
+        for value in BOUNDARY:
+            if flag in LOOP_COUNTS and value == str(10**30):
+                continue  # a valid count that only runs long
+            yield pytest.param(command + [flag, value], id=f"{flag}={value or 'empty'}")
+    for value in BOUNDARY:
+        yield pytest.param(["csv", value], id=f"csv-cell={value or 'empty'}")
+
+
+@pytest.mark.parametrize("argv", _boundary_cases())
+def test_boundary_values_exit_0_or_2(argv, tmp_path, capsys):
+    if argv[0] == "csv":
+        path = tmp_path / "d.csv"
+        _csv(path, 4)
+        path.write_text(path.read_text() + f"1,0.5,{argv[1]},0.5,0.5\n")
+        argv = TINY_TRAIN + ["--dataset", f"csv:{path}"]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a value its type cannot read
+        code = exc.code
+    assert code in (0, 2)
+    out = capsys.readouterr().out
+    assert all(math.isfinite(float(n)) for n in NUMBER.findall(out)), out

@@ -133,6 +133,36 @@ def test_run_experiment_calls_the_module_level_entry_points(monkeypatch):
         assert report.results[method] is returned[method]
 
 
+@pytest.mark.parametrize("methods, ratio, sweeps", [
+    (METHOD_ORDER, 0.5, 1),
+    (METHOD_ORDER, 0.0, 0),
+    (("Vanilla", "ZeroOnlyPruning"), 0.5, 0),
+], ids=["five-methods", "ratio-0", "no-admm-method"])
+def test_recl_sweeps_once_per_warm_start(monkeypatch, methods, ratio, sweeps):
+    import vqcompress.experiment as experiment
+    swept, warm = [], {}
+
+    def counted(*args):
+        swept.append(args[1])
+        return reconstruct(*args)
+
+    def trained(*args):
+        warm["theta"] = theta = vanilla(*args)
+        warm["copy"] = theta.copy()
+        return theta
+
+    reconstruct, vanilla = experiment.reconstruct_lut, experiment.vanilla_train
+    monkeypatch.setattr(experiment, "reconstruct_lut", counted)
+    monkeypatch.setattr(experiment, "vanilla_train", trained)
+    cfg = ExperimentConfig(methods=methods, seed=8, train=TrainConfig(epochs=4),
+                           admm=ADMMConfig(target_ratio=ratio, max_iters=2, epochs_per_iter=2,
+                                           retrain_epochs=2))
+    run_experiment(cfg)
+    assert len(swept) == sweeps
+    assert all(theta is warm["theta"] for theta in swept)
+    assert np.array_equal(warm["theta"], warm["copy"])  # no method moved the warm start
+
+
 def test_vanilla_parameters_are_evaluated_once(monkeypatch):
     import vqcompress.experiment as experiment
     calls = {"tcd": 0, "loss_and_accuracy": 0}

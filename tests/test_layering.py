@@ -10,7 +10,9 @@ only by the circuit and by `training.input_states`, and `zero_state` is
 named only in `simulator` and `training`, so no other module can grow a
 second encoding path or its own |0...0> fallback.  Only `transpile` builds
 a keep-mode `DepthScan`, so the peephole rule's gate list has one source,
-`transpile.kept_gates`.  Every function, class and
+`transpile.kept_gates`.  Only `experiment` and `cli` name `reconstruct_lut`
+(and `__init__` exports it), so no compression method can sweep ReCL again
+for itself.  Every function, class and
 method the package defines is named somewhere in the package outside its
 own definition, so `src/` holds only what the pipeline runs, not an API that
 only tests call.
@@ -169,6 +171,12 @@ def test_only_simulator_and_training_name_zero_state():
     users = {path.stem for path in sorted(PACKAGE.glob("*.py"))
              if _named(ast.parse(path.read_text()))["zero_state"]}
     assert users == {"simulator", "training"}
+
+
+def test_only_experiment_and_cli_sweep_recl():
+    users = {path.stem for path in sorted(PACKAGE.glob("*.py"))
+             if _named(ast.parse(path.read_text()))["reconstruct_lut"]}
+    assert users == {"__init__", "cli", "experiment"}
 
 
 def _definitions(tree: ast.Module):

@@ -202,18 +202,43 @@ def test_sweep_equals_from_scratch_with_one_level_per_gate():
     assert_sweep_matches_from_scratch(circ, _grid_theta(circ, 777), one, samples)
 
 
+def family_lut(lut, tag):
+    """The LUT with every entry cut to one level family; entries may empty."""
+    return CompressionLUT({kind: [lv for lv in levels if lv.tag is tag]
+                           for kind, levels in lut.entries.items()})
+
+
 def test_sweep_skips_gates_without_levels():
     # the quantize-only LUT has no RZ or CRZ levels: those gates get an empty
     # metric list, and the gates around them are still evaluated exactly
     circ = load_reference("syn4")
     samples = generate_synthetic(4, 200, seed=777).train
-    lut = build_lut(circ).filtered(LevelTag.QUANTIZE)
+    lut = family_lut(build_lut(circ), LevelTag.QUANTIZE)
     empty = [gi for gi in circ.trainable_indices()
              if not lut.entries.get(circ.layers[gi].kind)]
     assert empty and len(empty) < len(circ.trainable_indices())
     th = _grid_theta(circ, 777)
     assert_sweep_matches_from_scratch(circ, th, lut, samples)
     assert all(_sweep(circ, th, {gi: []}, samples) == {gi: []} for gi in empty)
+
+
+@pytest.mark.parametrize("tag", list(LevelTag), ids=lambda t: t.value)
+@pytest.mark.parametrize("angles", ["init", "grid"])
+@pytest.mark.parametrize("seed", [601, 777])
+@pytest.mark.parametrize("name, n_features", [("syn4", 4), ("syn16", 16)])
+def test_restricted_pick_equals_a_family_only_sweep(name, n_features, seed, angles, tag):
+    # one full-LUT sweep serves every family: a level's metric does not depend
+    # on the other levels swept, so the family pick keeps its levels and bits
+    circ = load_reference(name)
+    samples = generate_synthetic(n_features, 100, seed=seed).train
+    th = init_params(circ, TrainConfig(seed=seed)) if angles == "init" else _grid_theta(circ, seed)
+    lut = build_lut(circ)
+    got = reconstruct_lut(circ, th, lut, samples).restricted(tag)
+    want = reconstruct_lut(circ, th, family_lut(lut, tag), samples)
+    assert got.levels == want.levels
+    assert got.metrics == want.metrics
+    assert got.swept == want.swept
+    assert all(lv.tag is tag for lv in got.levels.values())
 
 
 def test_batched_final_states_equal_per_candidate_run_batch(monkeypatch):
@@ -357,7 +382,7 @@ def test_candidates_scan_only_the_gates_from_their_first_reader(monkeypatch):
     reconstruct_lut(circ, th, lut, samples)
     assert kept_calls == []
 
-    full = sum(len(physical) for _, physical in lower_circuit(circ, th))
+    full = sum(len(physical) for physical in lower_circuit(circ, th))
     expected, n_levels = full, 0  # theta's lowering is scanned once
     for gi in circ.trainable_indices():
         slots = set(circ.layers[gi].theta_slots)
@@ -366,7 +391,7 @@ def test_candidates_scan_only_the_gates_from_their_first_reader(monkeypatch):
             new = np.array(th, copy=True)
             new[list(circ.layers[gi].theta_slots)] = level.value
             span = lower_circuit(circ, new)[readers[0]:readers[-1] + 1]
-            expected += sum(len(physical) for _, physical in span)
+            expected += sum(len(physical) for physical in span)
             n_levels += 1
     assert sum(fed) == expected
     assert joins == [circ.n_qubits] * n_levels  # one suffix join per level

@@ -196,9 +196,9 @@ def test_one_pass_peephole_equals_fixpoint_oracle():
         tc = TranspiledCircuit(n, gates, float(rng.uniform(-PI, PI)))
         want = oracle.fixpoint_peephole(tc)
         assert kept_gates(n, [gates]) == want.gates
-        lowered = [((), [g for g, s in zip(gates, source) if s == k])
+        lowered = [[g for g, s in zip(gates, source) if s == k]
                    for k in range(source[-1] + 1)] if gates else []
-        assert kept_gates(n, [physical for _, physical in lowered]) == want.gates
+        assert kept_gates(n, lowered) == want.gates
         assert lowered_depth(n, lowered) == oracle.dag_depth(want.gates)
 
 
@@ -274,18 +274,18 @@ def test_partial_run_sum_at_zero_is_kept(b):
              PhysicalGate(GateKind.RZ, (0,), (c,)), PhysicalGate(GateKind.SX, (0,))]
     assert kept_gates(1, [gates]) == [PhysicalGate(GateKind.RZ, (0,), (a + b + c,)),
                                       PhysicalGate(GateKind.SX, (0,))]
-    assert lowered_depth(1, [((), gates[:2]), ((), gates[2:])]) == 2
+    assert lowered_depth(1, [gates[:2], gates[2:]]) == 2
 
 
 def test_circuit_depth_dag_cases():
-    assert lowered_depth(2, [((), [])]) == 0
+    assert lowered_depth(2, [[]]) == 0
     parallel = [PhysicalGate(GateKind.SX, (0,)), PhysicalGate(GateKind.SX, (1,))]
-    assert lowered_depth(2, [((), parallel)]) == 1
+    assert lowered_depth(2, [parallel]) == 1
     serial = [PhysicalGate(GateKind.SX, (0,))] * 3
-    assert lowered_depth(1, [((), serial)]) == 3
+    assert lowered_depth(1, [serial]) == 3
     mixed = [PhysicalGate(GateKind.SX, (0,)), PhysicalGate(GateKind.CX, (0, 1)),
              PhysicalGate(GateKind.SX, (1,))]
-    assert lowered_depth(2, [((), mixed)]) == 3
+    assert lowered_depth(2, [mixed]) == 3
 
 
 def test_transpile_single_gate_circuits():
