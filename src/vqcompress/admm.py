@@ -31,12 +31,15 @@ TWO_PI = 2 * np.pi
 
 @dataclass
 class ADMMConfig:
-    """Tuned defaults for the bundled reference circuits: a small alpha ranks
-    prune-target gates (compiled depth 0) ahead of quantize targets whatever
-    their distance, which is what lets the expensive controlled gates into the
-    mask; rho is large enough that the proximal anchor actually binds within
-    the iteration budget (but keep learning_rate * rho < 2 or the inner SGD
-    diverges on the quadratic term)."""
+    """Tuned defaults for the bundled reference circuits.  `build_mask` scores
+    a gate as alpha * distance + (1 - alpha) * its level's compiled depth, so
+    a small alpha ranks levels by depth first: every prune level has depth 0
+    and ranks ahead of deeper levels whatever their distance, and among equal
+    depths (all prune targets) the rank is distance alone, which gives an
+    expensive controlled gate no preference over a cheap rotation.  rho is
+    large enough that the proximal anchor actually binds within the iteration
+    budget (but keep learning_rate * rho < 2 or the inner SGD diverges on the
+    quadratic term)."""
 
     target_ratio: float = 0.7
     rho: float = 2.0
@@ -162,10 +165,12 @@ def frozen_slots(mask: CompressionMask, circuit: Circuit) -> np.ndarray:
 
 
 def empty_result(circuit: Circuit, params: np.ndarray) -> CompressionResult:
-    """An uncompressed result: a copy of params, nothing masked."""
+    """An uncompressed result: a copy of params, nothing masked, and not
+    converged, since no iteration ran."""
     n = len(circuit.trainable_indices())
     mask = CompressionMask(np.zeros(n, dtype=bool), np.full(n, np.inf))
-    return CompressionResult(np.array(params, copy=True), mask, ReconstructedLUT())
+    return CompressionResult(np.array(params, copy=True), mask, ReconstructedLUT(),
+                             converged=False)
 
 
 def vanilla_train(circuit: Circuit, dataset: Dataset, train_cfg: TrainConfig) -> np.ndarray:

@@ -116,9 +116,10 @@ def _u3_mats(angles: np.ndarray) -> np.ndarray:
     return m
 
 
-def controlled_mats(blocks: np.ndarray, control0: float = 1.0) -> np.ndarray:
-    """(R, 4, 4) matrices diag(control0 * I, block) from (R, 2, 2) target blocks;
-    the first (control) qubit is the high bit of the index."""
+def controlled_mats(blocks: np.ndarray, control0=1.0) -> np.ndarray:
+    """(R, 4, 4) matrices diag(control0 * I, block) from (R, 2, 2) target blocks,
+    with one control0 for all rows or one per row; the first (control) qubit
+    is the high bit of the index."""
     r = blocks.shape[0]
     m = np.zeros((r, 4, 4), dtype=complex)
     m[:, 0, 0] = control0

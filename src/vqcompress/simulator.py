@@ -21,9 +21,9 @@ per gate sequence: gates of one kind are one group, and each group's
 matrices come from one stacked call.  The encoder's plan reads pi * features
 (`training.initial_states`), the layers' plan reads theta: `run_batch`
 applies the layers to the states it is given.  `training.loss_and_gradient`
-takes its forward matrices, their adjoints and its angle derivatives from
-the layers' plan, on states `sgd_train` encoded once, and ReCL takes its
-matrices from the same plans.
+takes the layers' plan's group angles and builds each group's forward
+matrices and angle derivatives from them in one call, on states `sgd_train`
+encoded once, and ReCL takes its matrices from the same plans.
 """
 
 from functools import lru_cache
@@ -78,7 +78,7 @@ def _batched_2q(states: np.ndarray, mats: np.ndarray, qa: int, qb: int) -> np.nd
         new = np.einsum("jk,rk...->rj...", mats, cols)
     else:
         new = np.einsum("rjk,rk...->rj...", mats, cols)
-    out = states.copy()
+    out = np.empty_like(states)                # idx covers every amplitude
     out[:, idx] = new
     return out
 
@@ -116,12 +116,20 @@ class GateGroup:
     axis.
     """
 
-    def __init__(self, kind: GateKind, members: list, trainable: bool):
+    def __init__(self, kind: GateKind, members: list):
         positions, cols = zip(*members)
-        self.kind, self.positions, self.trainable = kind, positions, trainable
+        self.kind, self.positions = kind, positions
         self.cols = np.array(cols, dtype=int)
         if ARITY[kind] == 1:
             self.cols = self.cols[:, 0]
+
+    def shaped(self, mats: np.ndarray) -> np.ndarray:
+        """Matrices built on the group's angles, (G * rows, d, d), as
+        (G, rows, d, d), or a fixed kind's one (d, d) as (G, d, d), so that
+        `[g]` is gate g's matrix argument to `apply_matrix`."""
+        if mats.ndim == 2:
+            return np.broadcast_to(mats, (len(self.positions),) + mats.shape)
+        return mats.reshape((len(self.positions), -1) + mats.shape[1:])
 
 
 class GatePlan:
@@ -150,35 +158,33 @@ class GatePlan:
                 else:
                     cols.append(len(consts) + b.slot)
             members.setdefault(gate.kind, []).append((k, cols))
-        self.groups = tuple(GateGroup(kind, m, any(gates[k].trainable for k, _ in m))
-                            for kind, m in members.items())
+        self.groups = tuple(GateGroup(kind, m) for kind, m in members.items())
+        # per gate, (angle index, slot) of each THETA binding
+        self.theta_slots = tuple(tuple((j, b.slot) for j, b in enumerate(g.bindings)
+                                       if b.kind is BindKind.THETA) for g in gates)
 
-    def stacked(self, values: np.ndarray):
-        """Yield (group, angles, mats) for every group.
+    def angles(self, values: np.ndarray):
+        """Yield (group, angles) for every group.
 
         `values` is (rows, V).  `angles` is the group's (G * rows,) or
-        (G * rows, 3) angle array, None for fixed kinds.  `mats` is
-        (G, rows, d, d), or (G, d, d) for fixed kinds, so `mats[g]` is gate
-        g's matrix argument to `apply_matrix`.
+        (G * rows, 3) angle array, gate by gate, None for fixed kinds.
         """
         src, rows = values, values.shape[0]
         if self.consts.size:
             consts = np.broadcast_to(self.consts, (rows, self.consts.shape[1]))
             src = np.concatenate([consts, values], axis=1)
         for group in self.groups:
-            n = len(group.positions)
             if ARITY[group.kind] == 0:
-                m = gate_mats_batch(group.kind, None)
-                yield group, None, np.broadcast_to(m, (n,) + m.shape)
-                continue
-            angles = src[:, group.cols].swapaxes(0, 1).reshape((n * rows,) + group.cols.shape[1:])
-            mats = gate_mats_batch(group.kind, angles)
-            yield group, angles, mats.reshape((n, rows) + mats.shape[1:])
+                yield group, None
+            else:
+                shape = (len(group.positions) * rows,) + group.cols.shape[1:]
+                yield group, src[:, group.cols].swapaxes(0, 1).reshape(shape)
 
     def matrices(self, values: np.ndarray) -> list[np.ndarray]:
         """Each gate's matrix argument to `apply_matrix`, in gate order."""
         out = [None] * len(self.gates)
-        for group, _, mats in self.stacked(values):
+        for group, angles in self.angles(values):
+            mats = group.shaped(gate_mats_batch(group.kind, angles))
             for g, k in enumerate(group.positions):
                 out[k] = mats[g]
         return out

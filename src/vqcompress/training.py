@@ -11,9 +11,13 @@ batch's initial states, runs the layers forward once, keeping each layer
 gate's matrix, then walks the layer gates backward with the adjoint method
 (Jones & Gacon, arXiv 2009.02823): one state and one co-state per sample,
 undone together by one apply per gate, so the cost is O(gates) on the batch
-rows whatever the number of parameters.  `sgd_train` encodes its samples
-once and indexes their states per batch, so a step runs only the layers;
-`batch_loss_and_gradient` is the same gradient from features.
+rows whatever the number of parameters.  A gate group with a live slot
+builds U and dU = U(t + pi) / 2 in one call.  Frozen slots cost nothing:
+they get no derivative apply, and the walk stops at the earliest gate with
+a live slot.  `sgd_train` encodes its samples once, indexes their states
+per batch and passes its frozen mask on, so a step runs only the layers and
+a retrain's masked gates add no derivative work; `batch_loss_and_gradient`
+is the same gradient from features.
 """
 
 import math
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import BindKind, Circuit
+from .circuit import Circuit
 from .data import amplitude_state, stack
 from .errors import ConfigError, DataError
 from .gates import (CONTROLLED_TARGET, GateKind, circ_residual, controlled_mats,
@@ -92,28 +96,28 @@ def loss_and_accuracy(circuit: Circuit, params, samples) -> tuple[float, float]:
 _P1 = np.diag([0.0, 1.0j])  # i * |1><1|
 
 
-def _angle_derivatives(kind: GateKind, angles: np.ndarray) -> list[np.ndarray]:
-    """dU/d(angle) for each of a gate's angles, as (R, d, d) arrays.
+def _mats_and_derivatives(kind: GateKind, angles: np.ndarray):
+    """A trainable group's matrices U and dU/d(angle) for each of its angles,
+    all (R, d, d), from one `gate_mats_batch` call on [angles; angles + pi].
 
     For a rotation exp(-i t P / 2), dU/dt = U(t + pi) / 2; U3's theta obeys
     the same rule and its phi/lambda partials are i|1><1| U and U i|1><1|.
-    Controlled kinds take the target block's derivative with the control-0
-    block zeroed.
+    A controlled kind embeds the target blocks of both halves in one zeroed
+    array, with a control-0 block of 1s in the U half only.
     """
-    base = CONTROLLED_TARGET.get(kind, kind)
-    if base is GateKind.U3:
-        u = gate_mats_batch(base, angles)
-        shifted = angles + np.array([math.pi, 0.0, 0.0])
-        blocks = [0.5 * gate_mats_batch(base, shifted), _P1 @ u, u @ _P1]
-    else:
-        blocks = [0.5 * gate_mats_batch(base, angles + math.pi)]
-    if base is kind:
-        return blocks
-    return [controlled_mats(b, control0=0.0) for b in blocks]
+    base, n = CONTROLLED_TARGET.get(kind, kind), len(angles)
+    shift = np.array([math.pi, 0.0, 0.0]) if base is GateKind.U3 else math.pi
+    both = gate_mats_batch(base, np.concatenate([angles, angles + shift]))
+    extra = [_P1 @ both[:n], both[:n] @ _P1] if base is GateKind.U3 else []
+    if base is not kind:
+        both = controlled_mats(both, control0=np.repeat([1.0, 0.0], n))
+        extra = [controlled_mats(b, control0=0.0) for b in extra]
+    return both[:n], [0.5 * both[n:]] + extra
 
 
 def loss_and_gradient(circuit: Circuit, params: np.ndarray, states: np.ndarray,
-                      labels: np.ndarray) -> tuple[float, np.ndarray]:
+                      labels: np.ndarray, frozen: np.ndarray | None = None
+                      ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over a batch and its gradient w.r.t. all slots,
     from the batch's `initial_states`.
 
@@ -121,22 +125,35 @@ def loss_and_gradient(circuit: Circuit, params: np.ndarray, states: np.ndarray,
     rows.  Seed: lambda = (dL/d(outputs) @ W) * psi for the readout table W.
     Backward, per layer gate U in reverse: [phi; lambda] <- U^dagger [phi;
     lambda] as one (2B, 2^n) apply, then add 2 Re <lambda| dU phi> to each of
-    its trainable slots, with phi after the apply and lambda from before it.
+    its live slots, with phi after the apply and lambda from before it.
+
+    `frozen`, a boolean mask over the slots, marks slots whose gradient is
+    not wanted: they read 0 and cost no derivative apply, and the walk
+    stops at the earliest gate with a live slot, since no gate before it
+    feeds one.  The live entries equal the unfrozen call's bit for bit.
 
     Every matrix comes from the layers' `GatePlan`, per gate group: one
-    stacked `gate_mats_batch` call, one conj-transpose for the U^dagger and
-    one `_angle_derivatives` call on the group's stacked angles if it is
-    trainable.
+    stacked `gate_mats_batch` call, which for a group with a live slot is
+    `_mats_and_derivatives`' single call for U and dU, and one
+    conj-transpose for the U^dagger.
     """
     params = np.asarray(params, dtype=float)
     n_batch = states.shape[0]
     plan = gate_plan(tuple(circuit.layers))
     n_gates = len(plan.gates)
+    live = np.ones(params.size, dtype=bool)
+    if frozen is not None:
+        live[frozen] = False
+    live = live.tolist()
+    live_gates = [any(live[s] for _, s in slots) for slots in plan.theta_slots]
     mats, daggers, derivs = [None] * n_gates, [None] * n_gates, [None] * n_gates
-    for group, angles, stacked in plan.stacked(params[None, :]):
+    for group, angles in plan.angles(params[None, :]):
+        if any(live_gates[k] for k in group.positions):
+            u, blocks = _mats_and_derivatives(group.kind, angles)
+        else:
+            u, blocks = gate_mats_batch(group.kind, angles), []
+        stacked, blocks = group.shaped(u), [group.shaped(b) for b in blocks]
         dagger = np.conj(np.swapaxes(stacked, -1, -2))
-        blocks = _angle_derivatives(group.kind, angles) if group.trainable else []
-        blocks = [b.reshape(stacked.shape) for b in blocks]
         for g, k in enumerate(group.positions):
             mats[k], daggers[k] = stacked[g], dagger[g]
             derivs[k] = [b[g] for b in blocks]
@@ -152,13 +169,14 @@ def loss_and_gradient(circuit: Circuit, params: np.ndarray, states: np.ndarray,
 
     grad = np.zeros(params.size)
     both = np.concatenate([states, costate])   # rows: the states, then the co-states
-    for k in reversed(range(n_gates)):
-        gate, prev = plan.gates[k], both
-        both = apply_matrix(prev, daggers[k], gate.qubits)
-        for b, d in zip(gate.bindings, derivs[k]):
-            if b.kind is BindKind.THETA:
-                d_states = apply_matrix(both[:n_batch], d, gate.qubits)
-                grad[b.slot] += 2.0 * np.vdot(prev[n_batch:], d_states).real
+    first_live = live_gates.index(True) if any(live_gates) else n_gates
+    for k in reversed(range(first_live, n_gates)):
+        qubits, prev = plan.gates[k].qubits, both
+        both = apply_matrix(prev, daggers[k], qubits)
+        for j, slot in plan.theta_slots[k]:
+            if live[slot]:
+                d_states = apply_matrix(both[:n_batch], derivs[k][j], qubits)
+                grad[slot] += 2.0 * np.vdot(prev[n_batch:], d_states).real
     return loss, grad
 
 
@@ -175,7 +193,8 @@ def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,
 
     `proximal` is (z, lam, rho); its gradient contribution is
     rho * (theta - z) + lam with the difference taken on the angle circle.
-    Frozen slots receive zero gradient and keep their initial values.
+    Frozen slots receive zero gradient and keep their initial values; the
+    mask goes to `loss_and_gradient`, which skips their derivative work.
     Parameters are wrapped to [0, 4pi) after every step; two runs with the
     same seed produce bit-identical results.
     """
@@ -190,7 +209,7 @@ def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            _, grad = loss_and_gradient(circuit, theta, states[idx], labels[idx])
+            _, grad = loss_and_gradient(circuit, theta, states[idx], labels[idx], frozen)
             if proximal is not None:
                 z, lam, rho = proximal
                 grad = grad + rho * circ_residual(theta, z) + lam

@@ -219,7 +219,7 @@ def per_gate_loss_and_gradient(circuit, params, feats, labels):
     from vqcompress.circuit import BindKind
     from vqcompress.simulator import (apply_matrix, gate_mats_batch, measure_outputs_batch,
                                       readout_weights, resolve_angles)
-    from vqcompress.training import _angle_derivatives, softmax
+    from vqcompress.training import _mats_and_derivatives, softmax
     params = np.asarray(params, dtype=float)
     n_batch = feats.shape[0]
     states = per_gate_initial_states(circuit, feats)
@@ -242,7 +242,7 @@ def per_gate_loss_and_gradient(circuit, params, feats, labels):
         u_dag = np.conj(np.swapaxes(u, -1, -2))
         states = apply_matrix(states, u_dag, gate.qubits)
         if gate.trainable:
-            for b, d in zip(gate.bindings, _angle_derivatives(gate.kind, angles)):
+            for b, d in zip(gate.bindings, _mats_and_derivatives(gate.kind, angles)[1]):
                 if b.kind is BindKind.THETA:
                     d_states = apply_matrix(states, d, gate.qubits)
                     grad[b.slot] += 2.0 * np.vdot(costate, d_states).real

@@ -54,6 +54,15 @@ def test_compress_subcommand(capsys):
     assert "CompVQC:" in out and "vanilla:" in out
 
 
+def test_compress_at_ratio_zero_claims_no_convergence(capsys):
+    rc = main(["compress", "--dataset", "syn4", "--circuit", "syn4", "--seed", "1",
+               "--epochs", "2", "--ratio", "0"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "masked 0 converged False" in out
+    assert "iter" not in out  # no ADMM iteration ran
+
+
 def test_report_formats_and_files(tmp_path):
     base = tmp_path / "rep"
     rc = main(["report", "--dataset", "syn4", "--circuit", "syn4", "--seed", "2",

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from dataclasses import asdict
@@ -50,6 +51,22 @@ def test_reports_are_deterministic_and_byte_identical():
     a, b = run_experiment(cfg), run_experiment(cfg)
     for fmt in ("table", "csv", "json"):
         assert format_report(a, fmt) == format_report(b, fmt)
+
+
+# sha256 of the JSON report below.  Changes that keep every training and
+# evaluation bit keep this digest; one that moves bits on purpose updates it
+# and says so.
+REPORT_SYN4_SHA256 = "9a862b59e9c4665da9bb5e0284c93f249171a768d44efe1e30785cdc391e9386"
+
+
+def test_five_method_syn4_report_keeps_its_bytes():
+    """All five methods on syn4 with noise, on the report-syn4 benchmark
+    schedule: every gradient, ADMM record and noisy accuracy is in the JSON."""
+    cfg = ExperimentConfig(methods=METHOD_ORDER, seed=1, noise_p=0.02,
+                           train=TrainConfig(epochs=10),
+                           admm=ADMMConfig(max_iters=6, epochs_per_iter=2, retrain_epochs=10))
+    text = format_report(run_experiment(cfg), "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SYN4_SHA256
 
 
 def csv_values(text):

@@ -96,6 +96,40 @@ def test_gradient_is_bit_identical_to_per_gate_building(case):
     assert np.array_equal(grad, want_grad)
 
 
+def _frozen_mask(circ, name):
+    """Slots to freeze: none, all, a seeded half, or one slot of the first
+    three-angle gate (U3 or CU3), whose group stays live."""
+    frozen = np.zeros(circ.n_thetas, dtype=bool)
+    if name == "all":
+        frozen[:] = True
+    elif name == "random":
+        frozen = np.random.default_rng(66).random(circ.n_thetas) < 0.5
+    elif name == "one-u3-slot":
+        u3 = next(g for g in circ.layers if g.kind in (GateKind.U3, GateKind.CU3))
+        frozen[u3.theta_slots[0]] = True
+    return frozen
+
+
+FROZEN_CASES = [(case, mask) for case in sorted(CASES)
+                for mask in ("none", "all", "random", "one-u3-slot")
+                if mask != "one-u3-slot" or case not in ("syn4", "syn16")]
+
+
+@pytest.mark.parametrize("case, mask", FROZEN_CASES)
+def test_frozen_gradient_is_the_unfrozen_one_with_frozen_slots_zeroed(case, mask):
+    circ, params, feats, labels = CASES[case]()
+    states = initial_states(circ, feats)
+    frozen = _frozen_mask(circ, mask)
+    full_loss, full = training.loss_and_gradient(circ, params, states, labels)
+    loss, grad = training.loss_and_gradient(circ, params, states, labels, frozen)
+    want = full.copy()
+    want[frozen] = 0.0
+    assert np.max(np.abs(full)) > 1e-3  # the comparison is not between zeros
+    assert np.any(want != 0.0) == (not frozen.all())
+    assert loss == full_loss
+    assert np.array_equal(grad, want)
+
+
 def test_run_batch_on_state_rows_matches_per_gate_loop():
     rng = np.random.default_rng(61)
     for _ in range(4):
@@ -151,10 +185,10 @@ def test_gradient_builds_matrices_once_per_gate_group(gate_mats_calls):
     encoder, layers = _group_keys(circ.encoder), _group_keys(circ.layers)
     trainable = _group_keys(g for g in circ.layers if g.trainable)
     assert (len(encoder), len(layers), len(trainable)) == (3, 6, 6)
-    # One forward call per encoder and layer group and one derivative call
-    # per trainable group: 15.  Per-gate building makes 60 (38 gates, 22
-    # derivatives).
-    assert len(gate_mats_calls) == len(encoder) + len(layers) + len(trainable)
+    # One call per encoder group and one per layer group, a trainable group's
+    # building U and dU together: 9.  Per-gate building makes 60 (38 gates,
+    # 22 derivatives).
+    assert len(gate_mats_calls) == len(encoder) + len(layers)
 
 
 def _shared_slot_circuit():

@@ -265,6 +265,36 @@ def test_a_gradient_call_applies_only_the_layers(name, per_call, monkeypatch):
     assert len(calls) == per_call
 
 
+def _late_live_mask(circ):
+    """Every slot frozen except those of every second gate in the layers'
+    second half, so the backward walk can stop halfway."""
+    frozen = np.ones(circ.n_thetas, dtype=bool)
+    for gate in circ.layers[len(circ.layers) // 2::2]:
+        frozen[list(gate.theta_slots)] = False
+    return frozen
+
+
+@pytest.mark.parametrize("name, mask, per_call", [("syn4", "late", 25), ("syn4", "all", 14),
+                                                  ("syn16", "late", 39), ("syn16", "all", 22)])
+def test_a_frozen_gradient_call_skips_the_frozen_work(name, mask, per_call, monkeypatch):
+    circ, params, samples = _training_case(name)
+    frozen = np.ones(circ.n_thetas, dtype=bool) if mask == "all" else _late_live_mask(circ)
+    live = [sum(not frozen[s] for s in g.theta_slots) for g in circ.layers]
+    first_live = next((k for k, n in enumerate(live) if n), len(live))
+    n_gates = len(circ.layers)
+    # forward, one backward apply per gate from the earliest live one, each
+    # live derivative
+    assert per_call == n_gates + (n_gates - first_live) + sum(live)
+    calls = []
+    _counting(monkeypatch, training, "apply_matrix", calls)
+    _counting(monkeypatch, simulator, "apply_matrix", calls)
+    feats, labels = stack(samples[:10])
+    states = initial_states(circ, feats)
+    calls.clear()
+    loss_and_gradient(circ, params, states, labels, frozen)
+    assert len(calls) == per_call
+
+
 @pytest.mark.parametrize("name", ["syn4", "syn16", "grouping-amplitude"])
 def test_sgd_train_encodes_its_samples_once(name, monkeypatch):
     circ, p0, samples = _training_case(name)
