@@ -125,7 +125,7 @@ class Circuit:
     amplitude_input: bool = False
 
     def __post_init__(self):
-        for g in self.encoder + self.layers:
+        for g in self.all_gates:
             for q in g.qubits:
                 if not 0 <= q < self.n_qubits:
                     raise IndexError(f"qubit {q} out of range for {self.n_qubits}-qubit circuit")

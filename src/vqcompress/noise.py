@@ -17,13 +17,14 @@ bra and ket bits (q + n, q) as the fixed 4x4 matrix (1 - p) I + (p/2) |v><v|
 with v = |00> + |11>; `_depolarize` applies it in place, so a pass holds
 rho and a temporary of at most its size.  The outputs are diag(rho) @ W.T.
 
-Samples whose physical gates have the same kinds on the same qubits share
-one pass: their rhos are the rows of one (S, 4^n) batch of at most
-`BATCH_AMPLITUDES` amplitudes.  X, CX and SX apply one operand to every row;
-RZ takes one diagonal per row, because the encoder's angles, and the layer
-RZs merged into them, differ by sample.  Every step acts on each row alone,
-and the readout takes one row at a time, so a batched row equals the
-one-row pass of `noisy_outputs` bit for bit.
+One `transpile.lower_gates` call lowers every sample's encoder.  Samples
+whose physical gates have the same kinds on the same qubits share one pass:
+their rhos are the rows of one (S, 4^n) batch of at most `BATCH_AMPLITUDES`
+amplitudes.  X, CX and SX apply one operand to every row; RZ takes one
+diagonal per row, because the encoder's angles, and the layer RZs merged
+into them, differ by sample.  Every step acts on each row alone, and the
+readout takes one row at a time, so a batched row equals the one-row pass
+of `noisy_outputs` bit for bit.
 """
 
 import numpy as np
@@ -34,7 +35,7 @@ from .errors import ConfigError
 from .gates import GateKind, gate_mats_batch
 from .simulator import PERMUTATIONS, apply_basis_gate, readout_weights
 from .training import input_states, softmax
-from .transpile import PhysicalGate, TranspiledCircuit, kept_gates, lower_gate
+from .transpile import PhysicalGate, TranspiledCircuit, kept_gates, lower_gates
 
 
 # Amplitudes in one rho batch (1 MiB of complex128).  A 4-qubit rho has 256,
@@ -111,9 +112,9 @@ def noisy_accuracy(circuit: Circuit, params, samples, p: float, shots=None, seed
     """Classification accuracy when every physical gate is followed by noise.
 
     Noise hits the encoder's physical gates too, so each sample starts from
-    its `input_states` row and runs the whole lowered circuit.  The layers
-    are lowered once per call and only the encoder per sample; `kept_gates`
-    of both applies the peephole rule across their boundary, as
+    its `input_states` row and runs the whole lowered circuit.  One
+    `lower_gates` call lowers the layers, one every sample's encoder, and
+    `kept_gates` of both applies the peephole rule across their boundary, as
     `transpile_circuit` does.  Samples whose kept gates share their
     sequence of (kind, qubits) run as one rho batch of at most
     `BATCH_AMPLITUDES` amplitudes; they differ only in their RZ angles.  The
@@ -122,11 +123,9 @@ def noisy_accuracy(circuit: Circuit, params, samples, p: float, shots=None, seed
     """
     feats, labels = stack(samples)
     states = input_states(circuit, feats)
-    thetas = np.atleast_2d(params)
-    layers = [lower_gate(gate, thetas, None) for gate in circuit.layers]
+    layers = lower_gates(tuple(circuit.layers), np.atleast_2d(params))[0]
     kept, groups = [], {}
-    for i in range(len(labels)):
-        encoder = [lower_gate(gate, thetas, feats[i:i + 1]) for gate in circuit.encoder]
+    for i, encoder in enumerate(lower_gates(tuple(circuit.encoder), np.pi * feats)):
         kept.append(kept_gates(circuit.n_qubits, encoder + layers))
         groups.setdefault(tuple((g.kind, g.qubits) for g in kept[i]), []).append(i)
     step = max(1, BATCH_AMPLITUDES >> (2 * circuit.n_qubits))

@@ -18,7 +18,7 @@ from .data import stack
 from .lut import CompressionLUT, LevelTag
 from .simulator import apply_matrix, gate_plan, measure_outputs_batch
 from .training import initial_states, softmax
-from .transpile import DepthScan, lower_circuit, lower_gate, suffix_summaries
+from .transpile import DepthScan, lower_circuit, lower_gates, suffix_summaries
 
 
 @dataclass
@@ -48,15 +48,6 @@ def _pick(swept: dict) -> ReconstructedLUT:
     return recon
 
 
-def _substituted(theta: np.ndarray, circuit: Circuit, gate_index: int,
-                 level_value: tuple[float, ...]) -> np.ndarray:
-    new = np.array(theta, dtype=float, copy=True)
-    slots = circuit.layers[gate_index].theta_slots
-    for slot, val in zip(slots, level_value):
-        new[slot] = val
-    return new
-
-
 def _depth_factor(theta_tcd: int, new_tcd: int) -> float:
     if new_tcd == 0:
         warnings.warn("substituted circuit has zero depth; treating TCD as 1")
@@ -71,12 +62,13 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
     the encoder's lowering first, with a snapshot of the scan before each
     candidate gate's first reader gate.  One backward pass over theta's
     lowering (`suffix_summaries`) summarizes the gates after each candidate
-    gate's last reader.  A level re-lowers only the gates that read its
-    gate's slots, resumes a copy of the snapshot, feeds its re-lowered
-    reader gates and theta's lowering of the gates between them, and joins
-    the summary (`DepthScan.join`).  The snapshot carries open RZ runs into
-    the span and the join carries them out of it, so the depth equals a full
-    rescan.
+    gate's last reader.  A candidate gate's C levels re-lower only the gates
+    that read its slots, in one `lower_gates` call on the C theta rows that
+    build those gates' matrices.  Each level resumes a copy of the snapshot,
+    feeds its re-lowered reader gates and theta's lowering of the gates
+    between them, and joins the summary (`DepthScan.join`).  The snapshot
+    carries open RZ runs into the span and the join carries them out of it,
+    so the depth equals a full rescan.
 
     The states run as one batch per candidate gate.  The `initial_states`
     are held as a (1, 2^n, B) batch, samples on the trailing axis, and
@@ -116,19 +108,18 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
         for k in range(done, first):
             state = apply_matrix(state, base[k], gates[k].qubits)
         done = first
-        thetas = np.stack([_substituted(theta, circuit, gi, level.value)
-                           for level in candidates[gi]])
-        reader_plan = gate_plan(tuple(gates[k] for k in readers[gi]))
-        mats = dict(zip(readers[gi], reader_plan.matrices(thetas)))
+        thetas = np.repeat(theta[None, :], len(candidates[gi]), axis=0)
+        thetas[:, list(gates[gi].theta_slots)] = [level.value for level in candidates[gi]]
+        reader_gates = tuple(gates[k] for k in readers[gi])
+        mats = dict(zip(readers[gi], gate_plan(reader_gates).matrices(thetas)))
         final = np.broadcast_to(state, (len(thetas),) + state.shape[1:])
         for k in range(first, len(gates)):
             final = apply_matrix(final, mats.get(k, base[k]), gates[k].qubits)
         rows = final.transpose(0, 2, 1).reshape(-1, final.shape[1])
         probs = softmax(measure_outputs_batch(rows, circuit.measurement))
         hits = probs.argmax(axis=1).reshape(len(thetas), -1) == labels
-        for new_theta, acc in zip(thetas, hits.mean(axis=1)):
-            relowered = {k: lower_gate(gates[k], new_theta[None, :], None)
-                         for k in readers[gi]}
+        for span, acc in zip(lower_gates(reader_gates, thetas), hits.mean(axis=1)):
+            relowered = dict(zip(readers[gi], span))
             scan = snapshots[first].copy()
             for k in range(first, last + 1):
                 scan.feed(relowered.get(k, lowered[k]))

@@ -23,7 +23,8 @@ matrices come from one stacked call.  The encoder's plan reads pi * features
 applies the layers to the states it is given.  `training.loss_and_gradient`
 takes the layers' plan's group angles and builds each group's forward
 matrices and angle derivatives from them in one call, on states `sgd_train`
-encoded once, and ReCL takes its matrices from the same plans.
+encoded once.  ReCL takes its matrices, and `transpile.lower_gates` its
+angles, from the same plans, so the transpiler lowers what the simulator runs.
 """
 
 from functools import lru_cache
@@ -31,7 +32,6 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import BindKind, Circuit, Gate, MeasureScheme, MeasurementSpec
-from .errors import SpecError
 from .gates import ARITY, GateKind, gate_mats_batch
 
 
@@ -83,31 +83,6 @@ def _batched_2q(states: np.ndarray, mats: np.ndarray, qa: int, qb: int) -> np.nd
     return out
 
 
-def resolve_angles(gate: Gate, thetas: np.ndarray, feats: np.ndarray | None) -> np.ndarray | None:
-    """Per-row angle array for a gate: (R,) or (R, 3), or None for fixed kinds.
-
-    Trainable slots read from `thetas` (R, P); data slots read pi * feature
-    from `feats` (R, F); constants broadcast, and so does a one-row `thetas`
-    against per-row data angles.
-    """
-    if ARITY[gate.kind] == 0:
-        return None
-    rows = thetas.shape[0]
-    cols = []
-    for b in gate.bindings:
-        if b.kind is BindKind.CONST:
-            cols.append(np.full(rows, b.value))
-        elif b.kind is BindKind.THETA:
-            cols.append(thetas[:, b.slot])
-        else:
-            if feats is None:
-                raise SpecError("circuit has data-bound gates but no features were given")
-            cols.append(np.pi * feats[:, b.slot])
-    if len(cols) == 1:
-        return cols[0]
-    return np.stack(np.broadcast_arrays(*cols), axis=1)
-
-
 class GateGroup:
     """The gates of a `GatePlan` that share a kind.
 
@@ -139,9 +114,9 @@ class GatePlan:
     the layers, pi * features for the encoder (`Circuit` keeps the two
     apart).  Gates are grouped by kind.  Per call, a group gathers all of
     its angles at once and makes one `gate_mats_batch` call, and each gate's
-    matrices are its slice of the stacked result.  They equal the per-gate
-    `gate_mats_batch(kind, resolve_angles(...))` matrices bit for bit, with
-    one row per value row.
+    matrices are its slice of the stacked result.  They equal the matrices
+    of each gate built from its own angles bit for bit, with one row per
+    value row.
     """
 
     def __init__(self, gates: tuple[Gate, ...]):
@@ -262,8 +237,8 @@ def apply_basis_gate(states: np.ndarray, kind: GateKind, qubits: tuple[int, ...]
 
 def apply_gate_batch(states: np.ndarray, gate: Gate, thetas: np.ndarray,
                      feats: np.ndarray | None = None) -> np.ndarray:
-    mats = gate_mats_batch(gate.kind, resolve_angles(gate, thetas, feats))
-    return apply_matrix(states, mats, gate.qubits)
+    """A one-gate plan on `thetas` or, given `feats`, on pi * `feats`."""
+    return gate_plan((gate,)).apply(states, thetas if feats is None else np.pi * feats)
 
 
 def run_batch(circuit: Circuit, params, states: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ within SNAP_TOL of a multiple of pi/2 select shorter special-case templates;
 the snap exists to absorb float noise from projections that produce exact
 table values, not to approximate.
 
-Lowering is per gate and tracks no phase, and neither does the scan.  Only
+Lowering is per gate, at the angles the simulator's gate plans yield
+(`lower_gates`), and tracks no phase, and neither does the scan.  Only
 `transpile_circuit` knows a global phase: it reads it off the unitaries of
 the source and of the kept gates.  `tcd` is depth-only.  Depth is the
 longest path through the dependency DAG where two physical gates conflict
@@ -34,7 +35,7 @@ import numpy as np
 from .circuit import Circuit, Gate
 from .gates import (ARITY, N_QUBITS_OF_KIND, GateKind, gate_matrix,
                     phase_identity_factor, wrap_param)
-from .simulator import apply_matrix, gate_plan, resolve_angles
+from .simulator import apply_matrix, gate_plan
 
 HALF_PI = math.pi / 2
 PI = math.pi
@@ -205,19 +206,26 @@ def decompose_kind(kind: GateKind, qubits: tuple[int, ...],
     return _TEMPLATES[kind](*angles, *qubits)
 
 
-def lower_gate(gate: Gate, thetas: np.ndarray,
-               feats: np.ndarray | None) -> list[PhysicalGate]:
-    """One logical gate's basis gates at its wrapped angles, with no phase.
+def lower_gates(gates: tuple[Gate, ...], values: np.ndarray) -> list[list[list[PhysicalGate]]]:
+    """Per row of `values`, each gate's basis gates, with no phase.
 
-    `thetas` (1, P) and `feats` (1, F) are the rows `resolve_angles` reads.
+    The angles are those `gate_plan(gates).angles(values)` yields, the ones
+    the simulator runs: theta rows for the layers, pi * feature rows for
+    the encoder.
     """
-    angles = resolve_angles(gate, thetas, feats)
-    tup = () if angles is None else tuple(wrap_param(float(v)) for v in np.atleast_1d(angles[0]))
-    return decompose_kind(gate.kind, gate.qubits, tup)
+    rows = len(values)
+    angles = [[()] * rows] * len(gates)
+    for group, stacked in gate_plan(gates).angles(values):
+        if stacked is not None:
+            per_gate = stacked.reshape(len(group.positions), rows, -1).tolist()
+            for k, gate_rows in zip(group.positions, per_gate):
+                angles[k] = gate_rows
+    return [[decompose_kind(gate.kind, gate.qubits, angles[k][r])
+             for k, gate in enumerate(gates)] for r in range(rows)]
 
 
 def lower_circuit(circuit: Circuit, params, feats=None) -> list[list[PhysicalGate]]:
-    """`lower_gate` of every gate, encoder first, then layers.
+    """Row 0 of `lower_gates` of the encoder, then of the layers.
 
     Data-bound angles default to generic probe values so the depth of an
     angle-encoded circuit does not depend on one particular sample.
@@ -226,7 +234,8 @@ def lower_circuit(circuit: Circuit, params, feats=None) -> list[list[PhysicalGat
     if feats is None:
         feats = probe_features(circuit.n_data)
     f = np.atleast_2d(np.asarray(feats, dtype=float))
-    return [lower_gate(gate, thetas, f) for gate in circuit.all_gates]
+    return (lower_gates(tuple(circuit.encoder), np.pi * f)[0]
+            + lower_gates(tuple(circuit.layers), thetas)[0])
 
 
 def transpile_circuit(circuit: Circuit, params, feats=None) -> TranspiledCircuit:

@@ -183,11 +183,33 @@ def param_shift_gradient(circuit, params, feats, labels, initial_states=None):
 # resolves its angles and builds its matrices on its own, as the simulator
 # and training did before the plan.  They pin bit-identity, not correctness.
 
+def resolve_angles(gate, thetas, feats):
+    """Per-row angle array of one gate: (R,) or (R, 3), or None for fixed
+    kinds.  THETA slots read `thetas` (R, P), DATA slots pi * `feats`
+    (R, F); constants broadcast, and so does a one-row `thetas` against
+    per-row data angles."""
+    from vqcompress.circuit import BindKind
+    from vqcompress.gates import ARITY
+    if ARITY[gate.kind] == 0:
+        return None
+    cols = []
+    for b in gate.bindings:
+        if b.kind is BindKind.CONST:
+            cols.append(np.full(thetas.shape[0], b.value))
+        elif b.kind is BindKind.THETA:
+            cols.append(thetas[:, b.slot])
+        else:
+            cols.append(np.pi * feats[:, b.slot])
+    if len(cols) == 1:
+        return cols[0]
+    return np.stack(np.broadcast_arrays(*cols), axis=1)
+
+
 def per_gate_initial_states(circuit, feats):
     """`initial_states` built here: amplitude-encoded rows or |0...0>, then
     each encoder gate's matrices from that gate's own angles."""
     from vqcompress.data import amplitude_state
-    from vqcompress.simulator import apply_matrix, gate_mats_batch, resolve_angles
+    from vqcompress.simulator import apply_matrix, gate_mats_batch
     feats = np.asarray(feats, dtype=float)
     rows = feats.shape[0]
     if circuit.amplitude_input:
@@ -205,7 +227,7 @@ def per_gate_initial_states(circuit, feats):
 def per_gate_run_batch(circuit, params, states):
     """`run_batch`: the layers on the given states, each layer gate's matrix
     built from that gate's own angles."""
-    from vqcompress.simulator import apply_matrix, gate_mats_batch, resolve_angles
+    from vqcompress.simulator import apply_matrix, gate_mats_batch
     thetas = np.atleast_2d(np.asarray(params, dtype=float))
     for gate in circuit.layers:
         u = gate_mats_batch(gate.kind, resolve_angles(gate, thetas, None))
@@ -218,7 +240,7 @@ def per_gate_loss_and_gradient(circuit, params, feats, labels):
     derivative blocks built from that gate's own angles."""
     from vqcompress.circuit import BindKind
     from vqcompress.simulator import (apply_matrix, gate_mats_batch, measure_outputs_batch,
-                                      readout_weights, resolve_angles)
+                                      readout_weights)
     from vqcompress.training import _mats_and_derivatives, softmax
     params = np.asarray(params, dtype=float)
     n_batch = feats.shape[0]

@@ -17,6 +17,7 @@ from vqcompress.gates import GateKind
 from vqcompress.lut import build_lut
 from vqcompress.simulator import run_batch, run_circuit
 from vqcompress.training import TrainConfig, batch_loss_and_gradient, init_params, initial_states
+from vqcompress.transpile import decompose_kind, lower_circuit, lower_gates, probe_features
 
 PI = math.pi
 FIXED_KINDS = {GateKind.X, GateKind.SX, GateKind.ID, GateKind.CX}
@@ -128,6 +129,47 @@ def test_frozen_gradient_is_the_unfrozen_one_with_frozen_slots_zeroed(case, mask
     assert np.any(want != 0.0) == (not frozen.all())
     assert loss == full_loss
     assert np.array_equal(grad, want)
+
+
+def _half_grid(rng, n):
+    """Seeded generic angles, about half of them moved onto the pi/2 grid so
+    that the special lowering templates fire."""
+    angles = rng.uniform(0, 4 * PI, n)
+    on_grid = rng.random(n) < 0.5
+    angles[on_grid] = rng.integers(0, 8, on_grid.sum()) * PI / 2
+    return angles
+
+
+def _per_gate_lowering(circ, thetas, feats):
+    """Each gate lowered from its own angles, encoder first, then layers."""
+    out = []
+    for gate in circ.all_gates:
+        angles = oracle.resolve_angles(gate, thetas, feats)
+        row = () if angles is None else tuple(np.atleast_1d(angles[0]).tolist())
+        out.append(decompose_kind(gate.kind, gate.qubits, row))
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_lowering_the_plan_angles_keeps_every_bit(case):
+    circ, _, feats, _ = CASES[case]()
+    rng = np.random.default_rng(71)
+    theta_rows = np.stack([_half_grid(rng, circ.n_thetas) for _ in range(5)])
+    # lower_circuit equals the per-gate reference, on probe and real features
+    for row in [probe_features(circ.n_data)] + [f[None, :] for f in feats]:
+        want = _per_gate_lowering(circ, theta_rows[:1], row)
+        assert lower_circuit(circ, theta_rows[:1], row) == want
+    assert any(physical for physical in want)
+    # a (C, P) stack lowers each row as that row alone does
+    for gates, values in ((tuple(circ.layers), theta_rows), (tuple(circ.encoder), PI * feats)):
+        lowered = lower_gates(gates, values)
+        assert len(lowered) == len(values)
+        assert all(lowered[c] == lower_gates(gates, values[c:c + 1])[0]
+                   for c in range(len(values)))
+    # fixed kinds alone yield no angles, and still one lowering per row
+    fixed = tuple(g for g in circ.all_gates if g.kind in FIXED_KINDS) + (Gate(GateKind.X, (0,)),)
+    want = [decompose_kind(g.kind, g.qubits, ()) for g in fixed]
+    assert lower_gates(fixed, theta_rows) == [want] * len(theta_rows)
 
 
 def test_run_batch_on_state_rows_matches_per_gate_loop():

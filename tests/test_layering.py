@@ -55,7 +55,50 @@ def test_gates_imports_only_errors_from_the_package():
 
 def test_the_import_scan_sees_package_imports():
     # guards the scan itself: simulator's imports are known
-    assert {"circuit", "errors", "gates"} <= _package_imports(_tree("simulator"))
+    assert _package_imports(_tree("simulator")) == {"circuit", "gates"}
+
+
+def _bindings_readers(tree: ast.Module) -> set[str]:
+    """Dotted names of the definitions that name `bindings`, as a name, an
+    attribute or a string; "" stands for module level."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if (isinstance(child, ast.Name) and child.id == "bindings"
+                    or isinstance(child, ast.Attribute) and child.attr == "bindings"
+                    or isinstance(child, ast.Constant) and child.value == "bindings"):
+                found.add(scope)
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_gate_plan_resolves_bindings():
+    # one angle resolver: outside the circuit and its file parser, only
+    # GatePlan turns bindings into angles; the transpiler and the noise
+    # evaluator lower the angles its plans yield
+    readers = {path.stem: _bindings_readers(ast.parse(path.read_text()))
+               for path in sorted(PACKAGE.glob("*.py"))
+               if path.stem not in ("circuit", "circfile")}
+    assert {stem: found for stem, found in readers.items() if found} == {
+        "simulator": {"GatePlan.__init__"}}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(g):\n    return g.bindings", {"f"}),
+    ("class P:\n    def __init__(self, g):\n        self.b = [b for b in g.bindings]",
+     {"P.__init__"}),
+    ("def f(g):\n    return getattr(g, 'bindings')", {"f"}),
+    ("bindings = ()", {""}),
+    ("def f(g):\n    return g.theta_slots", set()),
+])
+def test_the_bindings_scan_sees_every_reader(source, found):
+    assert _bindings_readers(ast.parse(source)) == found
 
 
 def test_only_gates_defines_matrix_builders():

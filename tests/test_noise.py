@@ -12,7 +12,7 @@ from vqcompress.errors import ConfigError
 from vqcompress.gates import GateKind
 from vqcompress.noise import noisy_accuracy, noisy_outputs
 from vqcompress.simulator import measure_outputs_batch, run_circuit, zero_state
-from vqcompress.transpile import lower_gate, transpile_circuit
+from vqcompress.transpile import lower_gates, transpile_circuit
 
 PI = math.pi
 
@@ -143,18 +143,18 @@ def _grouped_order(tcs):
 def test_noisy_accuracy_transpiles_once_per_distinct_circuit(inputs, monkeypatch):
     import vqcompress.noise as noise
     circ, params, samples, wants = _accuracy_case(inputs)
-    lowered = []
+    calls = []
 
-    def counted(gate, *args):
-        lowered.append(gate)
-        return lower_gate(gate, *args)
+    def counted(gates, values):
+        calls.append(len(gates) * len(values))
+        return lower_gates(gates, values)
 
-    monkeypatch.setattr(noise, "lower_gate", counted)
+    monkeypatch.setattr(noise, "lower_gates", counted)
     passes = _record_passes(monkeypatch)
     acc = noisy_accuracy(circ, params, samples, p=0.05)
-    # the layers once per call, the encoder once per sample
+    # two calls: the layers once, then every sample's encoder in one call
     assert len(circ.encoder) == (0 if inputs == "amplitude" else 4)
-    assert len(lowered) == len(circ.layers) + len(samples) * len(circ.encoder)
+    assert calls == [len(circ.layers), len(samples) * len(circ.encoder)]
 
     # the peephole rule merges across the encoder's end, as transpile_circuit's does
     ran = [gates for rows, _, _ in passes for gates in rows]

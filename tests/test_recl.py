@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -9,6 +10,7 @@ from vqcompress.circuit import Circuit, Gate, MeasureScheme, MeasurementSpec, th
 from vqcompress.data import Sample, generate_synthetic, stack
 from vqcompress.gates import GateKind
 from vqcompress.lut import CompressionLUT, CompressionLevel, LevelTag, build_lut
+from vqcompress.noise import noisy_accuracy
 from vqcompress.recl import _sweep, reconstruct_lut
 from vqcompress.simulator import run_batch
 from vqcompress import recl, transpile
@@ -395,3 +397,26 @@ def test_candidates_scan_only_the_gates_from_their_first_reader(monkeypatch):
             n_levels += 1
     assert sum(fed) == expected
     assert joins == [circ.n_qubits] * n_levels  # one suffix join per level
+
+
+# sha256 of syn16's ReCL pick, depths and noisy accuracy below.  Changes that
+# keep every lowering and evaluation bit keep this digest; one that moves
+# bits on purpose updates it and says so.
+SYN16_RECL_NOISE_SHA256 = "ff8445bb2700dcd5d16dd4939a98e09a3b1857f8d5cce87f579d77675db5b371"
+
+
+def test_syn16_recl_depths_and_noise_keep_their_bytes():
+    """ReCL, tcd and the noise evaluator on syn16 at generic angles with
+    every other trainable gate on the pi/2 grid, so the special lowering
+    templates fire next to the generic ones."""
+    circ = load_reference("syn16")
+    samples = generate_synthetic(16, 100, seed=601).train
+    th = _grid_theta(circ, 601)
+    recon = reconstruct_lut(circ, th, build_lut(circ), samples)
+    applied = np.array(th, copy=True)
+    for gi, level in recon.levels.items():
+        applied[list(circ.layers[gi].theta_slots)] = level.value
+    text = "\n".join([repr(recon.levels), repr(recon.metrics), repr(recon.swept),
+                      repr(tcd(circ, th)), repr(tcd(circ, applied)),
+                      repr(noisy_accuracy(circ, th, samples[:40], p=0.02))])
+    assert hashlib.sha256(text.encode()).hexdigest() == SYN16_RECL_NOISE_SHA256
