@@ -145,13 +145,16 @@ def check_stop(prev_state: ADMMState, state: ADMMState, zeta: float) -> bool:
 
 def compose_params(theta: np.ndarray, mask: CompressionMask, recon: ReconstructedLUT,
                    circuit: Circuit) -> np.ndarray:
-    """theta with every masked gate's slots set exactly to its level."""
+    """theta with every masked gate's slots set exactly to its level.
+
+    A level sets every angle of its gate, so a gate whose bindings mix
+    constants and slots has fewer slots than its level has angles; the one
+    indexing raises numpy's shape-mismatch `ValueError` on it, as ReCL does.
+    """
     out = np.array(theta, copy=True)
     for pos, gi in enumerate(circuit.trainable_indices()):
-        if not mask.bits[pos]:
-            continue
-        for slot, val in zip(circuit.layers[gi].theta_slots, recon.levels[gi].value):
-            out[slot] = val
+        if mask.bits[pos]:
+            out[list(circuit.layers[gi].theta_slots)] = recon.levels[gi].value
     return out
 
 

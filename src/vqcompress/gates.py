@@ -6,6 +6,9 @@ global phase).
 
 Gate matrices are built here and nowhere else: `gate_mats_batch` stacks them
 for an angle array, and `gate_matrix` (one gate) is its one-row view.
+`stacked_blocks` builds the 2x2 blocks of a whole gate sequence, and their
+angle derivatives, with one `gate_mats_batch` call per formula kind, and
+`controlled_mats` embeds the controlled gates' blocks.
 """
 
 import enum
@@ -86,45 +89,44 @@ def circ_residual(a, b) -> np.ndarray:
 
 
 def _rotation_mats(kind: GateKind, angles: np.ndarray) -> np.ndarray:
-    """Per-row 2x2 blocks for RX/RY/RZ given an (R,) angle array."""
-    m = np.zeros((angles.shape[0], 2, 2), dtype=complex)
+    """2x2 blocks for RX/RY/RZ, (..., 2, 2) from an angle array of any shape."""
+    m = np.zeros(angles.shape + (2, 2), dtype=complex)
     if kind is GateKind.RZ:
-        m[:, 0, 0] = np.exp(-0.5j * angles)
-        m[:, 1, 1] = np.exp(0.5j * angles)
+        m[..., 0, 0] = np.exp(-0.5j * angles)
+        m[..., 1, 1] = np.exp(0.5j * angles)
         return m
     half = angles / 2
     c, s = np.cos(half), np.sin(half)
-    m[:, 0, 0] = c
-    m[:, 1, 1] = c
+    m[..., 0, 0] = c
+    m[..., 1, 1] = c
     if kind is GateKind.RX:
-        m[:, 0, 1] = m[:, 1, 0] = -1j * s
+        m[..., 0, 1] = m[..., 1, 0] = -1j * s
     else:
-        m[:, 0, 1] = -s
-        m[:, 1, 0] = s
+        m[..., 0, 1] = -s
+        m[..., 1, 0] = s
     return m
 
 
 def _u3_mats(angles: np.ndarray) -> np.ndarray:
-    """(R,3) Euler angles -> (R,2,2)."""
-    th, ph, lm = angles[:, 0], angles[:, 1], angles[:, 2]
+    """(..., 3) Euler angles -> (..., 2, 2)."""
+    th, ph, lm = angles[..., 0], angles[..., 1], angles[..., 2]
     c, s = np.cos(th / 2), np.sin(th / 2)
-    m = np.zeros((angles.shape[0], 2, 2), dtype=complex)
-    m[:, 0, 0] = c
-    m[:, 0, 1] = -np.exp(1j * lm) * s
-    m[:, 1, 0] = np.exp(1j * ph) * s
-    m[:, 1, 1] = np.exp(1j * (ph + lm)) * c
+    m = np.zeros(angles.shape[:-1] + (2, 2), dtype=complex)
+    m[..., 0, 0] = c
+    m[..., 0, 1] = -np.exp(1j * lm) * s
+    m[..., 1, 0] = np.exp(1j * ph) * s
+    m[..., 1, 1] = np.exp(1j * (ph + lm)) * c
     return m
 
 
 def controlled_mats(blocks: np.ndarray, control0=1.0) -> np.ndarray:
-    """(R, 4, 4) matrices diag(control0 * I, block) from (R, 2, 2) target blocks,
-    with one control0 for all rows or one per row; the first (control) qubit
-    is the high bit of the index."""
-    r = blocks.shape[0]
-    m = np.zeros((r, 4, 4), dtype=complex)
-    m[:, 0, 0] = control0
-    m[:, 1, 1] = control0
-    m[:, 2:, 2:] = blocks
+    """(..., 4, 4) matrices diag(control0 * I, block) from (..., 2, 2) target
+    blocks, with control0 broadcast against the leading axes; the first
+    (control) qubit is the high bit of the index."""
+    m = np.zeros(blocks.shape[:-2] + (4, 4), dtype=complex)
+    m[..., 0, 0] = control0
+    m[..., 1, 1] = control0
+    m[..., 2:, 2:] = blocks
     return m
 
 
@@ -142,8 +144,9 @@ _FIXED = {
 
 
 def gate_mats_batch(kind: GateKind, angles: np.ndarray | None) -> np.ndarray:
-    """Per-row gate matrices from (R,) angles, or (R, 3) for U3/CU3; a fixed
-    kind takes None and gives one fresh (d, d) matrix."""
+    """Gate matrices, (..., d, d), from an angle array of any shape, with a
+    trailing axis of 3 for U3/CU3; a fixed kind takes None and gives one
+    fresh (d, d) matrix."""
     if ARITY[kind] == 0:
         return _FIXED[kind].copy()
     if kind in CONTROLLED_TARGET:
@@ -151,6 +154,47 @@ def gate_mats_batch(kind: GateKind, angles: np.ndarray | None) -> np.ndarray:
     if kind is GateKind.U3:
         return _u3_mats(angles)
     return _rotation_mats(kind, angles)
+
+
+# The formulas that build the 2x2 block of every kind with angles: its own,
+# or a controlled kind's target's (`CONTROLLED_TARGET`).  U3 is last.
+FORMULAS = (GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.U3)
+
+# U(angles + _SHIFT) = 2 dU/dt for the first angle t, on (3, ...) angle stacks
+_SHIFT = np.array([math.pi, 0.0, 0.0])[:, None, None]
+_P1 = np.diag([0.0, 1.0j])  # i * |1><1|
+
+
+def stacked_blocks(runs: tuple, angles: np.ndarray, derivatives: bool = False) -> np.ndarray:
+    """The 2x2 blocks of G gates with angles, one formula call per run.
+
+    `angles` is (3, G, rows): angle j of each gate on each row, a one-angle
+    kind's at j = 0.  `runs`, ((formula, stop), ...) in `FORMULAS` order,
+    splits the gates into consecutive runs of one formula.  The result is
+    (G, H, rows, 2, 2); half 0 holds U, and H = 1 without `derivatives`.
+    With them, half 1 holds dU/dt = U(t + pi) / 2 for the first angle t (a
+    rotation is exp(-i t P / 2); U3's theta obeys the same rule), from the
+    same formula call as U, and with a U3 run, halves 2 and 3 hold the phi
+    and lambda partials i|1><1| U and U i|1><1|.  Each block equals
+    `gate_mats_batch` of the gate's own angles bit for bit.
+    """
+    stacked = np.repeat(angles[:, :, None], 2 if derivatives else 1, axis=2)
+    if derivatives:
+        stacked[:, :, 1] += _SHIFT
+    out, start = [], 0
+    for formula, stop in runs:
+        a = stacked[:, start:stop]
+        out.append(gate_mats_batch(formula, np.moveaxis(a, 0, -1) if formula is GateKind.U3
+                                   else a[0]))
+        start = stop
+    blocks = np.concatenate(out)
+    if not derivatives:
+        return blocks
+    blocks[:, 1] *= 0.5
+    if runs[-1][0] is not GateKind.U3:
+        return blocks
+    u = np.ascontiguousarray(blocks[:, 0])
+    return np.concatenate((blocks, np.stack((_P1 @ u, u @ _P1), axis=1)), axis=1)
 
 
 def gate_matrix(kind: GateKind, params) -> np.ndarray:

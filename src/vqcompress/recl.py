@@ -75,7 +75,7 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
     pushed through the layers up to each candidate gate's first reader, in
     order of first readers.  From there the gate's C levels run together as
     a (C, 2^n, B) batch: the reader gates' plan builds their (C, d, d)
-    matrices from the C substituted theta rows in one call per group, every
+    matrices from the C substituted theta rows in one build, every
     other gate applies theta's (1, d, d) matrix from the layers' `GatePlan`
     to all C rows, and the readout takes the (C * B, 2^n) rows at once, so
     the suffix costs one `apply_matrix` per gate whatever C is.  Each row

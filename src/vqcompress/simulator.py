@@ -16,15 +16,15 @@ place, RZ multiplies by its diagonal (one shared, or one per row), and SX
 (dense) falls through to `apply_matrix`.  Both give the same values bit for
 bit.
 
-The matrices come from `gates.gate_mats_batch`, through a cached `GatePlan`
-per gate sequence: gates of one kind are one group, and each group's
-matrices come from one stacked call.  The encoder's plan reads pi * features
+The matrices come from `gates.stacked_blocks` and `gates.controlled_mats`,
+through a cached `GatePlan` per gate sequence: one build per call for all of
+its gates, whatever their kinds.  The encoder's plan reads pi * features
 (`training.initial_states`), the layers' plan reads theta: `run_batch`
 applies the layers to the states it is given.  `training.loss_and_gradient`
-takes the layers' plan's group angles and builds each group's forward
-matrices and angle derivatives from them in one call, on states `sgd_train`
-encoded once.  ReCL takes its matrices, and `transpile.lower_gates` its
-angles, from the same plans, so the transpiler lowers what the simulator runs.
+takes every layer gate's U, U^dagger and angle derivatives from one build of
+the layers' plan, on states `sgd_train` encoded once.  ReCL takes its
+matrices, and `transpile.lower_gates` its angles, from the same plans, so the
+transpiler lowers what the simulator runs.
 """
 
 from functools import lru_cache
@@ -32,7 +32,8 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import BindKind, Circuit, Gate, MeasureScheme, MeasurementSpec
-from .gates import ARITY, GateKind, gate_mats_batch
+from .gates import (ARITY, CONTROLLED_TARGET, FORMULAS, GateKind, controlled_mats,
+                    gate_mats_batch, stacked_blocks)
 
 
 def zero_state(n_qubits: int, rows: int | None = None) -> np.ndarray:
@@ -83,28 +84,9 @@ def _batched_2q(states: np.ndarray, mats: np.ndarray, qa: int, qb: int) -> np.nd
     return out
 
 
-class GateGroup:
-    """The gates of a `GatePlan` that share a kind.
-
-    `positions` index the plan's gates.  Angle j of the group's g-th gate is
-    column `cols[g, j]` of [constants | values]; one-angle kinds drop the j
-    axis.
-    """
-
-    def __init__(self, kind: GateKind, members: list):
-        positions, cols = zip(*members)
-        self.kind, self.positions = kind, positions
-        self.cols = np.array(cols, dtype=int)
-        if ARITY[kind] == 1:
-            self.cols = self.cols[:, 0]
-
-    def shaped(self, mats: np.ndarray) -> np.ndarray:
-        """Matrices built on the group's angles, (G * rows, d, d), as
-        (G, rows, d, d), or a fixed kind's one (d, d) as (G, d, d), so that
-        `[g]` is gate g's matrix argument to `apply_matrix`."""
-        if mats.ndim == 2:
-            return np.broadcast_to(mats, (len(self.positions),) + mats.shape)
-        return mats.reshape((len(self.positions), -1) + mats.shape[1:])
+# Per half of `stacked_blocks`' result, the control-0 block a controlled
+# gate embeds it with: 1 for U, 0 for a derivative.
+_CONTROL0 = np.array([[1.0], [0.0], [0.0], [0.0]])
 
 
 class GatePlan:
@@ -112,57 +94,105 @@ class GatePlan:
 
     Each angle reads a constant or a column of one value source: theta for
     the layers, pi * features for the encoder (`Circuit` keeps the two
-    apart).  Gates are grouped by kind.  Per call, a group gathers all of
-    its angles at once and makes one `gate_mats_batch` call, and each gate's
-    matrices are its slice of the stacked result.  They equal the matrices
-    of each gate built from its own angles bit for bit, with one row per
-    value row.
+    apart).  What does not depend on the values is worked out once, here:
+    each angle's column of [constants | values], the build order of the
+    gates with angles (by formula, `gates.FORMULAS`), which of them are
+    controlled, and the fixed kinds' read-only matrices.  Per call, `build`
+    makes a fixed number of numpy calls however many kinds the gates have:
+    one gather of every angle, one `stacked_blocks` call, one
+    `controlled_mats` embedding and, with derivatives, one conj-transpose
+    per gate size.  Each gate's matrices are (rows, d, d) views into those
+    stacks, one row per value row, and equal the matrices of the gate built
+    from its own angles bit for bit.
     """
 
     def __init__(self, gates: tuple[Gate, ...]):
         self.gates = gates
         consts = [b.value for g in gates for b in g.bindings if b.kind is BindKind.CONST]
         self.consts = np.array(consts, dtype=float)[None, :]
-        members, next_const = {}, 0
-        for k, gate in enumerate(gates):
-            cols = []
+        cols, next_const = [], 0
+        for gate in gates:
+            cols.append([])
             for b in gate.bindings:
                 if b.kind is BindKind.CONST:
-                    cols.append(next_const)
+                    cols[-1].append(next_const)
                     next_const += 1
                 else:
-                    cols.append(len(consts) + b.slot)
-            members.setdefault(gate.kind, []).append((k, cols))
-        self.groups = tuple(GateGroup(kind, m) for kind, m in members.items())
+                    cols[-1].append(len(consts) + b.slot)
         # per gate, (angle index, slot) of each THETA binding
         self.theta_slots = tuple(tuple((j, b.slot) for j, b in enumerate(g.bindings)
                                        if b.kind is BindKind.THETA) for g in gates)
+        formula = {k: CONTROLLED_TARGET.get(g.kind, g.kind) for k, g in enumerate(gates)
+                   if ARITY[g.kind]}
+        self.order = sorted(formula, key=lambda k: FORMULAS.index(formula[k]))
+        self.cols = np.array([(cols[k] * 3)[:3] for k in self.order], dtype=int).reshape(-1, 3).T
+        runs = [formula[k] for k in self.order]
+        # (formula, stop) of each run of one formula in `order`
+        self.runs = tuple((f, len(runs) - runs[::-1].index(f)) for f in FORMULAS if f in runs)
+        two = [i for i, k in enumerate(self.order) if len(gates[k].qubits) == 2]
+        self.controlled = np.array(two, dtype=int)  # their `stacked_blocks` entries
+        # per gate, (stack, entry, angles): stack 0 is `stacked_blocks`'
+        # result, stack 1 the controlled gates' embedding of theirs; a fixed
+        # gate is None, with its read-only (U, U^dagger) in `fixed`
+        self.where, self.fixed = [None] * len(gates), {}
+        for i, k in enumerate(self.order):
+            stack, at = (1, two.index(i)) if i in two else (0, i)
+            self.where[k] = (stack, at, ARITY[gates[k].kind])
+        for k, gate in enumerate(gates):
+            if self.where[k] is None:
+                u = gate_mats_batch(gate.kind, None)
+                self.fixed[k] = (u, np.conj(u.T))
+                for m in self.fixed[k]:
+                    m.setflags(write=False)
 
-    def angles(self, values: np.ndarray):
-        """Yield (group, angles) for every group.
-
-        `values` is (rows, V).  `angles` is the group's (G * rows,) or
-        (G * rows, 3) angle array, gate by gate, None for fixed kinds.
-        """
-        src, rows = values, values.shape[0]
+    def angles(self, values: np.ndarray) -> np.ndarray:
+        """(3, G, rows): angle j of each gate with angles, in build order
+        (`order`), on each row of `values` (rows, V); a one-angle kind's is
+        at j = 0 and repeats at 1 and 2."""
+        src = values
         if self.consts.size:
-            consts = np.broadcast_to(self.consts, (rows, self.consts.shape[1]))
+            consts = np.broadcast_to(self.consts, (values.shape[0], self.consts.shape[1]))
             src = np.concatenate([consts, values], axis=1)
-        for group in self.groups:
-            if ARITY[group.kind] == 0:
-                yield group, None
+        return src.T[self.cols]
+
+    def build(self, values: np.ndarray, derivatives: bool = False):
+        """(mats, daggers, derivs) of the gates on the rows of `values`, in
+        gate order.
+
+        mats are the gates' matrix arguments to `apply_matrix`: (rows, d, d),
+        or a fixed kind's (d, d).  With `derivatives`, daggers are their
+        conj-transposes and derivs, per gate, the dU/d(angle) of each of its
+        angles (`stacked_blocks`); without, both are None.
+        """
+        stacks = []
+        if self.order:
+            blocks = stacked_blocks(self.runs, self.angles(values), derivatives)
+            stacks.append(blocks)
+            if self.controlled.size:
+                stacks.append(controlled_mats(blocks[self.controlled],
+                                              _CONTROL0[:blocks.shape[1]]))
+        # halves[h][s][i]: half h of entry i of stack s
+        halves = [[list(stack[:, h]) for stack in stacks]
+                  for h in range(stacks[0].shape[1] if stacks else 1)]
+        mats = [self.fixed[k][0] if w is None else halves[0][w[0]][w[1]]
+                for k, w in enumerate(self.where)]
+        if not derivatives:
+            return mats, None, None
+        dag = [list(np.conj(np.swapaxes(stack[:, 0], -1, -2))) for stack in stacks]
+        daggers, derivs = [], []
+        for k, w in enumerate(self.where):
+            if w is None:
+                daggers.append(self.fixed[k][1])
+                derivs.append([])
             else:
-                shape = (len(group.positions) * rows,) + group.cols.shape[1:]
-                yield group, src[:, group.cols].swapaxes(0, 1).reshape(shape)
+                s, i, n = w
+                daggers.append(dag[s][i])
+                derivs.append([half[s][i] for half in halves[1:n + 1]])
+        return mats, daggers, derivs
 
     def matrices(self, values: np.ndarray) -> list[np.ndarray]:
         """Each gate's matrix argument to `apply_matrix`, in gate order."""
-        out = [None] * len(self.gates)
-        for group, angles in self.angles(values):
-            mats = group.shaped(gate_mats_batch(group.kind, angles))
-            for g, k in enumerate(group.positions):
-                out[k] = mats[g]
-        return out
+        return self.build(values)[0]
 
     def apply(self, states: np.ndarray, values: np.ndarray) -> np.ndarray:
         """The plan's gates, in order, on a (rows, 2^n) state batch."""

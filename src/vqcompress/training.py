@@ -11,13 +11,15 @@ batch's initial states, runs the layers forward once, keeping each layer
 gate's matrix, then walks the layer gates backward with the adjoint method
 (Jones & Gacon, arXiv 2009.02823): one state and one co-state per sample,
 undone together by one apply per gate, so the cost is O(gates) on the batch
-rows whatever the number of parameters.  A gate group with a live slot
-builds U and dU = U(t + pi) / 2 in one call.  Frozen slots cost nothing:
-they get no derivative apply, and the walk stops at the earliest gate with
-a live slot.  `sgd_train` encodes its samples once, indexes their states
-per batch and passes its frozen mask on, so a step runs only the layers and
-a retrain's masked gates add no derivative work; `batch_loss_and_gradient`
-is the same gradient from features.
+rows whatever the number of parameters.  Every layer gate's U, U^dagger and
+dU = U(t + pi) / 2 come from one build of the layers' `GatePlan`, which
+evaluates each formula once on [angles; angles + pi].  Frozen slots cost
+nothing: they get no derivative apply, and the walk stops at the earliest
+gate with a live slot.  `sgd_train` encodes its samples once, looks up the
+layers' plan and reads its frozen mask once, and indexes the states per
+batch, so a step runs only the layers and a retrain's masked gates add no
+derivative work; `batch_loss_and_gradient` is the same gradient from
+features.
 """
 
 import math
@@ -28,8 +30,7 @@ import numpy as np
 from .circuit import Circuit
 from .data import amplitude_state, stack
 from .errors import ConfigError, DataError
-from .gates import (CONTROLLED_TARGET, GateKind, circ_residual, controlled_mats,
-                    gate_mats_batch, wrap_params)
+from .gates import circ_residual, wrap_params
 from .simulator import (apply_matrix, gate_plan, measure_outputs_batch, readout_weights,
                         run_batch, zero_state)
 
@@ -93,28 +94,6 @@ def loss_and_accuracy(circuit: Circuit, params, samples) -> tuple[float, float]:
     return loss, acc
 
 
-_P1 = np.diag([0.0, 1.0j])  # i * |1><1|
-
-
-def _mats_and_derivatives(kind: GateKind, angles: np.ndarray):
-    """A trainable group's matrices U and dU/d(angle) for each of its angles,
-    all (R, d, d), from one `gate_mats_batch` call on [angles; angles + pi].
-
-    For a rotation exp(-i t P / 2), dU/dt = U(t + pi) / 2; U3's theta obeys
-    the same rule and its phi/lambda partials are i|1><1| U and U i|1><1|.
-    A controlled kind embeds the target blocks of both halves in one zeroed
-    array, with a control-0 block of 1s in the U half only.
-    """
-    base, n = CONTROLLED_TARGET.get(kind, kind), len(angles)
-    shift = np.array([math.pi, 0.0, 0.0]) if base is GateKind.U3 else math.pi
-    both = gate_mats_batch(base, np.concatenate([angles, angles + shift]))
-    extra = [_P1 @ both[:n], both[:n] @ _P1] if base is GateKind.U3 else []
-    if base is not kind:
-        both = controlled_mats(both, control0=np.repeat([1.0, 0.0], n))
-        extra = [controlled_mats(b, control0=0.0) for b in extra]
-    return both[:n], [0.5 * both[n:]] + extra
-
-
 def loss_and_gradient(circuit: Circuit, params: np.ndarray, states: np.ndarray,
                       labels: np.ndarray, frozen: np.ndarray | None = None
                       ) -> tuple[float, np.ndarray]:
@@ -132,31 +111,32 @@ def loss_and_gradient(circuit: Circuit, params: np.ndarray, states: np.ndarray,
     stops at the earliest gate with a live slot, since no gate before it
     feeds one.  The live entries equal the unfrozen call's bit for bit.
 
-    Every matrix comes from the layers' `GatePlan`, per gate group: one
-    stacked `gate_mats_batch` call, which for a group with a live slot is
-    `_mats_and_derivatives`' single call for U and dU, and one
-    conj-transpose for the U^dagger.
+    Every matrix, U, U^dagger and dU, comes from one `GatePlan.build` of
+    the layers' plan.
     """
     params = np.asarray(params, dtype=float)
-    n_batch = states.shape[0]
     plan = gate_plan(tuple(circuit.layers))
-    n_gates = len(plan.gates)
-    live = np.ones(params.size, dtype=bool)
+    return _loss_and_gradient(circuit, plan, _live(plan, params.size, frozen),
+                              params, states, labels)
+
+
+def _live(plan, n_slots: int, frozen: np.ndarray | None) -> tuple[list[bool], int]:
+    """Whether each slot is live, and the earliest gate of `plan` with a
+    live slot (len(plan.gates) if none is)."""
+    live = np.ones(n_slots, dtype=bool)
     if frozen is not None:
         live[frozen] = False
     live = live.tolist()
-    live_gates = [any(live[s] for _, s in slots) for slots in plan.theta_slots]
-    mats, daggers, derivs = [None] * n_gates, [None] * n_gates, [None] * n_gates
-    for group, angles in plan.angles(params[None, :]):
-        if any(live_gates[k] for k in group.positions):
-            u, blocks = _mats_and_derivatives(group.kind, angles)
-        else:
-            u, blocks = gate_mats_batch(group.kind, angles), []
-        stacked, blocks = group.shaped(u), [group.shaped(b) for b in blocks]
-        dagger = np.conj(np.swapaxes(stacked, -1, -2))
-        for g, k in enumerate(group.positions):
-            mats[k], daggers[k] = stacked[g], dagger[g]
-            derivs[k] = [b[g] for b in blocks]
+    gates = [any(live[s] for _, s in slots) for slots in plan.theta_slots]
+    return live, gates.index(True) if any(gates) else len(gates)
+
+
+def _loss_and_gradient(circuit: Circuit, plan, mask: tuple[list[bool], int],
+                       params: np.ndarray, states: np.ndarray,
+                       labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """`loss_and_gradient` given the layers' plan and `_live` of the mask."""
+    (live, first_live), n_batch = mask, states.shape[0]
+    mats, daggers, derivs = plan.build(params[None, :], derivatives=True)
     for gate, u in zip(plan.gates, mats):
         states = apply_matrix(states, u, gate.qubits)
 
@@ -169,8 +149,7 @@ def loss_and_gradient(circuit: Circuit, params: np.ndarray, states: np.ndarray,
 
     grad = np.zeros(params.size)
     both = np.concatenate([states, costate])   # rows: the states, then the co-states
-    first_live = live_gates.index(True) if any(live_gates) else n_gates
-    for k in reversed(range(first_live, n_gates)):
+    for k in reversed(range(first_live, len(plan.gates))):
         qubits, prev = plan.gates[k].qubits, both
         both = apply_matrix(prev, daggers[k], qubits)
         for j, slot in plan.theta_slots[k]:
@@ -193,8 +172,9 @@ def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,
 
     `proximal` is (z, lam, rho); its gradient contribution is
     rho * (theta - z) + lam with the difference taken on the angle circle.
-    Frozen slots receive zero gradient and keep their initial values; the
-    mask goes to `loss_and_gradient`, which skips their derivative work.
+    Frozen slots receive zero gradient and keep their initial values, and
+    cost the gradient no derivative work.  The layers' plan is looked up,
+    and the mask read, once per call, not once per batch.
     Parameters are wrapped to [0, 4pi) after every step; two runs with the
     same seed produce bit-identical results.
     """
@@ -204,12 +184,14 @@ def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,
     theta = wrap_params(np.asarray(params0, dtype=float).copy())
     feats, labels = stack(samples)
     states = initial_states(circuit, feats)
+    plan = gate_plan(tuple(circuit.layers))
+    live = _live(plan, theta.size, frozen)
     n = len(labels)
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            _, grad = loss_and_gradient(circuit, theta, states[idx], labels[idx], frozen)
+            _, grad = _loss_and_gradient(circuit, plan, live, theta, states[idx], labels[idx])
             if proximal is not None:
                 z, lam, rho = proximal
                 grad = grad + rho * circ_residual(theta, z) + lam

@@ -209,17 +209,17 @@ def decompose_kind(kind: GateKind, qubits: tuple[int, ...],
 def lower_gates(gates: tuple[Gate, ...], values: np.ndarray) -> list[list[list[PhysicalGate]]]:
     """Per row of `values`, each gate's basis gates, with no phase.
 
-    The angles are those `gate_plan(gates).angles(values)` yields, the ones
+    The angles are those `gate_plan(gates).angles(values)` gathers, the ones
     the simulator runs: theta rows for the layers, pi * feature rows for
     the encoder.
     """
-    rows = len(values)
+    plan, rows = gate_plan(gates), len(values)
+    gathered = plan.angles(values).transpose(1, 2, 0)  # (G, rows, 3), in build order
+    one = sum(ARITY[gates[k].kind] == 1 for k in plan.order)  # the U3 run is last
+    per_gate = gathered[:one, :, :1].tolist() + gathered[one:].tolist()
     angles = [[()] * rows] * len(gates)
-    for group, stacked in gate_plan(gates).angles(values):
-        if stacked is not None:
-            per_gate = stacked.reshape(len(group.positions), rows, -1).tolist()
-            for k, gate_rows in zip(group.positions, per_gate):
-                angles[k] = gate_rows
+    for k, gate_rows in zip(plan.order, per_gate):
+        angles[k] = gate_rows
     return [[decompose_kind(gate.kind, gate.qubits, angles[k][r])
              for k, gate in enumerate(gates)] for r in range(rows)]
 

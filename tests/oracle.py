@@ -181,7 +181,9 @@ def param_shift_gradient(circuit, params, feats, labels, initial_states=None):
 # Per-gate references for the stacked gate-matrix plan.  Unlike the dense
 # oracle above, these use the package's own kernels on purpose: every gate
 # resolves its angles and builds its matrices on its own, as the simulator
-# and training did before the plan.  They pin bit-identity, not correctness.
+# and training did before the plan, and the derivative blocks come from the
+# per-kind rule here, not from the plan's stacked build.  They pin
+# bit-identity, not correctness.
 
 def resolve_angles(gate, thetas, feats):
     """Per-row angle array of one gate: (R,) or (R, 3), or None for fixed
@@ -205,11 +207,34 @@ def resolve_angles(gate, thetas, feats):
     return np.stack(np.broadcast_arrays(*cols), axis=1)
 
 
+def mats_and_derivatives(kind, angles):
+    """A gate's matrices U and dU/d(angle) for each of its angles, all
+    (R, d, d), from one `gate_mats_batch` call on [angles; angles + pi]:
+    the per-kind build the gradient made before the stacked one.
+
+    For a rotation exp(-i t P / 2), dU/dt = U(t + pi) / 2; U3's theta obeys
+    the same rule and its phi/lambda partials are i|1><1| U and U i|1><1|.
+    A controlled kind embeds the target blocks of both halves in one zeroed
+    array, with a control-0 block of 1s in the U half only.
+    """
+    from vqcompress.gates import CONTROLLED_TARGET, GateKind, controlled_mats, gate_mats_batch
+    p1 = np.diag([0.0, 1.0j])
+    base, n = CONTROLLED_TARGET.get(kind, kind), len(angles)
+    shift = np.array([math.pi, 0.0, 0.0]) if base is GateKind.U3 else math.pi
+    both = gate_mats_batch(base, np.concatenate([angles, angles + shift]))
+    extra = [p1 @ both[:n], both[:n] @ p1] if base is GateKind.U3 else []
+    if base is not kind:
+        both = controlled_mats(both, control0=np.repeat([1.0, 0.0], n))
+        extra = [controlled_mats(b, control0=0.0) for b in extra]
+    return both[:n], [0.5 * both[n:]] + extra
+
+
 def per_gate_initial_states(circuit, feats):
     """`initial_states` built here: amplitude-encoded rows or |0...0>, then
     each encoder gate's matrices from that gate's own angles."""
     from vqcompress.data import amplitude_state
-    from vqcompress.simulator import apply_matrix, gate_mats_batch
+    from vqcompress.gates import gate_mats_batch
+    from vqcompress.simulator import apply_matrix
     feats = np.asarray(feats, dtype=float)
     rows = feats.shape[0]
     if circuit.amplitude_input:
@@ -227,7 +252,8 @@ def per_gate_initial_states(circuit, feats):
 def per_gate_run_batch(circuit, params, states):
     """`run_batch`: the layers on the given states, each layer gate's matrix
     built from that gate's own angles."""
-    from vqcompress.simulator import apply_matrix, gate_mats_batch
+    from vqcompress.gates import gate_mats_batch
+    from vqcompress.simulator import apply_matrix
     thetas = np.atleast_2d(np.asarray(params, dtype=float))
     for gate in circuit.layers:
         u = gate_mats_batch(gate.kind, resolve_angles(gate, thetas, None))
@@ -239,9 +265,9 @@ def per_gate_loss_and_gradient(circuit, params, feats, labels):
     """`batch_loss_and_gradient` with each gate's matrices, adjoint and
     derivative blocks built from that gate's own angles."""
     from vqcompress.circuit import BindKind
-    from vqcompress.simulator import (apply_matrix, gate_mats_batch, measure_outputs_batch,
-                                      readout_weights)
-    from vqcompress.training import _mats_and_derivatives, softmax
+    from vqcompress.gates import gate_mats_batch
+    from vqcompress.simulator import apply_matrix, measure_outputs_batch, readout_weights
+    from vqcompress.training import softmax
     params = np.asarray(params, dtype=float)
     n_batch = feats.shape[0]
     states = per_gate_initial_states(circuit, feats)
@@ -264,7 +290,7 @@ def per_gate_loss_and_gradient(circuit, params, feats, labels):
         u_dag = np.conj(np.swapaxes(u, -1, -2))
         states = apply_matrix(states, u_dag, gate.qubits)
         if gate.trainable:
-            for b, d in zip(gate.bindings, _mats_and_derivatives(gate.kind, angles)[1]):
+            for b, d in zip(gate.bindings, mats_and_derivatives(gate.kind, angles)[1]):
                 if b.kind is BindKind.THETA:
                     d_states = apply_matrix(states, d, gate.qubits)
                     grad[b.slot] += 2.0 * np.vdot(costate, d_states).real

@@ -9,7 +9,7 @@ from vqcompress.admm import (ADMMConfig, ADMMState, BaselineMode, CompressionMas
                              compose_params, frozen_slots, mask_size,
                              run_cqcp_admm, update_lambda, vanilla_train)
 from vqcompress.circfile import load_reference
-from vqcompress.circuit import Circuit, Gate, MeasurementSpec, theta
+from vqcompress.circuit import Circuit, Gate, MeasurementSpec, const, theta
 from vqcompress.data import Dataset, generate_synthetic
 from vqcompress.errors import ConfigError
 from vqcompress.experiment import ExperimentConfig, run_experiment
@@ -187,6 +187,24 @@ def test_compose_and_frozen_slots():
     composed = compose_params(np.array([1.0, 2.0, 3.0]), mask, recon, circ)
     assert np.allclose(composed, [0.0, 2.0, 2 * PI])
     assert list(frozen_slots(mask, circ)) == [True, False, True]
+
+
+def test_compose_sets_every_angle_of_a_level_or_raises():
+    # U3(t0, t1, t2) takes its level's three angles; U3(t3, 0.7, t4) has two
+    # slots for a level's three angles, and composing it must not write
+    # level angle j into slot j whatever angle that slot drives
+    gates = [Gate(GateKind.U3, (0,), (theta(0), theta(1), theta(2))),
+             Gate(GateKind.U3, (1,), (theta(3), const(0.7), theta(4)))]
+    circ = Circuit(2, [], gates, MeasurementSpec(2))
+    recon = ReconstructedLUT()
+    for gi in (0, 1):
+        recon.levels[gi] = CompressionLevel(0, (0.0, 0.0, 0.0), LevelTag.PRUNE)
+    params = np.arange(1.0, 6.0)
+    composed = compose_params(params, CompressionMask(np.array([True, False]), np.zeros(2)),
+                              recon, circ)
+    assert list(composed) == [0.0, 0.0, 0.0, 4.0, 5.0]
+    with pytest.raises(ValueError):
+        compose_params(params, CompressionMask(np.array([False, True]), np.zeros(2)), recon, circ)
 
 
 def test_report_records_present():

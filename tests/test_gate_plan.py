@@ -1,5 +1,6 @@
 """The stacked gate-matrix plan: bit-identical to building every gate's
-matrices on its own, with one `gate_mats_batch` call per gate group."""
+matrices on its own, with one stacked build per call, however many gate
+kinds the plan holds."""
 
 import math
 
@@ -8,12 +9,12 @@ import pytest
 
 import oracle
 from conftest import random_circuit, random_state
-from vqcompress import recl, simulator, training
+from vqcompress import gates, recl, simulator, training
 from vqcompress.circfile import load_reference
 from vqcompress.circuit import (Circuit, Gate, MeasureScheme, MeasurementSpec,
                                 const, data, theta)
 from vqcompress.data import Sample, generate_synthetic, stack
-from vqcompress.gates import GateKind
+from vqcompress.gates import GateKind, gate_mats_batch
 from vqcompress.lut import build_lut
 from vqcompress.simulator import run_batch, run_circuit
 from vqcompress.training import TrainConfig, batch_loss_and_gradient, init_params, initial_states
@@ -199,38 +200,118 @@ def test_run_circuit_on_one_state_matches_per_gate_loop():
     assert np.array_equal(got, oracle.per_gate_run_batch(circ, params, state[None, :])[0])
 
 
+def _bit_for_bit(got, want):
+    """Equal values, and equal sign bits of the real and imaginary parts."""
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got.real), np.signbit(want.real))
+            and np.array_equal(np.signbit(got.imag), np.signbit(want.imag)))
+
+
+def _recl_theta_rows(circ, theta, gi, n_rows, rng):
+    """(C, P) rows as ReCL builds them for candidate gate gi: theta repeated,
+    with the gate's slots set to a different value per row, half of them on
+    the pi/2 grid."""
+    thetas = np.repeat(theta[None, :], n_rows, axis=0)
+    slots = list(circ.layers[gi].theta_slots)
+    thetas[:, slots] = np.stack([_half_grid(rng, len(slots)) for _ in range(n_rows)])
+    return thetas
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_multi_row_matrices_are_the_per_gate_ones_bit_for_bit(case):
+    circ, params, feats, _ = CASES[case]()
+    rng = np.random.default_rng(73)
+    # the encoder on each sample row
+    got = simulator.gate_plan(tuple(circ.encoder)).matrices(PI * feats)
+    no_thetas = np.zeros((len(feats), 0))
+    for gate, mats in zip(circ.encoder, got):
+        assert _bit_for_bit(mats, gate_mats_batch(
+            gate.kind, oracle.resolve_angles(gate, no_thetas, feats)))
+    # every candidate gate's C theta rows, through its reader gates' plan as
+    # ReCL builds them and through the whole layers' plan
+    theta = _half_grid(rng, circ.n_thetas)
+    checked = 0
+    for gi in circ.trainable_indices():
+        thetas = _recl_theta_rows(circ, theta, gi, 4, rng)
+        slots = set(circ.layers[gi].theta_slots)
+        readers = tuple(g for g in circ.layers if slots & set(g.theta_slots))
+        for seq in (readers, tuple(circ.layers)):
+            for gate, mats in zip(seq, simulator.gate_plan(seq).matrices(thetas)):
+                assert _bit_for_bit(mats, gate_mats_batch(
+                    gate.kind, oracle.resolve_angles(gate, thetas, None)))
+                checked += 1
+    assert checked > len(circ.layers)
+
+
 @pytest.fixture
-def gate_mats_calls(monkeypatch):
-    """(kind, matrices built) per `gate_mats_batch` call made through the
-    simulator, training or recl module.  Calls inside `gates`, such as a
-    controlled kind's call for its target block, are not counted."""
-    original, calls = simulator.gate_mats_batch, []
+def builds(monkeypatch):
+    """Per matrix-building call made through the simulator, training or recl
+    module, (function, blocks built): `stacked_blocks` builds gates x rows
+    blocks, `controlled_mats` embeds, and `gate_mats_batch` builds one kind's
+    matrices.  Calls inside `gates`, such as `stacked_blocks`' formula calls,
+    are not counted."""
+    calls = []
 
-    def counted(kind, angles):
-        calls.append((kind, 1 if angles is None else len(angles)))
-        return original(kind, angles)
+    def counting(name, original):
+        def counted(*args):
+            n = args[1].shape[1] * args[1].shape[2] if name == "stacked_blocks" else 1
+            calls.append((name, n))
+            return original(*args)
+        return counted
 
-    for module in (simulator, training, recl):
-        if getattr(module, "gate_mats_batch", None) is original:
-            monkeypatch.setattr(module, "gate_mats_batch", counted)
+    for name in ("stacked_blocks", "controlled_mats", "gate_mats_batch"):
+        original = getattr(gates, name)
+        for module in (simulator, training, recl):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
     return calls
 
 
-def _group_keys(gates):
-    """The gate groups of a plan: one per kind."""
-    return {g.kind for g in gates}
+def _all_kinds_circuit():
+    """Syn16's layers with one gate of each other kind inserted: all 12."""
+    circ = load_reference("syn16")
+    slot = circ.n_thetas
+    extra = [Gate(GateKind.U3, (0,), (theta(slot), theta(slot + 1), const(0.4))),
+             Gate(GateKind.CU3, (2, 1), (theta(slot + 2), theta(slot + 3), theta(slot + 4))),
+             Gate(GateKind.CX, (1, 3)), Gate(GateKind.SX, (2,)), Gate(GateKind.X, (0,)),
+             Gate(GateKind.ID, (3,))]
+    layers = circ.layers[:6] + extra + circ.layers[6:]
+    return Circuit(circ.n_qubits, circ.encoder, layers, circ.measurement)
 
 
-def test_gradient_builds_matrices_once_per_gate_group(gate_mats_calls):
-    circ, params, feats, labels = _reference_case("syn16")
-    batch_loss_and_gradient(circ, params, feats, labels)
-    encoder, layers = _group_keys(circ.encoder), _group_keys(circ.layers)
-    trainable = _group_keys(g for g in circ.layers if g.trainable)
-    assert (len(encoder), len(layers), len(trainable)) == (3, 6, 6)
-    # One call per encoder group and one per layer group, a trainable group's
-    # building U and dU together: 9.  Per-gate building makes 60 (38 gates,
-    # 22 derivatives).
-    assert len(gate_mats_calls) == len(encoder) + len(layers)
+def test_a_gradient_call_builds_once_whatever_the_kinds(builds):
+    syn16, params, feats, labels = _reference_case("syn16")
+    every = _all_kinds_circuit()
+    assert len({g.kind for g in syn16.layers}) == 6
+    assert {g.kind for g in every.layers} == set(GateKind)
+    counts = []
+    for circ in (syn16, every):
+        p = np.resize(params, circ.n_thetas)
+        states = initial_states(circ, feats)
+        training.loss_and_gradient(circ, p, states, labels)  # the plan is built and cached
+        builds.clear()
+        loss, grad = training.loss_and_gradient(circ, p, states, labels)
+        assert np.array_equal(grad, oracle.per_gate_loss_and_gradient(circ, p, feats, labels)[1])
+        counts.append(sorted(name for name, _ in builds))
+    # one stacked build and one controlled embedding, not one build per kind
+    # (6 on syn16, 12 on the other)
+    assert counts[0] == counts[1] == ["controlled_mats", "stacked_blocks"]
+
+
+def test_sgd_train_looks_up_the_layers_plan_once(monkeypatch):
+    circ, params, feats, labels = _reference_case("syn4")
+    samples = [Sample(f, int(l)) for f, l in zip(feats, labels)]
+    lookups, original = [], training.gate_plan
+
+    def counted(gates):
+        lookups.append(gates)
+        return original(gates)
+
+    monkeypatch.setattr(training, "gate_plan", counted)
+    training.sgd_train(circ, params, samples, TrainConfig(seed=3, epochs=3, batch_size=4))
+    # 3 epochs of 3 batches; the encoder's plan is looked up once too
+    assert lookups.count(tuple(circ.layers)) == 1
+    assert lookups.count(tuple(circ.encoder)) == 1
 
 
 def _shared_slot_circuit():
@@ -241,7 +322,7 @@ def _shared_slot_circuit():
 
 
 @pytest.mark.parametrize("name", ["syn16", "shared-slot"])
-def test_recl_candidates_rebuild_only_their_reader_gates(name, gate_mats_calls):
+def test_recl_candidates_rebuild_only_their_reader_gates(name, builds):
     rng = np.random.default_rng(64)
     if name == "syn16":
         circ = load_reference("syn16")
@@ -261,10 +342,11 @@ def test_recl_candidates_rebuild_only_their_reader_gates(name, gate_mats_calls):
                for gi in candidates}
     base = len(samples) * len(circ.encoder) + len(circ.layers)
     per_level = sum(len(levels) * len(readers[gi]) for gi, levels in candidates.items())
-    built = [n for _, n in gate_mats_calls]
+    built = [n for name, n in builds if name == "stacked_blocks"]
     # the encoder's matrices once (one row per sample), theta's once (one row
     # per layer gate), then one matrix per reader gate and candidate level,
-    # built by one call per reader group for all of a candidate gate's levels
+    # built by one stacked call for all of a candidate gate's levels
     assert sum(built) == base + per_level
-    assert len(built) == len(_group_keys(circ.encoder)) + len(_group_keys(circ.layers)) + sum(
-        len(_group_keys(readers[gi])) for gi, levels in candidates.items() if levels)
+    # one stacked build per plan call: the encoder's (when it has gates), the
+    # layers', and each candidate gate's readers'
+    assert len(built) == bool(circ.encoder) + 1 + sum(1 for levels in candidates.values() if levels)

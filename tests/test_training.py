@@ -300,7 +300,7 @@ def test_sgd_train_encodes_its_samples_once(name, monkeypatch):
     circ, p0, samples = _training_case(name)
     encodes, grads = [], []
     _counting(monkeypatch, training, "initial_states", encodes)
-    _counting(monkeypatch, training, "loss_and_gradient", grads)
+    _counting(monkeypatch, training, "_loss_and_gradient", grads)  # one per batch
     sgd_train(circ, p0, samples, TrainConfig(seed=14, epochs=3))
     assert (len(encodes), len(grads)) == (1, 3 * 3)  # 25 samples in batches of 10
 
