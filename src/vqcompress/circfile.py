@@ -9,13 +9,17 @@ Grammar::
     GATE q0[,q1] [angle | free | free3]
     #measure (perqubitz | grouping) N_CLASSES
 
-One gate per line; for controlled gates the first qubit is the control.
-Parametric gates take exactly one token after the qubits: a float literal for
-a fixed angle, `free` for the next open slot, or `free3` for three slots
-(U3/CU3 only).  In the encoder section `free` binds the next input feature;
-in the layers section it binds the next trainable parameter.  Fixed-arity
-gates (CX, SX, X, ID) take no angle token.  Unknown tokens are rejected with
-their line number.
+One gate per line; for controlled gates the first qubit is the control.  A
+gate line takes at most one token after the qubits: comma-separated finite
+float literals for fixed angles, `free` for the next open slot, or `free3`
+for the next three.  In the encoder section a slot is an input feature; in
+the layers section it is a trainable parameter.
+
+The parser checks what the grammar and the line decide: the header, section
+markers and comments, the token shapes, the qubit range and the `#measure`
+line.  `Gate` decides the rest (its qubit count, distinct qubits, and how
+many angles its kind takes, so a fixed kind such as CX takes no angle token
+and only U3/CU3 take `free3`), and its errors are reported at their line.
 
 A circuit whose encoder binds no feature (no `free`/`free3` in `#encoder`, or
 no `#encoder` section) reads its input as amplitudes: each sample's 2^N
@@ -27,19 +31,18 @@ from importlib import resources
 
 from .circuit import Circuit, Gate, MeasureScheme, MeasurementSpec, const, data, theta
 from .errors import ParseError, SpecError
-from .gates import ARITY, N_QUBITS_OF_KIND, GateKind
+from .gates import GateKind
 
 _SCHEMES = {"perqubitz": MeasureScheme.PER_QUBIT_Z, "grouping": MeasureScheme.STATE_GROUPING}
+_FREE_SLOTS = {"free": 1, "free3": 3}  # open slots an angle token binds
 
 
 def parse_circuit(text: str) -> Circuit:
     n_qubits = None
     section = None
-    encoder: list[Gate] = []
-    layers: list[Gate] = []
+    gates: dict[str, list[Gate]] = {"encoder": [], "layers": []}
+    next_slot = {"encoder": 0, "layers": 0}  # next data / theta slot
     measurement = None
-    next_data = 0
-    next_theta = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -59,11 +62,8 @@ def parse_circuit(text: str) -> Circuit:
                 raise ParseError("expected `qubits N` with N >= 1", lineno)
             n_qubits = int(tokens[1])
             continue
-        if head == "#encoder":
-            section = "encoder"
-            continue
-        if head == "#layers":
-            section = "layers"
+        if head in ("#encoder", "#layers"):
+            section = head[1:]
             continue
         if head == "#measure":
             if len(tokens) != 3 or tokens[1].lower() not in _SCHEMES:
@@ -82,7 +82,7 @@ def parse_circuit(text: str) -> Circuit:
 
         if n_qubits is None:
             raise ParseError("gate line before `qubits N` header", lineno)
-        if section not in ("encoder", "layers"):
+        if section is None:
             raise ParseError("gate line outside #encoder / #layers", lineno)
         try:
             kind = GateKind(tokens[0].upper())
@@ -90,56 +90,33 @@ def parse_circuit(text: str) -> Circuit:
             raise ParseError(f"unknown gate {tokens[0]!r}", lineno) from None
         if len(tokens) < 2:
             raise ParseError(f"{kind.value} line is missing qubits", lineno)
+        if len(tokens) > 3:
+            raise ParseError(f"{kind.value} takes at most one angle token", lineno)
         try:
             qubits = tuple(int(q) for q in tokens[1].split(","))
         except ValueError:
             raise ParseError(f"bad qubit list {tokens[1]!r}", lineno) from None
-        if len(qubits) != N_QUBITS_OF_KIND[kind]:
-            raise ParseError(f"{kind.value} takes {N_QUBITS_OF_KIND[kind]} qubit(s)", lineno)
         if any(not 0 <= q < n_qubits for q in qubits):
             raise ParseError(f"qubit out of range in {tokens[1]!r}", lineno)
-        if len(set(qubits)) != len(qubits):
-            raise ParseError(f"duplicate qubit in {tokens[1]!r}", lineno)
-
-        arity = ARITY[kind]
-        angle_tokens = tokens[2:]
-        if arity == 0:
-            if angle_tokens:
-                raise ParseError(f"{kind.value} takes no angle token", lineno)
+        angle = tokens[2] if len(tokens) == 3 else None
+        if angle is None:
             bindings = ()
-        elif len(angle_tokens) != 1:
-            raise ParseError(f"{kind.value} takes exactly one angle token", lineno)
+        elif angle.lower() in _FREE_SLOTS:
+            bind, start = data if section == "encoder" else theta, next_slot[section]
+            bindings = tuple(bind(start + i) for i in range(_FREE_SLOTS[angle.lower()]))
+            next_slot[section] += len(bindings)
         else:
-            tok = angle_tokens[0].lower()
-            if tok == "free3":
-                if arity != 3:
-                    raise ParseError(f"free3 is only valid for U3/CU3, not {kind.value}", lineno)
-                if section == "encoder":
-                    bindings = tuple(data(next_data + i) for i in range(3))
-                    next_data += 3
-                else:
-                    bindings = tuple(theta(next_theta + i) for i in range(3))
-                    next_theta += 3
-            elif tok == "free":
-                if arity != 1:
-                    raise ParseError(f"{kind.value} needs free3, not free", lineno)
-                if section == "encoder":
-                    bindings = (data(next_data),)
-                    next_data += 1
-                else:
-                    bindings = (theta(next_theta),)
-                    next_theta += 1
-            else:
-                try:
-                    vals = [float(v) for v in angle_tokens[0].split(",")]
-                except ValueError:
-                    raise ParseError(f"unknown angle token {angle_tokens[0]!r}", lineno) from None
-                if len(vals) != arity:
-                    raise ParseError(f"{kind.value} takes {arity} angle(s)", lineno)
-                if not all(math.isfinite(v) for v in vals):
-                    raise ParseError(f"non-finite angle {angle_tokens[0]!r}", lineno)
-                bindings = tuple(const(v) for v in vals)
-        (encoder if section == "encoder" else layers).append(Gate(kind, qubits, bindings))
+            try:
+                values = [float(v) for v in angle.split(",")]
+            except ValueError:
+                raise ParseError(f"unknown angle token {angle!r}", lineno) from None
+            if not all(math.isfinite(v) for v in values):
+                raise ParseError(f"non-finite angle {angle!r}", lineno)
+            bindings = tuple(const(v) for v in values)
+        try:  # Gate decides the qubit count, distinct qubits and the angle count
+            gates[section].append(Gate(kind, qubits, bindings))
+        except SpecError as exc:
+            raise ParseError(str(exc), lineno) from None
 
     if n_qubits is None:
         raise ParseError("missing `qubits N` header", 1)
@@ -149,7 +126,8 @@ def parse_circuit(text: str) -> Circuit:
         measurement.validated(n_qubits)
     except SpecError as exc:
         raise ParseError(str(exc), measure_line) from None
-    return Circuit(n_qubits, encoder, layers, measurement, amplitude_input=next_data == 0)
+    return Circuit(n_qubits, gates["encoder"], gates["layers"], measurement,
+                   amplitude_input=next_slot["encoder"] == 0)
 
 
 def load_circuit_file(path) -> Circuit:

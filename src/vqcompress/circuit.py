@@ -52,7 +52,7 @@ class Gate:
         if len(set(self.qubits)) != len(self.qubits):
             raise SpecError(f"duplicate qubit in {self.kind.value}{self.qubits}")
         if len(self.bindings) != ARITY[self.kind]:
-            raise SpecError(f"{self.kind.value} takes {ARITY[self.kind]} binding(s), "
+            raise SpecError(f"{self.kind.value} takes {ARITY[self.kind]} angle(s), "
                             f"got {len(self.bindings)}")
 
     @property

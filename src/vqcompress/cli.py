@@ -86,7 +86,7 @@ def build_config(args) -> ExperimentConfig:
     for name, path in (("out", cfg.out), ("save", getattr(args, "save", None))):
         if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ConfigError(f"{name}: the directory of {path!r} does not exist")
-    return replace(cfg, train=replace(cfg.train, seed=cfg.seed))
+    return cfg
 
 
 def _load_params(path, circuit) -> np.ndarray:

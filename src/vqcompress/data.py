@@ -20,7 +20,6 @@ class Dataset:
     train: list
     test: list
     n_classes: int
-    seed: int
 
     @property
     def n_features(self) -> int:
@@ -63,7 +62,7 @@ def generate_synthetic(n_features: int, n_samples: int = 100, seed: int = 0) -> 
         feats = np.concatenate([lo, hi] if label == 0 else [hi, lo])
         samples.append(Sample(feats, label))
     train, test = _split(samples, seed)
-    return Dataset(train, test, n_classes=2, seed=seed)
+    return Dataset(train, test, n_classes=2)
 
 
 def pool_image(features: np.ndarray, side: int = 28, out_side: int = 4) -> np.ndarray:
@@ -110,7 +109,7 @@ def load_csv(path, n_classes: int, seed: int = 0, pool: bool = False) -> Dataset
     if not samples:
         raise ConfigError(f"dataset: no samples in {path}")
     train, test = _split(samples, seed)
-    return Dataset(train, test, n_classes=n_classes, seed=seed)
+    return Dataset(train, test, n_classes=n_classes)
 
 
 def amplitude_state(features: np.ndarray, n_qubits: int) -> np.ndarray:

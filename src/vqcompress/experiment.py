@@ -61,6 +61,7 @@ class ExperimentConfig:
                               f"{self.dataset!r} is not csv:<path>")
         if self.noise_p is not None and not 0.0 <= self.noise_p <= 1.0:
             raise ConfigError(f"noise_p {self.noise_p} outside [0, 1]")
+        self.train = replace(self.train, seed=self.seed)
 
 
 @dataclass
@@ -88,11 +89,9 @@ class Report:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    """Hash of the fields that decide the results: `out` is left out, and
-    `train.seed` is `seed`, as `run_experiment` sets it."""
+    """Hash of the fields that decide the results: `out` is left out."""
     fields = asdict(config)
     del fields["out"]
-    fields["train"]["seed"] = config.seed
     blob = json.dumps(fields, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -145,12 +144,11 @@ def run_experiment(config: ExperimentConfig) -> Report:
         raise ConfigError(f"learning_rate * rho must be below 2 with an ADMM method, "
                           f"got {lr} * {rho}")
     dataset, circuit = resolve_inputs(config)
-    train_cfg = replace(config.train, seed=config.seed)
 
     def evaluate(params) -> tuple[float, int]:
         return loss_and_accuracy(circuit, params, dataset.test)[1], tcd(circuit, params)
 
-    warm = vanilla_train(circuit, dataset, train_cfg)
+    warm = vanilla_train(circuit, dataset, config.train)
     vanilla_acc, vanilla_tcd = evaluate(warm)
     uncompressed = config.admm.target_ratio == 0.0
     recon = None
@@ -164,10 +162,10 @@ def run_experiment(config: ExperimentConfig) -> Report:
         if method == "Vanilla" or uncompressed:
             result = empty_result(circuit, warm)
         elif method == "CompVQC":
-            result = run_cqcp_admm(circuit, dataset, recon, config.admm, train_cfg, warm)
+            result = run_cqcp_admm(circuit, dataset, recon, config.admm, config.train, warm)
         else:
             result = baseline_compress(BaselineMode(method), circuit, dataset, recon,
-                                       config.admm, train_cfg, warm)
+                                       config.admm, config.train, warm)
         acc, depth = (vanilla_acc, vanilla_tcd) if method == "Vanilla" else evaluate(result.params)
         noisy = None
         if config.noise_p is not None:

@@ -283,7 +283,7 @@ def test_zero_only_pruning_matches_hand_written_oracle(name):
     circ = load_reference("syn4") if name == "syn4" else _u3_circuit()
     ds = generate_synthetic(4, 100, seed=13)
     if name == "u3":
-        ds = Dataset(ds.train[:30], ds.test, 2, 13)
+        ds = Dataset(ds.train[:30], ds.test, 2)
     tcfg = TrainConfig(seed=13, epochs=8)
     cfg = ADMMConfig(target_ratio=0.5, retrain_epochs=6)
     warm = vanilla_train(circ, ds, tcfg)
@@ -360,7 +360,7 @@ def test_pipeline_supports_three_angle_gates():
     ds = generate_synthetic(4, 100, seed=11)
     samples = [s for s in ds.train]
     from vqcompress.data import Dataset
-    small = Dataset(samples[:30], ds.test, 2, 11)
+    small = Dataset(samples[:30], ds.test, 2)
     assert GateKind.U3 in build_lut(circ).entries
     tcfg = TrainConfig(seed=11, epochs=5)
     warm, recon = warm_and_recon(circ, small, tcfg)

@@ -59,6 +59,11 @@ def test_comment_lines_are_ignored():
     ("qubits 2\n#layers\nRX 0 free\n#measure grouping 0", 4),
     ("#measure perqubitz 3\nqubits 2\n#layers\nRX 0 free", 1),
     ("qubits 0\n#layers\n#measure perqubitz 2", 1),
+    ("qubits 2\n#layers\nRX 0\n#measure perqubitz 2", 3),
+    ("qubits 2\n#layers\nSX 0 0.5\n#measure perqubitz 2", 3),
+    ("qubits 2\n#layers\nU3 1 free\n#measure perqubitz 2", 3),
+    ("qubits 2\n#layers\nRX 0 0.1,0.2\n#measure perqubitz 2", 3),
+    ("qubits 2\n#layers\nRX 0 free free\n#measure perqubitz 2", 3),
 ])
 def test_parse_errors_carry_line_numbers(bad, line):
     with pytest.raises(ParseError) as err:

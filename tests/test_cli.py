@@ -316,7 +316,8 @@ def test_lut_and_depth_check_the_options_they_do_not_read(command, flags, words,
     ("qubits 2\n#layers\nRZ 1 nan\n#measure perqubitz 2\n", ("line 3", "non-finite")),
     ("qubits 2\n#layers\nRX 0 free\n#measure grouping 5\n", ("line 4", "5 classes")),
     ("qubits 0\n#measure perqubitz 2\n", ("line 1", "qubits")),
-], ids=["duplicate-qubit", "nan-angle", "too-many-classes", "no-qubits"])
+    ("qubits 2\n#layers\nU3 1 free\n#measure perqubitz 2\n", ("line 3", "U3 takes 3 angle")),
+], ids=["duplicate-qubit", "nan-angle", "too-many-classes", "no-qubits", "free-on-u3"])
 def test_malformed_circuit_file_exits_2(body, words, tmp_path, capsys):
     circ = tmp_path / "bad.circ"
     circ.write_text(body)

@@ -12,7 +12,9 @@ second encoding path or its own |0...0> fallback.  Only `transpile` builds
 a keep-mode `DepthScan`, so the peephole rule's gate list has one source,
 `transpile.kept_gates`.  Only `experiment` and `cli` name `reconstruct_lut`
 (and `__init__` exports it), so no compression method can sweep ReCL again
-for itself.  Every function, class and
+for itself.  `circfile` names neither `ARITY` nor `N_QUBITS_OF_KIND`, so
+`Gate` alone decides a kind's qubit and angle counts and the parser reports
+its errors at their line.  Every function, class and
 method the package defines is named somewhere in the package outside its
 own definition, so `src/` holds only what the pipeline runs, not an API that
 only tests call.
@@ -220,6 +222,30 @@ def test_only_experiment_and_cli_sweep_recl():
     users = {path.stem for path in sorted(PACKAGE.glob("*.py"))
              if _named(ast.parse(path.read_text()))["reconstruct_lut"]}
     assert users == {"__init__", "cli", "experiment"}
+
+
+GATE_RULES = ("ARITY", "N_QUBITS_OF_KIND")
+
+
+def _names_gate_rules(tree: ast.Module) -> bool:
+    named = _named(tree)
+    return any(named[rule] for rule in GATE_RULES)
+
+
+def test_the_parser_restates_no_gate_rule():
+    assert not _names_gate_rules(_tree("circfile"))
+    assert _names_gate_rules(_tree("circuit"))
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .gates import ARITY", True),
+    ("from .gates import N_QUBITS_OF_KIND as nq", True),
+    ("from . import gates\nn = gates.ARITY[kind]", True),
+    ("import vqcompress.gates\nq = vqcompress.gates.N_QUBITS_OF_KIND", True),
+    ("from .gates import GateKind", False),
+])
+def test_the_gate_rule_scan_sees_every_spelling(source, found):
+    assert _names_gate_rules(ast.parse(source)) is found
 
 
 def _definitions(tree: ast.Module):
