@@ -15,11 +15,12 @@ float literals for fixed angles, `free` for the next open slot, or `free3`
 for the next three.  In the encoder section a slot is an input feature; in
 the layers section it is a trainable parameter.
 
-The parser checks what the grammar and the line decide: the header, section
-markers and comments, the token shapes, the qubit range and the `#measure`
-line.  `Gate` decides the rest (its qubit count, distinct qubits, and how
-many angles its kind takes, so a fixed kind such as CX takes no angle token
-and only U3/CU3 take `free3`), and its errors are reported at their line.
+The parser checks what the grammar and the line decide: the one `qubits N`
+header, section markers and comments, the token shapes, the qubit range and
+the `#measure` line.  `Gate` decides the rest (its qubit count, distinct
+qubits, and how many angles its kind takes, so a fixed kind such as CX takes
+no angle token and only U3/CU3 take `free3`), and its errors are reported at
+their line.
 
 A circuit whose encoder binds no feature (no `free`/`free3` in `#encoder`, or
 no `#encoder` section) reads its input as amplitudes: each sample's 2^N
@@ -58,6 +59,8 @@ def parse_circuit(text: str) -> Circuit:
         head = tokens[0].lower()
 
         if head == "qubits":
+            if n_qubits is not None:
+                raise ParseError("repeated `qubits N` header", lineno)
             if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
                 raise ParseError("expected `qubits N` with N >= 1", lineno)
             n_qubits = int(tokens[1])

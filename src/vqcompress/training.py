@@ -17,9 +17,11 @@ evaluates each formula once on [angles; angles + pi].  Frozen slots cost
 nothing: they get no derivative apply, and the walk stops at the earliest
 gate with a live slot.  `sgd_train` encodes its samples once, looks up the
 layers' plan and reads its frozen mask once, and indexes the states per
-batch, so a step runs only the layers and a retrain's masked gates add no
-derivative work; `batch_loss_and_gradient` is the same gradient from
-features.
+batch, so a step runs only the layers; `batch_loss_and_gradient` is the same
+gradient from features.  A retrain simulates the compressed circuit: its
+steps run the plan of the layers without the frozen gates whose matrix is
+exactly the identity (pruned at 0), which cost nothing, as a compiled circuit
+holds no gate for them, and the other masked gates add no derivative work.
 """
 
 import math
@@ -165,6 +167,23 @@ def batch_loss_and_gradient(circuit: Circuit, params: np.ndarray, feats: np.ndar
     return loss_and_gradient(circuit, params, initial_states(circuit, feats), labels)
 
 
+def _compressed_plan(plan, theta: np.ndarray, frozen: np.ndarray | None):
+    """The plan of `plan`'s gates minus every gate with no live slot whose
+    matrix at `theta` is exactly the identity.
+
+    Such a gate is an exact no-op for as long as its slots stay frozen, and
+    its sub-plan reads the same global slots, so training on it keeps every
+    bit.  A gate that is the identity only up to a phase or a rounding, such
+    as RX(2 pi), is kept.
+    """
+    live = _live(plan, theta.size, frozen)[0]
+    mats = plan.matrices(theta[None, :])
+    kept = tuple(gate for gate, slots, u in zip(plan.gates, plan.theta_slots, mats)
+                 if any(live[s] for _, s in slots)
+                 or not np.array_equal(u.reshape(u.shape[-2:]), np.eye(u.shape[-1])))
+    return plan if len(kept) == len(plan.gates) else gate_plan(kept)
+
+
 def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,
               proximal: tuple | None = None,
               frozen: np.ndarray | None = None) -> np.ndarray:
@@ -173,8 +192,11 @@ def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,
     `proximal` is (z, lam, rho); its gradient contribution is
     rho * (theta - z) + lam with the difference taken on the angle circle.
     Frozen slots receive zero gradient and keep their initial values, and
-    cost the gradient no derivative work.  The layers' plan is looked up,
-    and the mask read, once per call, not once per batch.
+    cost the gradient no derivative work.  The steps simulate the compressed
+    circuit: a gate with no live slot whose matrix at the start is exactly
+    the identity (a prune level at 0) is left out of the steps' plan and
+    costs nothing, and the result keeps every bit of the full circuit's.
+    The plan is built, and the mask read, once per call, not once per batch.
     Parameters are wrapped to [0, 4pi) after every step; two runs with the
     same seed produce bit-identical results.
     """
@@ -184,7 +206,7 @@ def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,
     theta = wrap_params(np.asarray(params0, dtype=float).copy())
     feats, labels = stack(samples)
     states = initial_states(circuit, feats)
-    plan = gate_plan(tuple(circuit.layers))
+    plan = _compressed_plan(gate_plan(tuple(circuit.layers)), theta, frozen)
     live = _live(plan, theta.size, frozen)
     n = len(labels)
     for _ in range(config.epochs):

@@ -182,11 +182,22 @@ def is_phase_identity(kind: GateKind, angles: tuple[float, ...]) -> bool:
     A one-angle kind at a generic angle never is: more than SNAP_TOL off the
     pi/2 grid, an off-diagonal entry (or a diagonal one's distance from the
     phase) is at least sin(SNAP_TOL / 2) ~ 5e-10, above PHASE_IDENTITY_TOL,
-    so the dense test is skipped there.  U3/CU3 and snapped angles take it.
+    so the dense test is skipped there.  At a snapped angle the answer
+    depends only on the kind and the snap class, and is cached per pair
+    (`_snapped_phase_identity`).  U3/CU3 take the dense test every time.
     """
-    if ARITY[kind] == 0 or ARITY[kind] == 1 and snap_class(angles[0]) is None:
+    if ARITY[kind] == 0:
         return False
+    if ARITY[kind] == 1:
+        k = snap_class(angles[0])
+        return k is not None and _snapped_phase_identity(kind, k)
     return phase_identity_factor(gate_matrix(kind, _snapped(angles))) is not None
+
+
+@lru_cache(maxsize=None)
+def _snapped_phase_identity(kind: GateKind, k: int) -> bool:
+    """The dense test of a one-angle kind at k * pi/2; at most 8 per kind."""
+    return phase_identity_factor(gate_matrix(kind, [k * HALF_PI])) is not None
 
 
 def decompose_kind(kind: GateKind, qubits: tuple[int, ...],

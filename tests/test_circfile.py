@@ -64,6 +64,7 @@ def test_comment_lines_are_ignored():
     ("qubits 2\n#layers\nU3 1 free\n#measure perqubitz 2", 3),
     ("qubits 2\n#layers\nRX 0 0.1,0.2\n#measure perqubitz 2", 3),
     ("qubits 2\n#layers\nRX 0 free free\n#measure perqubitz 2", 3),
+    ("qubits 4\n#layers\nRX 3 free\nqubits 2\n#measure perqubitz 2", 4),
 ])
 def test_parse_errors_carry_line_numbers(bad, line):
     with pytest.raises(ParseError) as err:

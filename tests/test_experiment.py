@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from vqcompress.admm import ADMMConfig
+from vqcompress.cli import main
 from vqcompress.errors import ConfigError
 from vqcompress.experiment import (METHOD_ORDER, ExperimentConfig, Report, MethodRow,
                                    format_report, run_experiment)
@@ -67,6 +68,24 @@ def test_five_method_syn4_report_keeps_its_bytes():
                            admm=ADMMConfig(max_iters=6, epochs_per_iter=2, retrain_epochs=10))
     text = format_report(run_experiment(cfg), "json")
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SYN4_SHA256
+
+
+# sha256 of `compress` stdout and its `--save` file on syn16 at seed 601, on
+# the compress-syn16 benchmark schedule: the 4-qubit circuit's CompVQC retrain,
+# with its masked gates, must keep every bit too.
+COMPRESS_SYN16_SHA256 = {
+    "stdout": "de44940587811daf3469b117035501df495165c115597230b40863cfee1e3f25",
+    "save": "f0ffed2fbdddbd687f954f146b36f0916e80c821adf61c757876f6c8e9a484a8",
+}
+
+
+def test_syn16_compress_keeps_its_bytes(tmp_path, capsys):
+    saved = tmp_path / "params.txt"
+    assert main(["compress", "--dataset", "syn16", "--circuit", "syn16", "--seed", "601",
+                 "--epochs", "4", "--max-iters", "4", "--epochs-per-iter", "1",
+                 "--retrain-epochs", "4", "--save", str(saved)]) == 0
+    digests = {"stdout": capsys.readouterr().out.encode(), "save": saved.read_bytes()}
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in digests.items()} == COMPRESS_SYN16_SHA256
 
 
 def csv_values(text):

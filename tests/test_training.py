@@ -216,16 +216,39 @@ def _reference_sgd(circ, params0, samples, config, proximal, frozen):
     return theta
 
 
-@pytest.mark.parametrize("name", ["syn4", "syn16", "grouping-amplitude"])
-def test_sgd_train_equals_a_loop_over_batch_loss_and_gradient(name):
+FROZEN_LEVELS = {None: "", 0.0: "-zero", 2 * PI: "-two-pi", PI: "-pi", "all-zero": "-all-zero"}
+
+
+@pytest.mark.parametrize("name, level", [pytest.param(name, level, id=name + tag)
+                                         for name in ("syn4", "syn16", "grouping-amplitude")
+                                         for level, tag in FROZEN_LEVELS.items()])
+def test_sgd_train_equals_a_loop_over_batch_loss_and_gradient(name, level, monkeypatch):
+    """Every third slot frozen at its start value, or at a level: at 0 its
+    gates leave the step's plan; at 2 pi (a phase times I, up to rounding)
+    and pi they stay.  With every slot frozen at 0 the plan is empty."""
     circ, p0, samples = _training_case(name)
     cfg = TrainConfig(seed=14, epochs=2)
     rng = np.random.default_rng(15)
     proximal = (rng.uniform(0, 4 * PI, p0.size), rng.normal(0, 0.1, p0.size), 2.0)
     frozen = np.zeros(p0.size, dtype=bool)
     frozen[::3] = True
+    if level == "all-zero":
+        frozen[:], level = True, 0.0
+    if level is not None:
+        p0 = p0.copy()
+        p0[frozen] = level
+    dropped = sum(level == 0.0 and all(frozen[s] for s in g.theta_slots) for g in circ.layers)
+    plans = []
+    step = training._loss_and_gradient
+    monkeypatch.setattr(training, "_loss_and_gradient",
+                        lambda c, plan, *a: plans.append(len(plan.gates)) or step(c, plan, *a))
     got = sgd_train(circ, p0, samples, cfg, proximal=proximal, frozen=frozen)
-    assert not np.array_equal(got[~frozen], wrap_params(p0)[~frozen])
+    assert set(plans) == {len(circ.layers) - dropped}
+    assert (dropped > 0) == (level == 0.0)
+    if frozen.all():
+        assert np.array_equal(got, wrap_params(p0))
+    else:
+        assert not np.array_equal(got[~frozen], wrap_params(p0)[~frozen])
     assert np.array_equal(got, _reference_sgd(circ, p0, samples, cfg, proximal, frozen))
 
 
@@ -293,6 +316,40 @@ def test_a_frozen_gradient_call_skips_the_frozen_work(name, mask, per_call, monk
     calls.clear()
     loss_and_gradient(circ, params, states, labels, frozen)
     assert len(calls) == per_call
+
+
+# A retrain's frozen gates, by index into the layers: those at level 0, which
+# leave the step's plan, with their kinds and qubits, and those at level pi,
+# which stay.
+RETRAIN_MASKS = {
+    "syn4": ({0: "RY 0", 1: "RY 1", 4: "RX 1", 8: "CRZ 0,1", 13: "RX 1"}, (2, 6)),
+    "syn16": ({0: "RY 0", 5: "CRX 1,2", 10: "RX 3", 14: "RZ 0", 19: "CRZ 2,3", 21: "RY 2"},
+              (2, 12)),
+}
+
+
+@pytest.mark.parametrize("name, per_batch", [("syn4", 24), ("syn16", 46)])
+def test_a_retrain_batch_applies_only_the_compressed_circuit(name, per_batch, monkeypatch):
+    circ, p0, samples = _training_case(name)
+    at_zero, at_pi = RETRAIN_MASKS[name]
+    assert {k: f"{circ.layers[k].kind.value} {','.join(map(str, circ.layers[k].qubits))}"
+            for k in at_zero} == at_zero
+    frozen = np.zeros(circ.n_thetas, dtype=bool)
+    p0 = p0.copy()
+    for indices, level in ((at_zero, 0.0), (at_pi, PI)):
+        for k in indices:
+            frozen[list(circ.layers[k].theta_slots)] = True
+            p0[list(circ.layers[k].theta_slots)] = level
+    kept = [g for k, g in enumerate(circ.layers) if k not in at_zero]
+    live = [sum(not frozen[s] for s in g.theta_slots) for g in kept]
+    first_live = next(k for k, n in enumerate(live) if n)
+    # forward, one undo per kept gate from the earliest live one, each live
+    # derivative; the full circuit makes 32 and 57 applies
+    assert per_batch == len(kept) + (len(kept) - first_live) + sum(live)
+    calls = []
+    _counting(monkeypatch, training, "apply_matrix", calls)
+    sgd_train(circ, p0, samples[:10], TrainConfig(seed=14, epochs=1), frozen=frozen)
+    assert len(calls) == per_batch
 
 
 @pytest.mark.parametrize("name", ["syn4", "syn16", "grouping-amplitude"])

@@ -76,6 +76,7 @@ def _dense_phase_identity(kind, angle):
 
 @pytest.mark.parametrize("kind", ONE_ANGLE_KINDS, ids=lambda k: k.value)
 def test_phase_identity_equals_the_dense_test(kind, monkeypatch):
+    transpile._snapped_phase_identity.cache_clear()
     dense_calls = []
     monkeypatch.setattr(transpile, "gate_matrix",
                         lambda *a: dense_calls.append(a) or gate_matrix(*a))
@@ -86,8 +87,20 @@ def test_phase_identity_equals_the_dense_test(kind, monkeypatch):
     assert got == want
     assert want[0.0] and want[4 * PI]                       # the comparison sees True
     assert not any(want[g + 2e-9] or want[g - 2e-9] for g in GRID)
-    # the generic angles, GENERIC_ANGLE and grid +- 2e-9, skip the dense test
-    assert len(dense_calls) == len(GRID) + 2 * len(GRID)
+    # the generic angles, GENERIC_ANGLE and grid +- 2e-9, skip the dense test,
+    # and the 27 snapped angles take it once per snap class
+    assert len(dense_calls) == 8
+
+
+@pytest.mark.parametrize("kind", [GateKind.U3, GateKind.CU3], ids=lambda k: k.value)
+def test_three_angle_kinds_take_the_dense_test_every_time(kind, monkeypatch):
+    dense_calls = []
+    monkeypatch.setattr(transpile, "gate_matrix",
+                        lambda *a: dense_calls.append(a) or gate_matrix(*a))
+    for _ in range(2):
+        assert is_phase_identity(kind, (0.0, 0.0, 0.0))
+        assert not is_phase_identity(kind, (PI, 0.0, 0.0))
+    assert len(dense_calls) == 4
 
 
 @pytest.mark.parametrize("kind", PUBLISHED_DEPTHS)
