@@ -58,6 +58,8 @@ def read_config_file(path) -> dict:
             key, val = (p.strip() for p in line.split("=", 1))
             if key not in _TOP_KEYS and key not in _TRAIN_KEYS and key not in _ADMM_KEYS:
                 raise ParseError(f"unknown config key {key!r}", lineno)
+            if key in values:
+                raise ParseError(f"repeated config key {key!r}", lineno)
             values[key] = val
     return values
 

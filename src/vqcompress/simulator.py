@@ -8,7 +8,11 @@ shared matrix or through one matrix per row, so a batch can mix samples
 (rows, 2^n, cols), of columns that share their row's matrix; ReCL runs its
 samples that way, along the contiguous axis.
 
-`apply_matrix` is the dense kernel, one einsum per gate.  The noise
+`apply_matrix` is the dense kernel, one einsum per gate.  The kernels call
+numpy's C einsum, to which `np.einsum` passes its operands unchanged at its
+default optimize=False, so the values are the same bit for bit and an apply
+skips about 1 us of Python dispatch, a fifth of its time on a training
+batch; where that import fails they call `np.einsum`.  The noise
 evaluator holds a density matrix as a state of 2n qubits, one sample's per
 row, and its physical gates go through `apply_basis_gate`, which applies
 each basis kind by its structure: X and CX permute amplitude blocks in
@@ -30,6 +34,11 @@ transpiler lowers what the simulator runs.
 from functools import lru_cache
 
 import numpy as np
+
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
 
 from .circuit import BindKind, Circuit, Gate, MeasureScheme, MeasurementSpec
 from .gates import (ARITY, CONTROLLED_TARGET, FORMULAS, GateKind, controlled_mats,
@@ -65,9 +74,9 @@ def _batched_1q(states: np.ndarray, mats: np.ndarray, q: int) -> np.ndarray:
     high = dim // (2 * low)
     t = states.reshape(rows, high, 2, -1)      # trailing columns join the low bits
     if mats.ndim == 2:
-        out = np.einsum("ab,rhbl->rhal", mats, t)
+        out = _einsum("ab,rhbl->rhal", mats, t)
     else:
-        out = np.einsum("rab,rhbl->rhal", mats, t)
+        out = _einsum("rab,rhbl->rhal", mats, t)
     return np.ascontiguousarray(out.reshape(states.shape))
 
 
@@ -76,9 +85,9 @@ def _batched_2q(states: np.ndarray, mats: np.ndarray, qa: int, qb: int) -> np.nd
     idx = _pair_indices(n, qa, qb)
     cols = states[:, idx]                      # (rows, 4, dim/4[, cols])
     if mats.ndim == 2:
-        new = np.einsum("jk,rk...->rj...", mats, cols)
+        new = _einsum("jk,rk...->rj...", mats, cols)
     else:
-        new = np.einsum("rjk,rk...->rj...", mats, cols)
+        new = _einsum("rjk,rk...->rj...", mats, cols)
     out = np.empty_like(states)                # idx covers every amplitude
     out[:, idx] = new
     return out
@@ -162,7 +171,8 @@ class GatePlan:
         mats are the gates' matrix arguments to `apply_matrix`: (rows, d, d),
         or a fixed kind's (d, d).  With `derivatives`, daggers are their
         conj-transposes and derivs, per gate, the dU/d(angle) of each of its
-        angles (`stacked_blocks`); without, both are None.
+        angles (`stacked_blocks`); without, both are None.  Each is a view
+        into the stacks, made only for the gate it belongs to.
         """
         stacks = []
         if self.order:
@@ -171,23 +181,14 @@ class GatePlan:
             if self.controlled.size:
                 stacks.append(controlled_mats(blocks[self.controlled],
                                               _CONTROL0[:blocks.shape[1]]))
-        # halves[h][s][i]: half h of entry i of stack s
-        halves = [[list(stack[:, h]) for stack in stacks]
-                  for h in range(stacks[0].shape[1] if stacks else 1)]
-        mats = [self.fixed[k][0] if w is None else halves[0][w[0]][w[1]]
+        mats = [self.fixed[k][0] if w is None else stacks[w[0]][w[1], 0]
                 for k, w in enumerate(self.where)]
         if not derivatives:
             return mats, None, None
-        dag = [list(np.conj(np.swapaxes(stack[:, 0], -1, -2))) for stack in stacks]
-        daggers, derivs = [], []
-        for k, w in enumerate(self.where):
-            if w is None:
-                daggers.append(self.fixed[k][1])
-                derivs.append([])
-            else:
-                s, i, n = w
-                daggers.append(dag[s][i])
-                derivs.append([half[s][i] for half in halves[1:n + 1]])
+        dag = [np.conj(np.swapaxes(stack[:, 0], -1, -2)) for stack in stacks]
+        daggers = [self.fixed[k][1] if w is None else dag[w[0]][w[1]]
+                   for k, w in enumerate(self.where)]
+        derivs = [() if w is None else stacks[w[0]][w[1], 1:w[2] + 1] for w in self.where]
         return mats, daggers, derivs
 
     def matrices(self, values: np.ndarray) -> list[np.ndarray]:
@@ -261,7 +262,7 @@ def apply_basis_gate(states: np.ndarray, kind: GateKind, qubits: tuple[int, ...]
         rows = states.shape[0]
         t = states.reshape(rows, states.shape[1] >> (qubits[0] + 1), 2, -1)
         diag = np.broadcast_to(operand, (rows, 2))
-        return np.einsum("ra,rhal->rhal", diag, t).reshape(states.shape)
+        return _einsum("ra,rhal->rhal", diag, t).reshape(states.shape)
     return apply_matrix(states, operand, qubits)
 
 

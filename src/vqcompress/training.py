@@ -15,10 +15,13 @@ rows whatever the number of parameters.  Every layer gate's U, U^dagger and
 dU = U(t + pi) / 2 come from one build of the layers' `GatePlan`, which
 evaluates each formula once on [angles; angles + pi].  Frozen slots cost
 nothing: they get no derivative apply, and the walk stops at the earliest
-gate with a live slot.  `sgd_train` encodes its samples once, looks up the
-layers' plan and reads its frozen mask once, and indexes the states per
-batch, so a step runs only the layers; `batch_loss_and_gradient` is the same
-gradient from features.  A retrain simulates the compressed circuit: its
+gate with a live slot.  `sgd_train` builds once per call what its steps
+share: it encodes its samples, applies the kept gates before the earliest
+live one, and builds the readout table, the one-hot targets and the
+backward walk.  A step builds only its theta-dependent matrices, runs the
+gates from the earliest live one, and computes no loss, which `sgd_train`
+would discard; `batch_loss_and_gradient` is the same gradient from
+features.  A retrain simulates the compressed circuit: its
 steps run the plan of the layers without the frozen gates whose matrix is
 exactly the identity (pruned at 0), which cost nothing, as a compiled circuit
 holds no gate for them, and the other masked gates add no derivative work.
@@ -118,46 +121,49 @@ def loss_and_gradient(circuit: Circuit, params: np.ndarray, states: np.ndarray,
     """
     params = np.asarray(params, dtype=float)
     plan = gate_plan(tuple(circuit.layers))
-    return _loss_and_gradient(circuit, plan, _live(plan, params.size, frozen),
-                              params, states, labels)
+    weights = readout_weights(circuit.measurement, circuit.n_qubits)
+    return _loss_and_gradient(weights, plan, _live(plan, params.size, frozen), params, states,
+                              np.eye(weights.shape[0])[labels], labels)
 
 
-def _live(plan, n_slots: int, frozen: np.ndarray | None) -> tuple[list[bool], int]:
-    """Whether each slot is live, and the earliest gate of `plan` with a
-    live slot (len(plan.gates) if none is)."""
+def _live(plan, n_slots: int, frozen: np.ndarray | None) -> list:
+    """The backward walk of `plan` under a frozen mask: each gate from the
+    last down to the earliest with a live slot, as (index, qubits, live
+    (angle, slot) pairs)."""
     live = np.ones(n_slots, dtype=bool)
     if frozen is not None:
         live[frozen] = False
     live = live.tolist()
-    gates = [any(live[s] for _, s in slots) for slots in plan.theta_slots]
-    return live, gates.index(True) if any(gates) else len(gates)
+    walk = [(k, gate.qubits, [(j, s) for j, s in slots if live[s]])
+            for k, (gate, slots) in enumerate(zip(plan.gates, plan.theta_slots))]
+    first = next((k for k, (_, _, pairs) in enumerate(walk) if pairs), len(walk))
+    return walk[first:][::-1]
 
 
-def _loss_and_gradient(circuit: Circuit, plan, mask: tuple[list[bool], int],
-                       params: np.ndarray, states: np.ndarray,
-                       labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """`loss_and_gradient` given the layers' plan and `_live` of the mask."""
-    (live, first_live), n_batch = mask, states.shape[0]
+def _loss_and_gradient(weights: np.ndarray, plan, walk: list, params: np.ndarray,
+                       states: np.ndarray, targets: np.ndarray,
+                       labels: np.ndarray | None = None) -> tuple[float | None, np.ndarray]:
+    """`loss_and_gradient` given the readout table, the layers' plan, its
+    `_live` walk and the batch's one-hot targets; the loss is None without
+    `labels`."""
+    n_batch = states.shape[0]
     mats, daggers, derivs = plan.build(params[None, :], derivatives=True)
     for gate, u in zip(plan.gates, mats):
         states = apply_matrix(states, u, gate.qubits)
 
-    weights = readout_weights(circuit.measurement, circuit.n_qubits)
-    probs = softmax(measure_outputs_batch(states, circuit.measurement))
-    rows = np.arange(n_batch)
-    loss = float(-np.log(np.maximum(probs[rows, labels], 1e-300)).mean())
-    dl_dout = probs - np.eye(probs.shape[1])[labels]
-    costate = ((dl_dout / n_batch) @ weights) * states
+    probs = softmax((np.abs(states) ** 2) @ weights.T)
+    loss = None if labels is None else float(
+        -np.log(np.maximum(probs[np.arange(n_batch), labels], 1e-300)).mean())
+    costate = (((probs - targets) / n_batch) @ weights) * states
 
     grad = np.zeros(params.size)
     both = np.concatenate([states, costate])   # rows: the states, then the co-states
-    for k in reversed(range(first_live, len(plan.gates))):
-        qubits, prev = plan.gates[k].qubits, both
+    for k, qubits, pairs in walk:
+        prev = both
         both = apply_matrix(prev, daggers[k], qubits)
-        for j, slot in plan.theta_slots[k]:
-            if live[slot]:
-                d_states = apply_matrix(both[:n_batch], derivs[k][j], qubits)
-                grad[slot] += 2.0 * np.vdot(prev[n_batch:], d_states).real
+        for j, slot in pairs:
+            d_states = apply_matrix(both[:n_batch], derivs[k][j], qubits)
+            grad[slot] += 2.0 * np.vdot(prev[n_batch:], d_states).real
     return loss, grad
 
 
@@ -167,21 +173,24 @@ def batch_loss_and_gradient(circuit: Circuit, params: np.ndarray, feats: np.ndar
     return loss_and_gradient(circuit, params, initial_states(circuit, feats), labels)
 
 
-def _compressed_plan(plan, theta: np.ndarray, frozen: np.ndarray | None):
-    """The plan of `plan`'s gates minus every gate with no live slot whose
-    matrix at `theta` is exactly the identity.
+def _step_plans(plan, theta: np.ndarray, frozen: np.ndarray | None):
+    """The constant prefix and the step plan of an `sgd_train` call: `plan`'s
+    gates minus every gate with no live slot whose matrix at `theta` is
+    exactly the identity, split before the earliest gate with a live slot.
 
     Such a gate is an exact no-op for as long as its slots stay frozen, and
-    its sub-plan reads the same global slots, so training on it keeps every
-    bit.  A gate that is the identity only up to a phase or a rounding, such
-    as RX(2 pi), is kept.
+    the gates before the split are constant, so they are applied
+    once per call.  Both sub-plans read the same global slots, so training
+    on them keeps every bit.  A gate that is the identity only up to a phase
+    or a rounding, such as RX(2 pi), is kept.
     """
-    live = _live(plan, theta.size, frozen)[0]
-    mats = plan.matrices(theta[None, :])
-    kept = tuple(gate for gate, slots, u in zip(plan.gates, plan.theta_slots, mats)
-                 if any(live[s] for _, s in slots)
-                 or not np.array_equal(u.reshape(u.shape[-2:]), np.eye(u.shape[-1])))
-    return plan if len(kept) == len(plan.gates) else gate_plan(kept)
+    live = {k for k, _, pairs in _live(plan, theta.size, frozen) if pairs}
+    kept = [k for k, u in enumerate(plan.matrices(theta[None, :]))
+            if k in live or not np.array_equal(u.reshape(u.shape[-2:]), np.eye(u.shape[-1]))]
+    first = next((i for i, k in enumerate(kept) if k in live), len(kept))
+    gates = tuple(plan.gates[k] for k in kept)
+    step = plan if len(gates) - first == len(plan.gates) else gate_plan(gates[first:])
+    return gate_plan(gates[:first]), step
 
 
 def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,
@@ -195,8 +204,8 @@ def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,
     cost the gradient no derivative work.  The steps simulate the compressed
     circuit: a gate with no live slot whose matrix at the start is exactly
     the identity (a prune level at 0) is left out of the steps' plan and
-    costs nothing, and the result keeps every bit of the full circuit's.
-    The plan is built, and the mask read, once per call, not once per batch.
+    costs nothing, the kept gates before the earliest live one are applied
+    once, and the result keeps every bit of the full circuit's.
     Parameters are wrapped to [0, 4pi) after every step; two runs with the
     same seed produce bit-identical results.
     """
@@ -205,15 +214,17 @@ def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,
     rng = np.random.default_rng(config.seed)
     theta = wrap_params(np.asarray(params0, dtype=float).copy())
     feats, labels = stack(samples)
-    states = initial_states(circuit, feats)
-    plan = _compressed_plan(gate_plan(tuple(circuit.layers)), theta, frozen)
-    live = _live(plan, theta.size, frozen)
+    prefix, plan = _step_plans(gate_plan(tuple(circuit.layers)), theta, frozen)
+    states = prefix.apply(initial_states(circuit, feats), theta[None, :])
+    walk = _live(plan, theta.size, frozen)
+    weights = readout_weights(circuit.measurement, circuit.n_qubits)
+    targets = np.eye(weights.shape[0])[labels]
     n = len(labels)
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            _, grad = _loss_and_gradient(circuit, plan, live, theta, states[idx], labels[idx])
+            _, grad = _loss_and_gradient(weights, plan, walk, theta, states[idx], targets[idx])
             if proximal is not None:
                 z, lam, rho = proximal
                 grad = grad + rho * circ_residual(theta, z) + lam

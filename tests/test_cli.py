@@ -132,6 +132,15 @@ def test_config_file_rejects_unknown_key(tmp_path):
     assert main(["report", "--config", str(cfgfile)]) == 2
 
 
+def test_config_file_rejects_a_repeated_key(tmp_path, capsys):
+    # not last-wins: the run would train with seed 3 and exit 0
+    cfgfile = tmp_path / "twice.cfg"
+    cfgfile.write_text("seed = 1\nepochs = 2\nseed = 3\n")
+    assert main(["report", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "repeated config key 'seed'" in err
+
+
 def test_exit_code_2_on_config_error():
     assert main(["report", "--dataset", "bogus", "--methods", "Vanilla"]) == 2
 

@@ -314,6 +314,29 @@ def test_sgd_train_looks_up_the_layers_plan_once(monkeypatch):
     assert lookups.count(tuple(circ.encoder)) == 1
 
 
+def test_sgd_train_builds_its_targets_and_backward_walk_once(monkeypatch):
+    """The one-hot targets and the backward walk are the same for every step
+    of a call, so a call of three batches builds as many of each as a call
+    of nine, and every step reads the same walk."""
+    circ, params, feats, labels = _reference_case("syn4")
+    samples = [Sample(f, int(l)) for f, l in zip(feats, labels)]
+    eyes, walks, steps = [], [], []
+    eye, live, step = np.eye, training._live, training._loss_and_gradient
+    monkeypatch.setattr(np, "eye", lambda *a, **k: eyes.append(a) or eye(*a, **k))
+    monkeypatch.setattr(training, "_live", lambda *a: walks.append(a) or live(*a))
+    monkeypatch.setattr(training, "_loss_and_gradient",
+                        lambda w, plan, walk, *a: steps.append(walk) or step(w, plan, walk, *a))
+    counts = []
+    for epochs in (1, 3):
+        eyes.clear(), walks.clear(), steps.clear()
+        training.sgd_train(circ, params, samples, TrainConfig(seed=3, epochs=epochs, batch_size=4))
+        assert all(walk is steps[0] for walk in steps)
+        counts.append((len(steps), len(eyes), len(walks)))
+    (steps1, eyes1, walks1), (steps3, eyes3, walks3) = counts
+    assert (steps1, steps3) == (3, 9)
+    assert (eyes1, walks1) == (eyes3, walks3)
+
+
 def _shared_slot_circuit():
     gates = [Gate(GateKind.RY, (0,), (theta(0),)),
              Gate(GateKind.CRX, (0, 1), (theta(1),)),

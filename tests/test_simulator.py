@@ -8,6 +8,7 @@ import oracle
 from conftest import random_circuit, random_state
 from vqcompress.circuit import (Circuit, Gate, MeasureScheme, MeasurementSpec,
                                 const, data, theta)
+from vqcompress import simulator
 from vqcompress.errors import SpecError
 from vqcompress.gates import GateKind, gate_mats_batch, gate_matrix
 from vqcompress.simulator import (apply_basis_gate, apply_matrix, measure_outputs_batch,
@@ -202,3 +203,41 @@ def test_basis_gates_equal_the_dense_kernel(n, shape):
             want = apply_matrix(states, mats, qubits)
             got = apply_basis_gate(states.copy(), kind, qubits, np.diagonal(mats, axis1=1, axis2=2))
             assert np.array_equal(got, want), (kind, qubits, params, "per row")
+
+
+def test_the_kernels_call_numpys_c_einsum():
+    c_einsum = pytest.importorskip("numpy._core.multiarray").c_einsum
+    assert simulator._einsum is c_einsum
+
+
+# (rows, qubits, trailing columns): the training batches of syn4 and syn16,
+# and ReCL's (candidates, 2^n, samples) layout
+@pytest.mark.parametrize("rows, n, cols", [(10, 2, None), (20, 4, None), (3, 4, 7)],
+                         ids=["10x4", "20x16", "3x16x7"])
+@pytest.mark.parametrize("mat_rows", [None, 1, "R"], ids=["dd", "1dd", "Rdd"])
+def test_the_c_einsum_equals_np_einsum_byte_for_byte(rows, n, cols, mat_rows, monkeypatch):
+    # every kernel subscript: the 1q and 2q dense ones on every placement,
+    # and RZ's diagonal one; exact and signed zeros in the states and the
+    # matrices, so that tobytes tells -0.0 from 0.0
+    rng = np.random.default_rng(50 + rows + n)
+    shape = (rows, 2 ** n) + (() if cols is None else (cols,))
+    states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    states[:, ::3] = 0.0
+    states[:, 1::5] = -0.0 - 0.0j
+    states.imag[:, 2::4] = -0.0
+    m = rows if mat_rows == "R" else mat_rows
+    cases = [((q,), 2) for q in range(n)] + [(pair, 4) for pair in itertools.permutations(range(n), 2)]
+    for qubits, d in cases:
+        mats = rng.normal(size=(d, d) if m is None else (m, d, d)) + 0j
+        mats.imag[..., ::2, :] = rng.normal(size=mats[..., ::2, :].shape)
+        mats[..., 0, -1] = -0.0
+        diag = np.diagonal(mats, axis1=-2, axis2=-1)
+        calls = [lambda: apply_matrix(states, mats, qubits)]
+        if d == 2:
+            calls.append(lambda: apply_basis_gate(states, GateKind.RZ, qubits, diag))
+        for call in calls:
+            got = call()
+            with monkeypatch.context() as patch:
+                patch.setattr(simulator, "_einsum", np.einsum)
+                want = call()
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), qubits

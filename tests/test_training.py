@@ -216,7 +216,8 @@ def _reference_sgd(circ, params0, samples, config, proximal, frozen):
     return theta
 
 
-FROZEN_LEVELS = {None: "", 0.0: "-zero", 2 * PI: "-two-pi", PI: "-pi", "all-zero": "-all-zero"}
+FROZEN_LEVELS = {None: "", 0.0: "-zero", 2 * PI: "-two-pi", PI: "-pi", "all-zero": "-all-zero",
+                 "lead-half-pi": "-lead-half-pi"}
 
 
 @pytest.mark.parametrize("name, level", [pytest.param(name, level, id=name + tag)
@@ -225,7 +226,10 @@ FROZEN_LEVELS = {None: "", 0.0: "-zero", 2 * PI: "-two-pi", PI: "-pi", "all-zero
 def test_sgd_train_equals_a_loop_over_batch_loss_and_gradient(name, level, monkeypatch):
     """Every third slot frozen at its start value, or at a level: at 0 its
     gates leave the step's plan; at 2 pi (a phase times I, up to rounding)
-    and pi they stay.  With every slot frozen at 0 the plan is empty."""
+    and pi they stay.  With every slot frozen at 0 the plan is empty.  The
+    kept gates before the earliest live one are applied once per call, not
+    per step: with the first half of the gates frozen at pi / 2, that
+    constant prefix holds at least half of them."""
     circ, p0, samples = _training_case(name)
     cfg = TrainConfig(seed=14, epochs=2)
     rng = np.random.default_rng(15)
@@ -234,17 +238,26 @@ def test_sgd_train_equals_a_loop_over_batch_loss_and_gradient(name, level, monke
     frozen[::3] = True
     if level == "all-zero":
         frozen[:], level = True, 0.0
+    if level == "lead-half-pi":
+        frozen[:], level = False, PI / 2
+        for gate in circ.layers[:len(circ.layers) // 2]:
+            frozen[list(gate.theta_slots)] = True
     if level is not None:
         p0 = p0.copy()
         p0[frozen] = level
-    dropped = sum(level == 0.0 and all(frozen[s] for s in g.theta_slots) for g in circ.layers)
+    kept = [g for g in circ.layers
+            if not (level == 0.0 and all(frozen[s] for s in g.theta_slots))]
+    prefix = next((i for i, g in enumerate(kept) if not all(frozen[s] for s in g.theta_slots)),
+                  len(kept))
     plans = []
     step = training._loss_and_gradient
     monkeypatch.setattr(training, "_loss_and_gradient",
-                        lambda c, plan, *a: plans.append(len(plan.gates)) or step(c, plan, *a))
+                        lambda w, plan, *a: plans.append(len(plan.gates)) or step(w, plan, *a))
     got = sgd_train(circ, p0, samples, cfg, proximal=proximal, frozen=frozen)
-    assert set(plans) == {len(circ.layers) - dropped}
-    assert (dropped > 0) == (level == 0.0)
+    assert set(plans) == {len(kept) - prefix}
+    assert (len(kept) < len(circ.layers)) == (level == 0.0)
+    if level == PI / 2:
+        assert prefix >= len(circ.layers) // 2
     if frozen.all():
         assert np.array_equal(got, wrap_params(p0))
     else:
@@ -328,7 +341,7 @@ RETRAIN_MASKS = {
 }
 
 
-@pytest.mark.parametrize("name, per_batch", [("syn4", 24), ("syn16", 46)])
+@pytest.mark.parametrize("name, per_batch", [("syn4", 23), ("syn16", 46)])
 def test_a_retrain_batch_applies_only_the_compressed_circuit(name, per_batch, monkeypatch):
     circ, p0, samples = _training_case(name)
     at_zero, at_pi = RETRAIN_MASKS[name]
@@ -343,9 +356,11 @@ def test_a_retrain_batch_applies_only_the_compressed_circuit(name, per_batch, mo
     kept = [g for k, g in enumerate(circ.layers) if k not in at_zero]
     live = [sum(not frozen[s] for s in g.theta_slots) for g in kept]
     first_live = next(k for k, n in enumerate(live) if n)
-    # forward, one undo per kept gate from the earliest live one, each live
-    # derivative; the full circuit makes 32 and 57 applies
-    assert per_batch == len(kept) + (len(kept) - first_live) + sum(live)
+    # forward and one undo per kept gate from the earliest live one, each
+    # live derivative; the kept gates before it are applied once per call,
+    # outside the step.  The full circuit makes 32 and 57 applies, and the
+    # whole compressed one 24 and 46.
+    assert per_batch == 2 * (len(kept) - first_live) + sum(live)
     calls = []
     _counting(monkeypatch, training, "apply_matrix", calls)
     sgd_train(circ, p0, samples[:10], TrainConfig(seed=14, epochs=1), frozen=frozen)
