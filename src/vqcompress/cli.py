@@ -88,6 +88,8 @@ def build_config(args) -> ExperimentConfig:
     for name, path in (("out", cfg.out), ("save", getattr(args, "save", None))):
         if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ConfigError(f"{name}: the directory of {path!r} does not exist")
+        if path and os.path.isdir(path) and (name, args.command) != ("out", "report"):
+            raise ConfigError(f"{name}: {path!r} is a directory; only report's --out is a prefix")
     return cfg
 
 

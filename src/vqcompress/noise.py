@@ -34,7 +34,7 @@ from .data import stack
 from .errors import ConfigError
 from .gates import GateKind, gate_mats_batch
 from .simulator import PERMUTATIONS, apply_basis_gate, readout_weights
-from .training import input_states, softmax
+from .training import hits, input_states
 from .transpile import PhysicalGate, TranspiledCircuit, kept_gates, lower_gates
 
 
@@ -98,18 +98,14 @@ def _density_pass(rows: list[list[PhysicalGate]], states: np.ndarray,
 
 
 def noisy_outputs(tc: TranspiledCircuit, input_state: np.ndarray, spec: MeasurementSpec,
-                  p: float, shots=None, seed=None) -> np.ndarray:
+                  p: float) -> np.ndarray:
     """Exact measurement outputs of a physical circuit under depolarizing
-    noise: the one-row case of `noisy_accuracy`'s rho pass.
-
-    `shots` and `seed` are ignored; they stay in the signature only until
-    the benchmark stops passing them.
-    """
+    noise: the one-row case of `noisy_accuracy`'s rho pass."""
     return _density_pass([tc.gates], np.asarray(input_state)[None, :], spec, p)[0]
 
 
 def noisy_accuracy(circuit: Circuit, params, samples, p: float, shots=None, seed=None) -> float:
-    """Classification accuracy when every physical gate is followed by noise.
+    """Hit rate (`training.hits`) when every physical gate is followed by noise.
 
     Noise hits the encoder's physical gates too, so each sample starts from
     its `input_states` row and runs the whole lowered circuit.  One
@@ -135,7 +131,5 @@ def noisy_accuracy(circuit: Circuit, params, samples, p: float, shots=None, seed
             index = members[start:start + step]
             outs = _density_pass([kept[i] for i in index], states[index],
                                  circuit.measurement, p)
-            for i, row in zip(index, outs):
-                if int(np.argmax(softmax(row[None, :])[0])) == labels[i]:
-                    correct += 1
+            correct += int(hits(outs, labels[index]).sum())
     return correct / len(labels)

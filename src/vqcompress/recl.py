@@ -1,11 +1,11 @@
 """LUT reconstruction: pick one compression level per gate by accuracy x speedup.
 
-For gate i and candidate level v, the metric is the accuracy of the circuit
-with only parameter i moved to v, times the speedup TCD(theta) / TCD(theta^{i,v}),
-so levels that shorten the transpiled circuit raise the metric.  A metric
-does not depend on the other levels swept, so one sweep of the full LUT
-serves every level family: `ReconstructedLUT.restricted` picks among one
-family's swept levels.
+For gate i and candidate level v, the metric is the hit rate (`training.hits`:
+a tie is a miss) of the circuit with only parameter i moved to v, times the
+speedup TCD(theta) / TCD(theta^{i,v}), so levels that shorten the transpiled
+circuit raise the metric.  A metric does not depend on the other levels
+swept, so one sweep of the full LUT serves every level family:
+`ReconstructedLUT.restricted` picks among one family's swept levels.
 """
 
 import warnings
@@ -17,7 +17,7 @@ from .circuit import Circuit
 from .data import stack
 from .lut import CompressionLUT, LevelTag
 from .simulator import apply_matrix, gate_plan, measure_outputs_batch
-from .training import initial_states, softmax
+from .training import hits, initial_states
 from .transpile import DepthScan, lower_circuit, lower_gates, suffix_summaries
 
 
@@ -38,8 +38,8 @@ class ReconstructedLUT:
 
 
 def _pick(swept: dict) -> ReconstructedLUT:
-    """Per-gate argmax of the metric; ties pick the level with smaller depth,
-    then smaller value."""
+    """Per-gate best metric; ties pick the level with smaller depth, then
+    smaller value."""
     recon = ReconstructedLUT(swept=swept)
     for gi, pairs in swept.items():
         if pairs:
@@ -77,10 +77,11 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
     a (C, 2^n, B) batch: the reader gates' plan builds their (C, d, d)
     matrices from the C substituted theta rows in one build, every
     other gate applies theta's (1, d, d) matrix from the layers' `GatePlan`
-    to all C rows, and the readout takes the (C * B, 2^n) rows at once, so
-    the suffix costs one `apply_matrix` per gate whatever C is.  Each row
-    sees the arithmetic `run_batch` does on it, so metrics are bit-identical
-    to a from-scratch evaluation.  Gates without levels are skipped.
+    to all C rows, and the readout and `hits` (labels tiled per level) take
+    the (C * B, 2^n) rows at once, so the suffix costs one `apply_matrix` per
+    gate whatever C is.  Each row sees the arithmetic `run_batch` does on it,
+    so metrics are bit-identical to a from-scratch evaluation.  Gates without
+    levels are skipped.
     """
     theta = np.asarray(theta, dtype=float)
     gates = circuit.layers
@@ -116,9 +117,9 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
         for k in range(first, len(gates)):
             final = apply_matrix(final, mats.get(k, base[k]), gates[k].qubits)
         rows = final.transpose(0, 2, 1).reshape(-1, final.shape[1])
-        probs = softmax(measure_outputs_batch(rows, circuit.measurement))
-        hits = probs.argmax(axis=1).reshape(len(thetas), -1) == labels
-        for span, acc in zip(lower_gates(reader_gates, thetas), hits.mean(axis=1)):
+        hit = hits(measure_outputs_batch(rows, circuit.measurement),
+                   np.tile(labels, len(thetas))).reshape(len(thetas), -1)
+        for span, acc in zip(lower_gates(reader_gates, thetas), hit.mean(axis=1)):
             relowered = dict(zip(readers[gi], span))
             scan = snapshots[first].copy()
             for k in range(first, last + 1):

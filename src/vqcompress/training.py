@@ -1,5 +1,9 @@
-"""Input states, forward pass, cross-entropy loss, adjoint-method gradients,
-and SGD.
+"""Input states, forward pass, the scoring rule, cross-entropy loss,
+adjoint-method gradients, and SGD.
+
+`hits` alone decides a correct prediction, here, in ReCL and under noise: a
+label's output must beat every other by more than `TIE_MARGIN`, so a tie
+(outputs equal up to roundoff) is a miss on every path.  Softmax is the loss's.
 
 Features enter in one place: `input_states` makes the states before the
 encoder (amplitudes or |0...0>) and `initial_states` runs the encoder on
@@ -89,14 +93,26 @@ def softmax(outputs: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+# How far a row's label output must beat every other output to score a hit.
+TIE_MARGIN = 1e-12
+
+
+def hits(outputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Which rows of (R, C) outputs predict their label: the label's output
+    beats each of the C - 1 others (never itself) by more than `TIE_MARGIN`,
+    so a tie is a miss."""
+    own = outputs[np.arange(len(labels)), labels]
+    return (own[:, None] - outputs > TIE_MARGIN).sum(axis=1) == outputs.shape[1] - 1
+
+
 def loss_and_accuracy(circuit: Circuit, params, samples) -> tuple[float, float]:
-    """Mean cross-entropy and argmax accuracy over a sample list."""
+    """Mean cross-entropy and hit rate (`hits`) over a sample list."""
     feats, labels = stack(samples)
-    probs = softmax(outputs_batch(circuit, np.atleast_2d(params), feats))
+    outputs = outputs_batch(circuit, np.atleast_2d(params), feats)
+    probs = softmax(outputs)
     n = len(labels)
     loss = float(-np.log(np.maximum(probs[np.arange(n), labels], 1e-300)).mean())
-    acc = float((probs.argmax(axis=1) == labels).mean())
-    return loss, acc
+    return loss, float(hits(outputs, labels).mean())
 
 
 def loss_and_gradient(circuit: Circuit, params: np.ndarray, states: np.ndarray,

@@ -209,22 +209,42 @@ def test_params_file_of_the_circuit_sets_its_tcd(tmp_path, capsys):
     assert capsys.readouterr().out.endswith(f"circuit syn4: tcd {tcd(circ, values)}\n")
 
 
-@pytest.mark.parametrize("field", ["circuit", "config", "dataset", "out", "save"])
+@pytest.mark.parametrize("field", ["circuit", "config", "dataset", "out", "save",
+                                   "out-dir-train", "out-dir-recl", "out-dir-compress",
+                                   "save-dir-train", "save-dir-compress"])
 def test_missing_input_or_output_path_exits_2_before_training(field, tmp_path, monkeypatch,
                                                              capsys):
+    # an existing directory is no file to write: `--out DIR` (where --out is
+    # a file, not report's prefix) and `--save DIR` exit 2 as a missing one does
     def no_training(*args, **kwargs):
         raise AssertionError("trained before checking the paths")
 
     monkeypatch.setattr(cli, "vanilla_train", no_training)
     monkeypatch.setattr(cli, "run_experiment", no_training)
     missing = str(tmp_path / "no-dir" / "file")
+    run = ["--dataset", "syn4", "--circuit", "syn4"]
     args = {"circuit": ["lut", "--circuit", missing],
             "config": ["report", "--config", missing],
             "dataset": ["train", "--circuit", "syn4", "--dataset", f"csv:{missing}"],
-            "out": ["report", "--dataset", "syn4", "--circuit", "syn4", "--out", missing],
-            "save": ["compress", "--dataset", "syn4", "--circuit", "syn4", "--save", missing]}
+            "out": ["report", *run, "--out", missing],
+            "save": ["compress", *run, "--save", missing],
+            "out-dir-train": ["train", *run, "--out", str(tmp_path)],
+            "out-dir-recl": ["recl", *run, "--out", str(tmp_path)],
+            "out-dir-compress": ["compress", *run, "--out", str(tmp_path)],
+            "save-dir-train": ["train", *run, "--save", str(tmp_path)],
+            "save-dir-compress": ["compress", *run, "--save", str(tmp_path)]}
     assert main(args[field]) == 2
-    assert f"{field}:" in capsys.readouterr().err
+    assert f"{field.split('-')[0]}:" in capsys.readouterr().err
+
+
+def test_report_out_prefix_may_name_a_directory(tmp_path, monkeypatch, capsys):
+    # report's --out is a prefix: `--out DIR` writes DIR.txt beside DIR
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: "report")
+    monkeypatch.setattr(cli, "format_report", lambda report, fmt: f"{report} {fmt}\n")
+    out = tmp_path / "results"
+    out.mkdir()
+    assert main(["report", "--dataset", "syn4", "--circuit", "syn4", "--out", str(out)]) == 0
+    assert (tmp_path / "results.txt").read_text() == "report table\n"
 
 
 AMPLITUDE_CIRC = "qubits 2\n#layers\nRY 0 free\nCRX 0,1 free\nRY 1 free\n#measure perqubitz 2\n"

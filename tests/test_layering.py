@@ -14,7 +14,9 @@ a keep-mode `DepthScan`, so the peephole rule's gate list has one source,
 (and `__init__` exports it), so no compression method can sweep ReCL again
 for itself.  `circfile` names neither `ARITY` nor `N_QUBITS_OF_KIND`, so
 `Gate` alone decides a kind's qubit and angle counts and the parser reports
-its errors at their line.  Every function, class and
+its errors at their line.  Only `training` names `softmax`, and no module
+names `argmax`, so `training.hits` alone decides a correct prediction and no
+path can score a tie by roundoff.  Every function, class and
 method the package defines is named somewhere in the package outside its
 own definition, so `src/` holds only what the pipeline runs, not an API that
 only tests call.
@@ -216,6 +218,25 @@ def test_only_simulator_and_training_name_zero_state():
     users = {path.stem for path in sorted(PACKAGE.glob("*.py"))
              if _named(ast.parse(path.read_text()))["zero_state"]}
     assert users == {"simulator", "training"}
+
+
+def test_only_training_scores_a_prediction():
+    # one scoring rule: `training.hits` decides a correct prediction, and
+    # softmax is left to the loss
+    named = {path.stem: _named(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {stem for stem, found in named.items() if found["softmax"]} == {"training"}
+    assert {stem for stem, found in named.items() if found["argmax"]} == set()
+
+
+@pytest.mark.parametrize("source, name", [
+    ("probs.argmax(axis=1)", "argmax"),
+    ("from numpy import argmax as top", "argmax"),
+    ("import numpy as xp\nk = xp.argmax(o)", "argmax"),
+    ("from .training import softmax", "softmax"),
+])
+def test_the_scoring_scan_sees_every_spelling(source, name):
+    assert _named(ast.parse(source))[name]
 
 
 def test_only_experiment_and_cli_sweep_recl():

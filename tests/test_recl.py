@@ -14,8 +14,8 @@ from vqcompress.noise import noisy_accuracy
 from vqcompress.recl import _sweep, reconstruct_lut
 from vqcompress.simulator import run_batch
 from vqcompress import recl, transpile
-from vqcompress.training import (TrainConfig, init_params, initial_states, outputs_batch,
-                                 softmax)
+from vqcompress.training import (TIE_MARGIN, TrainConfig, init_params, initial_states,
+                                 outputs_batch)
 from vqcompress.transpile import DepthScan, lower_circuit, tcd
 
 PI = math.pi
@@ -34,14 +34,20 @@ def toy_samples(rng, n=12):
     return [Sample(f, int(l)) for f, l in zip(feats, labels)]
 
 
+def is_hit(outputs, label) -> bool:
+    """The scoring rule, restated: the label's output beats the best other
+    output by more than TIE_MARGIN."""
+    others = [v for c, v in enumerate(outputs) if c != label]
+    return outputs[label] - max(others, default=-np.inf) > TIE_MARGIN
+
+
 def brute_force_metric(circ, th, gi, level, samples):
     """Independent implementation: explicit substitution, accuracy, speedup."""
     new = np.array(th, copy=True)
     new[circ.layers[gi].theta_slots[0]] = level.value[0]
     correct = 0
     for s in samples:
-        probs = softmax(outputs_batch(circ, new[None, :], s.features[None, :]))[0]
-        correct += int(np.argmax(probs)) == s.label
+        correct += is_hit(outputs_batch(circ, new[None, :], s.features[None, :])[0], s.label)
     acc = correct / len(samples)
     t0, t1 = tcd(circ, th), max(tcd(circ, new), 1)
     return acc * t0 / t1
@@ -65,8 +71,8 @@ def test_metric_is_accuracy_when_depth_unchanged():
     expected_acc = brute_force_metric(circ, th, 0, level, samples)
     assert m == pytest.approx(expected_acc)
     if tcd(circ, new) == base:
-        assert m == pytest.approx(sum(int(np.argmax(softmax(outputs_batch(
-            circ, new[None, :], s.features[None, :]))[0])) == s.label
+        assert m == pytest.approx(sum(is_hit(outputs_batch(
+            circ, new[None, :], s.features[None, :])[0], s.label)
             for s in samples) / len(samples))
 
 
@@ -150,8 +156,8 @@ def from_scratch_metric(circ, th, gi, level, samples):
     for slot, val in zip(circ.layers[gi].theta_slots, level.value):
         new[slot] = val
     feats, labels = stack(samples)
-    probs = softmax(outputs_batch(circ, new[None, :], feats))
-    acc = float((probs.argmax(axis=1) == labels).mean())
+    outputs = outputs_batch(circ, new[None, :], feats)
+    acc = float(np.mean([is_hit(row, label) for row, label in zip(outputs, labels)]))
     return acc * (tcd(circ, th) / max(tcd(circ, new), 1))
 
 

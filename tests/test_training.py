@@ -13,9 +13,9 @@ from vqcompress.gates import GateKind
 from vqcompress import simulator, training
 from vqcompress.circfile import load_reference
 from vqcompress.gates import circ_residual, wrap_params
-from vqcompress.training import (TrainConfig, batch_loss_and_gradient, init_params,
-                                 initial_states, loss_and_accuracy, loss_and_gradient,
-                                 outputs_batch, sgd_train, softmax)
+from vqcompress.training import (TIE_MARGIN, TrainConfig, batch_loss_and_gradient, hits,
+                                 init_params, initial_states, loss_and_accuracy,
+                                 loss_and_gradient, outputs_batch, sgd_train, softmax)
 
 PI = math.pi
 
@@ -29,6 +29,24 @@ def test_softmax_symmetry_and_ratio():
     p = softmax(np.array([0.3, 0.3 + 0.9]))
     assert p[1] / p[0] == pytest.approx(math.exp(0.9), rel=1e-12)
     assert softmax(np.array([[2.0, 5.0, 1.0]])).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("outputs, label, hit", [
+    ([0.3, 0.3], 0, False),                         # an exact tie is a miss for both
+    ([0.3, 0.3], 1, False),
+    ([0.3 + TIE_MARGIN / 2, 0.3], 0, False),        # a gap below the margin is a tie
+    ([0.3 + 4 * TIE_MARGIN, 0.3], 0, True),         # a gap above it is a hit
+    ([0.5, -0.2, 0.1], 2, False),                   # the label is not the top class
+    ([0.5, -0.2, 0.1], 0, True),
+    ([-0.7], 0, True),                              # one class: nothing to beat
+], ids=["tie-0", "tie-1", "gap-below", "gap-above", "not-top", "top-of-3", "one-class"])
+def test_hits_score_the_label_by_margin(outputs, label, hit):
+    assert hits(np.array([outputs]), np.array([label])).tolist() == [hit]
+
+
+def test_hits_score_each_row_alone():
+    outputs = np.array([[0.1, 0.9], [0.9, 0.1], [0.5, 0.5], [0.9, 0.1]])
+    assert hits(outputs, np.array([1, 0, 0, 1])).tolist() == [True, True, False, False]
 
 
 def test_forward_probabilities_sum_to_one():
@@ -45,6 +63,7 @@ def test_loss_uniform_predictions_is_ln2():
     samples = _samples(np.zeros((6, 1)), [0, 1, 0, 1, 0, 1])
     loss, acc = loss_and_accuracy(circ, [], samples)
     assert loss == pytest.approx(math.log(2), abs=1e-12)
+    assert acc == 0.0   # every row is an exact tie, and a tie is a miss
 
 
 def test_loss_empty_dataset_raises():
