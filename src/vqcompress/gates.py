@@ -6,9 +6,11 @@ global phase).
 
 Gate matrices are built here and nowhere else: `gate_mats_batch` stacks them
 for an angle array, and `gate_matrix` (one gate) is its one-row view.
-`stacked_blocks` builds the 2x2 blocks of a whole gate sequence, and their
-angle derivatives, with one `gate_mats_batch` call per formula kind, and
-`controlled_mats` embeds the controlled gates' blocks.
+`stacked_blocks` builds the 2x2 blocks of a whole gate sequence, and the U3
+formula's angle partials, with one `gate_mats_batch` call per formula kind,
+and `controlled_mats` embeds the controlled gates' blocks.  A rotation's
+derivative is not a matrix: `GENERATORS` gives its Pauli generator, which
+the gradient applies as a permutation and a phase.
 """
 
 import enum
@@ -160,7 +162,14 @@ def gate_mats_batch(kind: GateKind, angles: np.ndarray | None) -> np.ndarray:
 # or a controlled kind's target's (`CONTROLLED_TARGET`).  U3 is last.
 FORMULAS = (GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.U3)
 
-# U(angles + _SHIFT) = 2 dU/dt for the first angle t, on (3, ...) angle stacks
+# The Pauli generator P of each rotation formula, exp(-i t P / 2): whether P
+# flips its qubit, and the phase it puts on an amplitude whose qubit reads 0
+# and 1, so (P psi)_b = phase_b psi_(b xor flip).  dU/dt U^dagger = -iP/2 at
+# every t, so a rotation's gradient needs no derivative matrix.
+GENERATORS = {GateKind.RX: (True, (1, 1)), GateKind.RY: (True, (-1j, 1j)),
+              GateKind.RZ: (False, (1, -1))}
+
+# U3(angles + _SHIFT) = 2 dU/d(theta), on (3, ...) angle stacks
 _SHIFT = np.array([math.pi, 0.0, 0.0])[:, None, None]
 _P1 = np.diag([0.0, 1.0j])  # i * |1><1|
 
@@ -171,30 +180,25 @@ def stacked_blocks(runs: tuple, angles: np.ndarray, derivatives: bool = False) -
     `angles` is (3, G, rows): angle j of each gate on each row, a one-angle
     kind's at j = 0.  `runs`, ((formula, stop), ...) in `FORMULAS` order,
     splits the gates into consecutive runs of one formula.  The result is
-    (G, H, rows, 2, 2); half 0 holds U, and H = 1 without `derivatives`.
-    With them, half 1 holds dU/dt = U(t + pi) / 2 for the first angle t (a
-    rotation is exp(-i t P / 2); U3's theta obeys the same rule), from the
-    same formula call as U, and with a U3 run, halves 2 and 3 hold the phi
-    and lambda partials i|1><1| U and U i|1><1|.  Each block equals
-    `gate_mats_batch` of the gate's own angles bit for bit.
+    (G, rows, 2, 2), each gate's U.  With `derivatives` and a U3 run of N
+    gates, 3N more blocks follow it, gate by gate: each gate's theta, phi and
+    lambda partials, U(theta + pi) / 2 from the same formula call as U, and
+    i|1><1| U and U i|1><1|.  The rotations get none (`GENERATORS`).  Each
+    U equals `gate_mats_batch` of the gate's own angles bit for bit.
     """
-    stacked = np.repeat(angles[:, :, None], 2 if derivatives else 1, axis=2)
-    if derivatives:
-        stacked[:, :, 1] += _SHIFT
     out, start = [], 0
     for formula, stop in runs:
-        a = stacked[:, start:stop]
+        a = angles[:, start:stop]
+        if formula is GateKind.U3 and derivatives:
+            a = np.concatenate((a, a + _SHIFT), axis=1)
         out.append(gate_mats_batch(formula, np.moveaxis(a, 0, -1) if formula is GateKind.U3
                                    else a[0]))
         start = stop
-    blocks = np.concatenate(out)
-    if not derivatives:
-        return blocks
-    blocks[:, 1] *= 0.5
-    if runs[-1][0] is not GateKind.U3:
-        return blocks
-    u = np.ascontiguousarray(blocks[:, 0])
-    return np.concatenate((blocks, np.stack((_P1 @ u, u @ _P1), axis=1)), axis=1)
+    if not derivatives or runs[-1][0] is not GateKind.U3:
+        return np.concatenate(out)
+    u, shifted = np.split(out.pop(), 2)
+    partials = np.stack((0.5 * shifted, _P1 @ u, u @ _P1), axis=1)
+    return np.concatenate(out + [u, partials.reshape((-1,) + u.shape[1:])])
 
 
 def gate_matrix(kind: GateKind, params) -> np.ndarray:

@@ -25,10 +25,11 @@ through a cached `GatePlan` per gate sequence: one build per call for all of
 its gates, whatever their kinds.  The encoder's plan reads pi * features
 (`training.initial_states`), the layers' plan reads theta: `run_batch`
 applies the layers to the states it is given.  `training.loss_and_gradient`
-takes every layer gate's U, U^dagger and angle derivatives from one build of
-the layers' plan, on states `sgd_train` encoded once.  ReCL takes its
-matrices, and `transpile.lower_gates` its angles, from the same plans, so the
-transpiler lowers what the simulator runs.
+takes every layer gate's U, U^dagger and U3 partials from one build of the
+layers' plan, on states `sgd_train` encoded once, and every rotation slot's
+term from one `generator_overlaps` on its `generator_table`s.  ReCL takes
+its matrices, and `transpile.lower_gates` its angles, from the same plans,
+so the transpiler lowers what the simulator runs.
 """
 
 from functools import lru_cache
@@ -41,8 +42,8 @@ except ImportError:
     _einsum = np.einsum
 
 from .circuit import BindKind, Circuit, Gate, MeasureScheme, MeasurementSpec
-from .gates import (ARITY, CONTROLLED_TARGET, FORMULAS, GateKind, controlled_mats,
-                    gate_mats_batch, stacked_blocks)
+from .gates import (ARITY, CONTROLLED_TARGET, FORMULAS, GENERATORS, GateKind,
+                    controlled_mats, gate_mats_batch, stacked_blocks)
 
 
 def zero_state(n_qubits: int, rows: int | None = None) -> np.ndarray:
@@ -93,11 +94,6 @@ def _batched_2q(states: np.ndarray, mats: np.ndarray, qa: int, qb: int) -> np.nd
     return out
 
 
-# Per half of `stacked_blocks`' result, the control-0 block a controlled
-# gate embeds it with: 1 for U, 0 for a derivative.
-_CONTROL0 = np.array([[1.0], [0.0], [0.0], [0.0]])
-
-
 class GatePlan:
     """Stacked gate-matrix building for one gate sequence.
 
@@ -138,15 +134,28 @@ class GatePlan:
         runs = [formula[k] for k in self.order]
         # (formula, stop) of each run of one formula in `order`
         self.runs = tuple((f, len(runs) - runs[::-1].index(f)) for f in FORMULAS if f in runs)
+        # `stacked_blocks`' entries: each gate's U in `order`, then, with
+        # derivatives, three partials per U3-formula gate, the last in order
+        n_u, first_u3 = len(self.order), len(runs) - runs.count(GateKind.U3)
+        partials = {i: n_u + 3 * (i - first_u3) for i in range(first_u3, n_u)}
         two = [i for i, k in enumerate(self.order) if len(gates[k].qubits) == 2]
-        self.controlled = np.array(two, dtype=int)  # their `stacked_blocks` entries
-        # per gate, (stack, entry, angles): stack 0 is `stacked_blocks`'
-        # result, stack 1 the controlled gates' embedding of theirs; a fixed
-        # gate is None, with its read-only (U, U^dagger) in `fixed`
+        # the entries `controlled_mats` embeds, with their control-0 block:
+        # the controlled gates' U (1) and, with derivatives, the CU3 partials (0)
+        embedded = two + [partials[i] + j for i in two if i in partials for j in range(3)]
+        self.embed = [(np.array(e, dtype=int),
+                       np.repeat([[1.0], [0.0]], [len(two), len(e) - len(two)], axis=0))
+                      for e in (two, embedded)]
+        # per gate, (stack, entry, first partial entry or None): stack 0 is
+        # `stacked_blocks`' result, stack 1 the controlled gates' embedding
+        # of theirs; a fixed gate is None, with its read-only (U, U^dagger)
+        # in `fixed`
         self.where, self.fixed = [None] * len(gates), {}
         for i, k in enumerate(self.order):
-            stack, at = (1, two.index(i)) if i in two else (0, i)
-            self.where[k] = (stack, at, ARITY[gates[k].kind])
+            d_at = partials.get(i)
+            if i in two:
+                self.where[k] = (1, two.index(i), None if d_at is None else embedded.index(d_at))
+            else:
+                self.where[k] = (0, i, d_at)
         for k, gate in enumerate(gates):
             if self.where[k] is None:
                 u = gate_mats_batch(gate.kind, None)
@@ -165,31 +174,34 @@ class GatePlan:
         return src.T[self.cols]
 
     def build(self, values: np.ndarray, derivatives: bool = False):
-        """(mats, daggers, derivs) of the gates on the rows of `values`, in
+        """(mats, daggers, partials) of the gates on the rows of `values`, in
         gate order.
 
         mats are the gates' matrix arguments to `apply_matrix`: (rows, d, d),
         or a fixed kind's (d, d).  With `derivatives`, daggers are their
-        conj-transposes and derivs, per gate, the dU/d(angle) of each of its
-        angles (`stacked_blocks`); without, both are None.  Each is a view
-        into the stacks, made only for the gate it belongs to.
+        conj-transposes and partials, per gate, a U3 or CU3's (3, rows, d, d)
+        dU/d(angle) of its three angles (`stacked_blocks`), and () for any
+        other kind: a rotation's derivative comes from its generator
+        (`generator_table`).  Without, both are None.  Each is a view into
+        the stacks, made only for the gate it belongs to.
         """
         stacks = []
         if self.order:
             blocks = stacked_blocks(self.runs, self.angles(values), derivatives)
             stacks.append(blocks)
-            if self.controlled.size:
-                stacks.append(controlled_mats(blocks[self.controlled],
-                                              _CONTROL0[:blocks.shape[1]]))
-        mats = [self.fixed[k][0] if w is None else stacks[w[0]][w[1], 0]
+            entries, control0 = self.embed[derivatives]
+            if entries.size:
+                stacks.append(controlled_mats(blocks[entries], control0))
+        mats = [self.fixed[k][0] if w is None else stacks[w[0]][w[1]]
                 for k, w in enumerate(self.where)]
         if not derivatives:
             return mats, None, None
-        dag = [np.conj(np.swapaxes(stack[:, 0], -1, -2)) for stack in stacks]
+        dag = [np.conj(np.swapaxes(stack, -1, -2)) for stack in stacks]
         daggers = [self.fixed[k][1] if w is None else dag[w[0]][w[1]]
                    for k, w in enumerate(self.where)]
-        derivs = [() if w is None else stacks[w[0]][w[1], 1:w[2] + 1] for w in self.where]
-        return mats, daggers, derivs
+        partials = [() if w is None or w[2] is None else stacks[w[0]][w[2]:w[2] + 3]
+                    for w in self.where]
+        return mats, daggers, partials
 
     def matrices(self, values: np.ndarray) -> list[np.ndarray]:
         """Each gate's matrix argument to `apply_matrix`, in gate order."""
@@ -218,6 +230,33 @@ def apply_matrix(states: np.ndarray, mats: np.ndarray, qubits: tuple[int, ...]) 
     if len(qubits) == 1:
         return _batched_1q(states, mats, qubits[0])
     return _batched_2q(states, mats, qubits[0], qubits[1])
+
+
+@lru_cache(maxsize=None)
+def generator_table(kind: GateKind, qubits: tuple[int, ...],
+                    n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (perm, phase), each (2^n,), of a rotation gate's Pauli
+    generator P on the register (`gates.GENERATORS`): P psi = phase *
+    psi[:, perm], with the phase 0 where a controlled gate's control reads 0."""
+    flip, phases = GENERATORS[CONTROLLED_TARGET.get(kind, kind)]
+    i = np.arange(2 ** n_qubits)
+    perm = i ^ (flip << qubits[-1])
+    phase = np.array(phases, dtype=complex)[(i >> qubits[-1]) & 1]
+    if len(qubits) == 2:
+        phase *= (i >> qubits[0]) & 1
+    for table in (perm, phase):
+        table.setflags(write=False)
+    return perm, phase
+
+
+def generator_overlaps(costates: np.ndarray, states: np.ndarray, perms: np.ndarray,
+                       phases: np.ndarray) -> np.ndarray:
+    """Im <lambda_g| P_g phi_g>, (G,), of G stacked (B, 2^n) co-state and
+    state batches, (G, B, 2^n) each, where P_g is given by its
+    `generator_table` rows in (G, 2^n) `perms` and `phases`: one gather and
+    one contraction."""
+    moved = states[np.arange(len(perms))[:, None], :, perms]   # (G, 2^n, B)
+    return _einsum("gbd,gd,gdb->g", costates.conj(), phases, moved).imag
 
 
 # Basis kinds that only permute amplitudes: `apply_basis_gate` takes no operand.

@@ -10,25 +10,24 @@ encoder (amplitudes or |0...0>) and `initial_states` runs the encoder on
 them.  The encoder is state preparation and is never compressed; everything
 downstream takes the states it returns and one theta vector.
 
-Gradients are exact for every gate kind.  `loss_and_gradient` takes a
-batch's initial states, runs the layers forward once, keeping each layer
-gate's matrix, then walks the layer gates backward with the adjoint method
-(Jones & Gacon, arXiv 2009.02823): one state and one co-state per sample,
-undone together by one apply per gate, so the cost is O(gates) on the batch
-rows whatever the number of parameters.  Every layer gate's U, U^dagger and
-dU = U(t + pi) / 2 come from one build of the layers' `GatePlan`, which
-evaluates each formula once on [angles; angles + pi].  Frozen slots cost
-nothing: they get no derivative apply, and the walk stops at the earliest
-gate with a live slot.  `sgd_train` builds once per call what its steps
-share: it encodes its samples, applies the kept gates before the earliest
-live one, and builds the readout table, the one-hot targets and the
-backward walk.  A step builds only its theta-dependent matrices, runs the
-gates from the earliest live one, and computes no loss, which `sgd_train`
-would discard; `batch_loss_and_gradient` is the same gradient from
-features.  A retrain simulates the compressed circuit: its
-steps run the plan of the layers without the frozen gates whose matrix is
-exactly the identity (pruned at 0), which cost nothing, as a compiled circuit
-holds no gate for them, and the other masked gates add no derivative work.
+Gradients are exact for every gate kind.  `loss_and_gradient` runs the
+layers forward once from a batch's initial states, keeping each state, then
+walks them backward with the adjoint method (Jones & Gacon, arXiv
+2009.02823), undoing one co-state per sample by one apply per gate, so the
+cost is O(gates) on the batch rows whatever the number of parameters.  A
+rotation exp(-i t P / 2) applies no derivative matrix: one
+`generator_overlaps` after the walk gives every rotation slot's Im <lambda|
+P phi>.  U, U^dagger and the U3 partials come from one `GatePlan.build`.
+Frozen slots cost nothing, and the walk stops at the earliest live gate.
+`sgd_train` builds once per call what its steps share: it encodes its
+samples, applies the kept gates before the earliest live one, and builds the
+readout table, the one-hot targets and the backward walk with its generator
+tables.  A step builds only its theta-dependent matrices, runs the gates
+from the earliest live one, and computes no loss, which `sgd_train` would
+discard; `batch_loss_and_gradient` is the same gradient from features.  A
+retrain simulates the compressed circuit: its steps run the plan of the
+layers without the frozen gates whose matrix is exactly the identity (pruned
+at 0), which cost nothing, as a compiled circuit holds no gate for them.
 """
 
 import math
@@ -39,9 +38,9 @@ import numpy as np
 from .circuit import Circuit
 from .data import amplitude_state, stack
 from .errors import ConfigError, DataError
-from .gates import circ_residual, wrap_params
-from .simulator import (apply_matrix, gate_plan, measure_outputs_batch, readout_weights,
-                        run_batch, zero_state)
+from .gates import CONTROLLED_TARGET, GENERATORS, circ_residual, wrap_params
+from .simulator import (apply_matrix, gate_plan, generator_overlaps, generator_table,
+                        measure_outputs_batch, readout_weights, run_batch, zero_state)
 
 
 @dataclass
@@ -123,63 +122,87 @@ def loss_and_gradient(circuit: Circuit, params: np.ndarray, states: np.ndarray,
 
     Forward: every layer gate once, with one (1, d, d) matrix shared by all
     rows.  Seed: lambda = (dL/d(outputs) @ W) * psi for the readout table W.
-    Backward, per layer gate U in reverse: [phi; lambda] <- U^dagger [phi;
-    lambda] as one (2B, 2^n) apply, then add 2 Re <lambda| dU phi> to each of
-    its live slots, with phi after the apply and lambda from before it.
+    Backward, per layer gate U in reverse, with phi the forward state after
+    U and lambda the co-state there: a rotation exp(-i t P / 2) has
+    dU U^dagger = -iP/2, so its slot gets Im <lambda| P phi>, for all of
+    them at once after the walk; a U3 or CU3 slot gets 2 Re <lambda| dU
+    U^dagger phi> from its partial; then lambda <- U^dagger lambda.
 
     `frozen`, a boolean mask over the slots, marks slots whose gradient is
-    not wanted: they read 0 and cost no derivative apply, and the walk
-    stops at the earliest gate with a live slot, since no gate before it
-    feeds one.  The live entries equal the unfrozen call's bit for bit.
+    not wanted: they read 0 and cost nothing, and the walk stops at the
+    earliest gate with a live slot, since no gate before it feeds one.  The
+    live entries equal the unfrozen call's bit for bit.
 
-    Every matrix, U, U^dagger and dU, comes from one `GatePlan.build` of
-    the layers' plan.
+    Every matrix comes from one `GatePlan.build` of the layers' plan.
     """
     params = np.asarray(params, dtype=float)
     plan = gate_plan(tuple(circuit.layers))
     weights = readout_weights(circuit.measurement, circuit.n_qubits)
-    return _loss_and_gradient(weights, plan, _live(plan, params.size, frozen), params, states,
-                              np.eye(weights.shape[0])[labels], labels)
+    return _loss_and_gradient(weights, plan, _live(plan, circuit.n_qubits, params.size, frozen),
+                              params, states, np.eye(weights.shape[0])[labels], labels)
 
 
-def _live(plan, n_slots: int, frozen: np.ndarray | None) -> list:
-    """The backward walk of `plan` under a frozen mask: each gate from the
-    last down to the earliest with a live slot, as (index, qubits, live
-    (angle, slot) pairs)."""
+def _live(plan, n_qubits: int, n_slots: int, frozen: np.ndarray | None) -> tuple:
+    """The backward walk of `plan` on an n-qubit register under a frozen
+    mask: (steps, slots, perms, phases).  Each step is a gate from the last
+    down to the earliest with a live slot, as (index, qubits, live (angle,
+    slot) pairs of a U3 or CU3, whether it is a rotation with a live slot).
+    The live rotation slots, in walk order, are `slots`, and their gates'
+    `generator_table` rows are stacked in `perms` and `phases`."""
     live = np.ones(n_slots, dtype=bool)
     if frozen is not None:
         live[frozen] = False
     live = live.tolist()
-    walk = [(k, gate.qubits, [(j, s) for j, s in slots if live[s]])
-            for k, (gate, slots) in enumerate(zip(plan.gates, plan.theta_slots))]
-    first = next((k for k, (_, _, pairs) in enumerate(walk) if pairs), len(walk))
-    return walk[first:][::-1]
+    steps, slots, perms, phases = [], [], [], []
+    for k in reversed(range(len(plan.gates))):
+        gate, pairs = plan.gates[k], [(j, s) for j, s in plan.theta_slots[k] if live[s]]
+        rotation = bool(pairs) and CONTROLLED_TARGET.get(gate.kind, gate.kind) in GENERATORS
+        if rotation:
+            perm, phase = generator_table(gate.kind, gate.qubits, n_qubits)
+            slots.append(pairs[0][1])
+            perms.append(perm)
+            phases.append(phase)
+        steps.append((k, gate.qubits, [] if rotation else pairs, rotation))
+    while steps and not (steps[-1][2] or steps[-1][3]):
+        steps.pop()          # the gates before the earliest live one
+    dim = 2 ** n_qubits
+    return (steps, np.array(slots, dtype=int), np.array(perms, dtype=int).reshape(-1, dim),
+            np.array(phases, dtype=complex).reshape(-1, dim))
 
 
-def _loss_and_gradient(weights: np.ndarray, plan, walk: list, params: np.ndarray,
+def _loss_and_gradient(weights: np.ndarray, plan, walk: tuple, params: np.ndarray,
                        states: np.ndarray, targets: np.ndarray,
                        labels: np.ndarray | None = None) -> tuple[float | None, np.ndarray]:
     """`loss_and_gradient` given the readout table, the layers' plan, its
     `_live` walk and the batch's one-hot targets; the loss is None without
     `labels`."""
     n_batch = states.shape[0]
-    mats, daggers, derivs = plan.build(params[None, :], derivatives=True)
+    mats, daggers, partials = plan.build(params[None, :], derivatives=True)
+    forward = [states]           # forward[k + 1]: the states after gate k
     for gate, u in zip(plan.gates, mats):
-        states = apply_matrix(states, u, gate.qubits)
+        forward.append(apply_matrix(forward[-1], u, gate.qubits))
 
-    probs = softmax((np.abs(states) ** 2) @ weights.T)
+    probs = softmax((np.abs(forward[-1]) ** 2) @ weights.T)
     loss = None if labels is None else float(
         -np.log(np.maximum(probs[np.arange(n_batch), labels], 1e-300)).mean())
-    costate = (((probs - targets) / n_batch) @ weights) * states
+    costate = (((probs - targets) / n_batch) @ weights) * forward[-1]
 
+    steps, slots, perms, phases = walk
     grad = np.zeros(params.size)
-    both = np.concatenate([states, costate])   # rows: the states, then the co-states
-    for k, qubits, pairs in walk:
-        prev = both
-        both = apply_matrix(prev, daggers[k], qubits)
+    phis, lams = [], []
+    # i reaches 0 at the earliest live gate, whose undone co-state is not read
+    for i, (k, qubits, pairs, rotation) in enumerate(steps, 1 - len(steps)):
+        if rotation:
+            phis.append(forward[k + 1])
+            lams.append(costate)
         for j, slot in pairs:
-            d_states = apply_matrix(both[:n_batch], derivs[k][j], qubits)
-            grad[slot] += 2.0 * np.vdot(prev[n_batch:], d_states).real
+            d_states = apply_matrix(forward[k], partials[k][j], qubits)
+            grad[slot] += 2.0 * np.vdot(costate, d_states).real
+        if i:
+            costate = apply_matrix(costate, daggers[k], qubits)
+    if lams:
+        both = np.concatenate(phis + lams).reshape((2, len(lams)) + states.shape)
+        np.add.at(grad, slots, generator_overlaps(both[1], both[0], perms, phases))
     return loss, grad
 
 
@@ -200,7 +223,8 @@ def _step_plans(plan, theta: np.ndarray, frozen: np.ndarray | None):
     on them keeps every bit.  A gate that is the identity only up to a phase
     or a rounding, such as RX(2 pi), is kept.
     """
-    live = {k for k, _, pairs in _live(plan, theta.size, frozen) if pairs}
+    live = {k for k, slots in enumerate(plan.theta_slots)
+            if any(frozen is None or not frozen[s] for _, s in slots)}
     kept = [k for k, u in enumerate(plan.matrices(theta[None, :]))
             if k in live or not np.array_equal(u.reshape(u.shape[-2:]), np.eye(u.shape[-1]))]
     first = next((i for i, k in enumerate(kept) if k in live), len(kept))
@@ -232,7 +256,7 @@ def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,
     feats, labels = stack(samples)
     prefix, plan = _step_plans(gate_plan(tuple(circuit.layers)), theta, frozen)
     states = prefix.apply(initial_states(circuit, feats), theta[None, :])
-    walk = _live(plan, theta.size, frozen)
+    walk = _live(plan, circuit.n_qubits, theta.size, frozen)
     weights = readout_weights(circuit.measurement, circuit.n_qubits)
     targets = np.eye(weights.shape[0])[labels]
     n = len(labels)

@@ -5,7 +5,8 @@ scratch (cmath trig, explicit Kronecker products over per-qubit factors) so
 agreement with the package is evidence, not tautology.  Qubit 0 is the least
 significant bit of the basis index, matching the package convention.  The
 references at the end are the exceptions: the per-gate ones reuse the
-package's kernels to pin its stacked matrix building bit for bit, and the
+package's kernels to pin its stacked matrix building bit for bit, the dense
+adjoint reuses them to cross-check the generator-form gradient, and the
 fixpoint peephole reuses its gate records and snap test to pin the one-pass
 peephole's output, and the row-major shot sampler reuses its kernel and
 readout to cross-check the exact noise evaluator by its shot mean.
@@ -261,16 +262,85 @@ def per_gate_run_batch(circuit, params, states):
     return states
 
 
+PAULI_Y = np.array([[0, -1j], [1j, 0]])
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+GENERATOR_OF = {"RX": PAULI_X, "RY": PAULI_Y, "RZ": PAULI_Z,
+                "CRX": PAULI_X, "CRY": PAULI_Y, "CRZ": PAULI_Z}
+
+
+def generator_perm_phase(kind_name, qubits, n_qubits):
+    """(perm, phase) of a rotation gate's Pauli generator on the register,
+    read off its dense embedding: row i holds one entry, phase[i] at column
+    perm[i], or none (phase 0) where a controlled gate's control is 0."""
+    pauli = GENERATOR_OF[kind_name]
+    factors = {qubits[0]: pauli} if len(qubits) == 1 else {qubits[0]: P1, qubits[1]: pauli}
+    full = embed_factors(n_qubits, factors)
+    perm = np.argmax(np.abs(full), axis=1)
+    return perm, full[np.arange(full.shape[0]), perm]
+
+
 def per_gate_loss_and_gradient(circuit, params, feats, labels):
-    """`batch_loss_and_gradient` with each gate's matrices, adjoint and
-    derivative blocks built from that gate's own angles."""
+    """`batch_loss_and_gradient` with each gate's matrices, adjoint and U3
+    partials built from that gate's own angles, each rotation's generator
+    table read off its dense Pauli embedding here, and each rotation's
+    overlap taken on its own (a stack of one).  The arithmetic is the
+    package's: the forward states are kept, the co-state alone is undone,
+    a U3 or CU3 slot adds its partial's term during the walk, and the
+    rotation slots add theirs after it, in walk order."""
+    from vqcompress.circuit import BindKind
+    from vqcompress.gates import gate_mats_batch
+    from vqcompress.simulator import (apply_matrix, generator_overlaps, measure_outputs_batch,
+                                      readout_weights)
+    from vqcompress.training import softmax
+    params = np.asarray(params, dtype=float)
+    n_batch = feats.shape[0]
+    forward = [per_gate_initial_states(circuit, feats)]
+    tape = []
+    for gate in circuit.layers:
+        angles = resolve_angles(gate, params[None, :], None)
+        u = gate_mats_batch(gate.kind, angles)
+        forward.append(apply_matrix(forward[-1], u, gate.qubits))
+        tape.append((gate, angles, u))
+
+    weights = readout_weights(circuit.measurement, circuit.n_qubits)
+    probs = softmax(measure_outputs_batch(forward[-1], circuit.measurement))
+    rows = np.arange(n_batch)
+    loss = float(-np.log(np.maximum(probs[rows, labels], 1e-300)).mean())
+    dl_dout = probs - np.eye(probs.shape[1])[labels]
+    costate = ((dl_dout / n_batch) @ weights) * forward[-1]
+
+    grad = np.zeros(params.size)
+    overlaps = []
+    for k in reversed(range(len(tape))):
+        gate, angles, u = tape[k]
+        slots = [b.slot for b in gate.bindings if b.kind is BindKind.THETA]
+        if slots and gate.kind.value in GENERATOR_OF:
+            perm, phase = generator_perm_phase(gate.kind.value, gate.qubits, circuit.n_qubits)
+            overlaps.append((slots[0], generator_overlaps(
+                costate[None], forward[k + 1][None], perm[None], phase[None])[0]))
+        elif slots:
+            for b, d in zip(gate.bindings, mats_and_derivatives(gate.kind, angles)[1]):
+                if b.kind is BindKind.THETA:
+                    d_states = apply_matrix(forward[k], d, gate.qubits)
+                    grad[b.slot] += 2.0 * np.vdot(costate, d_states).real
+        costate = apply_matrix(costate, np.conj(np.swapaxes(u, -1, -2)), gate.qubits)
+    for slot, overlap in overlaps:
+        grad[slot] += overlap
+    return loss, grad
+
+
+def dense_adjoint_gradient(circuit, params, states, labels, frozen=None):
+    """The mean cross-entropy's gradient by the dense adjoint method, from
+    the layers' initial states: [phi; lambda] undone together per gate, and
+    2 Re <lambda| dU phi> per live slot, with each dU a dense derivative
+    matrix of the gate's own angles (`mats_and_derivatives`), for every
+    kind.  Frozen slots read 0."""
     from vqcompress.circuit import BindKind
     from vqcompress.gates import gate_mats_batch
     from vqcompress.simulator import apply_matrix, measure_outputs_batch, readout_weights
     from vqcompress.training import softmax
     params = np.asarray(params, dtype=float)
-    n_batch = feats.shape[0]
-    states = per_gate_initial_states(circuit, feats)
+    n_batch = states.shape[0]
     tape = []
     for gate in circuit.layers:
         angles = resolve_angles(gate, params[None, :], None)
@@ -280,22 +350,21 @@ def per_gate_loss_and_gradient(circuit, params, feats, labels):
 
     weights = readout_weights(circuit.measurement, circuit.n_qubits)
     probs = softmax(measure_outputs_batch(states, circuit.measurement))
-    rows = np.arange(n_batch)
-    loss = float(-np.log(np.maximum(probs[rows, labels], 1e-300)).mean())
-    dl_dout = probs - np.eye(probs.shape[1])[labels]
-    costate = ((dl_dout / n_batch) @ weights) * states
-
+    costate = (((probs - np.eye(probs.shape[1])[labels]) / n_batch) @ weights) * states
     grad = np.zeros(params.size)
     for gate, angles, u in reversed(tape):
-        u_dag = np.conj(np.swapaxes(u, -1, -2))
-        states = apply_matrix(states, u_dag, gate.qubits)
-        if gate.trainable:
+        costate_after = costate
+        both = apply_matrix(np.concatenate([states, costate]),
+                            np.conj(np.swapaxes(u, -1, -2)), gate.qubits)
+        states, costate = both[:n_batch], both[n_batch:]
+        if gate.theta_slots:
             for b, d in zip(gate.bindings, mats_and_derivatives(gate.kind, angles)[1]):
                 if b.kind is BindKind.THETA:
-                    d_states = apply_matrix(states, d, gate.qubits)
-                    grad[b.slot] += 2.0 * np.vdot(costate, d_states).real
-        costate = apply_matrix(costate, u_dag, gate.qubits)
-    return loss, grad
+                    grad[b.slot] += 2.0 * np.vdot(costate_after,
+                                                  apply_matrix(states, d, gate.qubits)).real
+    if frozen is not None:
+        grad[frozen] = 0.0
+    return grad
 
 
 # Fixpoint peephole reference: the rule looped until nothing changes, each
