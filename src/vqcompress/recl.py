@@ -5,7 +5,8 @@ a tie is a miss) of the circuit with only parameter i moved to v, times the
 speedup TCD(theta) / TCD(theta^{i,v}), so levels that shorten the transpiled
 circuit raise the metric.  A metric does not depend on the other levels
 swept, so one sweep of the full LUT serves every level family:
-`ReconstructedLUT.restricted` picks among one family's swept levels.
+`ReconstructedLUT.restricted` picks among one family's swept levels.  Per
+level, the sweep simulates and scans only the span of the slot's readers.
 """
 
 import warnings
@@ -55,33 +56,38 @@ def _depth_factor(theta_tcd: int, new_tcd: int) -> float:
     return (theta_tcd if theta_tcd > 0 else 1) / new_tcd
 
 
+def suffix_unitaries(n_qubits: int, gates, base, starts) -> dict:
+    """S_b = U_{G-1} ... U_b, (2^n, 2^n), for every b from the least of
+    `starts` to G: one backward pass over the G gates' matrices `base`, as
+    `suffix_summaries` walks the lowering, applies U_b^T to S_{b+1}'s rows."""
+    out = {len(gates): np.eye(2 ** n_qubits, dtype=complex)}
+    for b in range(len(gates) - 1, min(starts, default=len(gates)) - 1, -1):
+        out[b] = apply_matrix(out[b + 1], base[b].mT, gates[b].qubits)
+    return out
+
+
 def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
     """Metric of every level in `candidates` (layer index -> levels).
 
-    theta is lowered once and its lowering scanned once by a `DepthScan`,
-    the encoder's lowering first, with a snapshot of the scan before each
-    candidate gate's first reader gate.  One backward pass over theta's
-    lowering (`suffix_summaries`) summarizes the gates after each candidate
-    gate's last reader.  A candidate gate's C levels re-lower only the gates
-    that read its slots, in one `lower_gates` call on the C theta rows that
-    build those gates' matrices.  Each level resumes a copy of the snapshot,
-    feeds its re-lowered reader gates and theta's lowering of the gates
-    between them, and joins the summary (`DepthScan.join`).  The snapshot
-    carries open RZ runs into the span and the join carries them out of it,
-    so the depth equals a full rescan.
+    Depth: theta's lowering is scanned once (`DepthScan`, encoder first),
+    with a snapshot before each candidate gate's first reader gate, and
+    summarized past each last reader by one backward pass
+    (`suffix_summaries`).  A candidate gate's C levels re-lower its reader
+    gates in one `lower_gates` call on the C theta rows that build their
+    matrices; each level resumes a copy of the snapshot, feeds the reader
+    span and joins the summary (`DepthScan.join`).  The two carry open RZ
+    runs across both ends, so the depth equals a full rescan.
 
-    The states run as one batch per candidate gate.  The `initial_states`
-    are held as a (1, 2^n, B) batch, samples on the trailing axis, and
-    pushed through the layers up to each candidate gate's first reader, in
-    order of first readers.  From there the gate's C levels run together as
-    a (C, 2^n, B) batch: the reader gates' plan builds their (C, d, d)
-    matrices from the C substituted theta rows in one build, every
-    other gate applies theta's (1, d, d) matrix from the layers' `GatePlan`
-    to all C rows, and the readout and `hits` (labels tiled per level) take
-    the (C * B, 2^n) rows at once, so the suffix costs one `apply_matrix` per
-    gate whatever C is.  Each row sees the arithmetic `run_batch` does on it,
-    so metrics are bit-identical to a from-scratch evaluation.  Gates without
-    levels are skipped.
+    States: the `initial_states`, a (1, 2^n, B) batch with samples on the
+    trailing axis, run up to each candidate gate's first reader, in order of
+    first readers.  There its C levels fork into a (C, 2^n, B) batch that
+    runs the reader span only, the reader gates on (C, d, d) matrices from
+    one build of their plan on the C substituted theta rows and the gates
+    between them on theta's, then takes one stacked product by theta's
+    suffix unitary past the last reader (`suffix_unitaries`).  The readout
+    and `hits` (labels tiled per level) take its (C * B, 2^n) rows at once.
+    The rows differ from `run_batch`'s by roundoff, far inside `hits`'
+    `TIE_MARGIN`.  Gates without levels are skipped.
     """
     theta = np.asarray(theta, dtype=float)
     gates = circuit.layers
@@ -89,8 +95,11 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
     feats, labels = stack(eval_samples)
     state = np.ascontiguousarray(initial_states(circuit, feats).T)[None]
     base = gate_plan(tuple(gates)).matrices(theta[None, :])
-    readers = {gi: [k for k, g in enumerate(gates)
-                    if set(g.theta_slots) & set(circuit.layers[gi].theta_slots)]
+    reading = {}  # slot -> the gates that read it
+    for k, g in enumerate(gates):
+        for slot in g.theta_slots:
+            reading.setdefault(slot, set()).add(k)
+    readers = {gi: sorted(set().union(*(reading[s] for s in gates[gi].theta_slots)))
                for gi, levels in candidates.items() if levels}
     firsts = {r[0] for r in readers.values()}
     scan, snapshots = DepthScan(circuit.n_qubits), {}
@@ -102,7 +111,9 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
             snapshots[k] = scan.copy()
         scan.feed(physical)
     theta_tcd = scan.close()
-    summaries = suffix_summaries(circuit.n_qubits, lowered, {r[-1] + 1 for r in readers.values()})
+    bounds = {r[-1] + 1 for r in readers.values()}
+    summaries = suffix_summaries(circuit.n_qubits, lowered, bounds)
+    suffixes = suffix_unitaries(circuit.n_qubits, gates, base, bounds)
     done, metrics = 0, {gi: [] for gi in candidates}
     for gi in sorted(readers, key=lambda gi: readers[gi][0]):
         first, last = readers[gi][0], readers[gi][-1]
@@ -114,9 +125,9 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
         reader_gates = tuple(gates[k] for k in readers[gi])
         mats = dict(zip(readers[gi], gate_plan(reader_gates).matrices(thetas)))
         final = np.broadcast_to(state, (len(thetas),) + state.shape[1:])
-        for k in range(first, len(gates)):
+        for k in range(first, last + 1):
             final = apply_matrix(final, mats.get(k, base[k]), gates[k].qubits)
-        rows = final.transpose(0, 2, 1).reshape(-1, final.shape[1])
+        rows = (suffixes[last + 1] @ final).transpose(0, 2, 1).reshape(-1, final.shape[1])
         hit = hits(measure_outputs_batch(rows, circuit.measurement),
                    np.tile(labels, len(thetas))).reshape(len(thetas), -1)
         for span, acc in zip(lower_gates(reader_gates, thetas), hit.mean(axis=1)):

@@ -6,7 +6,8 @@ batch has shape (rows, 2^n).  A gate acts on every row either through one
 shared matrix or through one matrix per row, so a batch can mix samples
 (per-row data angles).  A batch may also carry a trailing axis,
 (rows, 2^n, cols), of columns that share their row's matrix; ReCL runs its
-samples that way, along the contiguous axis.
+samples that way, along the contiguous axis, through a candidate gate's
+readers, and the gates past them as one product built on an identity.
 
 `apply_matrix` is the dense kernel, one einsum per gate.  The kernels call
 numpy's C einsum, to which `np.einsum` passes its operands unchanged at its
@@ -27,9 +28,9 @@ its gates, whatever their kinds.  The encoder's plan reads pi * features
 applies the layers to the states it is given.  `training.loss_and_gradient`
 takes every layer gate's U, U^dagger and U3 partials from one build of the
 layers' plan, on states `sgd_train` encoded once, and every rotation slot's
-term from one `generator_overlaps` on its `generator_table`s.  ReCL takes
-its matrices, and `transpile.lower_gates` its angles, from the same plans,
-so the transpiler lowers what the simulator runs.
+term from one `generator_overlaps` on its `generator_table`s.  ReCL and
+`transpile.lower_gates` read the same plans, so the transpiler lowers what
+the simulator runs.
 """
 
 from functools import lru_cache

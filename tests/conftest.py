@@ -5,7 +5,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracle` importable
 
-from vqcompress.circuit import Circuit, Gate, MeasurementSpec, const, theta
+from vqcompress.circuit import Circuit, Gate, MeasurementSpec, const, data, theta
 from vqcompress.gates import GateKind
 
 ONE_Q_PARAMETRIC = [GateKind.RX, GateKind.RY, GateKind.RZ]
@@ -61,6 +61,14 @@ def random_circuit(rng: np.random.Generator, n_qubits: int, n_gates: int,
         gates.append(Gate(kind, qubits, bindings))
     circ = Circuit(n_qubits, [], gates, MeasurementSpec(min(2, n_qubits)))
     return circ, np.array(params)
+
+
+def fuzz_circuit(rng: np.random.Generator) -> Circuit:
+    """A random trainable circuit behind RY encoder gates that read 4 features."""
+    n = int(rng.integers(2, 5))
+    layers, _ = random_circuit(rng, n, int(rng.integers(3, 12)), trainable=True)
+    encoder = [Gate(GateKind.RY, (k % n,), (data(k),)) for k in range(4)]
+    return Circuit(n, encoder, layers.layers, layers.measurement)
 
 
 def random_state(rng: np.random.Generator, n_qubits: int) -> np.ndarray:

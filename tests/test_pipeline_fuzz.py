@@ -1,9 +1,9 @@
 """The whole pipeline on random circuits.
 
-Each circuit is `conftest.random_circuit` (2-4 qubits, 3-11 layer gates of
-every kind) behind a 4-feature RY encoder, trained on a 40-sample syn4 draw
-on a toy schedule: the warm start, one ReCL sweep, and the four compressing
-methods at one of the ratios 0.3, 0.7 and 1.0.  Every method result must
+Each circuit is `conftest.fuzz_circuit`: `random_circuit` (2-4 qubits, 3-11
+layer gates of every kind) behind a 4-feature RY encoder, trained on a
+40-sample syn4 draw on a toy schedule: the warm start, one ReCL sweep, and
+the four compressing methods at one of the ratios 0.3, 0.7 and 1.0.  Every method result must
 hold finite parameters, its masked slots exactly at their levels, a depth
 that a from-scratch DAG walk of its kept gates agrees with, and a p = 0
 noisy accuracy equal to the noiseless one; a second CompVQC run must repeat
@@ -15,13 +15,12 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import random_circuit
+from conftest import fuzz_circuit
 from vqcompress.admm import ADMMConfig, BaselineMode, baseline_compress, run_cqcp_admm, \
     vanilla_train
-from vqcompress.circuit import Circuit, Gate, data
+from vqcompress.circuit import Circuit
 from vqcompress.cli import main
 from vqcompress.data import generate_synthetic
-from vqcompress.gates import GateKind
 from vqcompress.lut import build_lut
 from vqcompress.noise import noisy_accuracy
 from vqcompress.recl import reconstruct_lut
@@ -31,14 +30,6 @@ from vqcompress.transpile import kept_gates, lower_circuit, lowered_depth, tcd
 N_CIRCUITS = 30
 RATIOS = (0.3, 0.7, 1.0)
 TRAIN = TrainConfig(epochs=3, seed=3)
-
-
-def fuzz_circuit(rng: np.random.Generator) -> Circuit:
-    """A random trainable circuit behind RY encoder gates that read 4 features."""
-    n = int(rng.integers(2, 5))
-    layers, _ = random_circuit(rng, n, int(rng.integers(3, 12)), trainable=True)
-    encoder = [Gate(GateKind.RY, (k % n,), (data(k),)) for k in range(4)]
-    return Circuit(n, encoder, layers.layers, layers.measurement)
 
 
 def method_results(circ, dataset, ratio):

@@ -5,16 +5,18 @@ import math
 import numpy as np
 import pytest
 
+import oracle
+from conftest import fuzz_circuit, random_circuit
 from vqcompress.circfile import load_reference
 from vqcompress.circuit import Circuit, Gate, MeasureScheme, MeasurementSpec, theta
 from vqcompress.data import Sample, generate_synthetic, stack
 from vqcompress.gates import GateKind
 from vqcompress.lut import CompressionLUT, CompressionLevel, LevelTag, build_lut
 from vqcompress.noise import noisy_accuracy
-from vqcompress.recl import _sweep, reconstruct_lut
-from vqcompress.simulator import run_batch
+from vqcompress.recl import _sweep, reconstruct_lut, suffix_unitaries
+from vqcompress.simulator import gate_plan, run_batch
 from vqcompress import recl, transpile
-from vqcompress.training import (TIE_MARGIN, TrainConfig, init_params, initial_states,
+from vqcompress.training import (TIE_MARGIN, TrainConfig, hits, init_params, initial_states,
                                  outputs_batch)
 from vqcompress.transpile import DepthScan, lower_circuit, tcd
 
@@ -249,14 +251,16 @@ def test_restricted_pick_equals_a_family_only_sweep(name, n_features, seed, angl
     assert all(lv.tag is tag for lv in got.levels.values())
 
 
-def test_batched_final_states_equal_per_candidate_run_batch(monkeypatch):
-    # one candidate gate: its C levels' final states, read as the (C * B, 2^n)
-    # rows the readout sees, equal run_batch of each substituted theta
+def test_batched_final_states_are_run_batch_to_roundoff(monkeypatch):
+    # every candidate gate's C levels' final states, read as the (C * B, 2^n)
+    # rows the readout sees, differ from run_batch of each substituted theta
+    # by the suffix product's roundoff only, and score the same hits
     circ = load_reference("syn16")
     samples = generate_synthetic(16, 100, seed=601).train
     th = init_params(circ, TrainConfig(seed=601))
-    gi = next(gi for gi in circ.trainable_indices() if circ.layers[gi].kind is GateKind.RY)
-    levels = build_lut(circ).entries[GateKind.RY]
+    lut = build_lut(circ)
+    candidates = {gi: lut.entries.get(circ.layers[gi].kind, [])
+                  for gi in circ.trainable_indices()}
     seen, measure = [], recl.measure_outputs_batch
 
     def captured(states, spec):
@@ -264,22 +268,27 @@ def test_batched_final_states_equal_per_candidate_run_batch(monkeypatch):
         return measure(states, spec)
 
     monkeypatch.setattr(recl, "measure_outputs_batch", captured)
-    _sweep(circ, th, {gi: levels}, samples)
-    feats, _ = stack(samples)
+    _sweep(circ, th, candidates, samples)
+    feats, labels = stack(samples)
     start = initial_states(circ, feats)
-    [rows] = seen
-    assert rows.shape == (len(levels) * len(samples), 2 ** circ.n_qubits)
-    for c, level in enumerate(levels):
-        new = np.array(th, copy=True)
-        new[list(circ.layers[gi].theta_slots)] = level.value
-        want = run_batch(circ, new, start)
-        assert np.array_equal(rows[c * len(samples):(c + 1) * len(samples)], want)
+    assert len(seen) == len(candidates)  # each gate reads only its own slot
+    for gi, rows in zip(sorted(candidates), seen):
+        assert rows.shape == (len(candidates[gi]) * len(samples), 2 ** circ.n_qubits)
+        for c, level in enumerate(candidates[gi]):
+            new = np.array(th, copy=True)
+            new[list(circ.layers[gi].theta_slots)] = level.value
+            want = run_batch(circ, new, start)
+            got = rows[c * len(samples):(c + 1) * len(samples)]
+            assert np.max(np.abs(got - want)) <= 1e-14
+            assert np.array_equal(hits(measure(got, circ.measurement), labels),
+                                  hits(measure(want, circ.measurement), labels))
 
 
-def test_sweep_applies_each_suffix_gate_once_per_candidate_gate(monkeypatch):
-    # the prefix runs once up to the last candidate gate's first reader, and
-    # each candidate gate applies the gates from its first reader on once for
-    # all of its levels
+def test_sweep_applies_each_reader_span_once_and_one_suffix_pass(monkeypatch):
+    # the prefix runs once up to the last candidate gate's first reader, each
+    # candidate gate applies its reader span once for all of its levels, and
+    # one backward pass that stops at the smallest boundary builds the suffix
+    # unitaries past the last readers
     circ = load_reference("syn16")
     samples = generate_synthetic(16, 100, seed=1601).train
     th = init_params(circ, TrainConfig(seed=1601))
@@ -294,13 +303,52 @@ def test_sweep_applies_each_suffix_gate_once_per_candidate_gate(monkeypatch):
 
     monkeypatch.setattr(recl, "apply_matrix", counted)
     _sweep(circ, th, candidates, samples)
-    firsts = {gi: next(k for k, g in enumerate(circ.layers)
-                       if set(g.theta_slots) & set(circ.layers[gi].theta_slots))
-              for gi in candidates}
+    readers = {gi: [k for k, g in enumerate(circ.layers)
+                    if set(g.theta_slots) & set(circ.layers[gi].theta_slots)]
+               for gi in candidates}
+    firsts = [r[0] for r in readers.values()]
+    lasts = [r[-1] for r in readers.values()]
     n = len(circ.layers)
-    assert len(applied) == max(firsts.values()) + sum(n - f for f in firsts.values())
-    # one suffix per level, as a per-level loop runs it, is several times more
-    assert len(applied) < sum(len(candidates[gi]) * (n - f) for gi, f in firsts.items()) / 4
+    assert len(applied) == max(firsts) + sum(b - a + 1 for a, b in zip(firsts, lasts)) \
+        + n - (min(lasts) + 1)
+    # applying every gate from the first reader on per candidate gate is
+    # several times more
+    assert len(applied) < (max(firsts) + sum(n - f for f in firsts)) / 4
+
+
+@pytest.mark.parametrize("case", ["syn4", "syn16"] + [f"random-{seed}" for seed in range(12)])
+def test_suffix_unitaries_equal_the_dense_gate_products(case):
+    if case.startswith("random"):
+        rng = np.random.default_rng(500 + int(case.split("-")[1]))
+        circ, th = random_circuit(rng, int(rng.integers(2, 5)), int(rng.integers(3, 12)),
+                                  trainable=True)
+    else:
+        circ = load_reference(case)
+        th = init_params(circ, TrainConfig(seed=601))
+    gates, n = circ.layers, len(circ.layers)
+    base = gate_plan(tuple(gates)).matrices(th[None, :])
+    suffixes = suffix_unitaries(circ.n_qubits, gates, base, set(range(n)))
+    assert set(suffixes) == set(range(n + 1))
+    for b, suffix in suffixes.items():
+        want = oracle.circuit_unitary(circ.n_qubits, [oracle.gate_spec_of(g, th) for g in gates[b:]])
+        assert np.max(np.abs(suffix - want)) <= 1e-13
+    # the pass stops at the least boundary asked for
+    assert set(suffix_unitaries(circ.n_qubits, gates, base, {n - 1, n})) == {n - 1, n}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sweep_equals_from_scratch_on_random_circuits(seed):
+    # random circuits are where outputs tie exactly; U3 and CU3 levels are
+    # cut to an even spread of their 512 and 344 to keep the case small
+    rng = np.random.default_rng(900 + seed)
+    circ = fuzz_circuit(rng)
+    th = rng.uniform(0, 4 * PI, circ.n_thetas)
+    samples = generate_synthetic(4, 40, seed=seed).train
+    lut = build_lut(circ)
+    lut = CompressionLUT({kind: levels[::max(1, len(levels) // 8)]
+                          for kind, levels in lut.entries.items()})
+    for angles in (th, _grid_theta(circ, seed)):
+        assert_sweep_matches_from_scratch(circ, angles, lut, samples)
 
 
 def test_slot_read_before_and_after_another_gate():
