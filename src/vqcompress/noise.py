@@ -7,25 +7,32 @@ Pauli drawn uniformly from {I, X, Y, Z}; at p = 1 the qubit is fully
 depolarized.  The outputs are exact expectations, so they depend on nothing
 but the circuit, the input state and p.
 
-rho is held as a state of 2n qubits, kron(conj(psi), psi): qubits 0..n-1
-index its ket and qubits n..2n-1 its bra.  A physical gate U acts as
-rho -> U rho U^dagger, which is U on the ket qubits and conj(U) on the bra
-qubits, each through `simulator.apply_basis_gate`: X and CX are real
-permutations and take no operand, RZ takes its (conjugated) diagonal, and SX
-its (conjugated) matrix.  The channel on qubit q acts on the pair of its
-bra and ket bits (q + n, q) as the fixed 4x4 matrix (1 - p) I + (p/2) |v><v|
-with v = |00> + |11>; `_depolarize` applies it in place, so a pass holds
-rho and a temporary of at most its size.  The outputs are diag(rho) @ W.T.
+rho is held as a register of n base-4 digits: digit q = 2 bra_q + ket_q,
+at bits (2q + 1, 2q), so each qubit's ket and bra bit sit side by side.  A
+pass builds it from kron(conj(psi), psi) with one transpose, and the outputs
+are diag(rho) @ W.T, diag(rho) being the amplitudes whose every digit is 0
+or 3.  A one-qubit gate U with its channel acts on its digit as the 4x4
+superoperator S = D_p (conj(U) (x) U), with D_p = (1 - p) I + (p/2) |v><v|
+and v = |00> + |11>.  Gates on one qubit commute with the others', so each
+qubit's run of one-qubit gates multiplies into one pending 4x4 product,
+which reaches rho in one digit apply (`simulator.apply_matrix`) when a CX
+touches the qubit or the pass ends.  A CX is real and permutes: it swaps
+rho's blocks in place (`simulator._swap_blocks`) on its ket bits (2c, 2t)
+and its bra bits (2c + 1, 2t + 1), and leaves D_p pending on both qubits.
+A pass makes at most two applies per CX and one per qubit, and holds rho,
+one apply's output and the channel stacks (16 amplitudes per gate and row).
 
 One `transpile.lower_gates` call lowers every sample's encoder.  Samples
 whose physical gates have the same kinds on the same qubits share one pass:
 their rhos are the rows of one (S, 4^n) batch of at most `BATCH_AMPLITUDES`
-amplitudes.  X, CX and SX apply one operand to every row; RZ takes one
-diagonal per row, because the encoder's angles, and the layer RZs merged
-into them, differ by sample.  Every step acts on each row alone, and the
-readout takes one row at a time, so a batched row equals the one-row pass
-of `noisy_outputs` bit for bit.
+amplitudes.  SX and X take one superoperator for every row; RZ takes one
+per row, because the encoder's angles, and the layer RZs merged into them,
+differ by sample.  Every step acts on each row alone, and the readout takes
+one row at a time, so a batched row equals the one-row pass of
+`noisy_outputs` bit for bit.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +40,7 @@ from .circuit import Circuit, MeasurementSpec
 from .data import stack
 from .errors import ConfigError
 from .gates import GateKind, gate_mats_batch
-from .simulator import PERMUTATIONS, apply_basis_gate, readout_weights
+from .simulator import _swap_blocks, apply_matrix, readout_weights
 from .training import hits, input_states
 from .transpile import PhysicalGate, TranspiledCircuit, kept_gates, lower_gates
 
@@ -43,56 +50,70 @@ from .transpile import PhysicalGate, TranspiledCircuit, kept_gates, lower_gates
 BATCH_AMPLITUDES = 1 << 16
 
 
-def _operands(rows: list[list[PhysicalGate]]) -> list:
-    """Each gate's `apply_basis_gate` operand for gate lists that share their
-    sequence of (kind, qubits): None for X and CX, the (R, 2) stack of the
-    rows' diagonals for RZ, the fixed matrix for SX (and ID).  All RZ
-    diagonals come from one `gate_mats_batch` call, and each fixed kind's
-    matrix from one."""
-    out, members = [None] * len(rows[0]), {}
-    for k, pg in enumerate(rows[0]):
-        if pg.kind not in PERMUTATIONS:
-            members.setdefault(pg.kind, []).append(k)
-    for kind, ks in members.items():
-        if kind is GateKind.RZ:
-            angles = np.array([[row[k].params[0] for row in rows] for k in ks])
-            mats = gate_mats_batch(kind, angles.ravel())
-            operands = np.diagonal(mats, axis1=1, axis2=2).reshape(angles.shape + (2,))
-        else:
-            operands = [gate_mats_batch(kind, None)] * len(ks)
-        for k, operand in zip(ks, operands):
-            out[k] = operand
+def _channels(rows: list[list[PhysicalGate]], depolarizing: np.ndarray) -> list:
+    """Each gate's superoperator S = D_p (conj U (x) U) on its qubit's digit,
+    for gate lists that share their sequence of (kind, qubits): the (R, 4, 4)
+    stack of the rows' for RZ, one (4, 4) for a fixed kind, None for CX.
+    Every RZ comes from one `gate_mats_batch` call and each fixed kind from
+    one; one product makes every kron and one matmul applies D_p to them."""
+    first = rows[0]
+    rz = [k for k, pg in enumerate(first) if pg.kind is GateKind.RZ]
+    fixed = list(dict.fromkeys(pg.kind for pg in first
+                               if len(pg.qubits) == 1 and pg.kind is not GateKind.RZ))
+    angles = np.array([[row[k].params[0] for row in rows] for k in rz], dtype=float)
+    u = np.concatenate([gate_mats_batch(GateKind.RZ, angles.ravel())]
+                       + [gate_mats_batch(kind, None)[None] for kind in fixed])
+    krons = (u.conj()[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, 4, 4)
+    channels = depolarizing @ krons
+    shared = dict(zip(fixed, channels[angles.size:]))
+    out = [shared.get(pg.kind) if len(pg.qubits) == 1 else None for pg in first]
+    for k, stack in zip(rz, channels[:angles.size].reshape(len(rz), len(rows), 4, 4)):
+        out[k] = stack
     return out
 
 
-def _depolarize(rho: np.ndarray, q: int, n: int, p: float) -> None:
-    """The channel on qubit q, in place on a contiguous rho.  The view's axes
-    1 and 3 are its bra bit (q + n) and ket bit (q).  Every block scales by
-    1 - p, and each of the two diagonal blocks gains p/2 times their sum."""
-    view = rho.reshape(-1, 2, 1 << (n - 1), 2, 1 << q)
-    mixed = (view[:, 0, :, 0] + view[:, 1, :, 1]) * (p / 2)
-    view *= 1.0 - p
-    view[:, 0, :, 0] += mixed
-    view[:, 1, :, 1] += mixed
+@lru_cache(maxsize=None)
+def _diagonal(n: int) -> np.ndarray:
+    """The interleaved indices of diag(rho): digit 0 or 3 on every qubit."""
+    i = np.arange(1 << n)
+    index = sum(((i >> q) & 1) * (3 << (2 * q)) for q in range(n))
+    index.setflags(write=False)
+    return index
 
 
 def _density_pass(rows: list[list[PhysicalGate]], states: np.ndarray,
                   spec: MeasurementSpec, p: float) -> np.ndarray:
     """Exact outputs (R, C) of R gate lists that share their sequence of
     (kind, qubits), each run on its row of `states`, as one (R, 4^n) rho
-    batch.  The readout takes one row at a time, as a one-row pass does."""
+    batch in the interleaved layout.  Each qubit's pending channel product,
+    (R, 4, 4) or (4, 4), reaches rho when a CX touches the qubit or at the
+    end.  The readout takes one row at a time, as a one-row pass does."""
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"depolarizing probability {p} outside [0, 1]")
     n = states.shape[1].bit_length() - 1
-    rho = (states.conj()[:, :, None] * states[:, None, :]).reshape(len(rows), -1)
-    for pg, operand in zip(rows[0], _operands(rows)):
-        bra = tuple(q + n for q in pg.qubits)
-        rho = apply_basis_gate(rho, pg.kind, pg.qubits, operand)
-        rho = apply_basis_gate(rho, pg.kind, bra, None if operand is None else operand.conj())
-        if p > 0:
-            for q in pg.qubits:
-                _depolarize(rho, q, n, p)
-    probs = np.diagonal(rho.reshape(-1, 1 << n, 1 << n), axis1=1, axis2=2).real
+    rho = (states.conj()[:, :, None] * states[:, None, :]).reshape((len(rows),) + (2,) * (2 * n))
+    # axes 1..n are the bra bits n-1..0 and axes n+1..2n the ket bits
+    rho = rho.transpose([0] + [a for j in range(n) for a in (1 + j, 1 + n + j)])
+    rho = rho.reshape(len(rows), -1)
+    depolarizing = (1.0 - p) * np.eye(4, dtype=complex)
+    depolarizing[::3, ::3] += p / 2
+    pending = [None] * n
+    for pg, channel in zip(rows[0], _channels(rows, depolarizing)):
+        if channel is not None:
+            q = pg.qubits[0]
+            pending[q] = channel if pending[q] is None else channel @ pending[q]
+            continue
+        for q in pg.qubits:
+            if pending[q] is not None:
+                rho = apply_matrix(rho, pending[q], (q,))
+            pending[q] = depolarizing
+        c, t = pg.qubits
+        _swap_blocks(rho, (2 * c, 2 * t))
+        _swap_blocks(rho, (2 * c + 1, 2 * t + 1))
+    for q, channel in enumerate(pending):
+        if channel is not None:
+            rho = apply_matrix(rho, channel, (q,))
+    probs = rho[:, _diagonal(n)].real
     weights = readout_weights(spec, n).T
     return np.stack([row @ weights for row in probs])
 

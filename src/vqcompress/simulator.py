@@ -14,12 +14,10 @@ numpy's C einsum, to which `np.einsum` passes its operands unchanged at its
 default optimize=False, so the values are the same bit for bit and an apply
 skips about 1 us of Python dispatch, a fifth of its time on a training
 batch; where that import fails they call `np.einsum`.  The noise
-evaluator holds a density matrix as a state of 2n qubits, one sample's per
-row, and its physical gates go through `apply_basis_gate`, which applies
-each basis kind by its structure: X and CX permute amplitude blocks in
-place, RZ multiplies by its diagonal (one shared, or one per row), and SX
-(dense) falls through to `apply_matrix`.  Both give the same values bit for
-bit.
+evaluator holds a density matrix as a register of n base-4 digits, each
+qubit's ket and bra bit side by side, one sample's per row.  Its one-qubit
+channels reach it as 4x4 matrices on a digit through `apply_matrix`, and
+its CXs as in-place block swaps (`_swap_blocks`) on the ket and bra bits.
 
 The matrices come from `gates.stacked_blocks` and `gates.controlled_mats`,
 through a cached `GatePlan` per gate sequence: one build per call for all of
@@ -72,9 +70,8 @@ def _pair_indices(n_qubits: int, qa: int, qb: int):
 
 def _batched_1q(states: np.ndarray, mats: np.ndarray, q: int) -> np.ndarray:
     rows, dim = states.shape[:2]
-    low = 1 << q
-    high = dim // (2 * low)
-    t = states.reshape(rows, high, 2, -1)      # trailing columns join the low bits
+    d = mats.shape[-1]                         # 2 on bit q, 4 on digit q
+    t = states.reshape(rows, dim // d ** (q + 1), d, -1)   # trailing columns join the low bits
     if mats.ndim == 2:
         out = _einsum("ab,rhbl->rhal", mats, t)
     else:
@@ -227,7 +224,9 @@ def gate_plan(gates: tuple[Gate, ...]) -> GatePlan:
 
 def apply_matrix(states: np.ndarray, mats: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
     """Apply 2x2/4x4 matrices to `qubits`: shared (d, d) or (1, d, d), or one
-    per row (R, d, d).  `states` is (R, 2^n) or (R, 2^n, cols)."""
+    per row (R, d, d).  `states` is (R, 2^n) or (R, 2^n, cols).  A 4x4 on
+    one index q acts on digit q of base 4, bits (2q + 1, 2q): the noise
+    evaluator's interleaved density matrix."""
     if len(qubits) == 1:
         return _batched_1q(states, mats, qubits[0])
     return _batched_2q(states, mats, qubits[0], qubits[1])
@@ -260,50 +259,20 @@ def generator_overlaps(costates: np.ndarray, states: np.ndarray, perms: np.ndarr
     return _einsum("gbd,gd,gdb->g", costates.conj(), phases, moved).imag
 
 
-# Basis kinds that only permute amplitudes: `apply_basis_gate` takes no operand.
-PERMUTATIONS = (GateKind.X, GateKind.CX)
-
-
-def _swap_blocks(states: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """X or CX in place on a contiguous batch: swap the amplitude blocks where
-    the target (the last qubit) is 0 and 1, within control = 1 for CX."""
+def _swap_blocks(states: np.ndarray, qubits: tuple[int, int]) -> np.ndarray:
+    """CX in place on a contiguous batch: swap the amplitude blocks where the
+    target (the second qubit) is 0 and 1, within control = 1."""
     rows, dim = states.shape[:2]                # trailing columns join the low bits
-    if len(qubits) == 1:
-        view = states.reshape(rows, dim >> (qubits[0] + 1), 2, -1)
-        low, high = view[:, :, 0], view[:, :, 1]
+    hi, lo = max(qubits), min(qubits)
+    view = states.reshape(rows, dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, -1)
+    if qubits[0] == hi:
+        low, high = view[:, :, 1, :, 0], view[:, :, 1, :, 1]
     else:
-        hi, lo = max(qubits), min(qubits)
-        view = states.reshape(rows, dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, -1)
-        if qubits[0] == hi:
-            low, high = view[:, :, 1, :, 0], view[:, :, 1, :, 1]
-        else:
-            low, high = view[:, :, 0, :, 1], view[:, :, 1, :, 1]
+        low, high = view[:, :, 0, :, 1], view[:, :, 1, :, 1]
     tmp = low.copy()
     low[...] = high
     high[...] = tmp
     return states
-
-
-def apply_basis_gate(states: np.ndarray, kind: GateKind, qubits: tuple[int, ...],
-                     operand: np.ndarray | None) -> np.ndarray:
-    """One physical gate by its structure, on a batch the caller owns.
-
-    X and CX (`PERMUTATIONS`) take no operand: they swap amplitude blocks in
-    place.  RZ takes its diagonal, shared (2,) or one per row (R, 2), and
-    scales the two halves of its qubit's axis.  Any other kind (SX) takes its
-    matrix and runs `apply_matrix`.  `states` is (R, 2^n) or (R, 2^n, cols),
-    and the result equals `apply_matrix` with the gate's (d, d) or (R, d, d)
-    matrices bit for bit: a permutation does no arithmetic, and the diagonal
-    einsum computes d * t where the dense one computes d * t + 0 * t'.
-    """
-    if kind in PERMUTATIONS:
-        return _swap_blocks(np.ascontiguousarray(states), qubits)
-    if kind is GateKind.RZ:
-        rows = states.shape[0]
-        t = states.reshape(rows, states.shape[1] >> (qubits[0] + 1), 2, -1)
-        diag = np.broadcast_to(operand, (rows, 2))
-        return _einsum("ra,rhal->rhal", diag, t).reshape(states.shape)
-    return apply_matrix(states, operand, qubits)
 
 
 def apply_gate_batch(states: np.ndarray, gate: Gate, thetas: np.ndarray,

@@ -7,7 +7,7 @@ import pytest
 
 import oracle
 from conftest import random_circuit, random_state
-from vqcompress.circuit import Circuit, Gate, MeasurementSpec, const, theta
+from vqcompress.circuit import Circuit, Gate, MeasurementSpec, const, data, theta
 from vqcompress.errors import ConfigError
 from vqcompress.gates import GateKind
 from vqcompress.noise import noisy_accuracy, noisy_outputs
@@ -235,6 +235,78 @@ def test_noisy_outputs_equal_the_row_major_sampler(name, p, shots):
     assert np.max(np.abs(got - oracle.dense_noisy_outputs(tc, init, spec, p))) <= 1e-12
     sampled = oracle.noisy_outputs(tc, init, spec, p, shots, seed=601)
     assert np.max(np.abs(sampled - got)) <= 3 / math.sqrt(shots)
+
+
+def _random_case(case):
+    """(circuit, physical circuit, initial state) of a seeded random circuit
+    on 1-5 qubits: `random_circuit`'s layers behind amplitude input
+    on even cases, and behind an RY/RX angle encoder on odd ones, whose
+    features sit on the pi/2 grid at every second gate.  The amplitude
+    inputs are complex: on a real rho, conj(U) (x) U and U (x) conj(U) give
+    the same diagonal."""
+    rng = np.random.default_rng(900 + case)
+    n = 1 + case % 5
+    layers, params = random_circuit(rng, n, int(rng.integers(4, 13)), trainable=True)
+    if case % 2 == 0:
+        circ = Circuit(n, [], layers.layers, layers.measurement, amplitude_input=True)
+        return circ, transpile_circuit(circ, params[None]), random_state(rng, n)
+    encoder = [Gate((GateKind.RY, GateKind.RX)[k % 2], (k % n,), (data(k),)) for k in range(n + 1)]
+    circ = Circuit(n, encoder, layers.layers, layers.measurement)
+    feats = rng.uniform(0.0, 2.0, n + 1)
+    feats[::2] = rng.integers(0, 4, len(feats[::2])) / 2
+    return circ, transpile_circuit(circ, params[None], feats=feats[None]), zero_state(n)
+
+
+def test_noisy_outputs_equal_the_dense_oracle_on_random_circuits():
+    # 30 seeded circuits, every layer kind and every physical kind among
+    # them: the fused channels equal the oracle's gate-by-gate twirl
+    kinds, physical = set(), set()
+    for case in range(30):
+        circ, tc, init = _random_case(case)
+        kinds |= {g.kind for g in circ.layers}
+        physical |= {g.kind for g in tc.gates}
+        for p in (0.0, 0.003, 0.02, 0.3, 1.0):
+            got = noisy_outputs(tc, init, circ.measurement, p)
+            want = oracle.dense_noisy_outputs(tc, init, circ.measurement, p)
+            assert np.max(np.abs(got - want)) <= 1e-12, (case, p)
+    assert kinds == set(GateKind)
+    assert physical == {GateKind.CX, GateKind.RZ, GateKind.SX, GateKind.X}
+
+
+def test_a_pass_applies_each_qubits_channels_once_per_cx(monkeypatch):
+    # a one-qubit gate and its channel wait on their qubit for the next CX
+    # or the end: a syn16 pass makes at most two digit applies per CX and one
+    # per qubit, and two in-place block swaps per CX (ket and bra); doubling
+    # every one-qubit gate adds no apply, and one qubit's run of gates is one
+    import vqcompress.noise as noise
+    from vqcompress.transpile import PhysicalGate
+    tc, init, spec = _oracle_case("syn16")
+    events = []
+
+    def counted(name, kernel):
+        def wrapped(*args):
+            events.append(name)
+            return kernel(*args)
+        return wrapped
+
+    monkeypatch.setattr(noise, "apply_matrix", counted("apply", noise.apply_matrix))
+    monkeypatch.setattr(noise, "_swap_blocks", counted("swap", noise._swap_blocks))
+
+    def counts(gates, state, spec=spec):
+        events.clear()
+        noise._density_pass([gates], state[None, :], spec, 0.02)
+        return Counter(events)
+
+    n_cx = sum(g.kind is GateKind.CX for g in tc.gates)
+    n_one = len(tc.gates) - n_cx
+    assert n_cx == 16 and n_one > 100
+    got = counts(tc.gates, init)
+    assert got["swap"] == 2 * n_cx and got["apply"] <= 2 * n_cx + tc.n_qubits, got
+    doubled = [h for g in tc.gates for h in ([g] if g.kind is GateKind.CX else [g, g])]
+    assert counts(doubled, init) == got
+    run = [PhysicalGate(GateKind.SX, (0,)), PhysicalGate(GateKind.RZ, (0,), (0.3,)),
+           PhysicalGate(GateKind.X, (0,))]
+    assert counts(run, zero_state(1), MeasurementSpec(1)) == Counter(apply=1)
 
 
 def test_operands_are_built_once_per_kind(monkeypatch):

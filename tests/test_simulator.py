@@ -10,9 +10,9 @@ from vqcompress.circuit import (Circuit, Gate, MeasureScheme, MeasurementSpec,
                                 const, data, theta)
 from vqcompress import simulator
 from vqcompress.errors import SpecError
-from vqcompress.gates import GateKind, gate_mats_batch, gate_matrix
-from vqcompress.simulator import (apply_basis_gate, apply_matrix, measure_outputs_batch,
-                                  run_batch, run_circuit, zero_state)
+from vqcompress.gates import GateKind, gate_matrix
+from vqcompress.simulator import (apply_matrix, measure_outputs_batch, run_batch, run_circuit,
+                                  zero_state)
 
 PI = math.pi
 
@@ -172,37 +172,25 @@ def test_trailing_axis_equals_each_column_slice(qubits, mat_rows):
         assert np.array_equal(got[:, :, c], apply_matrix(states[:, :, c].copy(), mats, qubits))
 
 
-def _basis_cases(n):
-    """(kind, qubits, params) for every basis gate placement on n qubits."""
-    yield from ((GateKind.X, (q,), ()) for q in range(n))
-    yield from ((GateKind.SX, (q,), ()) for q in range(n))
-    yield from ((GateKind.CX, pair, ()) for pair in itertools.permutations(range(n), 2))
-    for q in range(n):
-        for angle in (0.0, PI / 2, PI, 3 * PI / 2, 2 * PI, -0.7, 2.345678901):
-            yield GateKind.RZ, (q,), (angle,)
-
-
 @pytest.mark.parametrize("shape", ["rows", "cols1", "cols37"])
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_basis_gates_equal_the_dense_kernel(n, shape):
-    # X and CX permute, RZ scales by its diagonal, SX runs the dense kernel:
-    # every value equals apply_matrix with the gate's matrix, bit for bit
+    # CX on a register of n ket-bra digits, at the noise evaluator's
+    # interleaved bit pairs, a CX's ket bits (2c, 2t) and bra bits
+    # (2c + 1, 2t + 1), and on the two bits of one digit.  A swap does no
+    # arithmetic, so every value equals apply_matrix with CX's matrix bit for bit
     rng = np.random.default_rng(40 + n)
-    size = {"rows": (5, 2 ** n), "cols1": (1, 2 ** n, 1), "cols37": (1, 2 ** n, 37)}[shape]
+    dim = 4 ** n
+    size = {"rows": (5, dim), "cols1": (1, dim, 1), "cols37": (1, dim, 37)}[shape]
     states = rng.normal(size=size) + 1j * rng.normal(size=size)
-    for kind, qubits, params in _basis_cases(n):    # CX on (0, 3) and (3, 0) at n = 4
-        mat = gate_matrix(kind, params)
-        operand = {GateKind.X: None, GateKind.CX: None, GateKind.RZ: np.diagonal(mat)}.get(kind, mat)
-        want = apply_matrix(states, mat, qubits)
-        got = apply_basis_gate(states.copy(), kind, qubits, operand)
-        assert got.shape == states.shape, (kind, qubits, params)
-        assert np.array_equal(got, want), (kind, qubits, params)
-        if kind is GateKind.RZ:
-            # one diagonal per row, against one dense matrix per row
-            mats = gate_mats_batch(kind, params[0] + 0.37 * np.arange(len(states)))
-            want = apply_matrix(states, mats, qubits)
-            got = apply_basis_gate(states.copy(), kind, qubits, np.diagonal(mats, axis1=1, axis2=2))
-            assert np.array_equal(got, want), (kind, qubits, params, "per row")
+    cx = gate_matrix(GateKind.CX, ())
+    cases = [(2 * c + side, 2 * t + side)
+             for c, t in itertools.permutations(range(n), 2) for side in (0, 1)]
+    cases += [pair for q in range(n) for pair in ((2 * q, 2 * q + 1), (2 * q + 1, 2 * q))]
+    for bits in cases:   # adjacent and not, control above and below, and one digit's own bits
+        got = simulator._swap_blocks(states.copy(), bits)
+        assert got.shape == states.shape, bits
+        assert np.array_equal(got, apply_matrix(states, cx, bits)), bits
 
 
 def test_the_kernels_call_numpys_c_einsum():
@@ -217,8 +205,8 @@ def test_the_kernels_call_numpys_c_einsum():
 @pytest.mark.parametrize("mat_rows", [None, 1, "R"], ids=["dd", "1dd", "Rdd"])
 def test_the_c_einsum_equals_np_einsum_byte_for_byte(rows, n, cols, mat_rows, monkeypatch):
     # every kernel subscript: the 1q and 2q dense ones on every placement,
-    # and RZ's diagonal one; exact and signed zeros in the states and the
-    # matrices, so that tobytes tells -0.0 from 0.0
+    # and the noise evaluator's 4x4 on every base-4 digit; exact and signed
+    # zeros in the states and the matrices, so that tobytes tells -0.0 from 0.0
     rng = np.random.default_rng(50 + rows + n)
     shape = (rows, 2 ** n) + (() if cols is None else (cols,))
     states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -226,18 +214,14 @@ def test_the_c_einsum_equals_np_einsum_byte_for_byte(rows, n, cols, mat_rows, mo
     states[:, 1::5] = -0.0 - 0.0j
     states.imag[:, 2::4] = -0.0
     m = rows if mat_rows == "R" else mat_rows
-    cases = [((q,), 2) for q in range(n)] + [(pair, 4) for pair in itertools.permutations(range(n), 2)]
+    cases = ([((q,), 2) for q in range(n)] + [(pair, 4) for pair in itertools.permutations(range(n), 2)]
+             + [((q,), 4) for q in range(n // 2)])     # the digits of 2^n = 4^(n/2) amplitudes
     for qubits, d in cases:
         mats = rng.normal(size=(d, d) if m is None else (m, d, d)) + 0j
         mats.imag[..., ::2, :] = rng.normal(size=mats[..., ::2, :].shape)
         mats[..., 0, -1] = -0.0
-        diag = np.diagonal(mats, axis1=-2, axis2=-1)
-        calls = [lambda: apply_matrix(states, mats, qubits)]
-        if d == 2:
-            calls.append(lambda: apply_basis_gate(states, GateKind.RZ, qubits, diag))
-        for call in calls:
-            got = call()
-            with monkeypatch.context() as patch:
-                patch.setattr(simulator, "_einsum", np.einsum)
-                want = call()
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), qubits
+        got = apply_matrix(states, mats, qubits)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "_einsum", np.einsum)
+            want = apply_matrix(states, mats, qubits)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (qubits, d)
