@@ -6,10 +6,11 @@ their reconstructed levels, and updates the multipliers with the signed
 circular residual.  After the loop stops (squared step norms of both theta
 and Z under zeta, or the iteration cap), masked parameters are frozen at
 their levels and the free ones are retrained.  Every method takes the warm
-start and the one ReCL sweep of it that `experiment.run_experiment` runs;
-PruneOnly and QuantOnly run this loop on that sweep's pick restricted to one
-level family.  The baselines share the lowest-k mask selection and the
-freeze-and-retrain tail; Zero-Only-Pruning is a zero-level LUT with no loop.
+start, the run's encoded train split and the one ReCL sweep of the warm
+start that `experiment.run_experiment` runs; PruneOnly and QuantOnly run
+this loop on that sweep's pick restricted to one level family.  The
+baselines share the lowest-k mask selection and the freeze-and-retrain
+tail; Zero-Only-Pruning is a zero-level LUT with no loop.
 """
 
 import enum
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuit import Circuit
-from .data import Dataset
 from .errors import ConfigError
 from .gates import circ_residual, wrap_params
 from .lut import CompressionLevel, LevelTag, level_distance
@@ -162,8 +162,7 @@ def frozen_slots(mask: CompressionMask, circuit: Circuit) -> np.ndarray:
     frozen = np.zeros(circuit.n_thetas, dtype=bool)
     for pos, gi in enumerate(circuit.trainable_indices()):
         if mask.bits[pos]:
-            for slot in circuit.layers[gi].theta_slots:
-                frozen[slot] = True
+            frozen[list(circuit.layers[gi].theta_slots)] = True
     return frozen
 
 
@@ -176,21 +175,21 @@ def empty_result(circuit: Circuit, params: np.ndarray) -> CompressionResult:
                              converged=False)
 
 
-def vanilla_train(circuit: Circuit, dataset: Dataset, train_cfg: TrainConfig) -> np.ndarray:
-    return sgd_train(circuit, init_params(circuit, train_cfg), dataset.train, train_cfg)
+def vanilla_train(circuit: Circuit, train, train_cfg: TrainConfig) -> np.ndarray:
+    return sgd_train(circuit, init_params(circuit, train_cfg), train, train_cfg)
 
 
-def _retrain(circuit: Circuit, dataset: Dataset, theta: np.ndarray, mask: CompressionMask,
+def _retrain(circuit: Circuit, train, theta: np.ndarray, mask: CompressionMask,
              recon: ReconstructedLUT, admm_cfg: ADMMConfig,
              train_cfg: TrainConfig) -> np.ndarray:
     """Set the masked gates to their levels, freeze them, retrain the rest."""
     retrain = replace(train_cfg, epochs=admm_cfg.retrain_epochs,
                       seed=train_cfg.seed + 999_983)
-    return sgd_train(circuit, compose_params(theta, mask, recon, circuit), dataset.train,
+    return sgd_train(circuit, compose_params(theta, mask, recon, circuit), train,
                      retrain, frozen=frozen_slots(mask, circuit))
 
 
-def run_cqcp_admm(circuit: Circuit, dataset: Dataset, recon: ReconstructedLUT,
+def run_cqcp_admm(circuit: Circuit, train, recon: ReconstructedLUT,
                   admm_cfg: ADMMConfig, train_cfg: TrainConfig,
                   warm: np.ndarray) -> CompressionResult:
     """ADMM loop from the warm start against the reconstructed levels of
@@ -204,13 +203,13 @@ def run_cqcp_admm(circuit: Circuit, dataset: Dataset, recon: ReconstructedLUT,
     for r in range(admm_cfg.max_iters):
         inner = replace(train_cfg, epochs=admm_cfg.epochs_per_iter,
                         seed=train_cfg.seed + 1000 * (r + 1))
-        state.theta = sgd_train(circuit, state.theta, dataset.train, inner,
+        state.theta = sgd_train(circuit, state.theta, train, inner,
                                 proximal=(state.z, state.lam, admm_cfg.rho))
         mask = build_mask(state.theta, state.lam, recon, circuit, admm_cfg, max_td)
         state.z = compose_params(state.z, mask, recon, circuit)
         state.lam = update_lambda(state, admm_cfg.rho)
 
-        loss, acc = loss_and_accuracy(circuit, state.theta, dataset.train)
+        loss, acc = loss_and_accuracy(circuit, state.theta, train)
         composed = compose_params(state.theta, mask, recon, circuit)
         gap = float(np.sqrt(np.sum(circ_residual(state.theta, state.z) ** 2)))
         records.append(IterationRecord(r, loss, acc, tcd(circuit, composed), gap))
@@ -221,7 +220,7 @@ def run_cqcp_admm(circuit: Circuit, dataset: Dataset, recon: ReconstructedLUT,
             break
         prev = current
 
-    params = _retrain(circuit, dataset, state.theta, mask, recon, admm_cfg, train_cfg)
+    params = _retrain(circuit, train, state.theta, mask, recon, admm_cfg, train_cfg)
     return CompressionResult(params, mask, recon, records, converged)
 
 
@@ -235,7 +234,7 @@ _LEVEL_FAMILY = {BaselineMode.PRUNE_ONLY: LevelTag.PRUNE,
                  BaselineMode.QUANT_ONLY: LevelTag.QUANTIZE}
 
 
-def baseline_compress(mode: BaselineMode, circuit: Circuit, dataset: Dataset,
+def baseline_compress(mode: BaselineMode, circuit: Circuit, train,
                       recon: ReconstructedLUT | None, admm_cfg: ADMMConfig,
                       train_cfg: TrainConfig, warm: np.ndarray) -> CompressionResult:
     """Competitor pipelines sharing the warm start and retraining protocol.
@@ -247,7 +246,7 @@ def baseline_compress(mode: BaselineMode, circuit: Circuit, dataset: Dataset,
     level family; gates with no level of that family are never masked.
     """
     if mode in _LEVEL_FAMILY:
-        return run_cqcp_admm(circuit, dataset, recon.restricted(_LEVEL_FAMILY[mode]), admm_cfg,
+        return run_cqcp_admm(circuit, train, recon.restricted(_LEVEL_FAMILY[mode]), admm_cfg,
                              train_cfg, warm)
 
     slots = {gi: list(circuit.layers[gi].theta_slots) for gi in circuit.trainable_indices()}
@@ -256,5 +255,5 @@ def baseline_compress(mode: BaselineMode, circuit: Circuit, dataset: Dataset,
     dists = np.array([level_distance(zero.levels[gi].value, wrap_params(warm[s]))
                       for gi, s in slots.items()])
     mask = _lowest(dists, mask_size(admm_cfg.target_ratio, len(dists)))
-    params = _retrain(circuit, dataset, warm, mask, zero, admm_cfg, train_cfg)
+    params = _retrain(circuit, train, warm, mask, zero, admm_cfg, train_cfg)
     return CompressionResult(params, mask, zero)

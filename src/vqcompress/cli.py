@@ -139,10 +139,10 @@ def _emit(text: str, path: str | None) -> None:
 
 def cmd_train(args) -> int:
     cfg = build_config(args)
-    dataset, circuit = resolve_inputs(cfg)
-    params = vanilla_train(circuit, dataset, cfg.train)
-    train_loss, train_acc = loss_and_accuracy(circuit, params, dataset.train)
-    test_loss, test_acc = loss_and_accuracy(circuit, params, dataset.test)
+    _, circuit, train, test = resolve_inputs(cfg)
+    params = vanilla_train(circuit, train, cfg.train)
+    train_loss, train_acc = loss_and_accuracy(circuit, params, train)
+    test_loss, test_acc = loss_and_accuracy(circuit, params, test)
     text = (f"train loss {train_loss:.4f} acc {train_acc:.3f} | "
             f"test loss {test_loss:.4f} acc {test_acc:.3f} | tcd {tcd(circuit, params)}\n")
     if args.save:
@@ -176,10 +176,10 @@ def cmd_lut(args) -> int:
 
 def cmd_recl(args) -> int:
     cfg = build_config(args)
-    dataset, circuit = resolve_inputs(cfg)
+    _, circuit, train, _ = resolve_inputs(cfg)
     params = (_load_params(args.params, circuit) if args.params
-              else vanilla_train(circuit, dataset, cfg.train))
-    recon = reconstruct_lut(circuit, params, build_lut(circuit), dataset.train)
+              else vanilla_train(circuit, train, cfg.train))
+    recon = reconstruct_lut(circuit, params, build_lut(circuit), train)
     lines = ["gate_index,kind,level,depth,metric"]
     for gi in sorted(recon.levels):
         lv = recon.levels[gi]

@@ -1,9 +1,11 @@
 """Experiment orchestration: run methods against a shared warm start, report.
 
 `run_experiment` is the only place that maps a method name to its pipeline.
-It trains the warm start once and, when an ADMM method runs at a nonzero
-target ratio, sweeps ReCL over the full LUT once; every method takes what it
-needs from that sweep.  At target ratio 0 every method is the warm start.
+It encodes the train and test splits once, trains the warm start once and,
+when an ADMM method runs at a nonzero target ratio, sweeps ReCL over the
+full LUT once; every training, score and sweep reads the two encoded splits,
+and every method takes what it needs from that sweep.  At target ratio 0
+every method is the warm start.
 Reports are pure data keyed by method: test accuracy, delta versus vanilla,
 transpiled depth, speedup (vanilla TCD / method TCD), optional noisy accuracy,
 and the method's `CompressionResult`.  The same values are emitted in table,
@@ -20,12 +22,12 @@ from .admm import (ADMMConfig, BaselineMode, baseline_compress, empty_result,
                    run_cqcp_admm, vanilla_train)
 from .circfile import REFERENCE_NAMES, load_circuit_file, load_reference
 from .circuit import Circuit
-from .data import Dataset, generate_synthetic, load_csv, stack
+from .data import Dataset, generate_synthetic, load_csv
 from .errors import ConfigError, EncodeError
 from .lut import build_lut
 from .noise import noisy_accuracy
 from .recl import reconstruct_lut
-from .training import TrainConfig, input_states, loss_and_accuracy
+from .training import Encoded, TrainConfig, encode, loss_and_accuracy
 from .transpile import tcd
 
 METHOD_ORDER = ("Vanilla", "ZeroOnlyPruning", "PruneOnly", "QuantOnly", "CompVQC")
@@ -116,8 +118,8 @@ def resolve_circuit(config: ExperimentConfig) -> Circuit:
     return load_circuit_file(config.circuit)
 
 
-def resolve_inputs(config: ExperimentConfig) -> tuple[Dataset, Circuit]:
-    """Dataset and circuit, checked to fit each other before any training."""
+def resolve_inputs(config: ExperimentConfig) -> tuple[Dataset, Circuit, Encoded, Encoded]:
+    """Dataset, circuit and the encoded train and test splits, checked to fit."""
     circuit = resolve_circuit(config)
     dataset = resolve_dataset(config, circuit.measurement.n_classes)
     if not dataset.train or not dataset.test:
@@ -130,11 +132,10 @@ def resolve_inputs(config: ExperimentConfig) -> tuple[Dataset, Circuit]:
     if dataset.n_classes > circuit.measurement.n_classes:
         raise ConfigError(f"n_classes: the dataset has {dataset.n_classes}, the circuit "
                           f"measures {circuit.measurement.n_classes}")
-    try:  # encodes every sample the way training will
-        input_states(circuit, stack(dataset.train + dataset.test)[0])
+    try:
+        return dataset, circuit, encode(circuit, dataset.train), encode(circuit, dataset.test)
     except EncodeError as exc:
         raise ConfigError(f"dataset: {exc}") from None
-    return dataset, circuit
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
@@ -143,17 +144,17 @@ def run_experiment(config: ExperimentConfig) -> Report:
     if set(config.methods) & set(ADMM_METHODS) and lr * rho >= 2:
         raise ConfigError(f"learning_rate * rho must be below 2 with an ADMM method, "
                           f"got {lr} * {rho}")
-    dataset, circuit = resolve_inputs(config)
+    dataset, circuit, train, test = resolve_inputs(config)
 
     def evaluate(params) -> tuple[float, int]:
-        return loss_and_accuracy(circuit, params, dataset.test)[1], tcd(circuit, params)
+        return loss_and_accuracy(circuit, params, test)[1], tcd(circuit, params)
 
-    warm = vanilla_train(circuit, dataset, config.train)
+    warm = vanilla_train(circuit, train, config.train)
     vanilla_acc, vanilla_tcd = evaluate(warm)
     uncompressed = config.admm.target_ratio == 0.0
     recon = None
     if not uncompressed and set(config.methods) & set(ADMM_METHODS):
-        recon = reconstruct_lut(circuit, warm, build_lut(circuit), dataset.train)
+        recon = reconstruct_lut(circuit, warm, build_lut(circuit), train)
 
     rows, results = [], {}
     for method in METHOD_ORDER:
@@ -162,9 +163,9 @@ def run_experiment(config: ExperimentConfig) -> Report:
         if method == "Vanilla" or uncompressed:
             result = empty_result(circuit, warm)
         elif method == "CompVQC":
-            result = run_cqcp_admm(circuit, dataset, recon, config.admm, config.train, warm)
+            result = run_cqcp_admm(circuit, train, recon, config.admm, config.train, warm)
         else:
-            result = baseline_compress(BaselineMode(method), circuit, dataset, recon,
+            result = baseline_compress(BaselineMode(method), circuit, train, recon,
                                        config.admm, config.train, warm)
         acc, depth = (vanilla_acc, vanilla_tcd) if method == "Vanilla" else evaluate(result.params)
         noisy = None

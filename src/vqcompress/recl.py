@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit
-from .data import stack
 from .lut import CompressionLUT, LevelTag
 from .simulator import apply_matrix, gate_plan, measure_outputs_batch
-from .training import hits, initial_states
-from .transpile import DepthScan, lower_circuit, lower_gates, suffix_summaries
+from .training import encode, hits
+from .transpile import encoder_scan, lower_gates, suffix_summaries
 
 
 @dataclass
@@ -69,16 +68,16 @@ def suffix_unitaries(n_qubits: int, gates, base, starts) -> dict:
 def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
     """Metric of every level in `candidates` (layer index -> levels).
 
-    Depth: theta's lowering is scanned once (`DepthScan`, encoder first),
-    with a snapshot before each candidate gate's first reader gate, and
-    summarized past each last reader by one backward pass
-    (`suffix_summaries`).  A candidate gate's C levels re-lower its reader
-    gates in one `lower_gates` call on the C theta rows that build their
-    matrices; each level resumes a copy of the snapshot, feeds the reader
-    span and joins the summary (`DepthScan.join`).  The two carry open RZ
-    runs across both ends, so the depth equals a full rescan.
+    Depth: theta's lowering of the layers is scanned once, after the cached
+    encoder scan (`encoder_scan`), with a snapshot before each candidate
+    gate's first reader gate, and summarized past each last reader by one
+    backward pass (`suffix_summaries`).  A candidate gate's C levels
+    re-lower its reader gates in one `lower_gates` call on the C theta rows
+    that build their matrices; each level resumes a copy of the snapshot,
+    feeds the reader span and joins the summary (`DepthScan.join`).  The two
+    carry open RZ runs across both ends, so the depth equals a full rescan.
 
-    States: the `initial_states`, a (1, 2^n, B) batch with samples on the
+    States: the `encode`d samples, a (1, 2^n, B) batch with samples on the
     trailing axis, run up to each candidate gate's first reader, in order of
     first readers.  There its C levels fork into a (C, 2^n, B) batch that
     runs the reader span only, the reader gates on (C, d, d) matrices from
@@ -91,9 +90,9 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
     """
     theta = np.asarray(theta, dtype=float)
     gates = circuit.layers
-    lowered = lower_circuit(circuit, theta)
-    feats, labels = stack(eval_samples)
-    state = np.ascontiguousarray(initial_states(circuit, feats).T)[None]
+    lowered = lower_gates(tuple(gates), theta[None, :])[0]
+    split = encode(circuit, eval_samples)
+    state = np.ascontiguousarray(split.states.T)[None]
     base = gate_plan(tuple(gates)).matrices(theta[None, :])
     reading = {}  # slot -> the gates that read it
     for k, g in enumerate(gates):
@@ -102,14 +101,11 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
     readers = {gi: sorted(set().union(*(reading[s] for s in gates[gi].theta_slots)))
                for gi, levels in candidates.items() if levels}
     firsts = {r[0] for r in readers.values()}
-    scan, snapshots = DepthScan(circuit.n_qubits), {}
-    for physical in lowered[:len(circuit.encoder)]:  # no candidate changes the encoder
-        scan.feed(physical)
-    lowered = lowered[len(circuit.encoder):]
+    scan, snapshots = encoder_scan(circuit), {}
     for k, physical in enumerate(lowered):
         if k in firsts:
             snapshots[k] = scan.copy()
-        scan.feed(physical)
+        scan.feed([physical])
     theta_tcd = scan.close()
     bounds = {r[-1] + 1 for r in readers.values()}
     summaries = suffix_summaries(circuit.n_qubits, lowered, bounds)
@@ -129,12 +125,11 @@ def _sweep(circuit: Circuit, theta, candidates: dict, eval_samples) -> dict:
             final = apply_matrix(final, mats.get(k, base[k]), gates[k].qubits)
         rows = (suffixes[last + 1] @ final).transpose(0, 2, 1).reshape(-1, final.shape[1])
         hit = hits(measure_outputs_batch(rows, circuit.measurement),
-                   np.tile(labels, len(thetas))).reshape(len(thetas), -1)
+                   np.tile(split.labels, len(thetas))).reshape(len(thetas), -1)
         for span, acc in zip(lower_gates(reader_gates, thetas), hit.mean(axis=1)):
             relowered = dict(zip(readers[gi], span))
-            scan = snapshots[first].copy()
-            for k in range(first, last + 1):
-                scan.feed(relowered.get(k, lowered[k]))
+            scan = snapshots[first].copy().feed(relowered.get(k, lowered[k])
+                                                for k in range(first, last + 1))
             depth = scan.join(summaries[last + 1])
             metrics[gi].append(float(acc) * _depth_factor(theta_tcd, depth))
     return metrics

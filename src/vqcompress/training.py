@@ -5,10 +5,10 @@ adjoint-method gradients, and SGD.
 label's output must beat every other by more than `TIE_MARGIN`, so a tie
 (outputs equal up to roundoff) is a miss on every path.  Softmax is the loss's.
 
-Features enter in one place: `input_states` makes the states before the
-encoder (amplitudes or |0...0>) and `initial_states` runs the encoder on
-them.  The encoder is state preparation and is never compressed; everything
-downstream takes the states it returns and one theta vector.
+Features enter in one place, `encode`: the encoder run on the `input_states`
+(amplitudes or |0...0>) gives the `initial_states`, held with the labels as a
+read-only `Encoded`.  The encoder is state preparation and is never
+compressed, so a run encodes each split once and passes its `Encoded` on.
 
 Gradients are exact for every gate kind.  `loss_and_gradient` runs the
 layers forward once from a batch's initial states, keeping each state, then
@@ -19,7 +19,7 @@ rotation exp(-i t P / 2) applies no derivative matrix: one
 `generator_overlaps` after the walk gives every rotation slot's Im <lambda|
 P phi>.  U, U^dagger and the U3 partials come from one `GatePlan.build`.
 Frozen slots cost nothing, and the walk stops at the earliest live gate.
-`sgd_train` builds once per call what its steps share: it encodes its
+`sgd_train` builds once per call what its steps share: it `encode`s its
 samples, applies the kept gates before the earliest live one, and builds the
 readout table, the one-hot targets and the backward walk with its generator
 tables.  A step builds only its theta-dependent matrices, runs the gates
@@ -37,7 +37,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .data import amplitude_state, stack
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .gates import CONTROLLED_TARGET, GENERATORS, circ_residual, wrap_params
 from .simulator import (apply_matrix, gate_plan, generator_overlaps, generator_table,
                         measure_outputs_batch, readout_weights, run_batch, zero_state)
@@ -81,10 +81,30 @@ def initial_states(circuit: Circuit, feats: np.ndarray) -> np.ndarray:
     return gate_plan(tuple(circuit.encoder)).apply(states, np.pi * feats)
 
 
-def outputs_batch(circuit: Circuit, params, feats: np.ndarray) -> np.ndarray:
-    """Measurement outputs (R, C) of one parameter vector on R samples."""
-    final = run_batch(circuit, params, initial_states(circuit, feats))
-    return measure_outputs_batch(final, circuit.measurement)
+@dataclass(frozen=True, eq=False)
+class Encoded:
+    """A split as the layers read it: read-only `initial_states` and labels."""
+    states: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+def encode(circuit: Circuit, samples) -> Encoded:
+    """A sample list's `Encoded` split; an `Encoded` comes back unchanged."""
+    if isinstance(samples, Encoded):
+        return samples
+    feats, labels = stack(samples)
+    states = initial_states(circuit, feats)
+    states.setflags(write=False)
+    labels.setflags(write=False)
+    return Encoded(states, labels)
+
+
+def outputs_batch(circuit: Circuit, params, states: np.ndarray) -> np.ndarray:
+    """Measurement outputs (R, C) of one parameter vector on R layer-input states."""
+    return measure_outputs_batch(run_batch(circuit, params, states), circuit.measurement)
 
 
 def softmax(outputs: np.ndarray) -> np.ndarray:
@@ -105,13 +125,12 @@ def hits(outputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def loss_and_accuracy(circuit: Circuit, params, samples) -> tuple[float, float]:
-    """Mean cross-entropy and hit rate (`hits`) over a sample list."""
-    feats, labels = stack(samples)
-    outputs = outputs_batch(circuit, np.atleast_2d(params), feats)
+    """Mean cross-entropy and hit rate (`hits`) over a sample list or `Encoded`."""
+    split = encode(circuit, samples)
+    outputs = outputs_batch(circuit, np.atleast_2d(params), split.states)
     probs = softmax(outputs)
-    n = len(labels)
-    loss = float(-np.log(np.maximum(probs[np.arange(n), labels], 1e-300)).mean())
-    return loss, float(hits(outputs, labels).mean())
+    loss = float(-np.log(np.maximum(probs[np.arange(len(split)), split.labels], 1e-300)).mean())
+    return loss, float(hits(outputs, split.labels).mean())
 
 
 def loss_and_gradient(circuit: Circuit, params: np.ndarray, states: np.ndarray,
@@ -246,20 +265,18 @@ def sgd_train(circuit: Circuit, params0, samples, config: TrainConfig,
     the identity (a prune level at 0) is left out of the steps' plan and
     costs nothing, the kept gates before the earliest live one are applied
     once, and the result keeps every bit of the full circuit's.
-    Parameters are wrapped to [0, 4pi) after every step; two runs with the
-    same seed produce bit-identical results.
+    `samples` may be `Encoded`.  Parameters are wrapped to [0, 4pi) after
+    every step; two runs with the same seed produce bit-identical results.
     """
-    if not samples:
-        raise DataError("cannot train on an empty sample list")
     rng = np.random.default_rng(config.seed)
     theta = wrap_params(np.asarray(params0, dtype=float).copy())
-    feats, labels = stack(samples)
+    split = encode(circuit, samples)
     prefix, plan = _step_plans(gate_plan(tuple(circuit.layers)), theta, frozen)
-    states = prefix.apply(initial_states(circuit, feats), theta[None, :])
+    states = prefix.apply(split.states, theta[None, :])
     walk = _live(plan, circuit.n_qubits, theta.size, frozen)
     weights = readout_weights(circuit.measurement, circuit.n_qubits)
-    targets = np.eye(weights.shape[0])[labels]
-    n = len(labels)
+    targets = np.eye(weights.shape[0])[split.labels]
+    n = len(split)
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):

@@ -19,16 +19,18 @@ The peephole rule (merge same-qubit RZ runs; drop ID and RZ(0 mod 2pi)) is
 one left-to-right pass, `DepthScan`, that closes an RZ run only when a
 non-RZ gate touches its qubit or the scan ends; its output is bit-identical
 to looping the rule to a fixpoint.  Every depth and transpile path runs it;
-`kept_gates` is its one keep-mode use.  ReCL resumes copies of it to price
-a candidate over the span of its changed gates, and `DepthScan.join`
-finishes such a scan from a summary of the unchanged rest: per qubit, the
-RZ angles that open the rest and the longest path after them, which
-`suffix_summaries` records for many boundaries in one backward pass.
+`kept_gates` is its one keep-mode use.  `tcd` and ReCL lower only the layers
+and resume a copy of the encoder's cached scan (`encoder_scan`); ReCL prices
+a candidate over the span of its changed gates on copies of a scan, and
+`DepthScan.join` finishes such a scan from a summary of the unchanged rest:
+per qubit, the RZ angles that open the rest and the longest path after them,
+which `suffix_summaries` records for many boundaries in one backward pass.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -208,9 +210,7 @@ def decompose_kind(kind: GateKind, qubits: tuple[int, ...],
     the one test of what prunes, and `lut` reads it as depth 0.
     """
     angles = tuple(wrap_param(a) for a in angles)
-    if is_phase_identity(kind, angles):
-        return []
-    if kind is GateKind.ID:
+    if kind is GateKind.ID or is_phase_identity(kind, angles):
         return []
     if kind in BASIS_KINDS:
         return [PhysicalGate(kind, qubits, angles)]
@@ -242,9 +242,7 @@ def lower_circuit(circuit: Circuit, params, feats=None) -> list[list[PhysicalGat
     angle-encoded circuit does not depend on one particular sample.
     """
     thetas = np.atleast_2d(np.asarray(params, dtype=float))
-    if feats is None:
-        feats = probe_features(circuit.n_data)
-    f = np.atleast_2d(np.asarray(feats, dtype=float))
+    f = np.atleast_2d(probe_features(circuit.n_data) if feats is None else feats)
     return (lower_gates(tuple(circuit.encoder), np.pi * f)[0]
             + lower_gates(tuple(circuit.layers), thetas)[0])
 
@@ -259,9 +257,7 @@ def transpile_circuit(circuit: Circuit, params, feats=None) -> TranspiledCircuit
     U == exp(i*phase) * P.
     """
     thetas = np.atleast_2d(np.asarray(params, dtype=float))
-    if feats is None:
-        feats = probe_features(circuit.n_data)
-    feats = np.atleast_2d(np.asarray(feats, dtype=float))
+    feats = np.atleast_2d(probe_features(circuit.n_data) if feats is None else feats)
     gates = kept_gates(circuit.n_qubits, lower_circuit(circuit, thetas, feats))
     eye = np.eye(2 ** circuit.n_qubits, dtype=complex)
     source = gate_plan(tuple(circuit.layers)).apply(
@@ -275,9 +271,7 @@ def transpile_circuit(circuit: Circuit, params, feats=None) -> TranspiledCircuit
 def kept_gates(n_qubits: int, physical_lists) -> list[PhysicalGate]:
     """The gates that the peephole rule keeps of the physical gate lists, in
     order: one keep-mode `DepthScan`."""
-    scan = DepthScan(n_qubits, keep=True)
-    for physical in physical_lists:
-        scan.feed(physical)
+    scan = DepthScan(n_qubits, keep=True).feed(physical_lists)
     scan.close()
     return [g for g in scan.gates if g is not None]
 
@@ -285,10 +279,7 @@ def kept_gates(n_qubits: int, physical_lists) -> list[PhysicalGate]:
 def lowered_depth(n_qubits: int, physical_lists) -> int:
     """Depth of the physical gate lists after the peephole rule: one
     `DepthScan` pass, with no gate list built."""
-    scan = DepthScan(n_qubits)
-    for physical in physical_lists:
-        scan.feed(physical)
-    return scan.close()
+    return DepthScan(n_qubits).feed(physical_lists).close()
 
 
 def probe_features(n: int) -> np.ndarray:
@@ -325,10 +316,10 @@ class DepthScan:
         new.level, new.runs = list(self.level), dict(self.runs)
         return new
 
-    def feed(self, gates) -> None:
-        """Scan physical gates in order."""
+    def feed(self, physical_lists) -> "DepthScan":
+        """Scan per-gate lists of physical gates in order; returns the scan."""
         level, runs, kept = self.level, self.runs, self.gates
-        for g in gates:
+        for g in chain.from_iterable(physical_lists):
             if g.kind is GateKind.RZ:
                 angle, q = g.params[0], g.qubits[0]
                 if _is_zero_mod_2pi(angle):
@@ -350,6 +341,7 @@ class DepthScan:
                     level[q] = d
             if kept is not None:
                 kept.append(g)
+        return self
 
     def join(self, summary) -> int:
         """Depth of this scan followed by the suffix that `summary`
@@ -418,10 +410,21 @@ def suffix_summaries(n_qubits: int, lowered, starts) -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
+def _encoder_scan(encoder: tuple[Gate, ...], n_qubits: int, n_data: int) -> DepthScan:
+    return DepthScan(n_qubits).feed(lower_gates(encoder, np.pi * probe_features(n_data))[0])
+
+
+def encoder_scan(circuit: Circuit) -> DepthScan:
+    """A copy of the encoder's cached depth-only scan, at `probe_features`."""
+    return _encoder_scan(tuple(circuit.encoder), circuit.n_qubits, circuit.n_data).copy()
+
+
 def tcd(circuit: Circuit, params) -> int:
     """Transpiled circuit depth of a logical circuit at given parameters, with
-    the encoder at generic probe features."""
-    return lowered_depth(circuit.n_qubits, lower_circuit(circuit, params))
+    the encoder at generic probe features (`encoder_scan`)."""
+    thetas = np.atleast_2d(np.asarray(params, dtype=float))
+    return encoder_scan(circuit).feed(lower_gates(tuple(circuit.layers), thetas)[0]).close()
 
 
 def standalone_gate_depth(kind: GateKind, params) -> int:

@@ -25,8 +25,8 @@ from vqcompress.lut import build_lut
 from vqcompress.noise import noisy_accuracy, noisy_outputs
 from vqcompress.recl import reconstruct_lut
 from vqcompress.simulator import run_circuit
-from vqcompress.training import (TrainConfig, batch_loss_and_gradient, input_states,
-                                 loss_and_accuracy, outputs_batch, softmax)
+from vqcompress.training import (TrainConfig, batch_loss_and_gradient, initial_states,
+                                 input_states, loss_and_accuracy, outputs_batch, softmax)
 from vqcompress.transpile import GENERIC_ANGLE, standalone_gate_depth, tcd, transpile_circuit
 
 PI = math.pi
@@ -56,9 +56,9 @@ def pipeline():
     for seed in range(5):
         ds = generate_synthetic(4, 100, seed=seed)
         tcfg = TrainConfig(seed=seed)
-        warm = vanilla_train(circ, ds, tcfg)
+        warm = vanilla_train(circ, ds.train, tcfg)
         recon = reconstruct_lut(circ, warm, lut, ds.train)
-        res = run_cqcp_admm(circ, ds, recon, ADMMConfig(), tcfg, warm)
+        res = run_cqcp_admm(circ, ds.train, recon, ADMMConfig(), tcfg, warm)
         runs[seed] = {
             "dataset": ds,
             "warm": warm,
@@ -214,12 +214,12 @@ def test_criterion_8_baseline_dominance():
         for seed in range(3):
             ds = generate_synthetic(4, 100, seed=seed)
             tcfg = TrainConfig(seed=seed)
-            warm = vanilla_train(circ, ds, tcfg)
+            warm = vanilla_train(circ, ds.train, tcfg)
             v_tcd = tcd(circ, warm)
             cfg = ADMMConfig(target_ratio=ratio)
             recon = reconstruct_lut(circ, warm, lut, ds.train)
-            comp = run_cqcp_admm(circ, ds, recon, cfg, tcfg, warm)
-            zero = baseline_compress(BaselineMode.ZERO_ONLY_PRUNING, circ, ds, recon,
+            comp = run_cqcp_admm(circ, ds.train, recon, cfg, tcfg, warm)
+            zero = baseline_compress(BaselineMode.ZERO_ONLY_PRUNING, circ, ds.train, recon,
                                      cfg, tcfg, warm)
             m_comp = (loss_and_accuracy(circ, comp.params, ds.test)[1]
                       * v_tcd / max(tcd(circ, comp.params), 1))
@@ -257,12 +257,13 @@ def _noisy_margins(circ, params, samples, p):
     the largest |noisy - ideal| output, over the samples."""
     feats, labels = stack(samples)
     thetas = np.atleast_2d(params)
-    states = input_states(circ, feats)
+    states, layer_input = input_states(circ, feats), initial_states(circ, feats)
     noisy = np.stack([noisy_outputs(transpile_circuit(circ, thetas, feats=feats[i:i + 1]),
                                     states[i], circ.measurement, p)
                       for i in range(len(labels))])
     correct = softmax(noisy)[np.arange(len(labels)), labels]
-    return float(correct.mean()), float(np.max(np.abs(noisy - outputs_batch(circ, thetas, feats))))
+    ideal = outputs_batch(circ, thetas, layer_input)
+    return float(correct.mean()), float(np.max(np.abs(noisy - ideal)))
 
 
 def test_criterion_9b_noise_robustness_probability(pipeline):
@@ -287,7 +288,7 @@ def test_criterion_10_degenerate_ratio_identity():
     # run_experiment decides the ratio-0 rule for every method
     circ = load_reference("syn4")
     ds = generate_synthetic(4, 100, seed=3)
-    warm = vanilla_train(circ, ds, TrainConfig(seed=3))
+    warm = vanilla_train(circ, ds.train, TrainConfig(seed=3))
     report = run_experiment(ExperimentConfig(methods=("CompVQC",), seed=3,
                                              admm=ADMMConfig(target_ratio=0.0)))
     res = report.results["CompVQC"]

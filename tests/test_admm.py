@@ -31,7 +31,7 @@ def three_gate_circuit():
 
 def warm_and_recon(circ, ds, tcfg):
     """The warm start and its one ReCL sweep, as run_experiment makes them."""
-    warm = vanilla_train(circ, ds, tcfg)
+    warm = vanilla_train(circ, ds.train, tcfg)
     return warm, reconstruct_lut(circ, warm, build_lut(circ), ds.train)
 
 
@@ -148,7 +148,7 @@ def test_ratio_zero_reproduces_vanilla_bit_for_bit():
     circ = load_reference("syn4")
     ds = generate_synthetic(4, 100, seed=2)
     tcfg = TrainConfig(seed=2, epochs=20)
-    warm = vanilla_train(circ, ds, tcfg)
+    warm = vanilla_train(circ, ds.train, tcfg)
     report = run_experiment(ExperimentConfig(methods=("CompVQC",), seed=2, train=tcfg,
                                              admm=ADMMConfig(target_ratio=0.0)))
     res = report.results["CompVQC"]
@@ -162,7 +162,7 @@ def test_masked_parameters_exactly_at_levels_after_finalize():
     ds = generate_synthetic(4, 100, seed=1)
     tcfg = TrainConfig(seed=1, epochs=25)
     warm, recon = warm_and_recon(circ, ds, tcfg)
-    res = run_cqcp_admm(circ, ds, recon,
+    res = run_cqcp_admm(circ, ds.train, recon,
                         ADMMConfig(target_ratio=0.5, max_iters=3, epochs_per_iter=5,
                                    retrain_epochs=10),
                         tcfg, warm)
@@ -212,7 +212,7 @@ def test_report_records_present():
     ds = generate_synthetic(4, 100, seed=3)
     tcfg = TrainConfig(seed=3, epochs=15)
     warm, recon = warm_and_recon(circ, ds, tcfg)
-    res = run_cqcp_admm(circ, ds, recon,
+    res = run_cqcp_admm(circ, ds.train, recon,
                         ADMMConfig(target_ratio=0.5, max_iters=4, epochs_per_iter=4,
                                    retrain_epochs=5), tcfg, warm)
     assert 1 <= len(res.records) <= 4
@@ -229,7 +229,7 @@ def test_increasing_rho_shrinks_theta_z_gap():
     warm, recon = warm_and_recon(circ, ds, tcfg)
     gaps = []
     for rho in (0.002, 0.2, 20.0):
-        res = run_cqcp_admm(circ, ds, recon,
+        res = run_cqcp_admm(circ, ds.train, recon,
                             ADMMConfig(target_ratio=0.5, rho=rho, max_iters=4,
                                        epochs_per_iter=5, retrain_epochs=2),
                             replace(tcfg, learning_rate=0.02), warm)
@@ -241,7 +241,7 @@ def test_zero_only_pruning_ratio_zero_is_vanilla():
     circ = load_reference("syn4")
     ds = generate_synthetic(4, 100, seed=5)
     tcfg = TrainConfig(seed=5, epochs=15)
-    warm = vanilla_train(circ, ds, tcfg)
+    warm = vanilla_train(circ, ds.train, tcfg)
     report = run_experiment(ExperimentConfig(methods=("ZeroOnlyPruning",), seed=5, train=tcfg,
                                              admm=ADMMConfig(target_ratio=0.0)))
     res = report.results["ZeroOnlyPruning"]
@@ -253,8 +253,8 @@ def test_zero_only_pruning_masks_nearest_to_zero():
     circ = load_reference("syn4")
     ds = generate_synthetic(4, 100, seed=6)
     tcfg = TrainConfig(seed=6, epochs=12)
-    warm = vanilla_train(circ, ds, tcfg)
-    res = baseline_compress(BaselineMode.ZERO_ONLY_PRUNING, circ, ds, None,
+    warm = vanilla_train(circ, ds.train, tcfg)
+    res = baseline_compress(BaselineMode.ZERO_ONLY_PRUNING, circ, ds.train, None,
                             ADMMConfig(target_ratio=0.3, retrain_epochs=5), tcfg, warm)
     trainable = circ.trainable_indices()
     dists = [min(warm[circ.layers[gi].theta_slots[0]],
@@ -286,7 +286,7 @@ def test_zero_only_pruning_matches_hand_written_oracle(name):
         ds = Dataset(ds.train[:30], ds.test, 2)
     tcfg = TrainConfig(seed=13, epochs=8)
     cfg = ADMMConfig(target_ratio=0.5, retrain_epochs=6)
-    warm = vanilla_train(circ, ds, tcfg)
+    warm = vanilla_train(circ, ds.train, tcfg)
     trainable = circ.trainable_indices()
     slots = [list(circ.layers[gi].theta_slots) for gi in trainable]
     dists = [level_distance(tuple(0.0 for _ in s), wrap_params(warm[s])) for s in slots]
@@ -300,7 +300,7 @@ def test_zero_only_pruning_matches_hand_written_oracle(name):
     retrain = replace(tcfg, epochs=cfg.retrain_epochs, seed=tcfg.seed + 999_983)
     expected = sgd_train(circ, np.where(frozen, 0.0, warm), ds.train, retrain, frozen=frozen)
 
-    res = baseline_compress(BaselineMode.ZERO_ONLY_PRUNING, circ, ds, None, cfg, tcfg, warm)
+    res = baseline_compress(BaselineMode.ZERO_ONLY_PRUNING, circ, ds.train, None, cfg, tcfg, warm)
     assert np.array_equal(res.mask.bits, bits)
     assert np.array_equal(res.mask.scores, dists)
     assert np.array_equal(res.params, expected)
@@ -327,7 +327,7 @@ def test_quant_only_excludes_rz_gates_from_mask():
     ds = generate_synthetic(4, 100, seed=7)
     tcfg = TrainConfig(seed=7, epochs=12)
     warm, recon = warm_and_recon(circ, ds, tcfg)
-    res = baseline_compress(BaselineMode.QUANT_ONLY, circ, ds, recon,
+    res = baseline_compress(BaselineMode.QUANT_ONLY, circ, ds.train, recon,
                             ADMMConfig(target_ratio=1.0, max_iters=2,
                                        epochs_per_iter=3, retrain_epochs=3), tcfg, warm)
     trainable = circ.trainable_indices()
@@ -343,7 +343,7 @@ def test_final_circuit_transpiles_shallower_when_masked():
     ds = generate_synthetic(4, 100, seed=8)
     tcfg = TrainConfig(seed=8, epochs=20)
     warm, recon = warm_and_recon(circ, ds, tcfg)
-    res = run_cqcp_admm(circ, ds, recon,
+    res = run_cqcp_admm(circ, ds.train, recon,
                         ADMMConfig(target_ratio=0.85, max_iters=5, epochs_per_iter=5,
                                    retrain_epochs=10), tcfg, warm)
     assert res.mask.count > 0
@@ -364,7 +364,7 @@ def test_pipeline_supports_three_angle_gates():
     assert GateKind.U3 in build_lut(circ).entries
     tcfg = TrainConfig(seed=11, epochs=5)
     warm, recon = warm_and_recon(circ, small, tcfg)
-    res = run_cqcp_admm(circ, small, recon,
+    res = run_cqcp_admm(circ, small.train, recon,
                         ADMMConfig(target_ratio=1.0, max_iters=2, epochs_per_iter=2,
                                    retrain_epochs=2), tcfg, warm)
     u3_level = res.recon.levels[0]

@@ -2,17 +2,21 @@ import csv
 import hashlib
 import io
 import json
+import sys
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from vqcompress import training, transpile
 from vqcompress.admm import ADMMConfig
+from vqcompress.circfile import load_reference
 from vqcompress.cli import main
+from vqcompress.data import generate_synthetic
 from vqcompress.errors import ConfigError
 from vqcompress.experiment import (METHOD_ORDER, ExperimentConfig, Report, MethodRow,
                                    format_report, run_experiment)
-from vqcompress.training import TrainConfig
+from vqcompress.training import TrainConfig, encode, init_params, sgd_train
 
 FAST = dict(train=TrainConfig(epochs=12),
             admm=ADMMConfig(target_ratio=0.5, max_iters=3, epochs_per_iter=4,
@@ -60,13 +64,16 @@ def test_reports_are_deterministic_and_byte_identical():
 REPORT_SYN4_SHA256 = "e4d553a907be5df6604ffc99f9a90b9c597f06c551098021b8c44f9450981d36"
 
 
+# The five methods on syn4 with noise, on the report-syn4 benchmark schedule.
+REPORT_SYN4 = ExperimentConfig(methods=METHOD_ORDER, seed=1, noise_p=0.02,
+                               train=TrainConfig(epochs=10),
+                               admm=ADMMConfig(max_iters=6, epochs_per_iter=2, retrain_epochs=10))
+
+
 def test_five_method_syn4_report_keeps_its_bytes():
     """All five methods on syn4 with noise, on the report-syn4 benchmark
     schedule: every gradient, ADMM record and noisy accuracy is in the JSON."""
-    cfg = ExperimentConfig(methods=METHOD_ORDER, seed=1, noise_p=0.02,
-                           train=TrainConfig(epochs=10),
-                           admm=ADMMConfig(max_iters=6, epochs_per_iter=2, retrain_epochs=10))
-    text = format_report(run_experiment(cfg), "json")
+    text = format_report(run_experiment(REPORT_SYN4), "json")
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SYN4_SHA256
 
 
@@ -79,13 +86,67 @@ COMPRESS_SYN16_SHA256 = {
 }
 
 
+COMPRESS_SYN16 = ["compress", "--dataset", "syn16", "--circuit", "syn16", "--seed", "601",
+                  "--epochs", "4", "--max-iters", "4", "--epochs-per-iter", "1",
+                  "--retrain-epochs", "4"]
+
+
 def test_syn16_compress_keeps_its_bytes(tmp_path, capsys):
     saved = tmp_path / "params.txt"
-    assert main(["compress", "--dataset", "syn16", "--circuit", "syn16", "--seed", "601",
-                 "--epochs", "4", "--max-iters", "4", "--epochs-per-iter", "1",
-                 "--retrain-epochs", "4", "--save", str(saved)]) == 0
+    assert main(COMPRESS_SYN16 + ["--save", str(saved)]) == 0
     digests = {"stdout": capsys.readouterr().out.encode(), "save": saved.read_bytes()}
     assert {k: hashlib.sha256(v).hexdigest() for k, v in digests.items()} == COMPRESS_SYN16_SHA256
+
+
+@pytest.mark.parametrize("schedule", ["report-syn4", "compress-syn16"])
+def test_a_run_encodes_its_train_and_test_split_once(schedule, monkeypatch, capsys):
+    """The encoder runs once on the 90 train rows and once on the 10 test
+    rows: the warm start, ReCL, every ADMM iteration and retrain and every
+    score read those two splits."""
+    original, rows = training.initial_states, []
+
+    def counted(circuit, feats):
+        rows.append(len(feats))
+        return original(circuit, feats)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "initial_states", None) is original:
+            monkeypatch.setattr(module, "initial_states", counted)
+    if schedule == "report-syn4":
+        run_experiment(REPORT_SYN4)
+    else:
+        assert main(COMPRESS_SYN16) == 0
+    assert rows == [90, 10]
+
+
+def test_tcd_lowers_the_encoder_once_per_circuit(monkeypatch):
+    circ = load_reference("syn16")
+    original, lowered = transpile.lower_gates, []
+
+    def counted(gates, values):
+        lowered.append(gates)
+        return original(gates, values)
+
+    monkeypatch.setattr(transpile, "lower_gates", counted)
+    transpile._encoder_scan.cache_clear()
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        transpile.tcd(circ, rng.uniform(0, 4 * np.pi, circ.n_thetas))
+    assert lowered.count(tuple(circ.encoder)) == 1
+    assert lowered.count(tuple(circ.layers)) == 10
+
+
+def test_an_encoded_split_is_read_only_and_trains_like_its_samples():
+    circ, ds = load_reference("syn4"), generate_synthetic(4, 100, seed=31)
+    split = encode(circ, ds.train)
+    assert len(split) == len(ds.train) and encode(circ, split) is split
+    with pytest.raises(ValueError):
+        split.states[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        split.labels[0] = 1
+    cfg = TrainConfig(seed=31, epochs=3)
+    p0 = init_params(circ, cfg)
+    assert np.array_equal(sgd_train(circ, p0, ds.train, cfg), sgd_train(circ, p0, split, cfg))
 
 
 def csv_values(text):

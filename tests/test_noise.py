@@ -310,13 +310,13 @@ def test_a_pass_applies_each_qubits_channels_once_per_cx(monkeypatch):
 
 
 def test_operands_are_built_once_per_kind(monkeypatch):
-    # one gate_mats_batch call for all RZ angles and one for SX, however many
-    # gates the circuit has; X and CX need none.  Per-gate building makes one
-    # call per RZ and SX gate, through gate_matrix.
+    # one gate_mats_batch call for all RZ angles and one for each fixed
+    # one-qubit kind (SX, X), however many gates the circuit has; CX needs
+    # none, as it permutes rho in place.  Per-gate building makes one call
+    # per one-qubit gate, through gate_matrix.  syn16's lowering holds no X,
+    # so the pi-class case, which holds several, checks X.
     import vqcompress.gates as gates
     import vqcompress.noise as noise
-    tc, init, spec = _oracle_case("syn16")
-    assert len(tc.gates) > 100
     original, calls = gates.gate_mats_batch, []
 
     def counted(kind, angles):
@@ -326,9 +326,14 @@ def test_operands_are_built_once_per_kind(monkeypatch):
     for module in (gates, noise):
         if getattr(module, "gate_mats_batch", None) is original:
             monkeypatch.setattr(module, "gate_mats_batch", counted)
-    noisy_outputs(tc, init, spec, 0.02)
-    assert set(calls) <= {GateKind.RZ, GateKind.SX}
-    assert max(Counter(calls).values()) == 1
+    for name in ("syn16", "pi-class"):
+        tc, init, spec = _oracle_case(name)
+        kinds = Counter(g.kind for g in tc.gates)
+        assert len(tc.gates) > 100 if name == "syn16" else kinds[GateKind.X] > 1
+        calls.clear()
+        noisy_outputs(tc, init, spec, 0.02)
+        assert set(calls) == set(kinds) - {GateKind.CX}
+        assert max(Counter(calls).values()) == 1
 
 
 def test_density_matrix_memory_stays_within_three_matrices():

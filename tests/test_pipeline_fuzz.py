@@ -35,12 +35,12 @@ TRAIN = TrainConfig(epochs=3, seed=3)
 def method_results(circ, dataset, ratio):
     """The warm start and every compressing method's result, CompVQC twice."""
     admm = ADMMConfig(target_ratio=ratio, max_iters=3, epochs_per_iter=3, retrain_epochs=3)
-    warm = vanilla_train(circ, dataset, TRAIN)
+    warm = vanilla_train(circ, dataset.train, TRAIN)
     recon = reconstruct_lut(circ, warm, build_lut(circ), dataset.train)
-    results = {mode.value: baseline_compress(mode, circ, dataset, recon, admm, TRAIN, warm)
+    results = {mode.value: baseline_compress(mode, circ, dataset.train, recon, admm, TRAIN, warm)
                for mode in BaselineMode}
-    results["CompVQC"] = run_cqcp_admm(circ, dataset, recon, admm, TRAIN, warm)
-    again = run_cqcp_admm(circ, dataset, recon, admm, TRAIN, warm)
+    results["CompVQC"] = run_cqcp_admm(circ, dataset.train, recon, admm, TRAIN, warm)
+    again = run_cqcp_admm(circ, dataset.train, recon, admm, TRAIN, warm)
     return results, again
 
 

@@ -49,7 +49,8 @@ def brute_force_metric(circ, th, gi, level, samples):
     new[circ.layers[gi].theta_slots[0]] = level.value[0]
     correct = 0
     for s in samples:
-        correct += is_hit(outputs_batch(circ, new[None, :], s.features[None, :])[0], s.label)
+        states = initial_states(circ, s.features[None, :])
+        correct += is_hit(outputs_batch(circ, new[None, :], states)[0], s.label)
     acc = correct / len(samples)
     t0, t1 = tcd(circ, th), max(tcd(circ, new), 1)
     return acc * t0 / t1
@@ -74,7 +75,7 @@ def test_metric_is_accuracy_when_depth_unchanged():
     assert m == pytest.approx(expected_acc)
     if tcd(circ, new) == base:
         assert m == pytest.approx(sum(is_hit(outputs_batch(
-            circ, new[None, :], s.features[None, :])[0], s.label)
+            circ, new[None, :], initial_states(circ, s.features[None, :]))[0], s.label)
             for s in samples) / len(samples))
 
 
@@ -158,7 +159,7 @@ def from_scratch_metric(circ, th, gi, level, samples):
     for slot, val in zip(circ.layers[gi].theta_slots, level.value):
         new[slot] = val
     feats, labels = stack(samples)
-    outputs = outputs_batch(circ, new[None, :], feats)
+    outputs = outputs_batch(circ, new[None, :], initial_states(circ, feats))
     acc = float(np.mean([is_hit(row, label) for row, label in zip(outputs, labels)]))
     return acc * (tcd(circ, th) / max(tcd(circ, new), 1))
 
@@ -420,9 +421,10 @@ def test_candidates_scan_only_the_gates_from_their_first_reader(monkeypatch):
     fed, joins, kept_calls = [], [], []
     feed, join, kept = DepthScan.feed, DepthScan.join, transpile.kept_gates
 
-    def counted_feed(self, gates):
-        fed.append(len(gates))
-        return feed(self, gates)
+    def counted_feed(self, physical_lists):
+        physical_lists = list(physical_lists)
+        fed.append(sum(len(physical) for physical in physical_lists))
+        return feed(self, physical_lists)
 
     def counted_join(self, summary):
         joins.append(len(summary))
@@ -435,11 +437,12 @@ def test_candidates_scan_only_the_gates_from_their_first_reader(monkeypatch):
     monkeypatch.setattr(DepthScan, "feed", counted_feed)
     monkeypatch.setattr(DepthScan, "join", counted_join)
     monkeypatch.setattr(transpile, "kept_gates", counted_kept)
+    transpile._encoder_scan.cache_clear()
     reconstruct_lut(circ, th, lut, samples)
     assert kept_calls == []
 
     full = sum(len(physical) for physical in lower_circuit(circ, th))
-    expected, n_levels = full, 0  # theta's lowering is scanned once
+    expected, n_levels = full, 0  # theta's lowering, with the encoder, is scanned once
     for gi in circ.trainable_indices():
         slots = set(circ.layers[gi].theta_slots)
         readers = [k for k, g in enumerate(circ.all_gates) if slots & set(g.theta_slots)]

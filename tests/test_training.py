@@ -52,7 +52,8 @@ def test_hits_score_each_row_alone():
 def test_forward_probabilities_sum_to_one():
     circ = load_reference("syn4")
     params = init_params(circ, TrainConfig(seed=0))
-    probs = softmax(outputs_batch(circ, params[None], np.array([[0.2, 0.8, 0.4, 0.6]])))[0]
+    probs = softmax(outputs_batch(circ, params[None],
+                                  initial_states(circ, np.array([[0.2, 0.8, 0.4, 0.6]]))))[0]
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert probs.shape == (2,)
 
@@ -89,7 +90,8 @@ def test_single_rx_z_expectation_gradient():
     feats = np.zeros((1, 1))
 
     def dz_dtheta(t):
-        return sum(coeff * outputs_batch(circ1, np.array([[t + shift]]), feats)[0, 0]
+        states = initial_states(circ1, feats)
+        return sum(coeff * outputs_batch(circ1, np.array([[t + shift]]), states)[0, 0]
                    for shift, coeff in SHIFT_RULES["RX"])
 
     assert dz_dtheta(0.0) == pytest.approx(0.0, abs=1e-9)
@@ -473,5 +475,6 @@ def test_amplitude_encoding_training_path():
     params = sgd_train(circ, init_params(circ, cfg), ds.train, cfg)
     loss, acc = loss_and_accuracy(circ, params, ds.test)
     assert np.isfinite(loss) and 0.0 <= acc <= 1.0
-    probs = softmax(outputs_batch(circ, params[None], ds.test[0].features[None]))[0]
+    probs = softmax(outputs_batch(circ, params[None],
+                                  initial_states(circ, ds.test[0].features[None])))[0]
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import random_circuit
+from conftest import fuzz_circuit, random_circuit
 from vqcompress.circfile import load_reference
 from vqcompress.circuit import Circuit, Gate, MeasurementSpec, const
 from vqcompress import transpile
@@ -16,8 +16,8 @@ from vqcompress.gates import (ARITY, N_QUBITS_OF_KIND, GateKind, gate_matrix,
 from vqcompress.training import TrainConfig, init_params
 from vqcompress.transpile import (BASIS_KINDS, GENERIC_ANGLE, DepthScan, PhysicalGate,
                                   TranspiledCircuit, build_depth_table, decompose_kind,
-                                  is_phase_identity, kept_gates, lowered_depth, snap_class,
-                                  standalone_gate_depth, tcd, transpile_circuit)
+                                  is_phase_identity, kept_gates, lower_circuit, lowered_depth,
+                                  snap_class, standalone_gate_depth, tcd, transpile_circuit)
 
 PI = math.pi
 
@@ -251,16 +251,11 @@ def test_suffix_summary_join_equals_a_full_rescan():
         gates = random_physical_list(rng, n, int(rng.integers(0, 16)))
         cuts = sorted(int(c) for c in rng.integers(0, len(gates) + 1, int(rng.integers(1, 8))))
         lowered = [gates[a:b] for a, b in zip([0] + cuts, cuts + [len(gates)])]
-        full = DepthScan(n)
-        for part in lowered:
-            full.feed(part)
-        want = full.close()
+        want = DepthScan(n).feed(lowered).close()
         summaries = transpile.suffix_summaries(n, lowered, set(range(len(lowered) + 1)))
         assert sorted(summaries) == list(range(len(lowered) + 1))
         for b, summary in summaries.items():
-            scan = DepthScan(n)
-            for part in lowered[:b]:
-                scan.feed(part)
+            scan = DepthScan(n).feed(lowered[:b])
             suffix = [g for part in lowered[b:] for g in part]
             assert scan.join(summary) == want, (gates, cuts, b)
             seen["empty suffix"] += not suffix
@@ -360,3 +355,17 @@ def test_depth_only_tcd_equals_transpiled_depth(grid):
         if grid:
             params = rng.integers(0, 8, params.size) * (PI / 2)
         assert tcd(circ, params) == oracle.dag_depth(transpile_circuit(circ, params).gates)
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["generic", "pi-2-grid"])
+def test_tcd_from_the_cached_encoder_scan_equals_a_full_scan(grid):
+    # tcd resumes a copy of the encoder's cached scan and lowers only the
+    # layers; scanning the whole lowering from scratch gives the same depth,
+    # and no call changes the cached scan the next one copies
+    rng = np.random.default_rng(31)
+    for _ in range(120):
+        circ = fuzz_circuit(rng)
+        params = rng.uniform(0, 4 * PI, circ.n_thetas)
+        if grid:
+            params = rng.integers(0, 8, circ.n_thetas) * (PI / 2)
+        assert tcd(circ, params) == lowered_depth(circ.n_qubits, lower_circuit(circ, params))
